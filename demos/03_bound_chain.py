@@ -7,24 +7,13 @@ least exponent it permits.  Stage three reduces that astronomical ceiling
 with lattice basis reduction, branch by branch.
 """
 
-from cyclobound import (
-    BoundInput,
-    ConjugateData,
-    absolute_bound,
-    combined_lower_bound,
-    compute_constants,
-    get_case,
-    matveev_c9,
-    reduction_loop,
-)
+from cyclobound import ProofChain
 
-cfg = get_case("15-41")
-n_lower = combined_lower_bound(cfg, cfg.default_scan_depth)
+chain = ProofChain("15-41")
+cfg, n_lower = chain.cfg, chain.n_lower
 print(f"case {cfg.case_id}: digit scan gives n >= {n_lower}")
 
-conj = ConjugateData(cfg)
-cc = compute_constants(cfg, conj, n_lower)
-
+cc = chain.constants
 print("\nconstants (outward-rounded, 4 significant digits):")
 for k in range(1, 9):
     print(f"  c{k} = {float(getattr(cc, f'c{k}')):.4g}")
@@ -32,13 +21,10 @@ print(f"  regulator        = {float(cc.regulator):.5g}")
 print(f"  unit minor bound = {float(cc.unit_minor_bound):.4g}")
 print(f"  height bounds A  = {[float(a) for a in cc.a_values]}")
 
-inp = BoundInput.from_constants(cc)
-c9 = matveev_c9(inp)
-n_abs = absolute_bound(inp)
-print(f"\nlinear-forms coefficient c9 = {float(c9):.4g}")
-print(f"absolute ceiling: n <= {n_abs}  (~{float(n_abs):.3e})")
+print(f"\nlinear-forms coefficient c9 = {float(chain.c9):.4g}")
+print(f"absolute ceiling: n <= {chain.abs_bound}  (~{float(chain.abs_bound):.3e})")
 
-report = reduction_loop(cfg, conj, cc, n_abs, stop_below=n_lower)
+report = chain.reduction
 print("\nlattice reduction:")
 for rnd in report.rounds:
     print(f"  round at scale {rnd.scale:.0e}, start n <= {rnd.start_bound}")

@@ -33,7 +33,7 @@ from .padic import (
     roots_mod_p,
     scan_case,
 )
-from .pipeline import SolveReport, direct_search, emit_report, solve_case
+from .pipeline import ProofChain, SolveReport, direct_search, emit_report, solve_case
 from .polyarith import IntPoly, cyclotomic, discriminant, poly_eval, resultant
 from .realalg import (
     Ball,
@@ -67,6 +67,7 @@ __all__ = [
     "FieldElement",
     "IntPoly",
     "PAdicRoot",
+    "ProofChain",
     "ReductionReport",
     "SolveReport",
     "VerificationReport",

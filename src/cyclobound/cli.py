@@ -1,10 +1,11 @@
 """Command line front end.
 
-Subcommands mirror the pipeline stages: verify, scan, bound, reduce run a
-single stage per case, solve runs the whole chain, all is solve over every
-built-in case.  Exit status 0 means every requested check or proof
-succeeded, 1 means at least one did not, 2 means the invocation or config
-was unusable.
+Subcommands mirror the pipeline stages: verify checks the case data;
+scan, bound and reduce read pipeline.ProofChain up to their stage; solve
+runs the whole chain, and all is solve over every built-in case.  Exit
+status 0 means every requested check or proof succeeded, 1 means at least
+one did not (a stage that cannot finish counts), 2 means the invocation or
+config was unusable.
 """
 from __future__ import annotations
 
@@ -13,28 +14,22 @@ import json
 import sys
 from fractions import Fraction
 
-from .matveev import BoundInput, absolute_bound, inequality_coefficients, matveev_c9
+from .matveev import inequality_coefficients
 from .numberfield import (
     get_case,
     list_case_ids,
     load_case_config,
     verify_case_data,
 )
-from .padic import (
-    combined_lower_bound,
-    digit_scan_bound,
-    heuristic_expected_solutions,
-    scan_case,
-)
-from .pipeline import emit_report, solve_case
-from .realalg import DEFAULT_PREC, ConjugateData, compute_constants
-from .reduction import reduction_loop
+from .padic import digit_scan_bound, heuristic_expected_solutions
+from .pipeline import ProofChain, StageFailed, emit_report, solve_case
+from .realalg import DEFAULT_PREC
 
 
-def _parse_scale(text: str) -> int:
+def _positive_int(text: str) -> int:
     value = Fraction(text)
     if value.denominator != 1 or value <= 0:
-        raise argparse.ArgumentTypeError("scale must be a positive integer")
+        raise argparse.ArgumentTypeError("must be a positive integer")
     return value.numerator
 
 
@@ -43,9 +38,18 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="cyclobound",
         description="Certified non-existence proofs for f(x) = 2*p^n.",
     )
+    parser.set_defaults(depth=None, precision_bits=DEFAULT_PREC, scale=None)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, depth=False, prec=False, scale=False, search=False):
+    full = ("depth", "prec", "scale", "search")
+    for name, text, flags in (
+        ("verify", "check the case data", ()),
+        ("scan", "p-adic digit scan", ("depth",)),
+        ("bound", "constant chain and absolute bound", ("depth", "prec")),
+        ("reduce", "lattice reduction of the bound", ("depth", "prec", "scale")),
+        ("solve", "full proof chain", full),
+        ("all", "solve every case", full),
+    ):
+        p = sub.add_parser(name, help=text)
         p.add_argument(
             "--case",
             action="append",
@@ -57,228 +61,169 @@ def _build_parser() -> argparse.ArgumentParser:
             help="path to a JSON case file (repeatable)",
         )
         p.add_argument("--json", action="store_true", help="emit JSON")
-        if depth:
-            p.add_argument("--depth", type=int, help="p-adic scan depth")
-        if prec:
+        if "depth" in flags:
+            p.add_argument("--depth", type=_positive_int, help="p-adic scan depth")
+        if "prec" in flags:
             p.add_argument(
                 "--precision-bits",
-                type=int,
+                type=_positive_int,
                 default=DEFAULT_PREC,
                 help=f"interval precision (default {DEFAULT_PREC})",
             )
-        if scale:
+        if "scale" in flags:
             p.add_argument(
                 "--K",
                 dest="scale",
-                type=_parse_scale,
+                type=_positive_int,
                 help="first-round lattice scale (e.g. 1e39)",
             )
-        if search:
+        if "search" in flags:
             p.add_argument(
                 "--search-max",
                 type=int,
                 help="direct-search ceiling (default: max(certified reduced bound, 500))",
             )
-
-    common(sub.add_parser("verify", help="check the case data"))
-    common(sub.add_parser("scan", help="p-adic digit scan"), depth=True)
-    common(
-        sub.add_parser("bound", help="constant chain and absolute bound"),
-        depth=True,
-        prec=True,
-    )
-    common(
-        sub.add_parser("reduce", help="lattice reduction of the bound"),
-        depth=True,
-        prec=True,
-        scale=True,
-    )
-    common(
-        sub.add_parser("solve", help="full proof chain"),
-        depth=True,
-        prec=True,
-        scale=True,
-        search=True,
-    )
-    common(
-        sub.add_parser("all", help="solve every case"),
-        depth=True,
-        prec=True,
-        scale=True,
-        search=True,
-    )
     return parser
 
 
 def _collect_cases(args) -> list:
-    cases = []
-    for cid in args.case or ([] if args.config else list_case_ids()):
-        cases.append(get_case(cid))
-    for path in args.config or []:
-        cases.append(load_case_config(path))
-    return cases
+    ids = args.case or ([] if args.config else list_case_ids())
+    return [get_case(cid) for cid in ids] + [
+        load_case_config(path) for path in args.config or []
+    ]
 
 
-def _emit(payload: list[dict], as_json: bool) -> None:
-    if as_json:
+def _run(args, command) -> int:
+    """Run one subcommand over the requested cases.
+
+    command(chain, args) prints the text output and returns (JSON entry,
+    ok).  A stage that cannot finish is reported for its case with the
+    reason solve gives, and fails the run.
+    """
+    payload = []
+    ok = True
+    for cfg in _collect_cases(args):
+        chain = ProofChain(cfg, args.depth, args.precision_bits, args.scale)
+        try:
+            entry, case_ok = command(chain, args)
+        except StageFailed as err:
+            entry, case_ok = {"case_id": cfg.case_id, "reason": str(err)}, False
+            if not args.json:
+                print(f"case {cfg.case_id}: {err}")
+        payload.append(entry)
+        ok = ok and case_ok
+    if args.json:
         print(json.dumps({"cases": payload}, indent=2, sort_keys=True))
+    return 0 if ok else 1
 
 
-def _cmd_verify(args) -> int:
-    failed = False
-    payload = []
-    for cfg in _collect_cases(args):
-        rep = verify_case_data(cfg)
-        payload.append(rep.to_dict())
-        if not args.json:
-            print(f"case {cfg.case_id}: {'ok' if rep.passed else 'FAILED'}")
-            for chk in rep.checks:
-                mark = "ok" if chk.ok else "FAIL"
-                detail = f" ({chk.detail})" if chk.detail else ""
-                print(f"  [{mark:4}] {chk.name}{detail}")
-            for item in rep.trusted:
-                print(f"  [ext ] {item}")
-        failed = failed or not rep.passed
-    _emit(payload, args.json)
-    return 1 if failed else 0
+def _verify(chain, args):
+    rep = verify_case_data(chain.cfg)
+    if not args.json:
+        print(f"case {chain.cfg.case_id}: {'ok' if rep.passed else 'FAILED'}")
+        for chk in rep.checks:
+            mark = "ok" if chk.ok else "FAIL"
+            detail = f" ({chk.detail})" if chk.detail else ""
+            print(f"  [{mark:4}] {chk.name}{detail}")
+        for item in rep.trusted:
+            print(f"  [ext ] {item}")
+    return rep.to_dict(), rep.passed
 
 
-def _cmd_scan(args) -> int:
-    payload = []
-    for cfg in _collect_cases(args):
-        depth = args.depth if args.depth is not None else cfg.default_scan_depth
-        roots = scan_case(cfg, depth)
-        bound = combined_lower_bound(cfg, depth)
-        entry = {
-            "case_id": cfg.case_id,
-            "depth": depth,
-            "lower_bound": bound,
-            "expected_chance_hits": heuristic_expected_solutions(cfg.p, cfg.d),
-            "roots": [
-                {
-                    "r0": r.r0,
-                    "first_extreme_index": r.first_extreme_index(),
-                    "bound": digit_scan_bound(r, cfg.d),
-                }
-                for r in roots
-            ],
-        }
-        payload.append(entry)
-        if not args.json:
-            print(f"case {cfg.case_id}: n >= {bound} (depth {depth})")
-            for r in roots:
-                k0 = r.first_extreme_index()
-                where = f"digit {k0} = {r.digits[k0]}" if k0 else f"clean to {depth}"
-                print(
-                    f"  root {r.r0} mod {cfg.p}: {where}"
-                    f" -> n >= {digit_scan_bound(r, cfg.d)}"
+def _scan(chain, args):
+    cfg, depth = chain.cfg, chain.depth
+    entry = {
+        "case_id": cfg.case_id,
+        "depth": depth,
+        "lower_bound": chain.n_lower,
+        "expected_chance_hits": heuristic_expected_solutions(cfg.p, cfg.d),
+        "roots": [
+            {
+                "r0": r.r0,
+                "first_extreme_index": r.first_extreme_index(),
+                "bound": digit_scan_bound(r, cfg.d),
+            }
+            for r in chain.roots
+        ],
+    }
+    if not args.json:
+        print(f"case {cfg.case_id}: n >= {chain.n_lower} (depth {depth})")
+        for r in chain.roots:
+            k0 = r.first_extreme_index()
+            where = f"digit {k0} = {r.digits[k0]}" if k0 else f"clean to {depth}"
+            print(
+                f"  root {r.r0} mod {cfg.p}: {where}"
+                f" -> n >= {digit_scan_bound(r, cfg.d)}"
+            )
+        print(f"  chance hits expected: {entry['expected_chance_hits']:.3g}")
+    return entry, True
+
+
+def _bound(chain, args):
+    cc = chain.constants
+    coeffs = inequality_coefficients(chain.bound_input, chain.precision_bits)
+    entry = cc.to_dict()
+    entry["c9"] = float(chain.c9)
+    entry["absolute_bound"] = chain.abs_bound
+    if not args.json:
+        print(f"case {cc.case_id}:")
+        for key in ("c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8"):
+            print(f"  {key} = {float(getattr(cc, key))}")
+        print(f"  heights: {[float(a) for a in cc.a_values]}")
+        print(f"  c9 = {float(chain.c9):.4g}")
+        print(
+            f"  {float(coeffs['lhs_slope'])}*n - {float(coeffs['lhs_shift'])}"
+            f" > c9*(1 + log({float(coeffs['log_coeff_n'])}*n"
+            f" + {float(coeffs['log_coeff_1'])}))"
+        )
+        print(f"  absolute bound: n < {chain.abs_bound:.6g}")
+    return entry, True
+
+
+def _reduce(chain, args):
+    rep = chain.reduction
+    if not args.json:
+        print(
+            f"case {rep.case_id}: {rep.start_bound:.6g} -> {rep.final_bound}"
+            f" in {len(rep.rounds)} round(s)"
+        )
+        for rnd in rep.rounds:
+            for att in rnd.attempts:
+                tag = (
+                    f"gamma {att.gamma_index}, delta {att.delta_index},"
+                    f" conjugates {list(att.choice)}, K = {att.K:.0e}"
                 )
-            print(
-                "  chance hits expected: "
-                f"{entry['expected_chance_hits']:.3g}"
-            )
-    _emit(payload, args.json)
-    return 0
+                if att.ok:
+                    print(f"  {tag}: c >= {float(att.c_lower):.4g}"
+                          f" -> n <= {att.new_bound}")
+                else:
+                    print(f"  {tag}: {att.reason}")
+    return rep.to_dict(), rep.ok
 
 
-def _constants_for(cfg, args):
-    depth = args.depth if args.depth is not None else cfg.default_scan_depth
-    n_lower = combined_lower_bound(cfg, depth)
-    conj = ConjugateData(cfg, args.precision_bits)
-    return conj, compute_constants(cfg, conj, n_lower), n_lower
+def _solve(chain, args):
+    rep = solve_case(
+        chain.cfg, chain.depth, chain.precision_bits, chain.scale, args.search_max
+    )
+    if not args.json:
+        print(emit_report(rep))
+    return rep.to_dict(), rep.ok
 
 
-def _cmd_bound(args) -> int:
-    payload = []
-    for cfg in _collect_cases(args):
-        conj, cc, _ = _constants_for(cfg, args)
-        inp = BoundInput.from_constants(cc)
-        coeffs = inequality_coefficients(inp, args.precision_bits)
-        bound = absolute_bound(inp, args.precision_bits)
-        entry = cc.to_dict()
-        entry["c9"] = float(coeffs["c9"])
-        entry["absolute_bound"] = bound
-        payload.append(entry)
-        if not args.json:
-            print(f"case {cfg.case_id}:")
-            for key in ("c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8"):
-                print(f"  {key} = {float(getattr(cc, key))}")
-            print(f"  heights: {[float(a) for a in cc.a_values]}")
-            print(f"  c9 = {float(coeffs['c9']):.4g}")
-            print(
-                f"  {float(coeffs['lhs_slope'])}*n - {float(coeffs['lhs_shift'])}"
-                f" > c9*(1 + log({float(coeffs['log_coeff_n'])}*n"
-                f" + {float(coeffs['log_coeff_1'])}))"
-            )
-            print(f"  absolute bound: n < {bound:.6g}")
-    _emit(payload, args.json)
-    return 0
-
-
-def _cmd_reduce(args) -> int:
-    payload = []
-    ok = True
-    for cfg in _collect_cases(args):
-        conj, cc, n_lower = _constants_for(cfg, args)
-        start = absolute_bound(BoundInput.from_constants(cc), args.precision_bits)
-        rep = reduction_loop(
-            cfg, conj, cc, start, stop_below=n_lower, scale=args.scale
-        )
-        payload.append(rep.to_dict())
-        ok = ok and rep.ok
-        if not args.json:
-            print(
-                f"case {cfg.case_id}: {start:.6g} -> {rep.final_bound}"
-                f" in {len(rep.rounds)} round(s)"
-            )
-            for rnd in rep.rounds:
-                for att in rnd.attempts:
-                    tag = (
-                        f"gamma {att.gamma_index}, delta {att.delta_index},"
-                        f" conjugates {list(att.choice)}, K = {att.K:.0e}"
-                    )
-                    if att.ok:
-                        print(f"  {tag}: c >= {float(att.c_lower):.4g}"
-                              f" -> n <= {att.new_bound}")
-                    else:
-                        print(f"  {tag}: {att.reason}")
-    _emit(payload, args.json)
-    return 0 if ok else 1
-
-
-def _cmd_solve(args) -> int:
-    payload = []
-    ok = True
-    for cfg in _collect_cases(args):
-        rep = solve_case(
-            cfg,
-            depth=args.depth,
-            precision_bits=args.precision_bits,
-            scale=args.scale,
-            search_max=args.search_max,
-        )
-        payload.append(rep.to_dict())
-        ok = ok and rep.ok
-        if not args.json:
-            print(emit_report(rep))
-    _emit(payload, args.json)
-    return 0 if ok else 1
-
-
-_HANDLERS = {
-    "verify": _cmd_verify,
-    "scan": _cmd_scan,
-    "bound": _cmd_bound,
-    "reduce": _cmd_reduce,
-    "solve": _cmd_solve,
-    "all": _cmd_solve,
+_COMMANDS = {
+    "verify": _verify,
+    "scan": _scan,
+    "bound": _bound,
+    "reduce": _reduce,
+    "solve": _solve,
+    "all": _solve,
 }
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return _run(args, _COMMANDS[args.command])
     except (KeyError, ValueError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -296,8 +296,19 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _fe(coeffs) -> FieldElement:
-    return FieldElement(IntPoly(*coeffs))
+def _int(value, what: str, least: int | None = None) -> int:
+    """A JSON integer (bools and floats refused), at least `least` if given."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be at least {least}, got {value}")
+    return value
+
+
+def _fe(coeffs, what: str) -> FieldElement:
+    if not isinstance(coeffs, (list, tuple)) or not coeffs:
+        raise ValueError(f"{what} must be a non-empty list of integers")
+    return FieldElement(IntPoly(*(_int(c, what) for c in coeffs)))
 
 
 _BUILTIN_RAW = {
@@ -385,30 +396,48 @@ _BUILTIN_RAW = {
 
 
 def _config_from_dict(case_id: str, raw: dict) -> CaseConfig:
-    f = IntPoly(*raw["f"])
-    choice = {
-        int(k): tuple(int(i) for i in v)
-        for k, v in raw["default_conjugate_choice"].items()
-    }
-    return CaseConfig(
-        case_id=case_id,
-        m=int(raw["m"]),
-        p=int(raw["p"]),
-        d=f.degree(),
-        f=f,
-        units=tuple(_fe(u) for u in raw["units"]),
-        gammas=tuple(_fe(g["coeffs"]) for g in raw["gammas"]),
-        gamma_norm_exponents=tuple(int(g["norm_exponent"]) for g in raw["gammas"]),
-        deltas=tuple(_fe(dd) for dd in raw["deltas"]),
-        two_sign=int(raw["two_decomposition"]["sign"]),
-        two_factors=tuple(
-            (_fe(fa["coeffs"]), int(fa["exponent"]))
-            for fa in raw["two_decomposition"]["factors"]
-        ),
-        default_conjugate_choice=choice,
-        default_K=int(raw["default_K"]),
-        default_scan_depth=int(raw["default_scan_depth"]),
-    )
+    """Build a case from its JSON form; malformed data raises ValueError."""
+    try:
+        f = _fe(raw["f"], "f").num
+        choice = {
+            int(k): tuple(_int(i, "conjugate index") for i in v)
+            for k, v in raw["default_conjugate_choice"].items()
+        }
+        two = raw["two_decomposition"]
+        cfg = CaseConfig(
+            case_id=case_id,
+            m=_int(raw["m"], "m", 1),
+            p=_int(raw["p"], "p", 2),
+            d=f.degree(),
+            f=f,
+            units=tuple(_fe(u, "unit") for u in raw["units"]),
+            gammas=tuple(_fe(g["coeffs"], "gamma") for g in raw["gammas"]),
+            gamma_norm_exponents=tuple(
+                _int(g["norm_exponent"], "norm exponent") for g in raw["gammas"]
+            ),
+            deltas=tuple(_fe(dd, "delta") for dd in raw["deltas"]),
+            two_sign=_int(two["sign"], "sign of 2"),
+            two_factors=tuple(
+                (_fe(fa["coeffs"], "factor of 2"), _int(fa["exponent"], "exponent"))
+                for fa in two["factors"]
+            ),
+            default_conjugate_choice=choice,
+            default_K=_int(raw["default_K"], "default_K", 1),
+            default_scan_depth=_int(raw["default_scan_depth"], "default_scan_depth", 1),
+        )
+    except (TypeError, AttributeError) as err:
+        raise ValueError(f"case {case_id}: malformed case data ({err})") from err
+    if not (cfg.units and cfg.gammas and cfg.deltas):
+        raise ValueError(f"case {case_id}: units, gammas and deltas must be non-empty")
+    if cfg.d != _euler_phi(cfg.m):
+        raise ValueError(f"case {case_id}: f has degree {cfg.d}, not phi({cfg.m})")
+    pairs = set(range(1, cfg.d // 2 + 1))
+    if any(len(c) != cfg.rank - 2 or not pairs.issuperset(c) for c in choice.values()):
+        raise ValueError(
+            f"case {case_id}: each conjugate choice needs rank - 2 = "
+            f"{cfg.rank - 2} indices in 1..{cfg.d // 2}"
+        )
+    return cfg
 
 
 def list_case_ids() -> list[str]:

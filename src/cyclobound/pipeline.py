@@ -3,19 +3,23 @@
 Stages: verify the case data, scan p-adic digits for an exponent floor,
 compute the rounded constant chain, derive the absolute exponent bound,
 reduce it with lattices, and sweep the remaining small exponents directly.
-A "no solutions" verdict needs every stage to succeed and the floor to
-clear the reduced ceiling; anything less is reported as inconclusive
-rather than patched over.
+ProofChain wires the stages from the floor to the reduction; solve_case
+and every command line subcommand read from it.  A "no solutions" verdict
+needs every stage to succeed and the floor to clear the reduced ceiling;
+anything less is reported as inconclusive rather than patched over.
 """
 from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cached_property
 
 from .matveev import BoundInput, absolute_bound, matveev_c9
 from .numberfield import CaseConfig, VerificationReport, get_case, verify_case_data
-from .padic import combined_lower_bound
+from .padic import PAdicRoot, combined_lower_bound, scan_case
 from .polyarith import IntPoly, poly_eval
 from .realalg import DEFAULT_PREC, CaseConstants, ConjugateData, compute_constants
 from .reduction import ReductionReport, reduction_loop
@@ -67,6 +71,77 @@ def direct_search(f: IntPoly, p: int, n_max: int) -> list[tuple[int, int]]:
     return sorted(out)
 
 
+class StageFailed(Exception):
+    """A proof stage could not finish; the message is the report's reason."""
+
+
+class ProofChain:
+    """The proof stages of one case, each computed once on first read.
+
+    Reading a stage runs the stages it depends on: the scan depth, the
+    lifted roots and the digit-scan floor n_lower; the conjugate data at
+    precision_bits and the rounded constants; the linear-forms input, c9
+    and the absolute bound; and the lattice reduction of that bound down to
+    the floor, starting at lattice scale `scale` (default: the case's K).
+    A constant chain or reduction that cannot finish raises StageFailed.
+    """
+
+    def __init__(
+        self,
+        case: CaseConfig | str,
+        depth: int | None = None,
+        precision_bits: int = DEFAULT_PREC,
+        scale: int | None = None,
+    ):
+        self.cfg = get_case(case) if isinstance(case, str) else case
+        self.depth = depth if depth is not None else self.cfg.default_scan_depth
+        self.precision_bits = precision_bits
+        self.scale = scale
+
+    @cached_property
+    def roots(self) -> list[PAdicRoot]:
+        return scan_case(self.cfg, self.depth)
+
+    @cached_property
+    def n_lower(self) -> int:
+        return combined_lower_bound(self.cfg, self.depth)
+
+    @cached_property
+    def conj(self) -> ConjugateData:
+        return ConjugateData(self.cfg, self.precision_bits)
+
+    @cached_property
+    def constants(self) -> CaseConstants:
+        conj, n_lower = self.conj, self.n_lower  # earlier failures keep their type
+        try:
+            return compute_constants(self.cfg, conj, n_lower)
+        except (ValueError, ArithmeticError) as err:
+            raise StageFailed(f"constant chain failed: {err}") from err
+
+    @cached_property
+    def bound_input(self) -> BoundInput:
+        return BoundInput.from_constants(self.constants)
+
+    @cached_property
+    def c9(self) -> Fraction:
+        return matveev_c9(self.bound_input, self.precision_bits)
+
+    @cached_property
+    def abs_bound(self) -> int:
+        return absolute_bound(self.bound_input, self.precision_bits)
+
+    @cached_property
+    def reduction(self) -> ReductionReport:
+        start = self.abs_bound  # earlier failures keep their type
+        try:
+            return reduction_loop(
+                self.cfg, self.conj, self.constants, start,
+                stop_below=self.n_lower, scale=self.scale,
+            )
+        except ArithmeticError as err:
+            raise StageFailed(f"reduction failed: {err}") from err
+
+
 @dataclass
 class SolveReport:
     """Everything one case run produced, stage by stage."""
@@ -115,6 +190,15 @@ class SolveReport:
         return out
 
 
+@contextmanager
+def _timed(timings: dict, stage: str):
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[stage] = time.perf_counter() - t0
+
+
 def solve_case(
     case: CaseConfig | str,
     depth: int | None = None,
@@ -129,69 +213,44 @@ def solve_case(
     floor to exceed the reduced ceiling, and the direct sweep of small
     exponents to come back empty.
     """
-    cfg = get_case(case) if isinstance(case, str) else case
-    depth = depth if depth is not None else cfg.default_scan_depth
+    chain = ProofChain(case, depth, precision_bits, scale)
+    cfg = chain.cfg
     report = SolveReport(
         case_id=cfg.case_id,
         verdict="inconclusive",
         reason="",
-        depth=depth,
+        depth=chain.depth,
         precision_bits=precision_bits,
     )
-    clock = time.perf_counter
+    timings = report.timings
 
-    t0 = clock()
-    report.verification = verify_case_data(cfg)
-    report.timings["verify"] = clock() - t0
+    with _timed(timings, "verify"):
+        report.verification = verify_case_data(cfg)
     if not report.verification.passed:
         report.reason = "case data failed verification"
         return report
 
-    t0 = clock()
-    report.n_lower = combined_lower_bound(cfg, depth)
-    report.timings["scan"] = clock() - t0
-
-    t0 = clock()
-    conj = ConjugateData(cfg, precision_bits)
     try:
-        report.constants = compute_constants(cfg, conj, report.n_lower)
-    except (ValueError, ArithmeticError) as err:
-        report.reason = f"constant chain failed: {err}"
-        report.timings["constants"] = clock() - t0
-        return report
-    report.timings["constants"] = clock() - t0
-
-    t0 = clock()
-    inp = BoundInput.from_constants(report.constants)
-    report.c9 = matveev_c9(inp, precision_bits)
-    report.abs_bound = absolute_bound(inp, precision_bits)
-    report.timings["absolute_bound"] = clock() - t0
-
-    t0 = clock()
-    try:
-        report.reduction = reduction_loop(
-            cfg,
-            conj,
-            report.constants,
-            report.abs_bound,
-            stop_below=report.n_lower,
-            scale=scale,
-        )
-    except ArithmeticError as err:
-        report.reason = f"reduction failed: {err}"
-        report.timings["reduction"] = clock() - t0
+        with _timed(timings, "scan"):
+            report.n_lower = chain.n_lower
+        with _timed(timings, "constants"):
+            report.constants = chain.constants
+        with _timed(timings, "absolute_bound"):
+            report.c9, report.abs_bound = chain.c9, chain.abs_bound
+        with _timed(timings, "reduction"):
+            report.reduction = chain.reduction
+    except StageFailed as err:
+        report.reason = str(err)
         return report
     report.reduced_bound = report.reduction.final_bound
-    report.timings["reduction"] = clock() - t0
 
-    t0 = clock()
-    # without a certified ceiling the sweep cannot be exhaustive, so cap it
-    ceiling = report.reduced_bound if report.reduction.ok else SEARCH_FLOOR
-    report.search_max = (
-        search_max if search_max is not None else max(ceiling, SEARCH_FLOOR)
-    )
-    report.solutions = direct_search(cfg.f, cfg.p, report.search_max)
-    report.timings["search"] = clock() - t0
+    with _timed(timings, "search"):
+        # without a certified ceiling the sweep cannot be exhaustive, so cap it
+        ceiling = report.reduced_bound if report.reduction.ok else SEARCH_FLOOR
+        report.search_max = (
+            search_max if search_max is not None else max(ceiling, SEARCH_FLOOR)
+        )
+        report.solutions = direct_search(cfg.f, cfg.p, report.search_max)
 
     if report.solutions:
         report.verdict = "solutions_found"

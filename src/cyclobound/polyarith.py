@@ -157,6 +157,24 @@ def poly_eval(f: IntPoly, x):
     return acc
 
 
+def det(rows):
+    """Determinant by cofactor expansion along the first row.
+
+    Ring-generic like ``poly_eval``: only +, - and * are used, so entries
+    may be ints (exact result), Fractions or balls.  Cost grows as n!, which
+    suits the bound chain's matrices of order at most 4.
+    """
+    if len(rows) == 1:
+        return rows[0][0]
+    total = None
+    for j, a in enumerate(rows[0]):
+        term = a * det([row[:j] + row[j + 1 :] for row in rows[1:]])
+        if j % 2:
+            term = -term
+        total = term if total is None else total + term
+    return total
+
+
 def poly_derivative(f: IntPoly) -> IntPoly:
     return IntPoly(*(i * c for i, c in enumerate(f.coeffs) if i))
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 import mpmath
 
 from .numberfield import CaseConfig, FieldElement, charpoly, nf_inverse, nf_mul, nf_pow
-from .polyarith import IntPoly, poly_derivative, poly_eval
+from .polyarith import IntPoly, det, poly_derivative, poly_eval
 
 DEFAULT_PREC = 256
 
@@ -525,22 +525,6 @@ def log_height(cfg: CaseConfig, elem: FieldElement, conj: ConjugateData) -> Ball
     return total / conj.d
 
 
-def _ball_det(m) -> Ball:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    total = None
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        term = m[0][j] * _ball_det(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
-
-
 def regulator(cfg: CaseConfig, conj: ConjugateData, idxs=None) -> Ball:
     """Unit-lattice determinant in the single-log convention.
 
@@ -555,7 +539,7 @@ def regulator(cfg: CaseConfig, conj: ConjugateData, idxs=None) -> Ball:
     if len(idxs) != len(units) or len(set(idxs)) != len(units):
         raise ValueError("need as many distinct embeddings as units")
     rows = [[conj.embed_abs(u, i).log() for u in units] for i in idxs]
-    return abs(_ball_det(rows))
+    return abs(det(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -755,30 +739,22 @@ def compute_constants(
             rows = [
                 [conj.embed_abs(unit, i).log() for unit in units] for i in triple
             ]
-            det = abs(_ball_det(rows))
-            if det.lo <= 0:
+            vol = abs(det(rows))
+            if vol.lo <= 0:
                 continue
             minors = [
-                abs(
-                    _ball_det(
-                        [
-                            [rows[a][b] for b in range(u) if b != cj]
-                            for a in range(u)
-                            if a != ri
-                        ]
-                    )
-                )
+                abs(det([r[:cj] + r[cj + 1 :] for r in rows[:ri] + rows[ri + 1 :]]))
                 for ri in range(u)
                 for cj in range(u)
             ]
             r2 = ball_max(*minors)
             if best is None or r2.hi < best[0]:
-                best = (r2.hi, triple, r2, det)
+                best = (r2.hi, triple, r2, vol)
         if best is None:
             raise ArithmeticError("no conjugate triple has a certified determinant")
-        _, minor_triple, r2, det = best
-        c7 = round_sig((r2 * 3 * c5 / det).hi, 4, "up")
-        c8 = round_sig((r2 * 3 * c6 / det).hi, 4, "up")
+        _, minor_triple, r2, vol = best
+        c7 = round_sig((r2 * 3 * c5 / vol).hi, 4, "up")
+        c8 = round_sig((r2 * 3 * c6 / vol).hi, 4, "up")
         minor_bound = round_sig(r2.hi, 4, "up")
 
     # Baker heights: A_j covers d*h(eta_j), every principal |log eta_j|,

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .numberfield import CaseConfig
+from .polyarith import det
 from .realalg import (
     DEFAULT_PREC,
     Ball,
@@ -90,18 +91,6 @@ def lll_reduce(columns, delta: Fraction = Fraction(3, 4)):
     return b, u
 
 
-def _int_det(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        sub = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        term = rows[0][j] * _int_det(sub)
-        total += -term if j % 2 else term
-    return total
-
-
 def verify_lll_reduced(
     columns, reduced, transform, delta: Fraction = Fraction(3, 4)
 ) -> list[str]:
@@ -121,8 +110,7 @@ def verify_lll_reduced(
         ]
         if image != list(reduced[j]):
             problems.append(f"column {j} is not the transform image")
-    det = _int_det([[transform[j][i] for j in range(n)] for i in range(n)])
-    if det not in (1, -1):
+    if det(transform) not in (1, -1):
         problems.append("transform is not unimodular")
     try:
         mu, norms = _gram(reduced)
@@ -139,42 +127,21 @@ def verify_lll_reduced(
     return problems
 
 
-def _solve_columns(columns, y):
-    """Exact solution s of sum_j columns[j] * s_j = y."""
-    n = len(columns)
-    a = [[Fraction(columns[j][i]) for j in range(n)] for i in range(n)]
-    v = [Fraction(x) for x in y]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("columns are linearly dependent")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            v[col], v[piv] = v[piv], v[col]
-        for r in range(col + 1, n):
-            factor = a[r][col] / a[col][col]
-            if factor:
-                a[r] = [x - factor * w for x, w in zip(a[r], a[col])]
-                v[r] -= factor * v[col]
-    s = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = v[i] - sum(a[i][j] * s[j] for j in range(i + 1, n))
-        s[i] = acc / a[i][i]
-    return s
-
-
 def distance_lower_bound(reduced, y):
     """Certified squared distance from y to the lattice, or None.
 
     By de Weger's distance lemma, d(lattice, y) is at least
     2^(-(n-1)/2) * ||s_n|| * |c_1| with s the coordinates of y in the
     reduced basis and ||.|| the distance to the nearest integer; when the
-    last coordinate is an exact integer the lemma says nothing.  Returns
-    (squared bound, ||s_n||) as exact Fractions.
+    last coordinate is an exact integer the lemma says nothing.  s_n comes
+    from Cramer's rule.  Returns (squared bound, ||s_n||) as exact Fractions.
     """
     n = len(reduced)
-    s = _solve_columns(reduced, y)
-    frac = abs(s[-1] - nearest_int(s[-1]))
+    volume = det(reduced)
+    if volume == 0:
+        raise ValueError("columns are linearly dependent")
+    s_n = Fraction(det([*reduced[:-1], y]), volume)
+    frac = abs(s_n - nearest_int(s_n))
     if frac == 0:
         return None
     c1_sq = _dot(reduced[0], reduced[0])

@@ -1,44 +1,23 @@
-"""Shared fixtures: the full certification chain per case, computed once.
+"""Shared fixtures: the proof chain per case, computed once.
 
-Everything after the digit scan is deterministic, so each stage is built
-once per session and the test modules read from the cached results.
+Everything after the digit scan is deterministic, so each case's
+pipeline.ProofChain is built once per pytest run and the test modules read
+its cached stages.
 """
 
 import pytest
 
-from cyclobound.matveev import BoundInput, absolute_bound, matveev_c9
-from cyclobound.numberfield import get_case
-from cyclobound.padic import combined_lower_bound, scan_case
-from cyclobound.realalg import ConjugateData, compute_constants
-from cyclobound.reduction import reduction_loop
+from cyclobound.pipeline import ProofChain
 
 CASE_IDS = ("15-41", "15-5581", "10-271")
 
 
-class Chain:
-    """One case's staged outputs, named the way the pipeline names them."""
-
-    def __init__(self, case_id: str):
-        self.cfg = get_case(case_id)
-        depth = self.cfg.default_scan_depth
-        self.roots = scan_case(self.cfg, depth)
-        self.n_lower = combined_lower_bound(self.cfg, depth)
-        self.conj = ConjugateData(self.cfg)
-        self.cc = compute_constants(self.cfg, self.conj, self.n_lower)
-        self.inp = BoundInput.from_constants(self.cc)
-        self.c9 = matveev_c9(self.inp)
-        self.n_abs = absolute_bound(self.inp)
-
-
 @pytest.fixture(scope="session")
 def chains() -> dict:
-    return {cid: Chain(cid) for cid in CASE_IDS}
+    return {cid: ProofChain(cid) for cid in CASE_IDS}
 
 
 @pytest.fixture(scope="session")
 def reductions(chains) -> dict:
     """case id -> ReductionReport for the absolute bound."""
-    return {
-        cid: reduction_loop(ch.cfg, ch.conj, ch.cc, ch.n_abs, stop_below=ch.n_lower)
-        for cid, ch in chains.items()
-    }
+    return {cid: ch.reduction for cid, ch in chains.items()}

@@ -54,9 +54,9 @@ def test_criterion_1_exact_field_data_and_regulators(chains):
         rep = verify_case_data(cfg)
         two = [c for c in rep.checks if c.name == "decomposition of 2 multiplies out"]
         check(failures, len(two) == 1 and two[0].ok, f"{cid} decomposition of 2")
-    check(failures, within_sig(chains["15-41"].cc.regulator, "4.2219", 4),
+    check(failures, within_sig(chains["15-41"].constants.regulator, "4.2219", 4),
           "regulator m=15")
-    check(failures, within_sig(chains["10-271"].cc.regulator, "1.1840", 4),
+    check(failures, within_sig(chains["10-271"].constants.regulator, "1.1840", 4),
           "regulator m=10")
     finish("criterion 1: exact field data; regulators to 4 significant digits",
            failures)
@@ -111,7 +111,7 @@ def test_criterion_3_constant_chain_tables(chains):
         },
     }
     for cid, want in tables.items():
-        cc = chains[cid].cc
+        cc = chains[cid].constants
         got_c = (cc.c1, cc.c2, cc.c3, cc.c4, cc.c5, cc.c6, cc.c7, cc.c8)
         for k, (g, w) in enumerate(zip(got_c, want["c"]), 1):
             check(failures, within_sig(g, w, 4), f"{cid} c{k}: {g} vs {w}")
@@ -124,7 +124,7 @@ def test_criterion_3_constant_chain_tables(chains):
         for k, (g, w) in enumerate(zip(cc.a_values, want["a"]), 1):
             check(failures, within_sig(g, w, 4), f"{cid} height bound {k}")
     for cid in ("15-41", "15-5581"):
-        check(failures, within_pct(chains[cid].cc.unit_minor_bound, "2.746", 1),
+        check(failures, within_pct(chains[cid].constants.unit_minor_bound, "2.746", 1),
               f"{cid} unit minor bound")
     finish("criterion 3: rounded constant tables to 4 significant digits;"
            " unit minor bound within 1 percent", failures)
@@ -136,7 +136,7 @@ def test_criterion_4_linear_form_coefficient_and_absolute_bound(chains):
     n_pins = {"15-41": "2.163e27", "15-5581": "1.424e27", "10-271": "3.970e19"}
     for cid, ch in chains.items():
         check(failures, within_sig(ch.c9, c9_pins[cid], 4), f"{cid} c9")
-        check(failures, within_pct(ch.n_abs, n_pins[cid], 1), f"{cid} bound")
+        check(failures, within_pct(ch.abs_bound, n_pins[cid], 1), f"{cid} bound")
     finish("criterion 4: c9 to 4 significant digits; absolute bound within"
            " 1 percent", failures)
 

@@ -39,7 +39,7 @@ class TestC9:
             assert chains[cid].c9 == want
 
     def test_rejects_wrong_height_count(self, chains):
-        inp = chains["10-271"].inp
+        inp = chains["10-271"].bound_input
         bad = BoundInput(
             d=inp.d, p=inp.p, rank=inp.rank, c3=inp.c3, c7=inp.c7, c8=inp.c8,
             a_values=inp.a_values[:-1],
@@ -48,7 +48,7 @@ class TestC9:
             matveev_c9(bad)
 
     def test_monotone_in_heights(self, chains):
-        inp = chains["10-271"].inp
+        inp = chains["10-271"].bound_input
         bigger = BoundInput(
             d=inp.d, p=inp.p, rank=inp.rank, c3=inp.c3, c7=inp.c7, c8=inp.c8,
             a_values=tuple(2 * a for a in inp.a_values),
@@ -59,22 +59,22 @@ class TestC9:
 class TestAbsoluteBound:
     def test_pinned_values(self, chains):
         for cid, want in ABS_PINS.items():
-            assert chains[cid].n_abs == want
+            assert chains[cid].abs_bound == want
 
     def test_least_certified_collision(self, chains):
         # N collides, N-1 does not: the bisection returned the least point
         for ch in chains.values():
-            assert _collides(ch.inp, ch.c9, ch.n_abs, DEFAULT_PREC)
-            assert not _collides(ch.inp, ch.c9, ch.n_abs - 1, DEFAULT_PREC)
+            assert _collides(ch.bound_input, ch.c9, ch.abs_bound, DEFAULT_PREC)
+            assert not _collides(ch.bound_input, ch.c9, ch.abs_bound - 1, DEFAULT_PREC)
 
     def test_collision_persists_past_bound(self, chains):
         for ch in chains.values():
-            for n in (ch.n_abs + 1, ch.n_abs + 1000, 2 * ch.n_abs):
-                assert _collides(ch.inp, ch.c9, n, DEFAULT_PREC)
+            for n in (ch.abs_bound + 1, ch.abs_bound + 1000, 2 * ch.abs_bound):
+                assert _collides(ch.bound_input, ch.c9, n, DEFAULT_PREC)
 
     def test_small_exponents_do_not_collide(self, chains):
         ch = chains["15-41"]
-        assert not _collides(ch.inp, ch.c9, 1000, DEFAULT_PREC)
+        assert not _collides(ch.bound_input, ch.c9, 1000, DEFAULT_PREC)
 
     def test_rejects_small_unit_slope(self):
         bad = BoundInput(
@@ -85,14 +85,14 @@ class TestAbsoluteBound:
             absolute_bound(bad)
 
     def test_determinism_across_precision(self, chains):
-        inp = chains["10-271"].inp
+        inp = chains["10-271"].bound_input
         assert absolute_bound(inp, 256) == absolute_bound(inp, 512)
 
 
 class TestInequalityCoefficients:
     def test_pinned_display_values(self, chains):
         for cid, (slope, shift, cn, c1) in COEFF_PINS.items():
-            got = inequality_coefficients(chains[cid].inp)
+            got = inequality_coefficients(chains[cid].bound_input)
             assert got["lhs_slope"] == Fraction(slope)
             assert got["lhs_shift"] == Fraction(shift)
             assert got["log_coeff_n"] == Fraction(cn)
@@ -106,8 +106,8 @@ class TestInequalityCoefficients:
         import math
 
         for ch in chains.values():
-            got = inequality_coefficients(ch.inp)
-            n = ch.n_abs + ch.n_abs // 50
+            got = inequality_coefficients(ch.bound_input)
+            n = ch.abs_bound + ch.abs_bound // 50
             lhs = float(got["lhs_slope"]) * n - float(got["lhs_shift"])
             arg = float(got["log_coeff_n"]) * n + float(got["log_coeff_1"])
             rhs = float(got["c9"]) * (1 + math.log(arg))

@@ -82,7 +82,7 @@ class TestSolveCase:
             assert rep.ok
             assert rep.verification is not None and rep.verification.passed
             assert rep.n_lower == ch.n_lower
-            assert rep.abs_bound == ch.n_abs
+            assert rep.abs_bound == ch.abs_bound
             assert rep.reduced_bound < rep.n_lower
             assert rep.search_max == SEARCH_FLOOR
             assert rep.solutions == []
@@ -199,9 +199,48 @@ class TestCLI:
         assert main(["verify", "--config", str(tmp_path / "missing.json")]) == 2
 
     def test_bad_scale_rejected_by_parser(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["reduce", "--case", "10-271", "--K", "-5"])
-        assert exc.value.code == 2
+        for flags in (
+            ["reduce", "--K", "-5"],
+            ["scan", "--depth", "0"],
+            ["scan", "--depth", "-3"],
+            ["bound", "--precision-bits", "0"],
+            ["solve", "--precision-bits", "2.5"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main([*flags, "--case", "10-271"])
+            assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("units", 5),
+            ("units", []),
+            ("deltas", []),
+            ("f", None),
+            ("f", [2, -1, 1, -1, 1, 1]),
+            ("default_K", 0),
+            ("default_scan_depth", 0),
+            ("default_conjugate_choice", {"0": [1, 2]}),
+            ("default_conjugate_choice", {"0": [9]}),
+        ],
+    )
+    def test_malformed_config_is_usage_error(self, tmp_path, capsys, field, value):
+        raw = case_to_dict(get_case("10-271"))
+        raw[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["solve", "--config", str(path)]) == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_reduce_reports_failed_stage(self, capsys):
+        argv = ["--case", "10-271", "--precision-bits", "8"]
+        assert main(["reduce", *argv]) == 1
+        reduced = capsys.readouterr().out
+        assert main(["solve", *argv]) == 1
+        solved = capsys.readouterr().out
+        reason = solved.splitlines()[1].strip()
+        assert reason.startswith("reduction failed: ")
+        assert reduced == f"case 10-271: {reason}\n"
 
     def test_solve_exit_one_when_inconclusive(self, capsys):
         assert main(["solve", "--case", "10-271", "--search-max", "10"]) == 1

@@ -8,6 +8,7 @@ import pytest
 from cyclobound.polyarith import (
     IntPoly,
     cyclotomic,
+    det,
     discriminant,
     poly_derivative,
     poly_eval,
@@ -15,21 +16,9 @@ from cyclobound.polyarith import (
 )
 
 
-def sylvester_det(f: IntPoly, g: IntPoly) -> Fraction:
-    """Resultant as the determinant of the Sylvester matrix.
-
-    Fraction-exact Gaussian elimination; independent of the subresultant
-    code path under test.
-    """
-    m, n = f.degree(), g.degree()
-    size = m + n
-    rows = []
-    fh = list(reversed(f.coeffs))
-    gh = list(reversed(g.coeffs))
-    for i in range(n):
-        rows.append([0] * i + fh + [0] * (n - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + gh + [0] * (m - 1 - i))
+def elimination_det(rows) -> Fraction:
+    """Determinant by Fraction-exact Gaussian elimination."""
+    size = len(rows)
     a = [[Fraction(v) for v in row] for row in rows]
     det = Fraction(1)
     for col in range(size):
@@ -47,6 +36,23 @@ def sylvester_det(f: IntPoly, g: IntPoly) -> Fraction:
                 for c in range(col, size):
                     a[r][c] -= factor * a[col][c]
     return det
+
+
+def sylvester_det(f: IntPoly, g: IntPoly) -> Fraction:
+    """Resultant as the determinant of the Sylvester matrix.
+
+    Fraction-exact Gaussian elimination; independent of the subresultant
+    code path under test.
+    """
+    m, n = f.degree(), g.degree()
+    rows = []
+    fh = list(reversed(f.coeffs))
+    gh = list(reversed(g.coeffs))
+    for i in range(n):
+        rows.append([0] * i + fh + [0] * (n - 1 - i))
+    for i in range(m):
+        rows.append([0] * i + gh + [0] * (m - 1 - i))
+    return elimination_det(rows)
 
 
 def random_poly(rng: random.Random, max_deg: int = 5, span: int = 9) -> IntPoly:
@@ -126,6 +132,34 @@ class TestResultant:
         assert resultant(f, IntPoly()) == 0
         with pytest.raises(ValueError):
             resultant(IntPoly(), IntPoly())
+
+
+class TestDet:
+    def test_matches_elimination(self):
+        rng = random.Random(7717)
+        for _ in range(100):
+            n = rng.randint(1, 4)
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            got = det(rows)
+            assert isinstance(got, int)
+            assert got == elimination_det(rows)
+
+    def test_fraction_entries(self):
+        rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 5)]]
+        assert det(rows) == Fraction(1, 10) - Fraction(1, 12)
+
+    def test_ball_entries_enclose_exact_value(self):
+        from cyclobound.realalg import Ball
+
+        rng = random.Random(7718)
+        for _ in range(20):
+            n = rng.randint(1, 4)
+            rows = [
+                [Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(n)]
+                for _ in range(n)
+            ]
+            box = det([[Ball(v) for v in row] for row in rows])
+            assert box.lo <= elimination_det(rows) <= box.hi
 
 
 class TestDiscriminant:

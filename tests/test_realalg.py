@@ -377,7 +377,7 @@ class TestRegulator:
 
 class TestConstantChain:
     def test_rounded_table_15_41(self, chains):
-        cc = chains["15-41"].cc
+        cc = chains["15-41"].constants
         assert cc.margin == Fraction("2.252")
         assert cc.max_abs_root == Fraction("1.167")
         assert cc.deriv_bounds == (
@@ -404,9 +404,9 @@ class TestConstantChain:
         assert cc.rank == 5
 
     def test_rounded_table_15_5581(self, chains):
-        cc = chains["15-5581"].cc
+        cc = chains["15-5581"].constants
         # shares the field with 15-41, so field-only constants coincide
-        base = chains["15-41"].cc
+        base = chains["15-41"].constants
         assert (cc.c1, cc.c2, cc.c3, cc.c4) == (base.c1, base.c2, base.c3, base.c4)
         assert cc.deriv_bounds == base.deriv_bounds
         assert cc.delta_abs_range == base.delta_abs_range
@@ -420,7 +420,7 @@ class TestConstantChain:
         assert cc.a0_eta2 == (5581**7, 5581**7)
 
     def test_rounded_table_10_271(self, chains):
-        cc = chains["10-271"].cc
+        cc = chains["10-271"].constants
         assert cc.margin == Fraction("2.252")
         assert cc.max_abs_root == Fraction("1.252")
         assert cc.deriv_bounds == (
@@ -443,15 +443,15 @@ class TestConstantChain:
         assert cc.rank == 3
 
     def test_regulator_displays(self, chains):
-        assert chains["15-41"].cc.regulator == Fraction("4.2219")
-        assert chains["15-41"].cc.regulator_standard == Fraction("33.775")
-        assert chains["10-271"].cc.regulator == Fraction("1.1840")
-        assert chains["10-271"].cc.regulator_standard == Fraction("2.3681")
+        assert chains["15-41"].constants.regulator == Fraction("4.2219")
+        assert chains["15-41"].constants.regulator_standard == Fraction("33.775")
+        assert chains["10-271"].constants.regulator == Fraction("1.1840")
+        assert chains["10-271"].constants.regulator_standard == Fraction("2.3681")
 
     def test_ranges_bracket_the_exact_values(self, chains):
         # each range must contain every |delta| and |gamma| embedding value
         for ch in chains.values():
-            cc, cfg = ch.cc, ch.cfg
+            cc, cfg = ch.constants, ch.cfg
             lo, hi = cc.delta_abs_range
             for dd in cfg.deltas:
                 for i in range(cfg.d // 2):
@@ -471,7 +471,7 @@ class TestConstantChain:
             compute_constants(ch.cfg, ch.conj, 10)
 
     def test_to_dict_is_json_friendly(self, chains):
-        d = chains["15-41"].cc.to_dict()
+        d = chains["15-41"].constants.to_dict()
         assert d["c7"] == 2.368
         assert d["case_id"] == "15-41"
         assert isinstance(d["a_values"], list)

@@ -20,7 +20,6 @@ from cyclobound.reduction import (
     reduce_case_bound,
     verify_lll_reduced,
     _gram,
-    _solve_columns,
 )
 
 
@@ -35,6 +34,29 @@ def random_columns(rng: random.Random, n: int, span: int = 15) -> list:
         return cols
 
 
+def solve_columns(columns, y) -> list:
+    """Exact solution t of sum_j columns[j] * t_j = y, by Gaussian elimination.
+
+    The oracle's own solver, so the distance-lemma checks share no linear
+    algebra with the code under test.
+    """
+    n = len(columns)
+    a = [[Fraction(columns[j][i]) for j in range(n)] for i in range(n)]
+    v = [Fraction(x) for x in y]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        v[col], v[piv] = v[piv], v[col]
+        for r in range(col + 1, n):
+            factor = a[r][col] / a[col][col]
+            a[r] = [x - factor * w for x, w in zip(a[r], a[col])]
+            v[r] -= factor * v[col]
+    t = [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):
+        t[i] = (v[i] - sum(a[i][j] * t[j] for j in range(i + 1, n))) / a[i][i]
+    return t
+
+
 def exact_min_distance_sq(reduced, y) -> Fraction:
     """True squared distance from y to the lattice, by sphere enumeration.
 
@@ -44,7 +66,7 @@ def exact_min_distance_sq(reduced, y) -> Fraction:
     """
     n = len(reduced)
     mu, norms = _gram(reduced)
-    t = _solve_columns(reduced, y)
+    t = solve_columns(reduced, y)
 
     def dist_sq(coeffs) -> Fraction:
         e = [Fraction(c) - ti for c, ti in zip(coeffs, t)]
@@ -182,7 +204,7 @@ class TestCaseReduction41:
     def test_single_round_to_final_bound(self, chains, reductions):
         report = reductions["15-41"]
         assert report.ok
-        assert report.start_bound == chains["15-41"].n_abs
+        assert report.start_bound == chains["15-41"].abs_bound
         assert len(report.rounds) == 1
         assert report.rounds[0].scale == 10**39
         assert report.final_bound == 59
@@ -285,8 +307,8 @@ class TestRobustness:
         ch = chains["10-271"]
         conj512 = ConjugateData(ch.cfg, 512)
         cc512 = compute_constants(ch.cfg, conj512, ch.n_lower)
-        assert cc512 == ch.cc
-        round512 = reduce_case_bound(ch.cfg, conj512, cc512, ch.n_abs)
+        assert cc512 == ch.constants
+        round512 = reduce_case_bound(ch.cfg, conj512, cc512, ch.abs_bound)
         assert round512.ok
         assert round512.bound == 38
         easy = {
@@ -297,7 +319,7 @@ class TestRobustness:
 
     def test_small_scale_fails_without_exception(self, chains):
         ch = chains["10-271"]
-        got = reduce_case_bound(ch.cfg, ch.conj, ch.cc, ch.n_abs,
+        got = reduce_case_bound(ch.cfg, ch.conj, ch.constants, ch.abs_bound,
                                 scale=100, max_escalations=1)
         assert not got.ok
         assert got.bound is None
@@ -307,7 +329,9 @@ class TestRobustness:
     def test_oversized_scale_raises_precision_error(self, chains):
         ch = chains["10-271"]
         with pytest.raises(PrecisionError):
-            reduce_case_bound(ch.cfg, ch.conj, ch.cc, ch.n_abs, scale=10**100)
+            reduce_case_bound(
+                ch.cfg, ch.conj, ch.constants, ch.abs_bound, scale=10**100
+            )
 
     def test_distance_bound_shrinks_no_further(self, chains, reductions):
         # one round suffices: the loop stopped because the bound cleared
