@@ -140,38 +140,28 @@ def nf_norm(a: FieldElement, f: IntPoly) -> Fraction:
 def charpoly(a: FieldElement, f: IntPoly) -> IntPoly:
     """Primitive integer characteristic polynomial of a acting on Q[x]/(f).
 
-    Computed from the multiplication matrix by the Faddeev-LeVerrier
-    recurrence over exact rationals.  Equals the minimal polynomial raised
-    to a power, scaled to integer coefficients of content 1 with positive
-    leading coefficient.
+    Computed from traces by Newton's identities, twice: the power sums P_j
+    of the roots of f come from its coefficients, Tr(a^k) is the sum of
+    coeff_j(a^k) * P_j, and those traces give the coefficients.  Equals the
+    minimal polynomial raised to a power, scaled to integer coefficients of
+    content 1 with positive leading coefficient.
     """
     d = f.degree()
-    cols = []
-    for j in range(d):
-        w = nf_mul(a, FieldElement(IntPoly(*([0] * j + [1]))), f)
-        cols.append([Fraction(w.num[i], w.den) for i in range(d)])
-    m = [[cols[j][i] for j in range(d)] for i in range(d)]  # m[i][j]
-    ident = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-    n = ident
-    cs = [Fraction(1)]
+    sums = [Fraction(d)]  # P_j, sums of j-th powers of the roots of f
+    for k in range(1, d):
+        acc = k * f[d - k] + sum(f[d - i] * sums[k - i] for i in range(1, k))
+        sums.append(Fraction(-acc, f.lc()))
+    cs = [Fraction(1)]  # cs[k]: coefficient of x^(d-k)
+    traces = []  # Tr(a^k) = sum_j coeff_j(a^k) * P_j
+    power = a
     for k in range(1, d + 1):
-        mk = _matmul(m, n)
-        c = -sum(mk[i][i] for i in range(d)) / k
-        cs.append(c)
-        n = [[mk[i][j] + (c if i == j else 0) for j in range(d)] for i in range(d)]
-    coeffs = list(reversed(cs))  # lowest degree first, leading 1
-    den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
+        traces.append(sum(power.num[j] * sums[j] for j in range(d)) / power.den)
+        cs.append(-sum(cs[k - i] * traces[i - 1] for i in range(1, k + 1)) / k)
+        power = nf_mul(power, a, f)
+    den = math.lcm(*(c.denominator for c in cs))
+    ints = [int(c * den) for c in reversed(cs)]  # lowest degree first
     g = math.gcd(*ints)
     return IntPoly(*(c // g for c in ints))
-
-
-def _matmul(a, b):
-    n = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
 
 
 # dense Fraction-coefficient polynomial helpers (lowest degree first),

@@ -7,9 +7,11 @@ integer lattice.  A reduced basis certifies a lower bound on that distance
 (de Weger's lemma); when the certified distance clears the rounding slack,
 the exponent bound collapses from 10^27-ish to double digits.
 
-Everything here is exact: the LLL pass runs on Fractions, its output is
-re-verified independently, and the only real-number steps go through Ball
-enclosures.  Failures escalate the scale K instead of weakening a check.
+Everything here is exact: the LLL pass updates an exact-rational
+Gram-Schmidt in place after each size reduction and swap (Cohen 2.6.3),
+its output is re-verified from a fresh Gram-Schmidt, and the only
+real-number steps go through Ball enclosures.  Failures escalate the
+scale K instead of weakening a check.
 """
 from __future__ import annotations
 
@@ -61,13 +63,15 @@ def _gram(cols):
 
 
 def lll_reduce(columns, delta: Fraction = Fraction(3, 4)):
-    """LLL-reduce integer column vectors with exact rational arithmetic.
+    """LLL-reduce integer columns by incremental exact Gram-Schmidt.
 
-    Returns (reduced, transform) where transform[j] holds the integer
-    coefficients expressing reduced column j in the input columns, so the
-    change of basis is unimodular by construction.  Callers should still
-    confirm the outcome through verify_lll_reduced; the two routines share
-    no state.
+    Cohen, Alg. 2.6.3: _gram runs once on the input, then every size
+    reduction and swap updates mu and the squared norms in place, exactly,
+    so each intermediate mu equals a fresh _gram of the current basis.
+    Returns (reduced, transform), transform[j] holding the integer
+    coefficients of reduced column j in the input columns (unimodular by
+    construction).  Callers should still confirm the outcome through
+    verify_lll_reduced; the two routines share no state.
     """
     n = len(columns)
     b = [[int(x) for x in col] for col in columns]
@@ -80,14 +84,26 @@ def lll_reduce(columns, delta: Fraction = Fraction(3, 4)):
             if q:
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
                 u[k] = [x - q * y for x, y in zip(u[k], u[j])]
-                mu, norms = _gram(b)
-        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+                mu[k][j] -= q
+                for i in range(j):
+                    mu[k][i] -= q * mu[j][i]
+        m = mu[k][k - 1]
+        if norms[k] >= (delta - m * m) * norms[k - 1]:
             k += 1
-        else:
-            b[k - 1], b[k] = b[k], b[k - 1]
-            u[k - 1], u[k] = u[k], u[k - 1]
-            mu, norms = _gram(b)
-            k = max(k - 1, 1)
+            continue
+        # squared norm of the new b*_(k-1)
+        new_norm = norms[k] + m * m * norms[k - 1]
+        b[k - 1], b[k] = b[k], b[k - 1]
+        u[k - 1], u[k] = u[k], u[k - 1]
+        mu[k - 1][: k - 1], mu[k][: k - 1] = mu[k][: k - 1], mu[k - 1][: k - 1]
+        mu[k][k - 1] = m * norms[k - 1] / new_norm
+        norms[k] = norms[k - 1] * norms[k] / new_norm
+        norms[k - 1] = new_norm
+        for i in range(k + 1, n):
+            t = mu[i][k]
+            mu[i][k] = mu[i][k - 1] - m * t
+            mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+        k = max(k - 1, 1)
     return b, u
 
 
@@ -283,14 +299,11 @@ def _attempt(
     if got is None:
         return ReductionAttempt(ok=False, reason="target lies on a lattice line", **base)
     dist_sq, frac = got
+    base.update(s_fractional=frac, distance_sq=dist_sq)
     gap = dist_sq - bound_n * bound_n
     if gap <= 0:
         return ReductionAttempt(
-            ok=False,
-            reason="distance bound does not clear the current bound",
-            s_fractional=frac,
-            distance_sq=dist_sq,
-            **base,
+            ok=False, reason="distance bound does not clear the current bound", **base
         )
 
     c10 = (Fraction(1, 2) + rho) * (1 + (r - 2) * cc.c7)
@@ -298,22 +311,12 @@ def _attempt(
     margin = Ball(Fraction(gap, r - 2), prec).sqrt() - (c10 * bound_n + c11)
     if not margin.lo > 0:
         return ReductionAttempt(
-            ok=False,
-            reason="rounding slack swallows the distance margin",
-            s_fractional=frac,
-            distance_sq=dist_sq,
-            **base,
+            ok=False, reason="rounding slack swallows the distance margin", **base
         )
     c_ball = Ball(bound_n, prec) ** Fraction(1, r - 2) / K * margin
     c_lower = c_ball.lo
     if c_lower <= 0:
-        return ReductionAttempt(
-            ok=False,
-            reason="certified c is not positive",
-            s_fractional=frac,
-            distance_sq=dist_sq,
-            **base,
-        )
+        return ReductionAttempt(ok=False, reason="certified c is not positive", **base)
 
     new_ball = (Ball(cc.d, prec) / Ball(cc.p, prec).log()) * (
         _c3_effective(cc, prec).log()
@@ -326,8 +329,6 @@ def _attempt(
         ok=True,
         reason="",
         c1_norm_sq=_dot(lattice.reduced[0], lattice.reduced[0]),
-        s_fractional=frac,
-        distance_sq=dist_sq,
         c_lower=c_lower,
         new_bound=new_bound,
         **base,

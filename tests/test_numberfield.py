@@ -1,6 +1,7 @@
 """Field arithmetic, case data integrity, and the exact verification layer."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from cyclobound.numberfield import (
     _envelope_certificate,
 )
 from cyclobound.polyarith import IntPoly, cyclotomic
+from cyclobound.realalg import case_etas
 
 
 def random_element(rng: random.Random, d: int, span: int = 5) -> FieldElement:
@@ -32,6 +34,36 @@ def random_element(rng: random.Random, d: int, span: int = 5) -> FieldElement:
     if not any(coeffs):
         coeffs[0] = 1
     return FieldElement(IntPoly(*coeffs), rng.randint(1, 4))
+
+
+def reference_charpoly(a: FieldElement, f: IntPoly) -> IntPoly:
+    """Faddeev-LeVerrier on the exact multiplication matrix of a.
+
+    The oracle builds the matrix column by column (x^j * a reduced mod f)
+    with its own reduction, then runs the recurrence
+    N_k = M N_(k-1) + c_k I with c_k = -tr(M N_(k-1)) / k.
+    """
+    d = f.degree()
+    col = [Fraction(a.num[i], a.den) for i in range(d)]
+    cols = []
+    for _ in range(d):
+        cols.append(col)
+        top = col[-1]
+        col = [Fraction(0)] + col[:-1]
+        col = [c - top * Fraction(f[i], f.lc()) for i, c in enumerate(col)]
+    m = [[cols[j][i] for j in range(d)] for i in range(d)]
+    n = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    cs = [Fraction(1)]
+    for k in range(1, d + 1):
+        mn = [[sum(m[i][t] * n[t][j] for t in range(d)) for j in range(d)]
+              for i in range(d)]
+        c = -sum(mn[i][i] for i in range(d)) / k
+        cs.append(c)
+        n = [[mn[i][j] + (c if i == j else 0) for j in range(d)] for i in range(d)]
+    den = math.lcm(*(c.denominator for c in cs))
+    ints = [int(c * den) for c in reversed(cs)]
+    g = math.gcd(*ints)
+    return IntPoly(*(c // g for c in ints))
 
 
 class TestFieldElement:
@@ -137,6 +169,19 @@ class TestCharpoly:
                     acc = nf_add(acc, nf_mul(FieldElement(c), power, f))
                     power = nf_mul(power, a, f)
                 assert acc.is_zero()
+
+    def test_matches_reference_on_case_elements(self):
+        rng = random.Random(7013)
+        for cid in list_case_ids():
+            cfg = get_case(cid)
+            eta1, eta2, _ = case_etas(cfg)  # the third part is cfg.units
+            elements = [*cfg.units, *cfg.gammas, *cfg.deltas, *eta1, *eta2]
+            while len(elements) < 30:
+                a = random_element(rng, cfg.d, span=9)
+                if a.den > 1:
+                    elements.append(a)
+            for a in elements:
+                assert charpoly(a, cfg.f) == reference_charpoly(a, cfg.f)
 
     def test_constant_term_is_norm_for_integral_elements(self):
         # even degree makes the sign drop out

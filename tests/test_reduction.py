@@ -1,16 +1,19 @@
 """Exact LLL, the distance lemma, and the certified bound reduction.
 
 The LLL and distance-lemma properties are checked against independent
-oracles: a from-scratch postcondition verifier and an exact sphere
-enumeration that finds the true closest lattice point.  The case runs pin
-frozen first-run values that later runs must reproduce bit for bit.
+oracles: a from-scratch postcondition verifier, an LLL that recomputes its
+Gram-Schmidt after every step, and an exact sphere enumeration that finds
+the true closest lattice point.  The case runs pin frozen first-run values
+that later runs must reproduce bit for bit.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from cyclobound import reduction
 from cyclobound.numberfield import get_case
 from cyclobound.realalg import Ball, ConjugateData, compute_constants, nearest_int
 from cyclobound.reduction import (
@@ -18,6 +21,7 @@ from cyclobound.reduction import (
     distance_lower_bound,
     lll_reduce,
     reduce_case_bound,
+    reduction_loop,
     verify_lll_reduced,
     _gram,
 )
@@ -55,6 +59,58 @@ def solve_columns(columns, y) -> list:
     for i in range(n - 1, -1, -1):
         t[i] = (v[i] - sum(a[i][j] * t[j] for j in range(i + 1, n))) / a[i][i]
     return t
+
+
+def reference_lll(columns, delta=Fraction(3, 4)):
+    """Textbook LLL that recomputes all Gram-Schmidt data after every step.
+
+    The oracle's own Gram-Schmidt, in integer form (Cohen, Alg. 2.6.7):
+    dets[i] is the Gram determinant of the first i columns and
+    lam[i][j] = dets[j + 1] * mu[i][j].  Same loop order as lll_reduce
+    (size-reduce column k from k-1 down to 0, Lovasz test, step back after
+    a swap), so the two must return the same basis and transform.
+    """
+
+    def gram(cols):
+        n = len(cols)
+        dets, lam = [1] + [0] * n, [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                v = sum(x * y for x, y in zip(cols[i], cols[j]))
+                for t in range(j):
+                    v = (dets[t + 1] * v - lam[i][t] * lam[j][t]) // dets[t]
+                if j < i:
+                    lam[i][j] = v
+                else:
+                    dets[i + 1] = v
+        return lam, dets
+
+    def round_half_away(x):
+        q = math.floor(abs(x) + Fraction(1, 2))
+        return q if x >= 0 else -q
+
+    n = len(columns)
+    b = [list(col) for col in columns]
+    u = [[int(i == j) for i in range(n)] for j in range(n)]
+    lam, dets = gram(b)
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            q = round_half_away(Fraction(lam[k][j], dets[j + 1]))
+            if q:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                u[k] = [x - q * y for x, y in zip(u[k], u[j])]
+                lam, dets = gram(b)
+        mu = Fraction(lam[k][k - 1], dets[k])
+        norm_k = Fraction(dets[k + 1], dets[k])
+        if norm_k >= (delta - mu**2) * Fraction(dets[k], dets[k - 1]):
+            k += 1
+        else:
+            b[k - 1], b[k] = b[k], b[k - 1]
+            u[k - 1], u[k] = u[k], u[k - 1]
+            lam, dets = gram(b)
+            k = max(k - 1, 1)
+    return b, u
 
 
 def exact_min_distance_sq(reduced, y) -> Fraction:
@@ -126,6 +182,15 @@ class TestLLL:
             assert verify_lll_reduced(cols, reduced, transform) == []
             checked += 1
         assert checked == 120
+
+    def test_matches_reference_on_random_bases(self):
+        # the incremental Gram-Schmidt must reproduce the recomputing
+        # oracle step for step, so the basis and transform are identical
+        rng = random.Random(33013)
+        for trial in range(48):
+            n = 2 + trial % 4
+            cols = random_columns(rng, n, span=10 ** rng.choice((2, 12, 40)))
+            assert lll_reduce(cols) == reference_lll(cols)
 
     def test_first_vector_is_near_shortest(self):
         # ||b_1||^2 <= 2^(n-1) * lambda_1^2, via the exact enumerator
@@ -298,6 +363,31 @@ class TestCaseReduction271:
         assert window(hard.distance_sq, "1.2052e42", "1.2054e42")
         assert window(hard.c_lower, "4.2360e-3", "4.2362e-3")
         assert hard.new_bound == 37
+
+
+# first-round K inside each case's `escalate` benchmark window
+ESCALATE_K = {"15-41": 3162 * 10**31, "15-5581": 3162 * 10**31, "10-271": 10**36}
+
+
+def test_case_lattices_match_reference(chains, monkeypatch):
+    # every lattice the proofs build, at the default K and at a lower K
+    # that forces escalation, reduces exactly as the recomputing oracle
+    built = []
+
+    def recording_lll(cols):
+        out = lll_reduce(cols)
+        built.append((cols, out))
+        return out
+
+    monkeypatch.setattr(reduction, "lll_reduce", recording_lll)
+    for cid, ch in chains.items():
+        for K in (ch.cfg.default_K, ESCALATE_K[cid]):
+            reduction_loop(ch.cfg, ch.conj, ch.constants, ch.abs_bound,
+                           stop_below=ch.n_lower, scale=K)
+    # default K: 1 + 2 + 3 lattices; escalation windows: 9 + 18 + 7
+    assert len(built) == 40
+    for cols, out in built:
+        assert out == reference_lll(cols)
 
 
 class TestRobustness:
