@@ -7,12 +7,8 @@ where a short solution could still hide, turns a digit prefix into a
 certified lower bound on n.
 """
 
-from cyclobound import (
-    digit_scan_bound,
-    get_case,
-    heuristic_expected_solutions,
-    scan_case,
-)
+from cyclobound import get_case
+from cyclobound.padic import digit_scan_bound, heuristic_expected_solutions, scan_case
 
 cfg = get_case("10-271")
 print(f"case {cfg.case_id}: f = {cfg.f}, p = {cfg.p}")

@@ -6,14 +6,9 @@ to satisfy their norm equations, which is checked here by exact resultant
 arithmetic; where the elements came from does not matter.
 """
 
-from cyclobound import (
-    discriminant,
-    enumerate_exponent_cases,
-    get_case,
-    list_case_ids,
-    nf_norm,
-    verify_case_data,
-)
+from cyclobound import get_case, list_case_ids
+from cyclobound.numberfield import enumerate_exponent_cases, nf_norm, verify_case_data
+from cyclobound.polyarith import discriminant
 
 for cid in list_case_ids():
     cfg = get_case(cid)

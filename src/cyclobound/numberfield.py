@@ -91,28 +91,22 @@ def nf_mul(a: FieldElement, b: FieldElement, f: IntPoly) -> FieldElement:
 
 
 def nf_inverse(a: FieldElement, f: IntPoly) -> FieldElement:
-    """Inverse in Q[x]/(f) by the extended Euclidean algorithm over Q[x].
+    """Inverse in Q[x]/(f) by Cayley-Hamilton on charpoly(a, f).
 
-    Requires gcd(a.num, f) = 1, which holds whenever f is irreducible and
-    a is nonzero.
+    With chi = c_d x^d + ... + c_0, chi(a) = 0 gives
+    a^-1 = -(c_d a^(d-1) + ... + c_1) / c_0, evaluated by Horner's rule.
+    c_0 = 0 exactly when a is a zero divisor, which a nonzero a cannot be
+    when f is irreducible.
     """
     if a.is_zero():
         raise ZeroDivisionError("inverse of zero field element")
-    r0 = [Fraction(c) for c in f.coeffs]
-    r1 = [Fraction(c) for c in a.num.coeffs]
-    s0, s1 = [], [Fraction(1)]  # Bezout coefficients for a.num only
-    while True:
-        q, r = _fdivmod(r0, r1)
-        if not r:
-            break
-        s0, s1 = s1, _fsub(s0, _fmul(q, s1))
-        r0, r1 = r1, r
-    if len(r1) != 1:
+    chi = charpoly(a, f)
+    if chi[0] == 0:
         raise ValueError("element not invertible modulo f")
-    inv = [c / r1[0] for c in s1]
-    den = math.lcm(*(c.denominator for c in inv))
-    num = IntPoly(*(int(c * den) for c in inv))
-    return FieldElement(num * a.den, den, f)
+    acc = FieldElement(chi.lc())
+    for k in range(chi.degree() - 1, 0, -1):
+        acc = nf_add(nf_mul(acc, a, f), FieldElement(chi[k]))
+    return FieldElement(-acc.num, acc.den * chi[0])
 
 
 def nf_pow(a: FieldElement, k: int, f: IntPoly) -> FieldElement:
@@ -164,49 +158,6 @@ def charpoly(a: FieldElement, f: IntPoly) -> IntPoly:
     return IntPoly(*(c // g for c in ints))
 
 
-# dense Fraction-coefficient polynomial helpers (lowest degree first),
-# used only by nf_inverse
-def _ftrim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _fsub(p, q):
-    out = [Fraction(0)] * max(len(p), len(q))
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] -= c
-    return _ftrim(out)
-
-
-def _fmul(p, q):
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, c in enumerate(p):
-        for j, e in enumerate(q):
-            out[i + j] += c * e
-    return _ftrim(out)
-
-
-def _fdivmod(p, q):
-    if not q:
-        raise ZeroDivisionError("division by zero polynomial")
-    p = p[:]
-    quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    while p and len(p) >= len(q):
-        c = p[-1] / q[-1]
-        k = len(p) - len(q)
-        quot[k] = c
-        for j, e in enumerate(q):
-            p[k + j] -= c * e
-        p.pop()  # leading term cancelled exactly
-        _ftrim(p)
-    return _ftrim(quot), p
-
-
 # ---------------------------------------------------------------------------
 # case configuration
 
@@ -232,6 +183,13 @@ class CaseConfig:
     def rank(self) -> int:
         """Number of Baker-stage logarithms: 2 + number of units."""
         return 2 + len(self.units)
+
+    @property
+    def norm_p_gammas(self) -> tuple[FieldElement, ...]:
+        """The gammas of norm +-p (norm exponent 1), in listed order."""
+        return tuple(
+            g for g, c in zip(self.gammas, self.gamma_norm_exponents) if c == 1
+        )
 
 
 @dataclasses.dataclass
@@ -579,7 +537,7 @@ def verify_case_data(cfg: CaseConfig) -> VerificationReport:
     check(
         "conjugate choices are well-formed",
         all(
-            0 <= k < sum(1 for c in cfg.gamma_norm_exponents if c == 1)
+            0 <= k < len(cfg.norm_p_gammas)
             and all(1 <= i <= cfg.d // 2 for i in v)
             for k, v in cfg.default_conjugate_choice.items()
         ),
@@ -597,10 +555,4 @@ def enumerate_exponent_cases(cfg: CaseConfig) -> list[tuple[FieldElement, FieldE
     be n, so exactly one gamma with c = 1 appears.  Either delta may carry
     the single factor of 2.
     """
-    out = []
-    for g, c in zip(cfg.gammas, cfg.gamma_norm_exponents):
-        if c != 1:
-            continue
-        for dd in cfg.deltas:
-            out.append((dd, g))
-    return out
+    return [(dd, g) for g in cfg.norm_p_gammas for dd in cfg.deltas]

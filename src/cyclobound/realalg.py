@@ -179,14 +179,9 @@ def ball_max(first, *rest) -> Ball:
     )
 
 
-def ball_min(first, *rest) -> Ball:
-    """Enclosure of the minimum of the given balls."""
-    balls = [first if isinstance(first, Ball) else Ball(first)]
-    balls += [b if isinstance(b, Ball) else Ball(b, balls[0].prec) for b in rest]
-    prec = max(b.prec for b in balls)
-    return Ball.from_endpoints(
-        min(b.lo for b in balls), min(b.hi for b in balls), prec
-    )
+def ball_min(*balls) -> Ball:
+    """Enclosure of the minimum of the given balls (negation is exact)."""
+    return -ball_max(*(-b for b in balls))
 
 
 def ball_atan2(y: Ball, x: Ball) -> Ball:
@@ -625,8 +620,7 @@ def case_etas(cfg: CaseConfig):
     ]
     eta2 = [
         nf_mul(FieldElement(cfg.p), nf_inverse(nf_pow(g, d, f), f), f)
-        for g, c in zip(cfg.gammas, cfg.gamma_norm_exponents)
-        if c == 1
+        for g in cfg.norm_p_gammas
     ]
     return eta1, eta2, list(cfg.units)
 
@@ -692,10 +686,9 @@ def compute_constants(
     delta_abs = [
         conj.embed_abs(dl, i) for dl in cfg.deltas for i in range(d // 2)
     ]
-    gammas1 = [
-        g for g, c in zip(cfg.gammas, cfg.gamma_norm_exponents) if c == 1
+    gamma_abs = [
+        conj.embed_abs(g, i) for g in cfg.norm_p_gammas for i in range(d // 2)
     ]
-    gamma_abs = [conj.embed_abs(g, i) for g in gammas1 for i in range(d // 2)]
     dmin, dmax = ball_min(*delta_abs), ball_max(*delta_abs)
     gmin, gmax = ball_min(*gamma_abs), ball_max(*gamma_abs)
     delta_abs_range = (round_sig(dmin.lo, 4, "down"), round_sig(dmax.hi, 4, "up"))

@@ -379,26 +379,26 @@ def reduce_case_bound(
     cc: CaseConstants,
     bound_n: int,
     scale: int | None = None,
-    max_escalations: int = 3,
 ) -> ReductionRound:
     """One reduction round: a certified bound covering every branch.
 
     Every (gamma, delta) branch must produce a positive certified c; the
     round bound is the worst branch bound.  Per gamma, the configured
     conjugate choice is tried first and the remaining choices serve as
-    fallbacks; if no choice works the scale K is multiplied by 100, up to
-    max_escalations times.  A branch left without a bound fails the round
-    rather than inheriting a neighbour's.
+    fallbacks.  The first scale K is always tried (an oversized one raises
+    PrecisionError); while a branch is left open, K is multiplied by 100
+    for as long as K * radius stays within MAX_ROUNDING_SLACK, i.e. while
+    the log enclosures are still accurate at that scale.  A branch left
+    without a bound fails the round rather than inheriting a neighbour's.
     """
     prec = conj.prec
     scale = scale if scale is not None else cfg.default_K
-    n_gammas = sum(1 for c in cfg.gamma_norm_exponents if c == 1)
     half = cfg.d // 2
     want = cc.rank - 2
     attempts: list[ReductionAttempt] = []
     branch_bounds: list[int] = []
     all_ok = True
-    for gi in range(n_gammas):
+    for gi in range(len(cfg.norm_p_gammas)):
         logs = _GammaLogs(cfg, conj, gi)
         default = cfg.default_conjugate_choice[gi]
         others = [
@@ -409,8 +409,8 @@ def reduce_case_bound(
         choices = [tuple(default)] + [tuple(c) for c in others]
         pending = set(range(len(cfg.deltas)))
         found: dict[int, ReductionAttempt] = {}
-        for esc in range(max_escalations + 1):
-            K = scale * 100 ** esc
+        K = scale
+        while pending:
             for choice in choices:
                 try:
                     lattice = _ReducedLattice(logs, choice, K)
@@ -436,7 +436,8 @@ def reduce_case_bound(
                 pending -= set(found)
                 if not pending:
                     break
-            if not pending:
+            K *= 100
+            if K * logs.max_rad > MAX_ROUNDING_SLACK:
                 break
         if pending:
             all_ok = False

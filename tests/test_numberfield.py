@@ -66,6 +66,62 @@ def reference_charpoly(a: FieldElement, f: IntPoly) -> IntPoly:
     return IntPoly(*(c // g for c in ints))
 
 
+def reference_inverse(a: FieldElement, f: IntPoly) -> FieldElement:
+    """Extended Euclid over Q[x] on dense Fraction coefficient lists.
+
+    The oracle shares nothing with charpoly: it runs the remainder sequence
+    of (f, a.num), keeping the Bezout coefficient of a.num, and scales it
+    by the final constant remainder.
+    """
+    def trim(p):
+        while p and p[-1] == 0:
+            p.pop()
+        return p
+
+    def sub(p, q):
+        out = [Fraction(0)] * max(len(p), len(q))
+        for i, c in enumerate(p):
+            out[i] += c
+        for i, c in enumerate(q):
+            out[i] -= c
+        return trim(out)
+
+    def mul(p, q):
+        out = [Fraction(0)] * max(len(p) + len(q) - 1, 0)
+        for i, c in enumerate(p):
+            for j, e in enumerate(q):
+                out[i + j] += c * e
+        return trim(out)
+
+    def divmod_(p, q):
+        p = p[:]
+        quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+        while len(p) >= len(q):
+            c = p[-1] / q[-1]
+            k = len(p) - len(q)
+            quot[k] = c
+            for j, e in enumerate(q):
+                p[k + j] -= c * e
+            p.pop()  # leading term cancelled exactly
+            trim(p)
+        return trim(quot), p
+
+    r0 = [Fraction(c) for c in f.coeffs]
+    r1 = [Fraction(c) for c in a.num.coeffs]
+    s0, s1 = [], [Fraction(1)]
+    while True:
+        q, r = divmod_(r0, r1)
+        if not r:
+            break
+        s0, s1 = s1, sub(s0, mul(q, s1))
+        r0, r1 = r1, r
+    assert len(r1) == 1, "element not invertible modulo f"
+    inv = [c / r1[0] for c in s1]
+    den = math.lcm(*(c.denominator for c in inv))
+    num = IntPoly(*(int(c * den) for c in inv))
+    return FieldElement(num * a.den, den, f)
+
+
 class TestFieldElement:
     def test_normalization(self):
         f = get_case("10-271").f
@@ -96,6 +152,28 @@ class TestFieldElement:
         f = get_case("10-271").f
         with pytest.raises(ZeroDivisionError):
             nf_inverse(FieldElement(0), f)
+
+    def test_inverse_matches_reference(self):
+        rng = random.Random(8117)
+        for cid in list_case_ids():
+            cfg = get_case(cid)
+            f, d = cfg.f, cfg.d
+            eta1, eta2, _ = case_etas(cfg)
+            generators = [*cfg.units, *cfg.gammas, *cfg.deltas]
+            elements = generators + [nf_pow(g, d, f) for g in generators]
+            elements += eta1 + eta2
+            while len(elements) < 60:
+                a = random_element(rng, d, span=9)
+                if a.den > 1:
+                    elements.append(a)
+            for a in elements:
+                assert nf_inverse(a, f) == reference_inverse(a, f)
+
+    def test_zero_divisor_rejected(self):
+        # over the reducible f = x^2 - 1, x - 1 divides zero
+        f = IntPoly(-1, 0, 1)
+        with pytest.raises(ValueError, match="not invertible"):
+            nf_inverse(FieldElement(IntPoly(-1, 1)), f)
 
     def test_pow_negative_exponent(self):
         f = get_case("10-271").f

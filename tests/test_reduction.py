@@ -17,6 +17,7 @@ from cyclobound import reduction
 from cyclobound.numberfield import get_case
 from cyclobound.realalg import Ball, ConjugateData, compute_constants, nearest_int
 from cyclobound.reduction import (
+    MAX_ROUNDING_SLACK,
     PrecisionError,
     distance_lower_bound,
     lll_reduce,
@@ -408,13 +409,19 @@ class TestRobustness:
         assert window(easy.c1_norm_sq, "7.9881e40", "7.9883e40")
 
     def test_small_scale_fails_without_exception(self, chains):
+        # at 64 bits the log enclosures stop the escalation from K = 100
+        # long before 10-271 certifies: the round fails instead of raising,
+        # and K went as far as the enclosures allow and no further
         ch = chains["10-271"]
-        got = reduce_case_bound(ch.cfg, ch.conj, ch.constants, ch.abs_bound,
-                                scale=100, max_escalations=1)
+        conj64 = ConjugateData(ch.cfg, 64)
+        got = reduce_case_bound(ch.cfg, conj64, ch.constants, ch.abs_bound,
+                                scale=100)
         assert not got.ok
         assert got.bound is None
         assert got.attempts
         assert all(not a.ok for a in got.attempts)
+        assert all(a.rho <= MAX_ROUNDING_SLACK for a in got.attempts)
+        assert max(a.rho for a in got.attempts) * 100 > MAX_ROUNDING_SLACK
 
     def test_oversized_scale_raises_precision_error(self, chains):
         ch = chains["10-271"]
