@@ -52,11 +52,42 @@ def roots_mod_p(f: IntPoly, p: int) -> list[int]:
     return [r for r in range(p) if poly_eval(f, r) % p == 0]
 
 
+def _eval_mod(f: IntPoly, x: int, mod: int) -> int:
+    """f(x) mod `mod` by Horner's rule, reducing after every step."""
+    acc = 0
+    for c in reversed(f.coeffs):
+        acc = (acc * x + c) % mod
+    return acc
+
+
+def _digits(x: int, p: int, n: int) -> list[int]:
+    """The n base-p digits of 0 <= x < p^n, lowest first.
+
+    Splitting at p^(n//2) halves the operands at every level, where peeling
+    one digit at a time would pass over all of x once per digit.
+    """
+    if n <= 32:
+        out = []
+        for _ in range(n):
+            x, a = divmod(x, p)
+            out.append(a)
+        return out
+    h = n // 2
+    hi, lo = divmod(x, p**h)
+    return _digits(lo, p, h) + _digits(hi, p, n - h)
+
+
 def hensel_lift(f: IntPoly, p: int, r0: int, depth: int) -> PAdicRoot:
     """Lift a simple root of f mod p to a root mod p^depth.
 
     Newton iteration with doubling modulus: each step squares the modulus,
-    so reaching depth digits takes about log2(depth) big-int rounds.
+    so reaching depth digits takes about log2(depth) big-int rounds.  The
+    step x <- x - f(x)*y needs y = f'(x)^(-1) only mod p^e when x is a
+    root mod p^e and the new modulus is at most p^(2e), so y is carried
+    along and refined by y <- y*(2 - f'(x)*y), which doubles its precision
+    too; one modular inverse mod p starts it.  A simple root mod p has
+    exactly one lift mod p^depth, so the digits equal those of any other
+    correct lift.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -66,17 +97,14 @@ def hensel_lift(f: IntPoly, p: int, r0: int, depth: int) -> PAdicRoot:
     if poly_eval(fprime, r0) % p == 0:
         raise ValueError(f"root {r0} of f mod {p} is not simple")
     x, e = r0 % p, 1
+    y = pow(poly_eval(fprime, x), -1, p)
     while e < depth:
         e = min(2 * e, depth)
         mod = p**e
-        fx = poly_eval(f, x) % mod
-        fpx = poly_eval(fprime, x) % mod
-        x = (x - fx * pow(fpx, -1, mod)) % mod
-    digits = []
-    for _ in range(depth):
-        x, a = divmod(x, p)
-        digits.append(a)
-    return PAdicRoot(p, tuple(digits))
+        x = (x - _eval_mod(f, x, mod) * y) % mod
+        if e < depth:
+            y = y * (2 - _eval_mod(fprime, x, mod) * y) % mod
+    return PAdicRoot(p, tuple(_digits(x, p, depth)))
 
 
 def digit_scan_bound(root: PAdicRoot, d: int) -> int:
@@ -102,9 +130,18 @@ def scan_case(cfg: CaseConfig, depth: int) -> list[PAdicRoot]:
     return [hensel_lift(cfg.f, cfg.p, r, depth + 1) for r in roots]
 
 
-def combined_lower_bound(cfg: CaseConfig, depth: int) -> int:
-    """min over lifted roots of the digit-scan bound, scanning indices 1..depth."""
-    return min(digit_scan_bound(r, cfg.d) for r in scan_case(cfg, depth))
+def combined_lower_bound(
+    cfg: CaseConfig, depth: int, lifted: list[PAdicRoot] | None = None
+) -> int:
+    """min over lifted roots of the digit-scan bound, scanning indices 1..depth.
+
+    The lifted roots are appended to `lifted` when it is given, so a caller
+    that needs both the roots and the floor lifts each root once.
+    """
+    roots = scan_case(cfg, depth)
+    if lifted is not None:
+        lifted.extend(roots)
+    return min(digit_scan_bound(r, cfg.d) for r in roots)
 
 
 def heuristic_expected_solutions(p: int, d: int) -> float:

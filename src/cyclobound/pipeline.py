@@ -11,6 +11,7 @@ anything less is reported as inconclusive rather than patched over.
 from __future__ import annotations
 
 import json
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ from functools import cached_property
 
 from .matveev import BoundInput, absolute_bound, matveev_c9
 from .numberfield import CaseConfig, VerificationReport, get_case, verify_case_data
-from .padic import PAdicRoot, combined_lower_bound, scan_case
+from .padic import PAdicRoot, combined_lower_bound
 from .polyarith import IntPoly, poly_eval
 from .realalg import DEFAULT_PREC, CaseConstants, ConjugateData, compute_constants
 from .reduction import ReductionReport, reduction_loop
@@ -30,11 +31,21 @@ SEARCH_FLOOR = 500
 
 
 def _iroot(t: int, d: int) -> int:
-    """Floor of the d-th root of a nonnegative integer."""
+    """Floor of the d-th root of a nonnegative integer.
+
+    Each factor 2 of d is one exact math.isqrt, because nested floors
+    compose: floor(floor(t^(1/a))^(1/b)) = floor(t^(1/(a*b))).  Only the
+    odd part of d left after that runs Newton's iteration.
+    """
     if t < 0:
         raise ValueError("negative radicand")
-    if t == 0:
-        return 0
+    if d < 1:
+        raise ValueError("root index must be positive")
+    while d % 2 == 0:
+        t = math.isqrt(t)
+        d //= 2
+    if d == 1 or t == 0:
+        return t
     x = 1 << -(-t.bit_length() // d)
     while True:
         y = ((d - 1) * x + t // x ** (d - 1)) // d
@@ -53,7 +64,9 @@ def direct_search(f: IntPoly, p: int, n_max: int) -> list[tuple[int, int]]:
 
     For |x| >= 2 the growth envelope pins |x| within 1 of (2*p^n)^(1/d),
     so per exponent only a handful of candidates need testing; |x| <= 2 is
-    tested unconditionally.
+    tested unconditionally.  A candidate is evaluated in full only when
+    f(x mod p) = 0 mod p: a solution has n >= 1, so p divides f(x), and
+    f(x) = f(x mod p) mod p, so the prefilter drops no solution.
     """
     d = f.degree()
     out = []
@@ -66,7 +79,7 @@ def direct_search(f: IntPoly, p: int, n_max: int) -> list[tuple[int, int]]:
             candidates.add(base)
             candidates.add(-base)
         for x in candidates:
-            if poly_eval(f, x) == target:
+            if poly_eval(f, x % p) % p == 0 and poly_eval(f, x) == target:
                 out.append((n, x))
     return sorted(out)
 
@@ -99,12 +112,18 @@ class ProofChain:
         self.scale = scale
 
     @cached_property
-    def roots(self) -> list[PAdicRoot]:
-        return scan_case(self.cfg, self.depth)
+    def _scan(self) -> tuple[list[PAdicRoot], int]:
+        # one lift per root, inside combined_lower_bound, the scan stage
+        roots: list[PAdicRoot] = []
+        return roots, combined_lower_bound(self.cfg, self.depth, roots)
 
-    @cached_property
+    @property
+    def roots(self) -> list[PAdicRoot]:
+        return self._scan[0]
+
+    @property
     def n_lower(self) -> int:
-        return combined_lower_bound(self.cfg, self.depth)
+        return self._scan[1]
 
     @cached_property
     def conj(self) -> ConjugateData:

@@ -503,16 +503,21 @@ class ConjugateData:
         return ball_max(*[abs(z) for z in self.roots[: self.d // 2]])
 
 
-def log_height(cfg: CaseConfig, elem: FieldElement, conj: ConjugateData) -> Ball:
+def log_height(
+    cfg: CaseConfig, elem: FieldElement, conj: ConjugateData, lead: int | None = None
+) -> Ball:
     """Enclosure of the absolute logarithmic height of a field element.
 
     Uses the degree-d characteristic polynomial; if that is a power of the
     minimal polynomial the formula is unchanged, since both the leading
-    coefficient and the conjugate list repeat by the same factor.
+    coefficient and the conjugate list repeat by the same factor.  A caller
+    that already has that polynomial's leading coefficient passes it as
+    `lead`.
     """
     if elem.is_zero():
         raise ValueError("height of zero is undefined")
-    lead = charpoly(elem, cfg.f).lc()
+    if lead is None:
+        lead = charpoly(elem, cfg.f).lc()
     total = Ball(abs(lead), conj.prec).log()
     one = Ball(1, conj.prec)
     for i in range(conj.d):
@@ -752,8 +757,8 @@ def compute_constants(
 
     # Baker heights: A_j covers d*h(eta_j), every principal |log eta_j|,
     # and the 0.16 floor; eta1/eta2 aggregate over their case choices
-    def matveev_a(elem: FieldElement) -> Ball:
-        best_b = log_height(cfg, elem, conj) * d
+    def matveev_a(elem: FieldElement, lead: int | None = None) -> Ball:
+        best_b = log_height(cfg, elem, conj, lead) * d
         for i in range(d // 2):
             e = conj.embed(elem, i)
             term = (e.log_abs() ** 2 + e.arg() ** 2).sqrt()
@@ -761,13 +766,13 @@ def compute_constants(
         return ball_max(best_b, Ball(Fraction(4, 25), prec))
 
     eta1, eta2, _ = case_etas(cfg)
-    a_values = (
-        round_sig(ball_max(*[matveev_a(e) for e in eta1]).hi, 4, "up"),
-        round_sig(ball_max(*[matveev_a(e) for e in eta2]).hi, 4, "up"),
-        *(round_sig(matveev_a(unit).hi, 4, "up") for unit in units),
-    )
     a0_eta1 = tuple(charpoly(e, f).lc() for e in eta1)
     a0_eta2 = tuple(charpoly(e, f).lc() for e in eta2)
+    a_values = (
+        round_sig(ball_max(*map(matveev_a, eta1, a0_eta1)).hi, 4, "up"),
+        round_sig(ball_max(*map(matveev_a, eta2, a0_eta2)).hi, 4, "up"),
+        *(round_sig(matveev_a(unit).hi, 4, "up") for unit in units),
+    )
 
     return CaseConstants(
         case_id=cfg.case_id,

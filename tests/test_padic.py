@@ -4,6 +4,9 @@ The digit prefixes below are frozen: they pin the exact lifted expansions
 that the published lower bounds 415, 4015 and 239 rest on.
 """
 
+import math
+import random
+
 import pytest
 
 from cyclobound.numberfield import get_case
@@ -16,7 +19,7 @@ from cyclobound.padic import (
     roots_mod_p,
     scan_case,
 )
-from cyclobound.polyarith import IntPoly, poly_eval
+from cyclobound.polyarith import IntPoly, discriminant, poly_derivative, poly_eval
 
 PREFIX_41 = (8, 18, 3, 17, 9, 14, 12, 38, 31, 35, 19, 25, 19, 38, 25, 24, 1,
              18, 25, 10, 14, 29, 31, 18, 36, 2, 24)
@@ -28,6 +31,35 @@ PREFIX_5581_B = (4477, 3993, 3590, 3157, 3667, 3404, 2233, 3440, 3784, 2333,
                  3577)
 PREFIX_271 = (241, 8, 147, 250, 135, 263, 1, 126, 89, 262, 149, 20, 147, 78,
               220, 219, 176, 148, 206, 255, 38, 115, 186, 178, 235)
+
+
+def reference_hensel_lift(f, p, r0, depth):
+    """Newton lifting with a fresh modular inverse of f'(x) at every step."""
+    fprime = poly_derivative(f)
+    x, e = r0 % p, 1
+    while e < depth:
+        e = min(2 * e, depth)
+        mod = p**e
+        fx = poly_eval(f, x) % mod
+        fpx = poly_eval(fprime, x) % mod
+        x = (x - fx * pow(fpx, -1, mod)) % mod
+    digits = []
+    for _ in range(depth):
+        x, a = divmod(x, p)
+        digits.append(a)
+    return PAdicRoot(p, tuple(digits))
+
+
+def seeded_primes(f, count, rng):
+    """Primes below 1000 where f has a simple root, drawn from rng."""
+    disc = discriminant(f)
+    out = []
+    while len(out) < count:
+        p = rng.randrange(50, 1000)
+        is_prime = all(p % q for q in range(2, math.isqrt(p) + 1))
+        if is_prime and disc % p and roots_mod_p(f, p):
+            out.append(p)
+    return out
 
 
 class TestRootsModP:
@@ -71,6 +103,19 @@ class TestHenselLift:
         cfg = get_case("15-41")
         with pytest.raises(ValueError, match="depth"):
             hensel_lift(cfg.f, cfg.p, 8, 0)
+
+    def test_matches_reference(self):
+        # every root of the paper's primes and of seeded primes, for both
+        # polynomials; depth 1 takes no Newton step, 3 ends on a capped
+        # step, and 1500 splits its digits at several levels
+        rng = random.Random(60607)
+        for cid, paper_primes in (("15-41", (41, 5581)), ("10-271", (271,))):
+            f = get_case(cid).f
+            for p in (*paper_primes, *seeded_primes(f, 1, rng)):
+                for r in roots_mod_p(f, p):
+                    for depth in (1, 2, 3, 7, 1500):
+                        got = hensel_lift(f, p, r, depth)
+                        assert got == reference_hensel_lift(f, p, r, depth), (p, r, depth)
 
     def test_value_digit_roundtrip(self):
         root = hensel_lift(get_case("10-271").f, 271, 241, 12)

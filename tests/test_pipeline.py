@@ -1,9 +1,11 @@
 """End-to-end solve runs, the direct search, and the command line."""
 
 import json
+import random
 
 import pytest
 
+from cyclobound import padic
 from cyclobound.cli import main
 from cyclobound.numberfield import _config_from_dict, case_to_dict, get_case
 from cyclobound.pipeline import (
@@ -23,6 +25,37 @@ def brute_force_search(f, p, n_max, x_span=2000):
         for x in range(-x_span, x_span + 1):
             if poly_eval(f, x) == target:
                 out.append((n, x))
+    return sorted(out)
+
+
+def reference_iroot(t, d):
+    """Floor of the d-th root by Newton's iteration alone, for every d."""
+    if t == 0:
+        return 0
+    x = 1 << -(-t.bit_length() // d)
+    while True:
+        y = ((d - 1) * x + t // x ** (d - 1)) // d
+        if y >= x:
+            break
+        x = y
+    while x**d > t:
+        x -= 1
+    while (x + 1) ** d <= t:
+        x += 1
+    return x
+
+
+def reference_direct_search(f, p, n_max):
+    """The sweep without the mod-p prefilter: every candidate in full."""
+    d = f.degree()
+    out = []
+    for n in range(1, n_max + 1):
+        target = 2 * p**n
+        x0 = reference_iroot(target, d)
+        candidates = {-2, -1, 0, 1, 2}
+        for base in (x0 - 1, x0, x0 + 1):
+            candidates.update((base, -base))
+        out += [(n, x) for x in candidates if poly_eval(f, x) == target]
     return sorted(out)
 
 
@@ -48,6 +81,21 @@ class TestIRoot:
         with pytest.raises(ValueError):
             _iroot(-1, 2)
 
+    def test_rejects_zero_index(self):
+        with pytest.raises(ValueError):
+            _iroot(16, 0)
+
+    def test_matches_reference(self):
+        # radicands up to 20,000 bits for every index 1..16, with the exact
+        # powers r^d and their neighbours, where a floor is easiest to miss
+        rng = random.Random(50521)
+        for d in range(1, 17):
+            for bits in (1, 7, 64, 700, rng.randint(2, 20_000)):
+                t = rng.getrandbits(bits)
+                r = rng.getrandbits(max(bits // d, 1)) + 1
+                for u in (t, r**d - 1, r**d, r**d + 1):
+                    assert _iroot(u, d) == reference_iroot(u, d), (u, d)
+
 
 class TestDirectSearch:
     def test_toy_case_with_solutions(self):
@@ -66,6 +114,21 @@ class TestDirectSearch:
         for cid in ("15-41", "15-5581", "10-271"):
             cfg = get_case(cid)
             assert direct_search(cfg.f, cfg.p, SEARCH_FLOOR) == []
+
+    def test_matches_reference_where_solutions_exist(self):
+        # (10, 3) and (10, 31) have the solutions (1, -1) and (1, 3); the
+        # toy x^2 + 2 = 2*3^n has (1, +-2) at |x| <= 2, (2, +-4) and (5, +-22);
+        # x^3 - x + 6 = 2*3^n (odd degree, Newton root) has (1, 0), (1, +-1)
+        f10 = get_case("10-271").f
+        for f, p, n_max in (
+            (f10, 3, 200),
+            (f10, 31, 200),
+            (IntPoly(2, 0, 1), 3, 60),
+            (IntPoly(6, -1, 0, 1), 3, 60),
+        ):
+            expected = reference_direct_search(f, p, n_max)
+            assert expected
+            assert direct_search(f, p, n_max) == expected
 
     def test_matches_brute_force_on_builtin_prefix(self):
         cfg = get_case("10-271")
@@ -151,6 +214,20 @@ class TestCLI:
         assert main(["scan", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert [c["lower_bound"] for c in data["cases"]] == [415, 4015, 239]
+
+    def test_scan_lifts_each_root_once(self, monkeypatch, capsys):
+        # the floor and the per-root lines share one lift of each root
+        lifted = []
+        lift = padic.hensel_lift
+
+        def counting_lift(*args):
+            lifted.append(args[2])
+            return lift(*args)
+
+        monkeypatch.setattr(padic, "hensel_lift", counting_lift)
+        assert main(["scan", "--case", "15-5581"]) == 0
+        assert "n >= 4015" in capsys.readouterr().out
+        assert sorted(lifted) == [257, 4477]
 
     def test_scan_depth_override(self, capsys):
         assert main(["scan", "--case", "15-5581", "--depth", "30"]) == 0

@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from cyclobound.numberfield import FieldElement, get_case
+from cyclobound import realalg
+from cyclobound.numberfield import FieldElement, charpoly, get_case
 from cyclobound.polyarith import IntPoly, poly_eval
 from cyclobound.realalg import (
     Ball,
@@ -21,6 +22,7 @@ from cyclobound.realalg import (
     ball_atan2,
     ball_max,
     ball_min,
+    case_etas,
     certified_roots,
     compute_constants,
     log_height,
@@ -464,6 +466,21 @@ class TestConstantChain:
                 for i in range(cfg.d // 2):
                     v = ch.conj.embed_abs(g, i)
                     assert glo <= v.lo and v.hi <= ghi
+
+    def test_one_charpoly_per_element(self, chains, monkeypatch):
+        # every eta and unit needs its characteristic polynomial once, for
+        # its height and, for an eta, its leading coefficient a0
+        seen = []
+
+        def recording_charpoly(elem, f):
+            seen.append(elem)
+            return charpoly(elem, f)
+
+        monkeypatch.setattr(realalg, "charpoly", recording_charpoly)
+        ch = chains["15-41"]
+        eta1, eta2, units = case_etas(ch.cfg)
+        assert compute_constants(ch.cfg, ch.conj, ch.n_lower) == ch.constants
+        assert len(seen) == len(eta1) + len(eta2) + len(units) == 6
 
     def test_small_lower_bound_rejected(self, chains):
         ch = chains["15-41"]
