@@ -80,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if "search" in flags:
             p.add_argument(
                 "--search-max",
-                type=int,
+                type=_positive_int,
                 help="direct-search ceiling (default: max(certified reduced bound, 500))",
             )
     return parser

@@ -25,10 +25,11 @@ lists, lowest degree first):
       "default_scan_depth": 60
     }
 
-``default_conjugate_choice`` maps the index of each norm-exponent-1 gamma to
-the tuple of embedding indices (1-based, among the distinct conjugate pairs)
-used by the lattice reduction stage.  ``default_scan_depth`` is the digit
-index up to which the p-adic scan runs when no depth is given explicitly.
+``default_conjugate_choice`` maps the index of each norm-exponent-1 gamma
+(keys 0..k-1, all k present) to the tuple of embedding indices (1-based,
+among the distinct conjugate pairs) used by the lattice reduction stage.
+``default_scan_depth`` is the digit index up to which the p-adic scan runs
+when no depth is given explicitly.
 """
 from __future__ import annotations
 
@@ -379,6 +380,12 @@ def _config_from_dict(case_id: str, raw: dict) -> CaseConfig:
         raise ValueError(f"case {case_id}: units, gammas and deltas must be non-empty")
     if cfg.d != _euler_phi(cfg.m):
         raise ValueError(f"case {case_id}: f has degree {cfg.d}, not phi({cfg.m})")
+    keys = list(range(len(cfg.norm_p_gammas)))
+    if sorted(choice) != keys:
+        raise ValueError(
+            f"case {case_id}: default_conjugate_choice needs the keys {keys}, "
+            f"one per gamma of norm exponent 1"
+        )
     pairs = set(range(1, cfg.d // 2 + 1))
     if any(len(c) != cfg.rank - 2 or not pairs.issuperset(c) for c in choice.values()):
         raise ValueError(
@@ -532,16 +539,6 @@ def verify_case_data(cfg: CaseConfig) -> VerificationReport:
         "growth envelope (|x|-1)^d < f(x) < (|x|+1)^d for |x| >= 2",
         _envelope_certificate(cfg.f),
         "certified by nonnegative coefficients after shifting by 2",
-    )
-
-    check(
-        "conjugate choices are well-formed",
-        all(
-            0 <= k < len(cfg.norm_p_gammas)
-            and all(1 <= i <= cfg.d // 2 for i in v)
-            for k, v in cfg.default_conjugate_choice.items()
-        ),
-        str(cfg.default_conjugate_choice),
     )
 
     return VerificationReport(cfg.case_id, checks, list(_TRUSTED))

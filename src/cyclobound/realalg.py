@@ -1,8 +1,9 @@
 """Certified numerics: interval scalars, root enclosures, rounded constants.
 
 Every archimedean quantity in the bound chain is carried as a Ball, an
-interval with exact binary endpoints, so comparisons and rounded constants
-are proved rather than sampled.  Polynomial roots are located with mpmath
+interval held as a pair of mpf endpoints that mpmath's libmpi operates on
+with outward rounding, so comparisons and rounded constants are proved
+rather than sampled.  Polynomial roots are located with mpmath
 and then certified independently through interval arithmetic.  Constants
 are rounded to four significant digits in a fixed direction, and each one
 is checked against its enclosure in the direction that keeps it a valid
@@ -12,22 +13,20 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+from mpmath import libmp
 
 from .numberfield import CaseConfig, FieldElement, charpoly, nf_inverse, nf_mul, nf_pow
 from .polyarith import IntPoly, det, poly_derivative, poly_eval
 
 DEFAULT_PREC = 256
 
-
-@functools.lru_cache(maxsize=None)
-def _ctx(prec: int):
-    ctx = mpmath.MPIntervalContext()
-    ctx.prec = prec
-    return ctx
+# mpf endpoints ordered by value, for max()
+_BY_VALUE = functools.cmp_to_key(libmp.mpf_cmp)
 
 
 def _endpoint_fraction(raw) -> Fraction:
@@ -42,39 +41,63 @@ def _endpoint_fraction(raw) -> Fraction:
     return -v if sign else v
 
 
-class Ball:
-    """Closed real interval guaranteed to contain the value it stands for."""
+def _int_interval(n: int, prec: int):
+    lo = libmp.from_int(n, prec, libmp.round_floor)
+    return lo, libmp.from_int(n, prec, libmp.round_ceiling)
 
-    __slots__ = ("iv", "prec")
+
+class Ball:
+    """Closed real interval guaranteed to contain the value it stands for.
+
+    The interval is a pair of mpf endpoints operated on by mpmath's libmpi,
+    which rounds every result outward at prec bits; an operation on two
+    balls runs at the wider of their precisions.  A Ball is made from an
+    int, a Fraction or another Ball (whose endpoints it keeps).
+    """
+
+    __slots__ = ("_mpi", "prec")
 
     def __init__(self, value, prec: int = DEFAULT_PREC):
-        ctx = _ctx(prec)
         if isinstance(value, Ball):
-            self.iv = ctx.convert(value.iv)
-        elif isinstance(value, Fraction):
-            self.iv = ctx.mpf(value.numerator) / ctx.mpf(value.denominator)
+            self._mpi = value._mpi
         elif isinstance(value, int):
-            self.iv = ctx.mpf(value)
+            self._mpi = _int_interval(value, prec)
+        elif isinstance(value, Fraction):
+            # an int interval over an int interval; the frozen outputs rest
+            # on this rounding, which differs from libmp's from_rational
+            self._mpi = libmp.mpi_div(
+                _int_interval(value.numerator, prec),
+                _int_interval(value.denominator, prec),
+                prec,
+            )
         else:
-            self.iv = ctx.convert(value)
+            raise TypeError(f"cannot make a Ball from {type(value).__name__}")
         self.prec = prec
+
+    @classmethod
+    def _make(cls, mpi, prec: int) -> "Ball":
+        """The ball with the given (lower, upper) mpf endpoint pair."""
+        out = object.__new__(cls)
+        out._mpi = mpi
+        out.prec = prec
+        return out
 
     @classmethod
     def from_endpoints(cls, lo, hi, prec: int = DEFAULT_PREC) -> "Ball":
         """Smallest representable interval containing [lo, hi]."""
         if lo > hi:
             raise ValueError("endpoints out of order")
-        a = cls(Fraction(lo), prec)
-        b = cls(Fraction(hi), prec)
-        return cls(_ctx(prec).mpf([a.iv.a, b.iv.b]), prec)
+        a = cls(Fraction(lo), prec)._mpi[0]
+        b = cls(Fraction(hi), prec)._mpi[1]
+        return cls._make((a, b), prec)
 
     @property
     def lo(self) -> Fraction:
-        return _endpoint_fraction(self.iv._mpi_[0])
+        return _endpoint_fraction(self._mpi[0])
 
     @property
     def hi(self) -> Fraction:
-        return _endpoint_fraction(self.iv._mpi_[1])
+        return _endpoint_fraction(self._mpi[1])
 
     @property
     def mid(self) -> Fraction:
@@ -84,89 +107,71 @@ class Ball:
     def rad(self) -> Fraction:
         return (self.hi - self.lo) / 2
 
-    def _pair(self, other):
+    def _binary(self, op, other, swap: bool = False) -> "Ball":
+        """op(self, other), or op(other, self) when swap is set."""
         if not isinstance(other, Ball):
             other = Ball(other, self.prec)
         prec = max(self.prec, other.prec)
-        ctx = _ctx(prec)
-        return ctx.convert(self.iv), ctx.convert(other.iv), prec
+        x, y = (other, self) if swap else (self, other)
+        return Ball._make(op(x._mpi, y._mpi, prec), prec)
+
+    def _unary(self, op, *args) -> "Ball":
+        return Ball._make(op(self._mpi, *args, self.prec), self.prec)
 
     def __add__(self, other):
-        a, b, prec = self._pair(other)
-        return Ball(a + b, prec)
+        return self._binary(libmp.mpi_add, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        a, b, prec = self._pair(other)
-        return Ball(a - b, prec)
+        return self._binary(libmp.mpi_sub, other)
 
     def __rsub__(self, other):
-        a, b, prec = self._pair(other)
-        return Ball(b - a, prec)
+        return self._binary(libmp.mpi_sub, other, swap=True)
 
     def __mul__(self, other):
-        a, b, prec = self._pair(other)
-        return Ball(a * b, prec)
+        return self._binary(libmp.mpi_mul, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        a, b, prec = self._pair(other)
-        return Ball(a / b, prec)
-
-    def __rtruediv__(self, other):
-        a, b, prec = self._pair(other)
-        return Ball(b / a, prec)
+        return self._binary(libmp.mpi_div, other)
 
     def __neg__(self):
-        return Ball(-self.iv, self.prec)
+        return self._unary(libmp.mpi_neg)
 
     def __abs__(self):
-        lo, hi = self.lo, self.hi
-        if lo >= 0:
-            return self
-        if hi <= 0:
-            return -self
-        return Ball.from_endpoints(Fraction(0), max(-lo, hi), self.prec)
+        return self._unary(libmp.mpi_abs)
 
     def __pow__(self, e):
         if isinstance(e, int):
-            return Ball(self.iv ** e, self.prec)
+            return self._unary(libmp.mpi_pow_int, e)
         e = Fraction(e)
-        if self.lo <= 0:
+        if libmp.mpf_sign(self._mpi[0]) <= 0:
             raise ValueError("fractional power needs a positive interval")
         return (self.log() * e).exp()
 
     def log(self) -> "Ball":
-        if self.lo <= 0:
+        if libmp.mpf_sign(self._mpi[0]) <= 0:
             raise ValueError("log needs a strictly positive interval")
-        return Ball(_ctx(self.prec).log(self.iv), self.prec)
+        return self._unary(libmp.mpi_log)
 
     def exp(self) -> "Ball":
-        return Ball(_ctx(self.prec).exp(self.iv), self.prec)
+        return self._unary(libmp.mpi_exp)
 
     def sqrt(self) -> "Ball":
-        if self.lo < 0:
+        if libmp.mpf_sign(self._mpi[0]) < 0:
             raise ValueError("sqrt needs a nonnegative interval")
-        return Ball(_ctx(self.prec).sqrt(self.iv), self.prec)
+        return self._unary(libmp.mpi_sqrt)
 
     def gt(self, other) -> bool:
         """True only when every point of self exceeds every point of other."""
         if not isinstance(other, Ball):
             other = Ball(other, self.prec)
-        return self.lo > other.hi
-
-    def lt(self, other) -> bool:
-        if not isinstance(other, Ball):
-            other = Ball(other, self.prec)
-        return self.hi < other.lo
-
-    def __str__(self) -> str:
-        return str(self.iv)
+        return libmp.mpf_gt(self._mpi[0], other._mpi[1])
 
     def __repr__(self) -> str:
-        return f"Ball({self.iv}, prec={self.prec})"
+        return f"Ball({libmp.mpi_str(self._mpi, self.prec)}, prec={self.prec})"
 
 
 def ball_max(first, *rest) -> Ball:
@@ -174,9 +179,9 @@ def ball_max(first, *rest) -> Ball:
     balls = [first if isinstance(first, Ball) else Ball(first)]
     balls += [b if isinstance(b, Ball) else Ball(b, balls[0].prec) for b in rest]
     prec = max(b.prec for b in balls)
-    return Ball.from_endpoints(
-        max(b.lo for b in balls), max(b.hi for b in balls), prec
-    )
+    lo = max((b._mpi[0] for b in balls), key=_BY_VALUE)
+    hi = max((b._mpi[1] for b in balls), key=_BY_VALUE)
+    return Ball._make(libmp.mpi_pos((lo, hi), prec), prec)
 
 
 def ball_min(*balls) -> Ball:
@@ -191,11 +196,11 @@ def ball_atan2(y: Ball, x: Ball) -> Ball:
     range [-pi, pi], which stays correct for magnitude bounds.
     """
     prec = max(y.prec, x.prec)
-    ctx = _ctx(prec)
-    if y.lo <= 0 <= y.hi and x.lo <= 0:
-        pi_hi = Ball(ctx.pi, prec).hi
-        return Ball.from_endpoints(-pi_hi, pi_hi, prec)
-    return Ball(ctx.atan2(ctx.convert(y.iv), ctx.convert(x.iv)), prec)
+    y_lo, y_hi = (libmp.mpf_sign(v) for v in y._mpi)
+    if y_lo <= 0 <= y_hi and libmp.mpf_sign(x._mpi[0]) <= 0:
+        pi_hi = libmp.mpf_pi(prec, libmp.round_ceiling)
+        return Ball._make((libmp.mpf_neg(pi_hi), pi_hi), prec)
+    return Ball._make(libmp.mpi_atan2(y._mpi, x._mpi, prec), prec)
 
 
 class ComplexBall:
@@ -225,13 +230,6 @@ class ComplexBall:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return ComplexBall(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def __mul__(self, other):
         o = self._coerce(other)
         return ComplexBall(
@@ -242,27 +240,8 @@ class ComplexBall:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, Ball)):
-            return ComplexBall(self.re / other, self.im / other)
-        o = self._coerce(other)
-        den = o.abs_squared()
-        num = self * o.conj()
-        return ComplexBall(num.re / den, num.im / den)
-
-    def __neg__(self):
-        return ComplexBall(-self.re, -self.im)
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = ComplexBall(Ball(1, self.re.prec))
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        """Division by a real: an int, a Fraction or a Ball."""
+        return ComplexBall(self.re / other, self.im / other)
 
     def conj(self) -> "ComplexBall":
         return ComplexBall(self.re, -self.im)
@@ -280,26 +259,14 @@ class ComplexBall:
     def arg(self) -> Ball:
         return ball_atan2(self.im, self.re)
 
-    def __str__(self) -> str:
-        return f"({self.re} + {self.im}*i)"
-
 
 # ---------------------------------------------------------------------------
 # directed decimal rounding
 
 
-def _floor_fr(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
-def _ceil_fr(x: Fraction) -> int:
-    q = x.numerator // x.denominator
-    return q if q == x else q + 1
-
-
 def nearest_int(x: Fraction) -> int:
     """Nearest integer, ties away from zero."""
-    f = _floor_fr(x)
+    f = math.floor(x)
     rem = x - f
     if rem > Fraction(1, 2):
         return f + 1
@@ -334,11 +301,11 @@ def round_sig(x, sig: int = 4, mode: str = "nearest") -> Fraction:
     if mode == "nearest":
         mi = nearest_int(m)
     elif mode == "trunc":
-        mi = _floor_fr(m)
+        mi = math.floor(m)
     elif mode == "up":
-        mi = _floor_fr(m) if neg else _ceil_fr(m)
+        mi = math.floor(m) if neg else math.ceil(m)
     elif mode == "down":
-        mi = _ceil_fr(m) if neg else _floor_fr(m)
+        mi = math.ceil(m) if neg else math.floor(m)
     else:
         raise ValueError(f"unknown rounding mode {mode!r}")
     r = Fraction(mi) / scale
@@ -374,7 +341,7 @@ def certified_roots(f: IntPoly, prec: int = DEFAULT_PREC) -> list[ComplexBall]:
             with mpmath.workprec(work):
                 found = mpmath.polyroots(coeffs_desc, maxsteps=200, extraprec=work)
                 found = [mpmath.mpc(z) for z in found]
-        except mpmath.libmp.NoConvergence:
+        except libmp.NoConvergence:
             work *= 2
             continue
         upper = []

@@ -173,12 +173,13 @@ class _GammaLogs:
 
     lam1[di][j] covers log|2/delta^d| at embedding j for delta di,
     lam2[j] covers log|p/gamma^d|, and lam_units[t][j] covers
-    -d*log|unit_t| (the sign the exponent vector carries).
+    -d*log|unit_t| (the sign the exponent vector carries).  etas is
+    case_etas(cfg), computed once per round by the caller.
     """
 
-    def __init__(self, cfg: CaseConfig, conj: ConjugateData, gamma_index: int):
-        eta1, eta2, units = case_etas(cfg)
-        d = cfg.d
+    def __init__(self, conj: ConjugateData, etas, gamma_index: int):
+        eta1, eta2, units = etas
+        d = conj.d
         half = d // 2
         self.lam1 = [
             [conj.embed_abs(e, j).log() for j in range(half)] for e in eta1
@@ -323,8 +324,7 @@ def _attempt(
         - Ball(c_lower, prec).log()
         + Ball(bound_n, prec).log() / (r - 2)
     )
-    hi = new_ball.hi
-    new_bound = hi.numerator // hi.denominator
+    new_bound = math.floor(new_ball.hi)
     return ReductionAttempt(
         ok=True,
         reason="",
@@ -398,8 +398,9 @@ def reduce_case_bound(
     attempts: list[ReductionAttempt] = []
     branch_bounds: list[int] = []
     all_ok = True
+    etas = case_etas(cfg)
     for gi in range(len(cfg.norm_p_gammas)):
-        logs = _GammaLogs(cfg, conj, gi)
+        logs = _GammaLogs(conj, etas, gi)
         default = cfg.default_conjugate_choice[gi]
         others = [
             c

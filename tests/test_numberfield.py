@@ -317,6 +317,16 @@ class TestCaseData:
         with pytest.raises(ValueError, match="deltas"):
             load_case_config(str(path))
 
+    def test_conjugate_choice_keys_name_every_norm_p_gamma(self, tmp_path):
+        # one key per norm-exponent-1 gamma, 0..k-1, or the loader refuses
+        for choice in ({}, {"1": [2]}, {"0": [2], "1": [1]}):
+            raw = case_to_dict(get_case("10-271"))
+            raw["default_conjugate_choice"] = choice
+            path = tmp_path / "choice.json"
+            path.write_text(json.dumps(raw))
+            with pytest.raises(ValueError, match="default_conjugate_choice"):
+                load_case_config(str(path))
+
     def test_tampered_sign_fails_verification(self):
         raw = case_to_dict(get_case("15-41"))
         raw["two_decomposition"]["sign"] = -raw["two_decomposition"]["sign"]

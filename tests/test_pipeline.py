@@ -285,6 +285,8 @@ class TestCLI:
             ["scan", "--depth", "-3"],
             ["bound", "--precision-bits", "0"],
             ["solve", "--precision-bits", "2.5"],
+            ["solve", "--search-max", "0"],
+            ["all", "--search-max", "-3"],
         ):
             with pytest.raises(SystemExit) as exc:
                 main([*flags, "--case", "10-271"])
@@ -302,6 +304,8 @@ class TestCLI:
             ("default_scan_depth", 0),
             ("default_conjugate_choice", {"0": [1, 2]}),
             ("default_conjugate_choice", {"0": [9]}),
+            ("default_conjugate_choice", {}),
+            ("default_conjugate_choice", {"1": [2]}),
         ],
     )
     def test_malformed_config_is_usage_error(self, tmp_path, capsys, field, value):

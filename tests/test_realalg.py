@@ -6,14 +6,19 @@ Either way the assertions demand containment or exact equality, never
 float-approximate equality.
 """
 
+import functools
+import hashlib
 import math
+import operator
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from cyclobound import realalg
 from cyclobound.numberfield import FieldElement, charpoly, get_case
+from cyclobound.pipeline import ProofChain
 from cyclobound.polyarith import IntPoly, poly_eval
 from cyclobound.realalg import (
     Ball,
@@ -30,6 +35,7 @@ from cyclobound.realalg import (
     regulator,
     round_sig,
 )
+from cyclobound.reduction import _GammaLogs
 
 F15_ROOTS = ((Fraction("1.0757"), Fraction("0.4498")),
              (Fraction("0.6243"), Fraction("0.8958")),
@@ -58,8 +64,6 @@ class TestBall:
                 assert got.lo <= want <= got.hi
             if b != 0:
                 got = Ball(a) / b
-                assert got.lo <= a / b <= got.hi
-                got = a / Ball(b)
                 assert got.lo <= a / b <= got.hi
 
     def test_integer_power(self):
@@ -109,12 +113,12 @@ class TestBall:
             Ball(-4).sqrt()
 
     def test_certified_comparisons(self):
-        assert Ball(1).lt(Ball(2))
+        assert Ball(2).gt(Ball(1))
         assert Ball(2).gt(1)
         wide = Ball.from_endpoints(Fraction(0), Fraction(3))
         # overlap certifies nothing in either direction
         assert not wide.gt(Ball(1))
-        assert not wide.lt(Ball(1))
+        assert not Ball(1).gt(wide)
 
     def test_max_min(self):
         hi = ball_max(Ball(1), Ball(3), Ball(2))
@@ -126,6 +130,13 @@ class TestBall:
         a = Ball(Fraction(1, 3), 64)
         b = Ball(Fraction(1, 5), 256)
         assert (a + b).prec == 256
+
+    def test_rejects_other_types(self):
+        for value in (0.5, "1/3", complex(1, 0), None):
+            with pytest.raises(TypeError):
+                Ball(value)
+        with pytest.raises(TypeError):
+            Ball(1) + 0.5
 
 
 class TestBallAtan2:
@@ -161,21 +172,16 @@ class TestComplexBall:
             s = za + zb
             assert s.re.lo <= a[0] + b[0] <= s.re.hi
 
-    def test_division_roundtrip(self):
-        za = ComplexBall(Ball(3), Ball(-2))
-        zb = ComplexBall(Ball(1), Ball(7))
-        back = (za / zb) * zb
-        assert back.re.lo <= 3 <= back.re.hi
-        assert back.im.lo <= -2 <= back.im.hi
-
-    def test_power_matches_repeated_multiplication(self):
-        z = ComplexBall(Ball(Fraction(2, 3)), Ball(Fraction(-1, 2)))
-        by_pow = z**5
-        by_mul = z
-        for _ in range(4):
-            by_mul = by_mul * z
-        assert by_pow.re.lo <= by_mul.re.mid <= by_pow.re.hi
-        assert by_pow.im.lo <= by_mul.im.mid <= by_pow.im.hi
+    def test_division_by_a_real(self):
+        z = ComplexBall(Ball(3), Ball(-2))
+        for den, exact in (
+            (7, Fraction(7)),
+            (Fraction(-2, 3), Fraction(-2, 3)),
+            (Ball(Fraction(5, 11), 64), Fraction(5, 11)),
+        ):
+            got = z / den
+            assert got.re.lo <= 3 / exact <= got.re.hi
+            assert got.im.lo <= -2 / exact <= got.im.hi
 
     def test_abs_and_log_abs(self):
         z = ComplexBall(Ball(3), Ball(4))
@@ -188,6 +194,324 @@ class TestComplexBall:
     def test_conjugate(self):
         z = ComplexBall(Ball(3), Ball(4))
         assert z.conj().im.hi <= -4 + Fraction(1, 10**70)
+
+
+# ---------------------------------------------------------------------------
+# the interval layer as it stood on mpmath's interval context, kept as an
+# oracle: the lean Ball must reproduce its endpoints exactly
+
+
+@functools.lru_cache(maxsize=None)
+def _iv_ctx(prec: int):
+    ctx = mpmath.MPIntervalContext()
+    ctx.prec = prec
+    return ctx
+
+
+class ReferenceBall:
+    """Ball built on an mpmath interval context, one context per precision."""
+
+    def __init__(self, value, prec: int = realalg.DEFAULT_PREC):
+        ctx = _iv_ctx(prec)
+        if isinstance(value, ReferenceBall):
+            self.iv = ctx.convert(value.iv)
+        elif isinstance(value, Fraction):
+            self.iv = ctx.mpf(value.numerator) / ctx.mpf(value.denominator)
+        elif isinstance(value, int):
+            self.iv = ctx.mpf(value)
+        else:
+            self.iv = ctx.convert(value)
+        self.prec = prec
+
+    @classmethod
+    def from_endpoints(cls, lo, hi, prec: int = realalg.DEFAULT_PREC):
+        a = cls(Fraction(lo), prec)
+        b = cls(Fraction(hi), prec)
+        return cls(_iv_ctx(prec).mpf([a.iv.a, b.iv.b]), prec)
+
+    @property
+    def lo(self) -> Fraction:
+        return realalg._endpoint_fraction(self.iv._mpi_[0])
+
+    @property
+    def hi(self) -> Fraction:
+        return realalg._endpoint_fraction(self.iv._mpi_[1])
+
+    def _pair(self, other):
+        if not isinstance(other, ReferenceBall):
+            other = ReferenceBall(other, self.prec)
+        prec = max(self.prec, other.prec)
+        ctx = _iv_ctx(prec)
+        return ctx.convert(self.iv), ctx.convert(other.iv), prec
+
+    def __add__(self, other):
+        a, b, prec = self._pair(other)
+        return ReferenceBall(a + b, prec)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        a, b, prec = self._pair(other)
+        return ReferenceBall(a - b, prec)
+
+    def __rsub__(self, other):
+        a, b, prec = self._pair(other)
+        return ReferenceBall(b - a, prec)
+
+    def __mul__(self, other):
+        a, b, prec = self._pair(other)
+        return ReferenceBall(a * b, prec)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        a, b, prec = self._pair(other)
+        return ReferenceBall(a / b, prec)
+
+    def __neg__(self):
+        return ReferenceBall(-self.iv, self.prec)
+
+    def __abs__(self):
+        lo, hi = self.lo, self.hi
+        if lo >= 0:
+            return self
+        if hi <= 0:
+            return -self
+        return ReferenceBall.from_endpoints(Fraction(0), max(-lo, hi), self.prec)
+
+    def __pow__(self, e):
+        if isinstance(e, int):
+            return ReferenceBall(self.iv ** e, self.prec)
+        return (self.log() * Fraction(e)).exp()
+
+    def log(self):
+        return ReferenceBall(_iv_ctx(self.prec).log(self.iv), self.prec)
+
+    def exp(self):
+        return ReferenceBall(_iv_ctx(self.prec).exp(self.iv), self.prec)
+
+    def sqrt(self):
+        return ReferenceBall(_iv_ctx(self.prec).sqrt(self.iv), self.prec)
+
+    def gt(self, other) -> bool:
+        if not isinstance(other, ReferenceBall):
+            other = ReferenceBall(other, self.prec)
+        return self.lo > other.hi
+
+
+def reference_max(first, *rest):
+    balls = [first if isinstance(first, ReferenceBall) else ReferenceBall(first)]
+    balls += [
+        b if isinstance(b, ReferenceBall) else ReferenceBall(b, balls[0].prec)
+        for b in rest
+    ]
+    prec = max(b.prec for b in balls)
+    return ReferenceBall.from_endpoints(
+        max(b.lo for b in balls), max(b.hi for b in balls), prec
+    )
+
+
+def reference_min(*balls):
+    return -reference_max(*(-b for b in balls))
+
+
+def reference_atan2(y, x):
+    prec = max(y.prec, x.prec)
+    ctx = _iv_ctx(prec)
+    if y.lo <= 0 <= y.hi and x.lo <= 0:
+        pi_hi = ReferenceBall(ctx.pi, prec).hi
+        return ReferenceBall.from_endpoints(-pi_hi, pi_hi, prec)
+    return ReferenceBall(ctx.atan2(ctx.convert(y.iv), ctx.convert(x.iv)), prec)
+
+
+PRECS = (53, 64, 256, 288, 512)
+
+
+def random_operand(rng: random.Random):
+    """An int or a Fraction with parts of up to 400 bits, of either sign."""
+    num = rng.getrandbits(rng.randint(1, 400)) * rng.choice((1, -1))
+    if rng.random() < 0.3:
+        return num
+    return Fraction(num, rng.getrandbits(rng.randint(1, 400)) or 1)
+
+
+def both(value, prec):
+    """The Ball and the ReferenceBall of one exact value."""
+    return Ball(value, prec), ReferenceBall(value, prec)
+
+
+def straddling(rng: random.Random, prec: int):
+    """(Ball, ReferenceBall, lo, hi) for an interval [lo, hi] around zero."""
+    lo = -abs(Fraction(random_operand(rng)))
+    hi = abs(Fraction(random_operand(rng)))
+    return (Ball.from_endpoints(lo, hi, prec),
+            ReferenceBall.from_endpoints(lo, hi, prec), lo, hi)
+
+
+def assert_same(got, ref, exact=None):
+    assert (got.lo, got.hi, got.prec) == (ref.lo, ref.hi, ref.prec)
+    if exact is not None:
+        assert got.lo <= exact <= got.hi
+
+
+class TestAgainstReference:
+    """Exact endpoints against ReferenceBall on seeded operands."""
+
+    def test_arithmetic(self):
+        rng = random.Random(6101)
+        for _ in range(120):
+            x, y = random_operand(rng), random_operand(rng)
+            bx, rx = both(x, rng.choice(PRECS))
+            by, ry = both(y, rng.choice(PRECS))
+            ops = [operator.add, operator.sub, operator.mul]
+            if y != 0:
+                ops.append(operator.truediv)
+            for op in ops:
+                exact = op(Fraction(x), Fraction(y))
+                assert_same(op(bx, by), op(rx, ry), exact)
+                assert_same(op(bx, y), op(rx, y), exact)
+                if op is not operator.truediv:
+                    assert_same(op(x, by), op(x, ry), exact)
+            assert_same(-bx, -rx, -x)
+            assert bx.gt(by) == rx.gt(ry)
+            assert bx.gt(y) == rx.gt(y)
+            assert bx.gt(x) == rx.gt(x)  # endpoints touch when x is exact
+            # conversion keeps the endpoints at either precision
+            prec = rng.choice(PRECS)
+            assert_same(Ball(bx, prec), ReferenceBall(rx, prec), x)
+
+    def test_abs(self):
+        rng = random.Random(6102)
+        for _ in range(60):
+            x = random_operand(rng)
+            prec = rng.choice(PRECS)
+            bx, rx = both(x, prec)
+            assert_same(abs(bx), abs(rx), abs(x))
+            bs, rs, lo, hi = straddling(rng, prec)
+            assert_same(abs(bs), abs(rs), 0)
+            assert abs(bs).hi >= max(-lo, hi)
+
+    def test_powers(self):
+        rng = random.Random(6103)
+        for _ in range(60):
+            x = random_operand(rng)
+            bx, rx = both(x, rng.choice(PRECS))
+            k = rng.randint(-6, 7)
+            if x == 0 and k < 0:
+                continue
+            assert_same(bx ** k, rx ** k, Fraction(x) ** k)
+            e = Fraction(rng.randint(-30, 30), rng.randint(1, 30))
+            bp, rp = both(abs(x) or 1, rng.choice(PRECS))
+            assert_same(bp ** e, rp ** e)
+        # a negative base with even and odd exponents, and a straddling one
+        for k in (2, 3, 4, -2, -3):
+            assert_same(Ball(Fraction(-7, 3), 64) ** k,
+                        ReferenceBall(Fraction(-7, 3), 64) ** k,
+                        Fraction(-7, 3) ** k)
+        bs, rs, _, _ = straddling(rng, 256)
+        for k in (2, 3):
+            assert_same(bs ** k, rs ** k)
+
+    def test_transcendental(self):
+        rng = random.Random(6104)
+        for _ in range(40):
+            x = abs(random_operand(rng)) or 1
+            bx, rx = both(x, rng.choice(PRECS))
+            assert_same(bx.log(), rx.log())
+            assert_same(bx.sqrt(), rx.sqrt())
+            small = Fraction(rng.randint(-2000, 2000), rng.randint(1, 50))
+            bs, rs = both(small, rng.choice(PRECS))
+            assert_same(bs.exp(), rs.exp())
+        assert_same(Ball(Fraction(49, 4)).sqrt(),
+                    ReferenceBall(Fraction(49, 4)).sqrt(), Fraction(7, 2))
+
+    def test_max_min(self):
+        rng = random.Random(6105)
+        for _ in range(40):
+            values = [random_operand(rng) for _ in range(rng.randint(1, 5))]
+            pairs = [both(v, rng.choice(PRECS)) for v in values]
+            balls = [b for b, _ in pairs]
+            refs = [r for _, r in pairs]
+            tail = random_operand(rng)  # a plain number joins at the first precision
+            assert_same(ball_max(*balls, tail), reference_max(*refs, tail),
+                        max(map(Fraction, values + [tail])))
+            assert_same(ball_min(*balls, tail), reference_min(*refs, tail),
+                        min(map(Fraction, values + [tail])))
+            assert_same(ball_max(tail, *balls), reference_max(tail, *refs))
+
+    def test_from_endpoints(self):
+        rng = random.Random(6106)
+        for _ in range(40):
+            lo, hi = sorted(Fraction(random_operand(rng)) for _ in range(2))
+            prec = rng.choice(PRECS)
+            got = Ball.from_endpoints(lo, hi, prec)
+            assert_same(got, ReferenceBall.from_endpoints(lo, hi, prec), lo)
+            assert got.hi >= hi
+
+    def test_atan2(self):
+        rng = random.Random(6107)
+        for _ in range(40):
+            y = Fraction(random_operand(rng))
+            x = Fraction(random_operand(rng))
+            by, ry = both(y, rng.choice(PRECS))
+            bx, rx = both(x, rng.choice(PRECS))
+            assert_same(ball_atan2(by, bx), reference_atan2(ry, rx))
+            # on the branch cut: y straddles zero, x reaches zero or below
+            bs, rs, _, _ = straddling(rng, rng.choice(PRECS))
+            bn, rn = both(-abs(x), rng.choice(PRECS))
+            assert_same(ball_atan2(bs, bn), reference_atan2(rs, rn))
+            # off it: y straddles zero in the right half-plane
+            bp, rp = both(abs(x) or 1, rng.choice(PRECS))
+            assert_same(ball_atan2(bs, bp), reference_atan2(rs, rp))
+        for y, x in ((0, -3), (0, 0), (0, 2)):
+            assert_same(ball_atan2(Ball(y), Ball(x)),
+                        reference_atan2(ReferenceBall(y), ReferenceBall(x)))
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _gamma_logs_digest(chain) -> str:
+    etas = case_etas(chain.cfg)
+    out = []
+    for gi in range(len(chain.cfg.norm_p_gammas)):
+        logs = _GammaLogs(chain.conj, etas, gi)
+        for b in logs.lam2 + [b for row in logs.lam1 + logs.lam_units for b in row]:
+            out.append(f"{b.lo}:{b.hi}")
+        out.append(str(logs.max_rad))
+    return _digest("|".join(out))
+
+
+# SHA-256 of the exact endpoints of every _GammaLogs enclosure, and of
+# repr(constants), recorded when Ball still ran on mpmath's interval context
+PINNED_DIGESTS = {
+    ("15-41", 256): (
+        "e922a1c9e11895a4a63bd47428e5e4f0966c6489cc158d73cbc980bfe63d5e4e",
+        "888b29af850f7464511642047f7242c300910cceb1a021ff9800e9ed8780a50b",
+    ),
+    ("15-5581", 256): (
+        "ed2c907bf2ad44ba69d4ae2e0fe79f94ea20c31cd8b1e478afc87d31adbb2b57",
+        "33d94c3f2e685ef9df45bef58b557ab42ca9c9ed6595b83e563cbcb7653a68f6",
+    ),
+    ("10-271", 256): (
+        "9cd758802b909d23f4f2c878080427295bdc372214519516031de24d6a2573aa",
+        "e89aef0bbb41cea8393311774ad39465038a83be0c1344ff43a675d4a0bfb47a",
+    ),
+    # 64 bits: the roots are 96-bit balls, the embeddings built from them
+    # run through ComplexBall._coerce at the default precision
+    ("10-271", 64): (
+        "c59d77d5f1ddc32a9d7aed09098fc8edcc4118d295586bc8966d19264404fb85",
+        "e89aef0bbb41cea8393311774ad39465038a83be0c1344ff43a675d4a0bfb47a",
+    ),
+}
+
+
+def test_enclosures_match_pinned_digests(chains):
+    for (cid, prec), (logs_digest, constants_digest) in PINNED_DIGESTS.items():
+        chain = chains[cid] if prec == 256 else ProofChain(cid, precision_bits=prec)
+        assert _gamma_logs_digest(chain) == logs_digest, (cid, prec)
+        assert _digest(repr(chain.constants)) == constants_digest, (cid, prec)
 
 
 class TestRounding:

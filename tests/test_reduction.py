@@ -15,7 +15,13 @@ import pytest
 
 from cyclobound import reduction
 from cyclobound.numberfield import get_case
-from cyclobound.realalg import Ball, ConjugateData, compute_constants, nearest_int
+from cyclobound.realalg import (
+    Ball,
+    ConjugateData,
+    case_etas,
+    compute_constants,
+    nearest_int,
+)
 from cyclobound.reduction import (
     MAX_ROUNDING_SLACK,
     PrecisionError,
@@ -389,6 +395,22 @@ def test_case_lattices_match_reference(chains, monkeypatch):
     assert len(built) == 40
     for cols, out in built:
         assert out == reference_lll(cols)
+
+
+def test_one_case_etas_per_round(chains, monkeypatch):
+    # 15-5581 has two norm-p gammas; their log enclosures share one
+    # inversion of the deltas and gammas per round
+    calls = []
+
+    def counting_case_etas(cfg):
+        calls.append(cfg.case_id)
+        return case_etas(cfg)
+
+    monkeypatch.setattr(reduction, "case_etas", counting_case_etas)
+    ch = chains["15-5581"]
+    rnd = reduce_case_bound(ch.cfg, ch.conj, ch.constants, ch.abs_bound)
+    assert rnd.bound == 23
+    assert calls == ["15-5581"]
 
 
 class TestRobustness:
