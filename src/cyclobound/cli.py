@@ -88,9 +88,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _collect_cases(args) -> list:
     ids = args.case or ([] if args.config else list_case_ids())
-    return [get_case(cid) for cid in ids] + [
-        load_case_config(path) for path in args.config or []
-    ]
+    try:
+        builtin = [get_case(cid) for cid in ids]
+    except KeyError as err:  # unknown case id
+        raise ValueError(err.args[0]) from None
+    return builtin + [load_case_config(path) for path in args.config or []]
 
 
 def _run(args, command) -> int:
@@ -224,7 +226,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _run(args, _COMMANDS[args.command])
-    except (KeyError, ValueError, OSError, json.JSONDecodeError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,6 @@ nonempty (small n is covered separately by the direct search).
 from __future__ import annotations
 
 import dataclasses
-import math
 
 from .numberfield import CaseConfig
 from .polyarith import IntPoly, poly_derivative, poly_eval

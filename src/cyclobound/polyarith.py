@@ -143,9 +143,6 @@ def _coerce(v) -> IntPoly:
     raise TypeError(f"cannot coerce {type(v).__name__} to IntPoly")
 
 
-X = IntPoly(0, 1)
-
-
 def poly_eval(f: IntPoly, x):
     """Horner evaluation.  ``x`` may be any value supporting + and * with int
     (ints, Fractions, balls, even another IntPoly for composition)."""

@@ -7,10 +7,10 @@ integer lattice.  A reduced basis certifies a lower bound on that distance
 (de Weger's lemma); when the certified distance clears the rounding slack,
 the exponent bound collapses from 10^27-ish to double digits.
 
-Everything here is exact: the LLL pass updates an exact-rational
-Gram-Schmidt in place after each size reduction and swap (Cohen 2.6.3),
-its output is re-verified from a fresh Gram-Schmidt, and the only
-real-number steps go through Ball enclosures.  Failures escalate the
+Everything here is exact: the LLL pass updates an integral Gram-Schmidt
+(Gram determinants and scaled mu, Cohen 2.6.7) in place after each size
+reduction and swap, its output is re-verified from a fresh one, and the
+only real-number steps go through Ball enclosures.  Failures escalate the
 scale K instead of weakening a check.
 """
 from __future__ import annotations
@@ -23,7 +23,6 @@ from fractions import Fraction
 from .numberfield import CaseConfig
 from .polyarith import det
 from .realalg import (
-    DEFAULT_PREC,
     Ball,
     CaseConstants,
     ConjugateData,
@@ -33,6 +32,8 @@ from .realalg import (
 
 # largest tolerated K * radius of any log enclosure
 MAX_ROUNDING_SLACK = Fraction(1, 1000)
+# reduction rounds before reduction_loop stops regardless
+MAX_ROUNDS = 8
 
 
 class PrecisionError(ArithmeticError):
@@ -44,77 +45,80 @@ def _dot(a, b):
 
 
 def _gram(cols):
-    """Gram-Schmidt of integer columns: (mu, squared norms of b*_i)."""
+    """Integral Gram-Schmidt of integer columns (Cohen 2.6.7): (lam, d).
+
+    d[i] is the Gram determinant of the first i columns, so d[0] = 1 and
+    ||b*_i||^2 = d[i + 1] / d[i]; lam[i][j] = d[j + 1] * mu[i][j] for j < i.
+
+    >>> _gram([[2, 0], [1, 5]])
+    ([[0, 0], [2, 0]], [1, 4, 100])
+    """
     n = len(cols)
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    star: list[list[Fraction]] = []
-    norms: list[Fraction] = []
+    lam = [[0] * n for _ in range(n)]
+    d = [1] + [0] * n
     for i in range(n):
-        v = [Fraction(x) for x in cols[i]]
-        for j in range(i):
-            mu[i][j] = _dot(cols[i], star[j]) / norms[j]
-            v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
-        star.append(v)
-        nrm = _dot(v, v)
-        if nrm == 0:
+        for j in range(i + 1):
+            u = _dot(cols[i], cols[j])
+            for t in range(j):
+                u = (d[t + 1] * u - lam[i][t] * lam[j][t]) // d[t]
+            if j < i:
+                lam[i][j] = u
+        if u == 0:
             raise ValueError("columns are linearly dependent")
-        norms.append(nrm)
-    return mu, norms
+        d[i + 1] = u
+    return lam, d
 
 
-def lll_reduce(columns, delta: Fraction = Fraction(3, 4)):
-    """LLL-reduce integer columns by incremental exact Gram-Schmidt.
+def lll_reduce(columns):
+    """LLL-reduce integer columns (delta = 3/4), Cohen Alg. 2.6.7.
 
-    Cohen, Alg. 2.6.3: _gram runs once on the input, then every size
-    reduction and swap updates mu and the squared norms in place, exactly,
-    so each intermediate mu equals a fresh _gram of the current basis.
-    Returns (reduced, transform), transform[j] holding the integer
-    coefficients of reduced column j in the input columns (unimodular by
-    construction).  Callers should still confirm the outcome through
-    verify_lll_reduced; the two routines share no state.
+    _gram runs once on the input; every size reduction and swap then
+    updates lam and d in place by exact division, so they always equal a
+    fresh _gram of the current basis.  Returns (reduced, transform),
+    transform[j] holding the integer coefficients of reduced column j in
+    the input columns (unimodular by construction).  Callers should still
+    confirm the outcome through verify_lll_reduced; the two share no state.
     """
     n = len(columns)
     b = [[int(x) for x in col] for col in columns]
     u = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    mu, norms = _gram(b)
+    lam, d = _gram(b)
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
-            q = nearest_int(mu[k][j])
+            q = nearest_int(Fraction(lam[k][j], d[j + 1]))
             if q:
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
                 u[k] = [x - q * y for x, y in zip(u[k], u[j])]
-                mu[k][j] -= q
+                lam[k][j] -= q * d[j + 1]
                 for i in range(j):
-                    mu[k][i] -= q * mu[j][i]
-        m = mu[k][k - 1]
-        if norms[k] >= (delta - m * m) * norms[k - 1]:
+                    lam[k][i] -= q * lam[j][i]
+        m = lam[k][k - 1]
+        # Lovasz condition times 4 d[k] d[k - 1]
+        if 4 * (d[k + 1] * d[k - 1] + m * m) >= 3 * d[k] * d[k]:
             k += 1
             continue
-        # squared norm of the new b*_(k-1)
-        new_norm = norms[k] + m * m * norms[k - 1]
+        # Gram determinant of the first k columns after the swap
+        new_d = (d[k - 1] * d[k + 1] + m * m) // d[k]
         b[k - 1], b[k] = b[k], b[k - 1]
         u[k - 1], u[k] = u[k], u[k - 1]
-        mu[k - 1][: k - 1], mu[k][: k - 1] = mu[k][: k - 1], mu[k - 1][: k - 1]
-        mu[k][k - 1] = m * norms[k - 1] / new_norm
-        norms[k] = norms[k - 1] * norms[k] / new_norm
-        norms[k - 1] = new_norm
+        lam[k - 1][: k - 1], lam[k][: k - 1] = lam[k][: k - 1], lam[k - 1][: k - 1]
         for i in range(k + 1, n):
-            t = mu[i][k]
-            mu[i][k] = mu[i][k - 1] - m * t
-            mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
+            lam[i][k - 1] = (new_d * t + m * lam[i][k]) // d[k + 1]
+        d[k] = new_d
         k = max(k - 1, 1)
     return b, u
 
 
-def verify_lll_reduced(
-    columns, reduced, transform, delta: Fraction = Fraction(3, 4)
-) -> list[str]:
-    """Re-derive every LLL postcondition from scratch.
+def verify_lll_reduced(columns, reduced, transform) -> list[str]:
+    """Re-derive every LLL postcondition (delta = 3/4) from scratch.
 
     Returns the list of violations; an empty list means the reduced basis
-    is size-reduced, satisfies the exchange condition, and is the image of
-    the input under a determinant +-1 transform.
+    is size-reduced, satisfies the exchange condition (both as integer
+    inequalities on a fresh _gram), and is the image of the input under a
+    determinant +-1 transform.
     """
     problems = []
     n = len(reduced)
@@ -129,16 +133,16 @@ def verify_lll_reduced(
     if det(transform) not in (1, -1):
         problems.append("transform is not unimodular")
     try:
-        mu, norms = _gram(reduced)
+        lam, d = _gram(reduced)
     except ValueError:
         problems.append("reduced columns are dependent")
         return problems
     for i in range(n):
         for j in range(i):
-            if abs(mu[i][j]) > Fraction(1, 2):
+            if 2 * abs(lam[i][j]) > d[j + 1]:
                 problems.append(f"size reduction fails at ({i},{j})")
     for k in range(1, n):
-        if norms[k] < (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+        if 4 * (d[k + 1] * d[k - 1] + lam[k][k - 1] ** 2) < 3 * d[k] ** 2:
             problems.append(f"exchange condition fails at column {k}")
     return problems
 
@@ -393,8 +397,6 @@ def reduce_case_bound(
     """
     prec = conj.prec
     scale = scale if scale is not None else cfg.default_K
-    half = cfg.d // 2
-    want = cc.rank - 2
     attempts: list[ReductionAttempt] = []
     branch_bounds: list[int] = []
     all_ok = True
@@ -402,12 +404,8 @@ def reduce_case_bound(
     for gi in range(len(cfg.norm_p_gammas)):
         logs = _GammaLogs(conj, etas, gi)
         default = cfg.default_conjugate_choice[gi]
-        others = [
-            c
-            for c in itertools.combinations(range(1, half + 1), want)
-            if tuple(c) != tuple(default)
-        ]
-        choices = [tuple(default)] + [tuple(c) for c in others]
+        others = itertools.combinations(range(1, cfg.d // 2 + 1), cc.rank - 2)
+        choices = [default] + [c for c in others if c != default]
         pending = set(range(len(cfg.deltas)))
         found: dict[int, ReductionAttempt] = {}
         K = scale
@@ -465,7 +463,6 @@ def reduction_loop(
     cc: CaseConstants,
     start_bound: int,
     stop_below: int | None = None,
-    max_rounds: int = 8,
     scale: int | None = None,
 ) -> ReductionReport:
     """Iterate reduction rounds until the bound stalls or is small enough.
@@ -477,7 +474,7 @@ def reduction_loop(
     bound_n = start_bound
     rounds: list[ReductionRound] = []
     next_scale = scale if scale is not None else cfg.default_K
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         rnd = reduce_case_bound(cfg, conj, cc, bound_n, next_scale)
         rounds.append(rnd)
         if not rnd.ok or rnd.bound >= bound_n:

@@ -1,5 +1,6 @@
 """Field arithmetic, case data integrity, and the exact verification layer."""
 
+import dataclasses
 import json
 import math
 import random
@@ -24,6 +25,7 @@ from cyclobound.numberfield import (
     verify_case_data,
     _config_from_dict,
     _envelope_certificate,
+    _is_prime,
 )
 from cyclobound.polyarith import IntPoly, cyclotomic
 from cyclobound.realalg import case_etas
@@ -273,6 +275,43 @@ class TestCharpoly:
                 assert charpoly(a, f)[0] == nf_norm(a, f)
 
 
+# strong pseudoprime to the bases 2..37, = 399165290221 * 798330580441
+PSP_37 = 318_665_857_834_031_151_167_461
+# strong pseudoprime to the bases 2..41, the first p the test cannot decide
+PSP_41 = 3_317_044_064_679_887_385_961_981
+
+
+class TestIsPrime:
+    def test_small_numbers_match_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+        assert [n for n in range(3000) if _is_prime(n)] == [
+            n for n in range(3000) if trial(n)
+        ]
+
+    def test_pseudoprimes_rejected(self):
+        assert 399_165_290_221 * 798_330_580_441 == PSP_37
+        assert _is_prime(399_165_290_221) and _is_prime(798_330_580_441)
+        assert not _is_prime(PSP_37)
+        assert not _is_prime(PSP_41)
+
+    def test_primes_below_the_bound_accepted(self):
+        assert _is_prime(2**61 - 1)
+        assert not _is_prime(2**61 + 1)
+
+    def test_no_certificate_at_or_above_the_bound(self):
+        # 2^89 - 1 is a Mersenne prime, but above the deterministic range
+        assert 2**89 - 1 > PSP_41
+        assert not _is_prime(2**89 - 1)
+
+    def test_verify_refuses_pseudoprime_p(self):
+        for p in (PSP_37, PSP_41):
+            cfg = dataclasses.replace(get_case("10-271"), p=p)
+            failed = {c.name for c in verify_case_data(cfg).checks if not c.ok}
+            assert "p is an odd prime" in failed
+
+
 class TestCaseData:
     def test_builtin_ids(self):
         assert list_case_ids() == ["15-41", "15-5581", "10-271"]
@@ -342,6 +381,14 @@ class TestCaseData:
         assert any(
             c.name == "unit 1 has norm +-1" and not c.ok for c in report.checks
         )
+
+    def test_missing_case_id_rejected(self, tmp_path):
+        raw = case_to_dict(get_case("10-271"))
+        del raw["case_id"]
+        path = tmp_path / "anonymous.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match="case_id"):
+            load_case_config(str(path))
 
     def test_exponent_case_counts(self):
         assert len(enumerate_exponent_cases(get_case("15-41"))) == 2

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from cyclobound import padic
+from cyclobound import padic, pipeline
 from cyclobound.cli import main
 from cyclobound.numberfield import _config_from_dict, case_to_dict, get_case
 from cyclobound.pipeline import (
@@ -257,6 +257,33 @@ class TestCLI:
     def test_unknown_case_is_usage_error(self, capsys):
         assert main(["scan", "--case", "nope"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_stage_key_error_is_not_a_usage_error(self, monkeypatch):
+        # a KeyError from a bug inside a stage must surface, not exit 2
+        def broken(*args):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(pipeline, "combined_lower_bound", broken)
+        with pytest.raises(KeyError, match="internal"):
+            main(["scan", "--case", "10-271"])
+
+    @pytest.mark.parametrize(
+        "path, field",
+        [
+            (("gammas", 0), "norm_exponent"),
+            (("two_decomposition", "factors", 1), "exponent"),
+        ],
+    )
+    def test_missing_nested_field_is_usage_error(self, tmp_path, capsys, path, field):
+        raw = case_to_dict(get_case("10-271"))
+        node = raw
+        for key in path:
+            node = node[key]
+        del node[field]
+        config = tmp_path / "nested.json"
+        config.write_text(json.dumps(raw))
+        assert main(["verify", "--config", str(config)]) == 2
+        assert f"missing field '{field}'" in capsys.readouterr().err
 
     def test_config_file_roundtrip(self, tmp_path, capsys):
         path = tmp_path / "case.json"

@@ -68,29 +68,34 @@ def solve_columns(columns, y) -> list:
     return t
 
 
+def gram(cols):
+    """The oracles' own Gram-Schmidt, in integer form (Cohen, Alg. 2.6.7).
+
+    dets[i] is the Gram determinant of the first i columns and
+    lam[i][j] = dets[j + 1] * mu[i][j].  Written apart from reduction._gram
+    so the oracles below share no code with the routines they check.
+    """
+    n = len(cols)
+    dets, lam = [1] + [0] * n, [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            v = sum(x * y for x, y in zip(cols[i], cols[j]))
+            for t in range(j):
+                v = (dets[t + 1] * v - lam[i][t] * lam[j][t]) // dets[t]
+            if j < i:
+                lam[i][j] = v
+            else:
+                dets[i + 1] = v
+    return lam, dets
+
+
 def reference_lll(columns, delta=Fraction(3, 4)):
     """Textbook LLL that recomputes all Gram-Schmidt data after every step.
 
-    The oracle's own Gram-Schmidt, in integer form (Cohen, Alg. 2.6.7):
-    dets[i] is the Gram determinant of the first i columns and
-    lam[i][j] = dets[j + 1] * mu[i][j].  Same loop order as lll_reduce
+    Runs on the integral gram above.  Same loop order as lll_reduce
     (size-reduce column k from k-1 down to 0, Lovasz test, step back after
     a swap), so the two must return the same basis and transform.
     """
-
-    def gram(cols):
-        n = len(cols)
-        dets, lam = [1] + [0] * n, [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1):
-                v = sum(x * y for x, y in zip(cols[i], cols[j]))
-                for t in range(j):
-                    v = (dets[t + 1] * v - lam[i][t] * lam[j][t]) // dets[t]
-                if j < i:
-                    lam[i][j] = v
-                else:
-                    dets[i + 1] = v
-        return lam, dets
 
     def round_half_away(x):
         q = math.floor(abs(x) + Fraction(1, 2))
@@ -128,7 +133,9 @@ def exact_min_distance_sq(reduced, y) -> Fraction:
     current radius, so the returned minimum is exact.
     """
     n = len(reduced)
-    mu, norms = _gram(reduced)
+    lam, dets = gram(reduced)
+    mu = [[Fraction(lam[i][j], dets[j + 1]) for j in range(n)] for i in range(n)]
+    norms = [Fraction(dets[j + 1], dets[j]) for j in range(n)]
     t = solve_columns(reduced, y)
 
     def dist_sq(coeffs) -> Fraction:
@@ -223,6 +230,47 @@ class TestLLL:
                         vsq = sum(x * x for x in vec)
                         best = vsq if best is None else min(best, vsq)
             assert b1_sq <= 2 ** (n - 1) * best
+
+
+    def test_ties_round_away_from_zero(self):
+        # mu = +-1/2 exactly: nearest_int rounds away from zero, so both
+        # bases are size-reduced once more; half-up rounding would leave
+        # the first one alone
+        assert lll_reduce([[2, 0], [1, 5]]) == ([[2, 0], [-1, 5]], [[1, 0], [-1, 1]])
+        assert lll_reduce([[2, 0], [-1, 5]]) == ([[2, 0], [1, 5]], [[1, 0], [1, 1]])
+
+
+class TestVerifier:
+    """verify_lll_reduced must name each failed postcondition."""
+
+    IDENTITY = [[1, 0], [0, 1]]
+
+    def check(self, reduced, columns=None, transform=IDENTITY):
+        return verify_lll_reduced(columns or reduced, reduced, transform)
+
+    def test_wrong_image(self):
+        got = self.check([[2, 0], [1, 6]], columns=[[2, 0], [1, 5]])
+        assert got == ["column 1 is not the transform image"]
+
+    def test_transform_not_unimodular(self):
+        got = self.check([[1, 0], [0, 2]], [[1, 0], [0, 1]], [[1, 0], [0, 2]])
+        assert got == ["transform is not unimodular"]
+
+    def test_dependent_columns(self):
+        assert self.check([[2, 0], [4, 0]]) == ["reduced columns are dependent"]
+
+    def test_size_reduction_failure(self):
+        # mu_10 = 1
+        assert self.check([[2, 0], [2, 5]]) == ["size reduction fails at (1,0)"]
+
+    def test_exchange_failure(self):
+        # ||b*_1||^2 = 4 < 3/4 * 25
+        assert self.check([[0, 5], [2, 0]]) == ["exchange condition fails at column 1"]
+
+    def test_boundaries_accepted(self):
+        # |mu_10| = 1/2 exactly, and Lovasz with equality: 3 = 3/4 * 4
+        assert self.check([[2, 0], [1, 5]]) == []
+        assert self.check([[2, 0, 0, 0], [0, 1, 1, 1]]) == []
 
 
 class TestDistanceLemma:
