@@ -9,6 +9,7 @@ upper bound for the exponent of any solution.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,12 +60,19 @@ def matveev_c9(inp: BoundInput, prec: int = DEFAULT_PREC) -> Fraction:
     return round_sig(chain.hi, 4, "up")
 
 
-def _collides(inp: BoundInput, c9: Fraction, n: int, prec: int) -> bool:
-    """Certified check that exponent n is already impossible."""
-    lhs = Ball(n, prec) * Ball(inp.p, prec).log() / inp.d - Ball(inp.c3, prec).log()
-    big_b = inp.rank * inp.d * (inp.c7 * n + inp.c8)
-    rhs = Ball(c9, prec) * (1 + Ball(big_b, prec).log())
-    return lhs.gt(rhs)
+def _collision_test(inp: BoundInput, c9: Fraction, prec: int) -> Callable[[int], bool]:
+    """Certified check that exponent n is already impossible, as a function
+    of n; the Balls that do not depend on n are built once."""
+    log_p, log_c3 = Ball(inp.p, prec).log(), Ball(inp.c3, prec).log()
+    c9_ball = Ball(c9, prec)
+
+    def collides(n: int) -> bool:
+        lhs = Ball(n, prec) * log_p / inp.d - log_c3
+        big_b = inp.rank * inp.d * (inp.c7 * n + inp.c8)
+        rhs = c9_ball * (1 + Ball(big_b, prec).log())
+        return lhs.gt(rhs)
+
+    return collides
 
 
 def absolute_bound(inp: BoundInput, prec: int = DEFAULT_PREC) -> int:
@@ -85,14 +93,15 @@ def absolute_bound(inp: BoundInput, prec: int = DEFAULT_PREC) -> int:
     n_star = (Ball(c9, prec) * inp.c7 * inp.d / log_p - inp.c8) / inp.c7
     lo = max(int(n_star.hi) + 2, 2)
 
+    collides = _collision_test(inp, c9, prec)
     hi = lo
-    while not _collides(inp, c9, hi, prec):
+    while not collides(hi):
         hi *= 2
         if hi > lo * 2 ** 64:
             raise ArithmeticError("no collision found; constants look wrong")
     while lo < hi:
         mid = (lo + hi) // 2
-        if _collides(inp, c9, mid, prec):
+        if collides(mid):
             hi = mid
         else:
             lo = mid + 1

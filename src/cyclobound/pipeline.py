@@ -20,7 +20,7 @@ from functools import cached_property
 
 from .matveev import BoundInput, absolute_bound, matveev_c9
 from .numberfield import CaseConfig, VerificationReport, get_case, verify_case_data
-from .padic import PAdicRoot, combined_lower_bound
+from .padic import PAdicRoot, _eval_mod, combined_lower_bound
 from .polyarith import IntPoly, poly_eval
 from .realalg import DEFAULT_PREC, CaseConstants, ConjugateData, compute_constants
 from .reduction import ReductionReport, reduction_loop
@@ -28,6 +28,10 @@ from .reduction import ReductionReport, reduction_loop
 # direct search always covers at least this many exponents, so the digit
 # windows of everything above it are nonempty
 SEARCH_FLOOR = 500
+# the moduli of the direct search's congruence sieve on n; 2 is left out
+# because it excludes nothing when every f(x) is even, as Phi_m(x) + 1 is
+# for every m that is not a power of 2
+SIEVE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
 
 
 def _iroot(t: int, d: int) -> int:
@@ -59,27 +63,50 @@ def _iroot(t: int, d: int) -> int:
     return x
 
 
+def _sieve(f: IntPoly, p: int, n_max: int) -> list[int]:
+    """The exponents 1 <= n <= n_max that pass the test mod every q in
+    SIEVE_PRIMES: 2*p^n mod q is a value of f mod q.
+
+    n -> 2*p^n mod q is periodic with period ord_q(p) when q does not
+    divide p, so one period of it marks every excluded class of n.
+    """
+    alive = bytearray([0]) + bytearray([1]) * n_max
+    for q in SIEVE_PRIMES:
+        if p % q == 0:
+            continue
+        values = {_eval_mod(f, x, q) for x in range(q)}
+        residues, u = [], 1  # 2*p^n mod q for n = 1 .. ord_q(p)
+        while not residues or u != 1:
+            u = u * p % q
+            residues.append(2 * u % q)
+        step = len(residues)
+        for n, t in enumerate(residues, 1):
+            if t not in values:
+                alive[n::step] = bytes(len(alive[n::step]))
+    return [n for n in range(1, n_max + 1) if alive[n]]
+
+
 def direct_search(f: IntPoly, p: int, n_max: int) -> list[tuple[int, int]]:
     """All integer solutions of f(x) = 2*p^n with 1 <= n <= n_max.
 
-    For |x| >= 2 the growth envelope pins |x| within 1 of (2*p^n)^(1/d),
-    so per exponent only a handful of candidates need testing; |x| <= 2 is
-    tested unconditionally.  A candidate is evaluated in full only when
-    f(x mod p) = 0 mod p: a solution has n >= 1, so p divides f(x), and
-    f(x) = f(x mod p) mod p, so the prefilter drops no solution.
+    A solution makes f(x mod q) = 2*p^n mod q for every prime q, so an
+    exponent whose 2*p^n mod q is no value of f mod q has no solution at
+    all; _sieve drops those, which is exact.  For each surviving exponent
+    and |x| >= 2 the growth envelope pins |x| within 1 of (2*p^n)^(1/d),
+    so only a handful of candidates need testing, each in full; |x| <= 2
+    is tested unconditionally.
     """
     d = f.degree()
     out = []
-    target = 2
-    for n in range(1, n_max + 1):
-        target *= p
+    for n in _sieve(f, p, n_max):
+        target = 2 * p**n
         x0 = _iroot(target, d)
         candidates = {-2, -1, 0, 1, 2}
         for base in (x0 - 1, x0, x0 + 1):
             candidates.add(base)
             candidates.add(-base)
         for x in candidates:
-            if poly_eval(f, x % p) % p == 0 and poly_eval(f, x) == target:
+            if poly_eval(f, x) == target:
                 out.append((n, x))
     return sorted(out)
 

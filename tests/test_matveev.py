@@ -9,7 +9,7 @@ from cyclobound.matveev import (
     absolute_bound,
     inequality_coefficients,
     matveev_c9,
-    _collides,
+    _collision_test,
 )
 from cyclobound.realalg import DEFAULT_PREC
 
@@ -64,17 +64,19 @@ class TestAbsoluteBound:
     def test_least_certified_collision(self, chains):
         # N collides, N-1 does not: the bisection returned the least point
         for ch in chains.values():
-            assert _collides(ch.bound_input, ch.c9, ch.abs_bound, DEFAULT_PREC)
-            assert not _collides(ch.bound_input, ch.c9, ch.abs_bound - 1, DEFAULT_PREC)
+            collides = _collision_test(ch.bound_input, ch.c9, DEFAULT_PREC)
+            assert collides(ch.abs_bound)
+            assert not collides(ch.abs_bound - 1)
 
     def test_collision_persists_past_bound(self, chains):
         for ch in chains.values():
+            collides = _collision_test(ch.bound_input, ch.c9, DEFAULT_PREC)
             for n in (ch.abs_bound + 1, ch.abs_bound + 1000, 2 * ch.abs_bound):
-                assert _collides(ch.bound_input, ch.c9, n, DEFAULT_PREC)
+                assert collides(n)
 
     def test_small_exponents_do_not_collide(self, chains):
         ch = chains["15-41"]
-        assert not _collides(ch.bound_input, ch.c9, 1000, DEFAULT_PREC)
+        assert not _collision_test(ch.bound_input, ch.c9, DEFAULT_PREC)(1000)
 
     def test_rejects_small_unit_slope(self):
         bad = BoundInput(

@@ -50,14 +50,22 @@ def reference_hensel_lift(f, p, r0, depth):
     return PAdicRoot(p, tuple(digits))
 
 
+def reference_roots_mod_p(f, p):
+    """All roots of f mod p, by exhaustive scan of the p residues."""
+    return [r for r in range(p) if poly_eval(f, r) % p == 0]
+
+
+def is_prime(n):
+    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+
 def seeded_primes(f, count, rng):
     """Primes below 1000 where f has a simple root, drawn from rng."""
     disc = discriminant(f)
     out = []
     while len(out) < count:
         p = rng.randrange(50, 1000)
-        is_prime = all(p % q for q in range(2, math.isqrt(p) + 1))
-        if is_prime and disc % p and roots_mod_p(f, p):
+        if is_prime(p) and disc % p and roots_mod_p(f, p):
             out.append(p)
     return out
 
@@ -70,6 +78,36 @@ class TestRootsModP:
 
     def test_rootless_polynomial(self):
         assert roots_mod_p(IntPoly(1, 0, 1), 7) == []
+
+    def test_matches_reference_on_case_polynomials(self):
+        primes = [p for p in range(2, 2000) if is_prime(p)]
+        for cid in ("15-41", "10-271"):
+            f = get_case(cid).f
+            for p in primes:
+                assert roots_mod_p(f, p) == reference_roots_mod_p(f, p), (cid, p)
+
+    @pytest.mark.parametrize(
+        "f, p",
+        [
+            (IntPoly(1, 1, 1), 2),  # no root mod 2
+            (IntPoly(0, 1, 1), 2),  # both residues
+            (IntPoly(1, 0, 1), 2),  # (x + 1)^2
+            (IntPoly(0, -1, 0, 1), 3),  # x^3 - x: every residue
+            (IntPoly(2, 1, 1), 3),
+            (IntPoly(4, -4, 1), 7),  # (x - 2)^2, a repeated root
+            (IntPoly(4, -4, 1), 2),  # x^2 mod 2
+            (IntPoly(1, 1, 7), 7),  # leading coefficient divisible by p
+            (IntPoly(5, 7, 7), 7),  # ... leaving a nonzero constant
+            (IntPoly(13, 26, 0, 13), 13),  # f = 0 mod p
+            (IntPoly(0, -1, 0, 0, 0, 0, 0, 0, 0, 1), 5),  # x^9 - x, a multiple of x^5 - x
+        ],
+    )
+    def test_matches_reference_on_toys(self, f, p):
+        assert roots_mod_p(f, p) == reference_roots_mod_p(f, p)
+
+    def test_refuses_composite_modulus(self):
+        with pytest.raises(ValueError, match="p = 9 is not prime"):
+            roots_mod_p(get_case("10-271").f, 9)
 
 
 class TestHenselLift:

@@ -1,6 +1,7 @@
 """End-to-end solve runs, the direct search, and the command line."""
 
 import json
+import math
 import random
 
 import pytest
@@ -45,8 +46,18 @@ def reference_iroot(t, d):
     return x
 
 
+def seeded_primes(count, rng):
+    """Primes below 20,000, drawn from rng."""
+    out = []
+    while len(out) < count:
+        p = rng.randrange(100, 20_000)
+        if all(p % q for q in range(2, math.isqrt(p) + 1)):
+            out.append(p)
+    return out
+
+
 def reference_direct_search(f, p, n_max):
-    """The sweep without the mod-p prefilter: every candidate in full."""
+    """The sweep without any sieve: every candidate of every exponent in full."""
     d = f.degree()
     out = []
     for n in range(1, n_max + 1):
@@ -118,17 +129,41 @@ class TestDirectSearch:
     def test_matches_reference_where_solutions_exist(self):
         # (10, 3) and (10, 31) have the solutions (1, -1) and (1, 3); the
         # toy x^2 + 2 = 2*3^n has (1, +-2) at |x| <= 2, (2, +-4) and (5, +-22);
-        # x^3 - x + 6 = 2*3^n (odd degree, Newton root) has (1, 0), (1, +-1)
+        # x^3 - x + 6 = 2*3^n (odd degree, Newton root) has (1, 0), (1, +-1);
+        # x^2 + 2 = 2*9^n has (1, +-4), with the sieve prime 3 dividing p
         f10 = get_case("10-271").f
         for f, p, n_max in (
             (f10, 3, 200),
             (f10, 31, 200),
             (IntPoly(2, 0, 1), 3, 60),
             (IntPoly(6, -1, 0, 1), 3, 60),
+            (IntPoly(2, 0, 1), 9, 40),
         ):
             expected = reference_direct_search(f, p, n_max)
             assert expected
             assert direct_search(f, p, n_max) == expected
+        # and seeded primes below 20,000, where the sieve removes most exponents
+        rng = random.Random(70001)
+        for f in (f10, get_case("15-41").f):
+            for p in seeded_primes(3, rng):
+                assert direct_search(f, p, 300) == reference_direct_search(f, p, 300), p
+
+    def test_sieve_leaves_few_roots_to_take(self, monkeypatch):
+        # every exponent up to SEARCH_FLOOR of 15-5581 fails a congruence,
+        # so no root is taken; 15-41 keeps 2 exponents and 10-271 keeps 4
+        calls = []
+        iroot = pipeline._iroot
+
+        def counting_iroot(t, d):
+            calls.append(d)
+            return iroot(t, d)
+
+        monkeypatch.setattr(pipeline, "_iroot", counting_iroot)
+        for cid, expected in (("15-41", 2), ("15-5581", 0), ("10-271", 4)):
+            cfg = get_case(cid)
+            calls.clear()
+            assert direct_search(cfg.f, cfg.p, SEARCH_FLOOR) == []
+            assert len(calls) == expected, cid
 
     def test_matches_brute_force_on_builtin_prefix(self):
         cfg = get_case("10-271")
@@ -342,6 +377,16 @@ class TestCLI:
         path.write_text(json.dumps(raw))
         assert main(["solve", "--config", str(path)]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["scan", "bound", "reduce"])
+    def test_composite_p_is_usage_error(self, tmp_path, capsys, command):
+        # Hensel uniqueness needs a field, so no floor is proved mod 9
+        raw = case_to_dict(get_case("10-271"))
+        raw["p"] = 9
+        path = tmp_path / "composite.json"
+        path.write_text(json.dumps(raw))
+        assert main([command, "--config", str(path)]) == 2
+        assert "p = 9 is not prime" in capsys.readouterr().err
 
     def test_reduce_reports_failed_stage(self, capsys):
         argv = ["--case", "10-271", "--precision-bits", "8"]
