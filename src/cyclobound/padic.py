@@ -127,11 +127,12 @@ def roots_mod_p(f: IntPoly, p: int) -> list[int]:
     f mod p, each a simple root of g.  x^p is reduced mod f by
     square-and-multiply, and g is split into its linear factors.  When
     g = x^p - x (f mod p is zero, or divisible by x^p - x) every residue
-    is a root.  A composite p is refused: Z/p is then no field, Hensel
-    lifts need not be unique, and a floor built on them is not proved.
+    is a root.  A p not proved prime is refused: if Z/p is no field,
+    Hensel lifts need not be unique and a floor built on them is not
+    proved.
     """
     if not _is_prime(p):
-        raise ValueError(f"p = {p} is not prime; roots mod p need a field")
+        raise ValueError(f"p = {p} is not a proven prime; roots mod p need a field")
     fp = _fp_trim([c % p for c in f.coeffs])
     if not fp:
         return list(range(p))

@@ -106,7 +106,7 @@ class TestRootsModP:
         assert roots_mod_p(f, p) == reference_roots_mod_p(f, p)
 
     def test_refuses_composite_modulus(self):
-        with pytest.raises(ValueError, match="p = 9 is not prime"):
+        with pytest.raises(ValueError, match="p = 9 is not a proven prime"):
             roots_mod_p(get_case("10-271").f, 9)
 
 

@@ -386,7 +386,7 @@ class TestCLI:
         path = tmp_path / "composite.json"
         path.write_text(json.dumps(raw))
         assert main([command, "--config", str(path)]) == 2
-        assert "p = 9 is not prime" in capsys.readouterr().err
+        assert "p = 9 is not a proven prime" in capsys.readouterr().err
 
     def test_reduce_reports_failed_stage(self, capsys):
         argv = ["--case", "10-271", "--precision-bits", "8"]
