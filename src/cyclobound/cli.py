@@ -95,7 +95,7 @@ def _collect_cases(args) -> list:
     return builtin + [load_case_config(path) for path in args.config or []]
 
 
-def _run(args, command) -> int:
+def _run(args, cases, command) -> int:
     """Run one subcommand over the requested cases.
 
     command(chain, args) prints the text output and returns (JSON entry,
@@ -104,7 +104,7 @@ def _run(args, command) -> int:
     """
     payload = []
     ok = True
-    for cfg in _collect_cases(args):
+    for cfg in cases:
         chain = ProofChain(cfg, args.depth, args.precision_bits, args.scale)
         try:
             entry, case_ok = command(chain, args)
@@ -225,10 +225,11 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _run(args, _COMMANDS[args.command])
+        cases = _collect_cases(args)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    return _run(args, cases, _COMMANDS[args.command])
 
 
 if __name__ == "__main__":

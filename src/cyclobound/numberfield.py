@@ -413,12 +413,19 @@ def get_case(case_id: str) -> CaseConfig:
 
 
 def load_case_config(path: str) -> CaseConfig:
-    """Load a case definition from a JSON file (schema in the module docstring)."""
+    """Load a case definition from a JSON file (schema in the module docstring).
+
+    Malformed data, or a p that _is_prime cannot prove prime, raises
+    ValueError.
+    """
     with open(path) as fh:
         raw = json.load(fh)
     if "case_id" not in raw:
         raise ValueError("case file missing field 'case_id'")
-    return _config_from_dict(str(raw["case_id"]), raw)
+    cfg = _config_from_dict(str(raw["case_id"]), raw)
+    if not _is_prime(cfg.p):
+        raise ValueError(f"case {cfg.case_id}: p = {cfg.p} is not a proven prime")
+    return cfg
 
 
 def case_to_dict(cfg: CaseConfig) -> dict:

@@ -3,21 +3,22 @@
 Every archimedean quantity in the bound chain is carried as a Ball, an
 interval held as a pair of mpf endpoints that mpmath's libmpi operates on
 with outward rounding, so comparisons and rounded constants are proved
-rather than sampled.  Polynomial roots are located with mpmath
-and then certified independently through interval arithmetic.  Constants
-are rounded to four significant digits in a fixed direction, and each one
-is checked against its enclosure in the direction that keeps it a valid
-bound; a failed check raises instead of weakening the result.
+rather than sampled.  Polynomial roots are located by Durand-Kerner in
+machine floats, polished by Newton in integer fixed point, and then
+certified independently in rational arithmetic.  Constants are rounded to
+four significant digits in a fixed direction, and each one is checked
+against its enclosure in the direction that keeps it a valid bound; a
+failed check raises instead of weakening the result.
 """
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 from mpmath import libmp
 
 from .numberfield import CaseConfig, FieldElement, charpoly, nf_inverse, nf_mul, nf_pow
@@ -264,15 +265,20 @@ class ComplexBall:
 # directed decimal rounding
 
 
+def round_div(n: int, d: int) -> int:
+    """n / d rounded to the nearest integer, ties away from zero; d > 0.
+
+    >>> [round_div(n, 2) for n in (-3, -1, 1, 3, 4)]
+    [-2, -1, 1, 2, 2]
+    """
+    if n >= 0:
+        return (2 * n + d) // (2 * d)
+    return -((d - 2 * n) // (2 * d))
+
+
 def nearest_int(x: Fraction) -> int:
     """Nearest integer, ties away from zero."""
-    f = math.floor(x)
-    rem = x - f
-    if rem > Fraction(1, 2):
-        return f + 1
-    if rem < Fraction(1, 2):
-        return f
-    return f + 1 if x > 0 else f
+    return round_div(x.numerator, x.denominator)
 
 
 def _dec_exp(a: Fraction) -> int:
@@ -326,30 +332,23 @@ def certified_roots(f: IntPoly, prec: int = DEFAULT_PREC) -> list[ComplexBall]:
     Returns the d/2 roots with positive imaginary part ordered by
     decreasing real part, followed by their conjugates in the same order.
 
-    Candidate centers come from mpmath; the certificate is separate.  With
-    w_i = f(z_i) / prod_{j != i} (z_i - z_j) computed exactly, the union of
-    the discs |z - z_i| <= d*|w_i| contains every root of f, and when the
-    discs are pairwise disjoint each disc contains exactly one.
+    Candidate centres come from _root_centres; the certificate is
+    separate.  With w_i = f(z_i) / prod_{j != i} (z_i - z_j) computed
+    exactly, the union of the discs |z - z_i| <= d*|w_i| contains every
+    root of f, and when the discs are pairwise disjoint each disc contains
+    exactly one.
     """
     d = f.degree()
     if d < 2 or d % 2 != 0 or f.lc() != 1:
         raise ValueError("monic polynomial of even degree >= 2 required")
     coeffs_desc = [int(c) for c in reversed(f.coeffs)]
+    starts, scale = _float_roots(coeffs_desc)
     work = max(prec, 64)
     for _ in range(8):
-        try:
-            with mpmath.workprec(work):
-                found = mpmath.polyroots(coeffs_desc, maxsteps=200, extraprec=work)
-                found = [mpmath.mpc(z) for z in found]
-        except libmp.NoConvergence:
+        upper = _root_centres(coeffs_desc, starts, scale, work)
+        if upper is None:
             work *= 2
             continue
-        upper = []
-        for z in found:
-            re = _endpoint_fraction(z.real._mpf_)
-            im = _endpoint_fraction(z.imag._mpf_)
-            if im > 0:
-                upper.append((re, im))
         if len(upper) != d // 2:
             raise ValueError("polynomial appears to have a real root")
         upper.sort(key=lambda t: t[0], reverse=True)
@@ -360,62 +359,180 @@ def certified_roots(f: IntPoly, prec: int = DEFAULT_PREC) -> list[ComplexBall]:
     raise ArithmeticError("root certification did not converge")
 
 
+def _float_roots(coeffs_desc):
+    """Every root of a monic polynomial, roughly: (roots / 2^scale, scale).
+
+    Durand-Kerner (at most 500 sweeps) in machine complex numbers, on the
+    polynomial rescaled by a power of two 2^scale at or above Fujiwara's
+    bound 2 max |a_k|^(1/k), so that its roots lie in the unit disc and its
+    coefficients in float range.  These are only starting points for
+    _root_centres.
+    """
+    d = len(coeffs_desc) - 1
+    scale = 1 + max(
+        -(-abs(c).bit_length() // k) for k, c in enumerate(coeffs_desc[1:], 1)
+    )
+    coeffs = [float(Fraction(c, 1 << (scale * k))) for k, c in enumerate(coeffs_desc)]
+    roots = [(0.4 + 0.9j) ** k for k in range(d)]
+    for _ in range(500):
+        moved = 0.0
+        for i, z in enumerate(roots):
+            num = 0j
+            for c in coeffs:
+                num = num * z + c
+            den = 1 + 0j
+            for j, w in enumerate(roots):
+                if j != i:
+                    den *= z - w
+            if den:
+                step = num / den
+                roots[i] = z - step
+                moved = max(moved, abs(step))
+        if moved < 2.0 ** -50:
+            break
+    return roots, scale
+
+
+def _newton_step(coeffs_desc, x: int, y: int, shift: int):
+    """Newton correction f(z)/f'(z) at z = (x + iy) / 2^shift, same scale.
+
+    Fixed point: every product is floored back to 2^-shift, so the step is
+    accurate to a few units of 2^-shift.  None when f'(z) rounds to 0.
+    """
+    pr, pi = 1 << shift, 0
+    dr = di = 0
+    for c in coeffs_desc[1:]:
+        dr, di = ((dr * x - di * y) >> shift) + pr, ((dr * y + di * x) >> shift) + pi
+        pr, pi = ((pr * x - pi * y) >> shift) + (c << shift), (pr * y + pi * x) >> shift
+    den = dr * dr + di * di
+    if den == 0:
+        return None
+    return ((pr * dr + pi * di) << shift) // den, ((pi * dr - pr * di) << shift) // den
+
+
+def _polish(coeffs_desc, z: complex, scale: int, bits: int):
+    """Newton from the start z * 2^scale to a root within about 2^-bits of
+    its size, doubling the precision per step: (x, y, shift), the root
+    being (x + iy) / 2^shift.  None if Newton does not settle within 64
+    steps, or the start is not finite."""
+    if not cmath.isfinite(z):
+        return None
+    size = math.frexp(abs(z))[1] + scale
+    prec = min(106, bits)
+    shift = max(prec - size, 0)
+    x, y = (
+        (n << (scale + shift)) // den
+        for n, den in (z.real.as_integer_ratio(), z.imag.as_integer_ratio())
+    )
+    for _ in range(64):
+        step = _newton_step(coeffs_desc, x, y, shift)
+        if step is None:
+            return None
+        x, y = x - step[0], y - step[1]
+        if prec == bits:
+            moved = max(abs(step[0]), abs(step[1])).bit_length() - shift
+            if moved <= size - bits // 2:
+                return x, y, shift
+        prec = min(2 * prec, bits)
+        new_shift = max(prec - size, shift)
+        x <<= new_shift - shift
+        y <<= new_shift - shift
+        shift = new_shift
+    return None
+
+
+def _root_centres(coeffs_desc, starts, scale: int, work: int):
+    """Centres of the roots in the upper half plane, or None.
+
+    Each start with positive imaginary part is polished by Newton to about
+    2*work + 20 bits and rounded to nearest at work bits, part by part; a
+    part below 2^(1 - work) in size is taken as 0, so a root with such an
+    imaginary part counts as real.  None if some start does not settle.
+    """
+    out = []
+    for z in starts:
+        if z.imag <= 0:
+            continue
+        got = _polish(coeffs_desc, z, scale, 2 * work + 20)
+        if got is None:
+            return None
+        x, y, shift = got
+        parts = []
+        for v in (x, y):
+            if abs(v) << work < 2 << shift:
+                parts.append(Fraction(0))
+            else:
+                raw = libmp.from_man_exp(v, -shift, work, libmp.round_nearest)
+                parts.append(_endpoint_fraction(raw))
+        if parts[1] > 0:
+            out.append(tuple(parts))
+    return out
+
+
 def _certify_roots(f, upper, work):
+    """Enclosures of the roots from candidate centres, or None.
+
+    The disc test of certified_roots, in exact integers: with L a common
+    denominator of the centres, f(z_i) * L^d and the product of the
+    (z_i - z_j)(z_i - conj z_j) times L^(d-1) are Gaussian integers, and
+    each squared radius d^2 |w_i|^2 is held as a fraction A_i / B_i.
+    """
     d = f.degree()
     half = d // 2
     prec = work + 32
+    scale = math.lcm(*(t.denominator for z in upper for t in z))
+    pts = [(int(x * scale), int(y * scale)) for x, y in upper]
 
     def cmul(a, b):
         return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
-    def ceval(z):
-        acc = (Fraction(f.coeffs[-1]), Fraction(0))
+    rad = []
+    for i, (x, y) in enumerate(pts):
+        num = (f.coeffs[-1], 0)
+        power = 1
         for c in reversed(f.coeffs[:-1]):
-            acc = cmul(acc, z)
-            acc = (acc[0] + c, acc[1])
-        return acc
-
-    rad_sq = []
-    for i in range(half):
-        zi = upper[i]
-        num = ceval(zi)
-        den = (Fraction(1), Fraction(0))
-        for j in range(half):
-            zj = upper[j]
+            power *= scale
+            num = cmul(num, (x, y))
+            num = (num[0] + c * power, num[1])
+        den = (1, 0)
+        for j, (xj, yj) in enumerate(pts):
             if j != i:
-                den = cmul(den, (zi[0] - zj[0], zi[1] - zj[1]))
-            den = cmul(den, (zi[0] - zj[0], zi[1] + zj[1]))
-        w_sq = (num[0] ** 2 + num[1] ** 2) / (den[0] ** 2 + den[1] ** 2)
-        rad_sq.append(d * d * w_sq)
+                den = cmul(den, (x - xj, y - yj))
+            den = cmul(den, (x - xj, y + yj))
+        # a repeated centre makes B_i = 0, which every test below refuses
+        b = (den[0] ** 2 + den[1] ** 2) * scale * scale
+        rad.append((d * d * (num[0] ** 2 + num[1] ** 2), b))
 
     def separated(dx, dy, i, j):
         # dist > r_i + r_j, certified via dist^2 > 2*(r_i^2 + r_j^2)
-        return dx * dx + dy * dy > 2 * (rad_sq[i] + rad_sq[j])
+        (ai, bi), (aj, bj) = rad[i], rad[j]
+        return (dx * dx + dy * dy) * bi * bj > 2 * scale * scale * (ai * bj + aj * bi)
 
     for i in range(half):
-        xi, yi = upper[i]
-        if yi <= 0 or yi * yi <= rad_sq[i]:
+        xi, yi = pts[i]
+        a, b = rad[i]
+        if yi <= 0 or yi * yi * b <= a * scale * scale:
             return None
         for j in range(i + 1, half):
-            xj, yj = upper[j]
+            xj, yj = pts[j]
             if not separated(xi - xj, yi - yj, i, j):
                 return None
         for j in range(half):
-            xj, yj = upper[j]
+            xj, yj = pts[j]
             if i == j:
                 continue
             if not separated(xi - xj, yi + yj, i, j):
                 return None
     for i in range(half - 1):
-        xi, yi = upper[i]
-        xj, yj = upper[i + 1]
-        if xi <= xj or not separated(xi - xj, Fraction(0), i, i + 1):
+        xi, yi = pts[i]
+        xj, yj = pts[i + 1]
+        if xi <= xj or not separated(xi - xj, 0, i, i + 1):
             return None
 
     out = []
     for i in range(half):
         x, y = upper[i]
-        r = _sqrt_upper(rad_sq[i], prec)
+        r = _sqrt_upper(Fraction(*rad[i]), prec)
         out.append(
             ComplexBall(
                 Ball.from_endpoints(x - r, x + r, prec),
@@ -448,6 +565,11 @@ class ConjugateData:
     @property
     def d(self) -> int:
         return self.cfg.d
+
+    @functools.cached_property
+    def etas(self):
+        """case_etas(cfg), computed once for every stage that embeds them."""
+        return case_etas(self.cfg)
 
     def embed(self, elem: FieldElement, i: int) -> ComplexBall:
         """Enclosure of the image of elem under embedding i."""
@@ -732,7 +854,7 @@ def compute_constants(
             best_b = ball_max(best_b, term)
         return ball_max(best_b, Ball(Fraction(4, 25), prec))
 
-    eta1, eta2, _ = case_etas(cfg)
+    eta1, eta2, _ = conj.etas
     a0_eta1 = tuple(charpoly(e, f).lc() for e in eta1)
     a0_eta2 = tuple(charpoly(e, f).lc() for e in eta2)
     a_values = (

@@ -26,8 +26,8 @@ from .realalg import (
     Ball,
     CaseConstants,
     ConjugateData,
-    case_etas,
     nearest_int,
+    round_div,
 )
 
 # largest tolerated K * radius of any log enclosure
@@ -86,7 +86,7 @@ def lll_reduce(columns):
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
-            q = nearest_int(Fraction(lam[k][j], d[j + 1]))
+            q = round_div(lam[k][j], d[j + 1])
             if q:
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
                 u[k] = [x - q * y for x, y in zip(u[k], u[j])]
@@ -177,12 +177,12 @@ class _GammaLogs:
 
     lam1[di][j] covers log|2/delta^d| at embedding j for delta di,
     lam2[j] covers log|p/gamma^d|, and lam_units[t][j] covers
-    -d*log|unit_t| (the sign the exponent vector carries).  etas is
-    case_etas(cfg), computed once per round by the caller.
+    -d*log|unit_t| (the sign the exponent vector carries), for the etas
+    of conj (computed once per ConjugateData).
     """
 
-    def __init__(self, conj: ConjugateData, etas, gamma_index: int):
-        eta1, eta2, units = etas
+    def __init__(self, conj: ConjugateData, gamma_index: int):
+        eta1, eta2, units = conj.etas
         d = conj.d
         half = d // 2
         self.lam1 = [
@@ -400,9 +400,8 @@ def reduce_case_bound(
     attempts: list[ReductionAttempt] = []
     branch_bounds: list[int] = []
     all_ok = True
-    etas = case_etas(cfg)
     for gi in range(len(cfg.norm_p_gammas)):
-        logs = _GammaLogs(conj, etas, gi)
+        logs = _GammaLogs(conj, gi)
         default = cfg.default_conjugate_choice[gi]
         others = itertools.combinations(range(1, cfg.d // 2 + 1), cc.rank - 2)
         choices = [default] + [c for c in others if c != default]

@@ -382,6 +382,15 @@ class TestCaseData:
             c.name == "unit 1 has norm +-1" and not c.ok for c in report.checks
         )
 
+    def test_unproved_p_rejected_at_load(self, tmp_path):
+        for p in (9, PSP_37):
+            raw = case_to_dict(get_case("10-271"))
+            raw["p"] = p
+            path = tmp_path / "composite.json"
+            path.write_text(json.dumps(raw))
+            with pytest.raises(ValueError, match=f"p = {p} is not a proven prime"):
+                load_case_config(str(path))
+
     def test_missing_case_id_rejected(self, tmp_path):
         raw = case_to_dict(get_case("10-271"))
         del raw["case_id"]

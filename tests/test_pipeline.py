@@ -302,6 +302,16 @@ class TestCLI:
         with pytest.raises(KeyError, match="internal"):
             main(["scan", "--case", "10-271"])
 
+    def test_stage_value_error_is_not_a_usage_error(self, monkeypatch):
+        # only argument and case-file validation may turn a ValueError
+        # into exit 2; one from a bug inside a stage must surface
+        def broken(*args):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr(pipeline, "combined_lower_bound", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            main(["scan", "--case", "10-271"])
+
     @pytest.mark.parametrize(
         "path, field",
         [
@@ -378,9 +388,10 @@ class TestCLI:
         assert main(["solve", "--config", str(path)]) == 2
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["scan", "bound", "reduce"])
+    @pytest.mark.parametrize("command", ["verify", "scan", "bound", "reduce", "solve"])
     def test_composite_p_is_usage_error(self, tmp_path, capsys, command):
-        # Hensel uniqueness needs a field, so no floor is proved mod 9
+        # Hensel uniqueness needs a field, so no floor is proved mod 9; the
+        # loader refuses the file before any command runs
         raw = case_to_dict(get_case("10-271"))
         raw["p"] = 9
         path = tmp_path / "composite.json"

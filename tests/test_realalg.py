@@ -33,6 +33,7 @@ from cyclobound.realalg import (
     log_height,
     nearest_int,
     regulator,
+    round_div,
     round_sig,
 )
 from cyclobound.reduction import _GammaLogs
@@ -473,10 +474,9 @@ def _digest(text: str) -> str:
 
 
 def _gamma_logs_digest(chain) -> str:
-    etas = case_etas(chain.cfg)
     out = []
     for gi in range(len(chain.cfg.norm_p_gammas)):
-        logs = _GammaLogs(chain.conj, etas, gi)
+        logs = _GammaLogs(chain.conj, gi)
         for b in logs.lam2 + [b for row in logs.lam1 + logs.lam_units for b in row]:
             out.append(f"{b.lo}:{b.hi}")
         out.append(str(logs.max_rad))
@@ -512,6 +512,39 @@ def test_enclosures_match_pinned_digests(chains):
         chain = chains[cid] if prec == 256 else ProofChain(cid, precision_bits=prec)
         assert _gamma_logs_digest(chain) == logs_digest, (cid, prec)
         assert _digest(repr(chain.constants)) == constants_digest, (cid, prec)
+
+
+def reference_nearest_int(x: Fraction) -> int:
+    """Nearest integer, ties away from zero, decided by Fraction comparisons
+    (the rule LLL and nearest_int used before round_div)."""
+    f = math.floor(x)
+    rem = x - f
+    if rem > Fraction(1, 2):
+        return f + 1
+    if rem < Fraction(1, 2):
+        return f
+    return f + 1 if x > 0 else f
+
+
+class TestRoundDiv:
+    def test_matches_reference(self):
+        rng = random.Random(45)
+        for _ in range(20000):
+            n = rng.randint(-(10 ** rng.randint(0, 45)), 10 ** rng.randint(0, 45))
+            d = rng.randint(1, 10 ** rng.randint(0, 45))
+            want = reference_nearest_int(Fraction(n, d))
+            assert round_div(n, d) == want, (n, d)
+            assert nearest_int(Fraction(n, d)) == want, (n, d)
+
+    def test_exact_halves_round_away_from_zero(self):
+        rng = random.Random(46)
+        for _ in range(5000):
+            q = rng.randint(0, 10 ** rng.randint(0, 45))
+            k = rng.randint(1, 10 ** rng.randint(0, 45))
+            # n / d = +-(q + 1/2) exactly
+            for n, want in (((2 * q + 1) * k, q + 1), (-(2 * q + 1) * k, -q - 1)):
+                assert round_div(n, 2 * k) == want, (n, k)
+                assert reference_nearest_int(Fraction(n, 2 * k)) == want
 
 
 class TestRounding:
@@ -616,6 +649,190 @@ class TestCertifiedRoots:
         assert len(roots) == 4
         for z in roots:
             assert z.re.rad < Fraction(1, 10**9)
+
+
+def reference_root_centres(f, work: int):
+    """The centres certified_roots took from mpmath.polyroots at work bits:
+    the roots with positive imaginary part, by decreasing real part."""
+    coeffs_desc = [int(c) for c in reversed(f.coeffs)]
+    with mpmath.workprec(work):
+        found = mpmath.polyroots(coeffs_desc, maxsteps=200, extraprec=work)
+        found = [mpmath.mpc(z) for z in found]
+
+    def exact(x):
+        return Fraction(*mpmath.libmp.to_rational(x._mpf_))
+
+    upper = [(exact(z.real), exact(z.imag)) for z in found]
+    return sorted((t for t in upper if t[1] > 0), reverse=True)
+
+
+def reference_certify_roots(f, upper, work):
+    """realalg._certify_roots as it was, in Fraction arithmetic."""
+    d = f.degree()
+    half = d // 2
+    prec = work + 32
+
+    def cmul(a, b):
+        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+    def ceval(z):
+        acc = (Fraction(f.coeffs[-1]), Fraction(0))
+        for c in reversed(f.coeffs[:-1]):
+            acc = cmul(acc, z)
+            acc = (acc[0] + c, acc[1])
+        return acc
+
+    rad_sq = []
+    for i in range(half):
+        zi = upper[i]
+        num = ceval(zi)
+        den = (Fraction(1), Fraction(0))
+        for j in range(half):
+            zj = upper[j]
+            if j != i:
+                den = cmul(den, (zi[0] - zj[0], zi[1] - zj[1]))
+            den = cmul(den, (zi[0] - zj[0], zi[1] + zj[1]))
+        w_sq = (num[0] ** 2 + num[1] ** 2) / (den[0] ** 2 + den[1] ** 2)
+        rad_sq.append(d * d * w_sq)
+
+    def separated(dx, dy, i, j):
+        return dx * dx + dy * dy > 2 * (rad_sq[i] + rad_sq[j])
+
+    for i in range(half):
+        xi, yi = upper[i]
+        if yi <= 0 or yi * yi <= rad_sq[i]:
+            return None
+        for j in range(half):
+            xj, yj = upper[j]
+            if j > i and not separated(xi - xj, yi - yj, i, j):
+                return None
+            if j != i and not separated(xi - xj, yi + yj, i, j):
+                return None
+    for i in range(half - 1):
+        xi, yi = upper[i]
+        xj, yj = upper[i + 1]
+        if xi <= xj or not separated(xi - xj, Fraction(0), i, i + 1):
+            return None
+
+    out = []
+    for i in range(half):
+        x, y = upper[i]
+        r = Ball(rad_sq[i], prec).sqrt().hi
+        re = Ball.from_endpoints(x - r, x + r, prec)
+        im = Ball.from_endpoints(y - r, y + r, prec)
+        out.append((re.lo, re.hi, im.lo, im.hi))
+    return out
+
+
+def _endpoints(roots):
+    return [(z.re.lo, z.re.hi, z.im.lo, z.im.hi) for z in roots]
+
+
+def _mul(*polys):
+    out = IntPoly(1)
+    for g in polys:
+        out = out * g
+    return out
+
+
+class TestRootCentres:
+    @pytest.mark.parametrize("cid", ["15-41", "10-271"])
+    @pytest.mark.parametrize("work", [64, 256, 512])
+    def test_match_reference_on_case_polynomials(self, cid, work):
+        f = get_case(cid).f
+        coeffs = [int(c) for c in reversed(f.coeffs)]
+        starts, scale = realalg._float_roots(coeffs)
+        got = realalg._root_centres(coeffs, starts, scale, work)
+        ref = reference_root_centres(f, work)
+        assert sorted(got, reverse=True) == ref
+        # the first work tried certifies, so the enclosures are those the
+        # reference centres give
+        assert _endpoints(certified_roots(f, work)) == _endpoints(
+            realalg._certify_roots(f, ref, work)
+        )
+
+    @pytest.mark.parametrize("cid", ["15-41", "10-271"])
+    def test_disc_test_matches_reference(self, cid):
+        # the integer disc test against the Fraction one it replaced, on
+        # centres moved by seeded amounts from 2^-work to about 32: large
+        # moves are refused by both, and what both accept must agree
+        f = get_case(cid).f
+        rng = random.Random(cid)
+        accepted = refused = 0
+        for work in (64, 128):
+            centres = reference_root_centres(f, work)
+            for k in [*range(-3, 13), *range(-3, 13), work]:
+                # moves of up to 4 * 2^-k
+                unit = Fraction(2) ** -k
+                moved = [
+                    (x + rng.randint(-4, 4) * unit, y + rng.randint(-4, 4) * unit)
+                    for x, y in centres
+                ]
+                got = realalg._certify_roots(f, moved, work)
+                ref = reference_certify_roots(f, moved, work)
+                if ref is None:
+                    assert got is None
+                    refused += 1
+                else:
+                    half = f.degree() // 2
+                    assert _endpoints(got[:half]) == ref
+                    accepted += 1
+        assert accepted > 10 and refused > 10, (accepted, refused)
+
+    def test_disc_test_refuses_repeated_centres(self):
+        f = get_case("10-271").f
+        centres = reference_root_centres(f, 64)
+        assert realalg._certify_roots(f, [centres[0], centres[0]], 64) is None
+
+    def test_tiny_real_part_is_zero_as_in_reference(self):
+        # i*sqrt(2) is a root; Newton leaves its real part near 2^-147 at
+        # 64 bits, and a part below 2^(1 - work) is taken as exactly 0, as
+        # polyroots did
+        f = _mul(IntPoly(2, 0, 1), IntPoly(3, 1, 1))
+        coeffs = [int(c) for c in reversed(f.coeffs)]
+        starts, scale = realalg._float_roots(coeffs)
+        for work in (64, 256):
+            got = realalg._root_centres(coeffs, starts, scale, work)
+            assert sorted(got, reverse=True) == reference_root_centres(f, work)
+            assert max(got)[0] == 0
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            # close roots: i*sqrt(99) and -1/2 + i*sqrt(403)/2
+            _mul(IntPoly(99, 0, 1), IntPoly(101, 1, 1)),
+            # a close pair: x^2 = -10^6 +- i, roots 10^-3 apart at size 10^3
+            _mul(IntPoly(10**6, 0, 1), IntPoly(10**6, 0, 1)) + IntPoly(1),
+            # large coefficients, roots of size 1, 10^10 and 10^20
+            _mul(IntPoly(1, 1, 1), IntPoly(10**20, 3, 1), IntPoly(10**40, 5, 1)),
+            # a constant term beyond float range
+            IntPoly(10**400, 1, 1),
+        ],
+    )
+    def test_toys_certify(self, f):
+        for prec in (64, 256):
+            roots = certified_roots(f, prec)
+            half = f.degree() // 2
+            assert len(roots) == f.degree()
+            for z in roots:
+                val = poly_eval(f, z)
+                assert val.re.lo <= 0 <= val.re.hi
+                assert val.im.lo <= 0 <= val.im.hi
+            for i in range(half - 1):
+                assert roots[i].re.lo > roots[i + 1].re.hi
+
+    def test_tied_real_parts_are_refused(self):
+        # (x^2 + 99)(x^2 + 101): both upper roots have real part 0, so no
+        # disc proves the order by decreasing real part that numbers the
+        # embeddings; the reference centres were refused the same way
+        f = _mul(IntPoly(99, 0, 1), IntPoly(101, 0, 1))
+        assert [t[0] for t in reference_root_centres(f, 64)] == [0, 0]
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            certified_roots(f, 64)
+
+    def test_real_root_is_refused(self):
+        with pytest.raises(ValueError, match="real root"):
+            certified_roots(_mul(IntPoly(-2, 0, 1), IntPoly(3, 1, 1)))
 
 
 class TestConjugateData:

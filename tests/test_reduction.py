@@ -13,8 +13,9 @@ from fractions import Fraction
 
 import pytest
 
-from cyclobound import reduction
-from cyclobound.numberfield import get_case
+from cyclobound import realalg, reduction
+from cyclobound.numberfield import get_case, nf_inverse
+from cyclobound.pipeline import solve_case
 from cyclobound.realalg import (
     Ball,
     ConjugateData,
@@ -445,20 +446,49 @@ def test_case_lattices_match_reference(chains, monkeypatch):
         assert out == reference_lll(cols)
 
 
-def test_one_case_etas_per_round(chains, monkeypatch):
-    # 15-5581 has two norm-p gammas; their log enclosures share one
-    # inversion of the deltas and gammas per round
+def _count_case_etas(monkeypatch):
     calls = []
 
     def counting_case_etas(cfg):
         calls.append(cfg.case_id)
         return case_etas(cfg)
 
-    monkeypatch.setattr(reduction, "case_etas", counting_case_etas)
+    monkeypatch.setattr(realalg, "case_etas", counting_case_etas)
+    return calls
+
+
+def test_one_case_etas_per_round(chains, monkeypatch):
+    # 15-5581 has two norm-p gammas; their log enclosures share one
+    # inversion of the deltas and gammas, made once per ConjugateData and
+    # so shared by every later round as well
     ch = chains["15-5581"]
-    rnd = reduce_case_bound(ch.cfg, ch.conj, ch.constants, ch.abs_bound)
-    assert rnd.bound == 23
+    cc, bound_n = ch.constants, ch.abs_bound
+    calls = _count_case_etas(monkeypatch)
+    conj = ConjugateData(ch.cfg, ch.conj.prec)
+    for _ in range(2):
+        rnd = reduce_case_bound(ch.cfg, conj, cc, bound_n)
+        assert rnd.bound == 23
     assert calls == ["15-5581"]
+
+
+@pytest.mark.parametrize("scale", [None, 3162 * 10**31])
+def test_one_case_etas_per_proof(monkeypatch, scale):
+    # the constant chain and every reduction round, including those of a
+    # first-round K below the default, share one case_etas call, so each
+    # delta^d and gamma^d is inverted once per proof
+    calls = _count_case_etas(monkeypatch)
+    inverted = []
+
+    def counting_nf_inverse(a, f):
+        inverted.append(a)
+        return nf_inverse(a, f)
+
+    monkeypatch.setattr(realalg, "nf_inverse", counting_nf_inverse)
+    report = solve_case("15-5581", scale=scale)
+    assert report.verdict == "no_solutions"
+    assert calls == ["15-5581"]
+    cfg = get_case("15-5581")
+    assert len(inverted) == len(cfg.deltas) + len(cfg.norm_p_gammas)
 
 
 class TestRobustness:
