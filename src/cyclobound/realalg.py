@@ -5,7 +5,7 @@ interval held as a pair of mpf endpoints that mpmath's libmpi operates on
 with outward rounding, so comparisons and rounded constants are proved
 rather than sampled.  Polynomial roots are located by Durand-Kerner in
 machine floats, polished by Newton in integer fixed point, and then
-certified independently in rational arithmetic.  Constants are rounded to
+certified independently by an exact disc test.  Constants are rounded to
 four significant digits in a fixed direction, and each one is checked
 against its enclosure in the direction that keeps it a valid bound; a
 failed check raises instead of weakening the result.
