@@ -23,7 +23,6 @@ from .numberfield import (
 )
 from .padic import digit_scan_bound, heuristic_expected_solutions
 from .pipeline import ProofChain, StageFailed, emit_report, solve_case
-from .realalg import DEFAULT_PREC
 
 
 def _positive_int(text: str) -> int:
@@ -38,16 +37,15 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="cyclobound",
         description="Certified non-existence proofs for f(x) = 2*p^n.",
     )
-    parser.set_defaults(depth=None, precision_bits=DEFAULT_PREC, scale=None)
+    parser.set_defaults(depth=None, scale=None)
     sub = parser.add_subparsers(dest="command", required=True)
-    full = ("depth", "prec", "scale", "search")
     for name, text, flags in (
         ("verify", "check the case data", ()),
         ("scan", "p-adic digit scan", ("depth",)),
-        ("bound", "constant chain and absolute bound", ("depth", "prec")),
-        ("reduce", "lattice reduction of the bound", ("depth", "prec", "scale")),
-        ("solve", "full proof chain", full),
-        ("all", "solve every case", full),
+        ("bound", "constant chain and absolute bound", ("depth",)),
+        ("reduce", "lattice reduction of the bound", ("depth", "scale")),
+        ("solve", "full proof chain", ("depth", "scale")),
+        ("all", "solve every case", ("depth", "scale")),
     ):
         p = sub.add_parser(name, help=text)
         p.add_argument(
@@ -63,25 +61,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit JSON")
         if "depth" in flags:
             p.add_argument("--depth", type=_positive_int, help="p-adic scan depth")
-        if "prec" in flags:
-            p.add_argument(
-                "--precision-bits",
-                type=_positive_int,
-                default=DEFAULT_PREC,
-                help=f"interval precision (default {DEFAULT_PREC})",
-            )
         if "scale" in flags:
             p.add_argument(
                 "--K",
                 dest="scale",
                 type=_positive_int,
                 help="first-round lattice scale (e.g. 1e39)",
-            )
-        if "search" in flags:
-            p.add_argument(
-                "--search-max",
-                type=_positive_int,
-                help="direct-search ceiling (default: max(certified reduced bound, 500))",
             )
     return parser
 
@@ -105,7 +90,7 @@ def _run(args, cases, command) -> int:
     payload = []
     ok = True
     for cfg in cases:
-        chain = ProofChain(cfg, args.depth, args.precision_bits, args.scale)
+        chain = ProofChain(cfg, args.depth, args.scale)
         try:
             entry, case_ok = command(chain, args)
         except StageFailed as err:
@@ -163,7 +148,7 @@ def _scan(chain, args):
 
 def _bound(chain, args):
     cc = chain.constants
-    coeffs = inequality_coefficients(chain.bound_input, chain.precision_bits)
+    coeffs = inequality_coefficients(cc)
     entry = cc.to_dict()
     entry["c9"] = float(chain.c9)
     entry["absolute_bound"] = chain.abs_bound
@@ -204,9 +189,7 @@ def _reduce(chain, args):
 
 
 def _solve(chain, args):
-    rep = solve_case(
-        chain.cfg, chain.depth, chain.precision_bits, chain.scale, args.search_max
-    )
+    rep = solve_case(chain.cfg, chain.depth, chain.scale)
     if not args.json:
         print(emit_report(rep))
     return rep.to_dict(), rep.ok

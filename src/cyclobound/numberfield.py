@@ -420,6 +420,8 @@ def load_case_config(path: str) -> CaseConfig:
     """
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("case file must hold a JSON object")
     if "case_id" not in raw:
         raise ValueError("case file missing field 'case_id'")
     cfg = _config_from_dict(str(raw["case_id"]), raw)

@@ -17,6 +17,10 @@ from .numberfield import CaseConfig, _is_prime
 from .polyarith import IntPoly, poly_derivative, poly_eval
 
 
+class NoRootsModP(ValueError):
+    """f has no root mod p, so no digit can be scanned."""
+
+
 @dataclasses.dataclass(frozen=True)
 class PAdicRoot:
     """A root of f modulo p^depth, as base-p digits, lowest first."""
@@ -216,7 +220,7 @@ def scan_case(cfg: CaseConfig, depth: int) -> list[PAdicRoot]:
     """Lift every root of f mod p to depth+1 digits (digit indices 0..depth)."""
     roots = roots_mod_p(cfg.f, cfg.p)
     if not roots:
-        raise ValueError(
+        raise NoRootsModP(
             f"f has no roots mod {cfg.p}: no solutions exist for n >= 1 at all"
         )
     return [hensel_lift(cfg.f, cfg.p, r, depth + 1) for r in roots]

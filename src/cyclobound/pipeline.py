@@ -10,7 +10,6 @@ anything less is reported as inconclusive rather than patched over.
 """
 from __future__ import annotations
 
-import json
 import math
 import time
 from contextlib import contextmanager
@@ -18,15 +17,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .matveev import BoundInput, absolute_bound, matveev_c9
+from .matveev import absolute_bound, matveev_c9
 from .numberfield import CaseConfig, VerificationReport, get_case, verify_case_data
-from .padic import PAdicRoot, _eval_mod, combined_lower_bound
+from .padic import NoRootsModP, PAdicRoot, _eval_mod, combined_lower_bound
 from .polyarith import IntPoly, poly_eval
 from .realalg import DEFAULT_PREC, CaseConstants, ConjugateData, compute_constants
 from .reduction import ReductionReport, reduction_loop
 
-# direct search always covers at least this many exponents, so the digit
-# windows of everything above it are nonempty
+# the direct search covers the exponents up to this one; the digit windows
+# of every larger one are nonempty, so the digit-scan floor covers those
 SEARCH_FLOOR = 500
 # the moduli of the direct search's congruence sieve on n; 2 is left out
 # because it excludes nothing when every f(x) is even, as Phi_m(x) + 1 is
@@ -119,30 +118,31 @@ class ProofChain:
     """The proof stages of one case, each computed once on first read.
 
     Reading a stage runs the stages it depends on: the scan depth, the
-    lifted roots and the digit-scan floor n_lower; the conjugate data at
-    precision_bits and the rounded constants; the linear-forms input, c9
-    and the absolute bound; and the lattice reduction of that bound down to
-    the floor, starting at lattice scale `scale` (default: the case's K).
-    A constant chain or reduction that cannot finish raises StageFailed.
+    lifted roots and the digit-scan floor n_lower; the conjugate data and
+    the rounded constants; c9 and the absolute bound; and the lattice
+    reduction of that bound down to the floor, starting at lattice scale
+    `scale` (default: the case's K).  A scan, constant chain or reduction
+    that cannot finish raises StageFailed.
     """
 
     def __init__(
         self,
         case: CaseConfig | str,
         depth: int | None = None,
-        precision_bits: int = DEFAULT_PREC,
         scale: int | None = None,
     ):
         self.cfg = get_case(case) if isinstance(case, str) else case
         self.depth = depth if depth is not None else self.cfg.default_scan_depth
-        self.precision_bits = precision_bits
-        self.scale = scale
+        self.scale = scale if scale is not None else self.cfg.default_K
 
     @cached_property
     def _scan(self) -> tuple[list[PAdicRoot], int]:
         # one lift per root, inside combined_lower_bound, the scan stage
         roots: list[PAdicRoot] = []
-        return roots, combined_lower_bound(self.cfg, self.depth, roots)
+        try:
+            return roots, combined_lower_bound(self.cfg, self.depth, roots)
+        except NoRootsModP as err:
+            raise StageFailed(f"digit scan failed: {err}") from err
 
     @property
     def roots(self) -> list[PAdicRoot]:
@@ -154,7 +154,7 @@ class ProofChain:
 
     @cached_property
     def conj(self) -> ConjugateData:
-        return ConjugateData(self.cfg, self.precision_bits)
+        return ConjugateData(self.cfg)
 
     @cached_property
     def constants(self) -> CaseConstants:
@@ -165,16 +165,12 @@ class ProofChain:
             raise StageFailed(f"constant chain failed: {err}") from err
 
     @cached_property
-    def bound_input(self) -> BoundInput:
-        return BoundInput.from_constants(self.constants)
-
-    @cached_property
     def c9(self) -> Fraction:
-        return matveev_c9(self.bound_input, self.precision_bits)
+        return matveev_c9(self.constants)
 
     @cached_property
     def abs_bound(self) -> int:
-        return absolute_bound(self.bound_input, self.precision_bits)
+        return absolute_bound(self.constants)
 
     @cached_property
     def reduction(self) -> ReductionReport:
@@ -196,7 +192,7 @@ class SolveReport:
     verdict: str
     reason: str
     depth: int
-    precision_bits: int
+    precision_bits: int = DEFAULT_PREC
     n_lower: int | None = None
     abs_bound: int | None = None
     c9: object = None
@@ -248,25 +244,19 @@ def _timed(timings: dict, stage: str):
 def solve_case(
     case: CaseConfig | str,
     depth: int | None = None,
-    precision_bits: int = DEFAULT_PREC,
     scale: int | None = None,
-    search_max: int | None = None,
 ) -> SolveReport:
     """Run the whole chain for one case and return the verdict report.
 
     The conclusion "no solutions" means: for every integer x and n >= 1,
     f(x) != 2*p^n.  It requires the data checks to pass, the digit-scan
-    floor to exceed the reduced ceiling, and the direct sweep of small
-    exponents to come back empty.
+    floor to exceed the reduced ceiling, and the direct sweep of the
+    exponents up to SEARCH_FLOOR to come back empty.
     """
-    chain = ProofChain(case, depth, precision_bits, scale)
+    chain = ProofChain(case, depth, scale)
     cfg = chain.cfg
     report = SolveReport(
-        case_id=cfg.case_id,
-        verdict="inconclusive",
-        reason="",
-        depth=chain.depth,
-        precision_bits=precision_bits,
+        case_id=cfg.case_id, verdict="inconclusive", reason="", depth=chain.depth
     )
     timings = report.timings
 
@@ -291,12 +281,8 @@ def solve_case(
     report.reduced_bound = report.reduction.final_bound
 
     with _timed(timings, "search"):
-        # without a certified ceiling the sweep cannot be exhaustive, so cap it
-        ceiling = report.reduced_bound if report.reduction.ok else SEARCH_FLOOR
-        report.search_max = (
-            search_max if search_max is not None else max(ceiling, SEARCH_FLOOR)
-        )
-        report.solutions = direct_search(cfg.f, cfg.p, report.search_max)
+        report.search_max = SEARCH_FLOOR
+        report.solutions = direct_search(cfg.f, cfg.p, SEARCH_FLOOR)
 
     if report.solutions:
         report.verdict = "solutions_found"
@@ -308,8 +294,6 @@ def solve_case(
             f"reduced bound {report.reduced_bound} does not clear "
             f"the digit-scan floor {report.n_lower}"
         )
-    elif report.search_max < SEARCH_FLOOR:
-        report.reason = f"direct search stopped before {SEARCH_FLOOR}"
     else:
         report.verdict = "no_solutions"
         report.reason = (
@@ -320,10 +304,8 @@ def solve_case(
     return report
 
 
-def emit_report(report: SolveReport, as_json: bool = False) -> str:
-    """Render one report, machine-readable or for the terminal."""
-    if as_json:
-        return json.dumps(report.to_dict(), indent=2, sort_keys=True)
+def emit_report(report: SolveReport) -> str:
+    """Render one report for the terminal; report.to_dict() is the JSON form."""
     lines = [f"case {report.case_id}: {report.verdict}"]
     lines.append(f"  {report.reason}")
     if report.n_lower is not None:
@@ -337,6 +319,6 @@ def emit_report(report: SolveReport, as_json: bool = False) -> str:
                      f"{len(report.solutions)} solution(s)")
     for n, x in report.solutions:
         lines.append(f"    n = {n}, x = {x}")
-    total = sum(report.timings.values())
-    lines.append(f"  time: {total:.2f}s")
+    stages = ", ".join(f"{k} {t:.3f}s" for k, t in report.timings.items())
+    lines.append(f"  time: {sum(report.timings.values()):.2f}s ({stages})")
     return "\n".join(lines)

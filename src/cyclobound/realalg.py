@@ -336,7 +336,8 @@ def certified_roots(f: IntPoly, prec: int = DEFAULT_PREC) -> list[ComplexBall]:
     separate.  With w_i = f(z_i) / prod_{j != i} (z_i - z_j) computed
     exactly, the union of the discs |z - z_i| <= d*|w_i| contains every
     root of f, and when the discs are pairwise disjoint each disc contains
-    exactly one.
+    exactly one.  The discs must also prove the order by real part, which
+    numbers the embeddings; an error names that test when only it failed.
     """
     d = f.degree()
     if d < 2 or d % 2 != 0 or f.lc() != 1:
@@ -356,6 +357,12 @@ def certified_roots(f: IntPoly, prec: int = DEFAULT_PREC) -> list[ComplexBall]:
         if enclosures is not None:
             return enclosures
         work *= 2
+    # the last try ran at work // 2
+    if upper is not None and _certify_roots(f, upper, work // 2, ordered=False):
+        raise ArithmeticError(
+            "root certification failed only at the order by real part: the"
+            " discs do not separate the real parts of two upper roots"
+        )
     raise ArithmeticError("root certification did not converge")
 
 
@@ -469,13 +476,15 @@ def _root_centres(coeffs_desc, starts, scale: int, work: int):
     return out
 
 
-def _certify_roots(f, upper, work):
+def _certify_roots(f, upper, work, ordered=True):
     """Enclosures of the roots from candidate centres, or None.
 
     The disc test of certified_roots, in exact integers: with L a common
     denominator of the centres, f(z_i) * L^d and the product of the
     (z_i - z_j)(z_i - conj z_j) times L^(d-1) are Gaussian integers, and
     each squared radius d^2 |w_i|^2 is held as a fraction A_i / B_i.
+    ordered=False skips the test that the discs order the centres by
+    decreasing real part.
     """
     d = f.degree()
     half = d // 2
@@ -523,7 +532,7 @@ def _certify_roots(f, upper, work):
                 continue
             if not separated(xi - xj, yi + yj, i, j):
                 return None
-    for i in range(half - 1):
+    for i in range(half - 1 if ordered else 0):
         xi, yi = pts[i]
         xj, yj = pts[i + 1]
         if xi <= xj or not separated(xi - xj, 0, i, i + 1):

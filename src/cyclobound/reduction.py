@@ -382,7 +382,7 @@ def reduce_case_bound(
     conj: ConjugateData,
     cc: CaseConstants,
     bound_n: int,
-    scale: int | None = None,
+    scale: int,
 ) -> ReductionRound:
     """One reduction round: a certified bound covering every branch.
 
@@ -396,7 +396,6 @@ def reduce_case_bound(
     without a bound fails the round rather than inheriting a neighbour's.
     """
     prec = conj.prec
-    scale = scale if scale is not None else cfg.default_K
     attempts: list[ReductionAttempt] = []
     branch_bounds: list[int] = []
     all_ok = True
@@ -461,25 +460,25 @@ def reduction_loop(
     conj: ConjugateData,
     cc: CaseConstants,
     start_bound: int,
-    stop_below: int | None = None,
-    scale: int | None = None,
+    stop_below: int,
+    scale: int,
 ) -> ReductionReport:
     """Iterate reduction rounds until the bound stalls or is small enough.
 
-    stop_below, when given, is a proved strict lower bound on the exponent
-    of any solution; the loop stops as soon as the upper bound drops to it
-    or less, since that empties the solution range.
+    The first round runs at lattice scale `scale`.  stop_below is a proved
+    strict lower bound on the exponent of any solution; the loop stops as
+    soon as the upper bound drops to it or less, since that empties the
+    solution range.
     """
     bound_n = start_bound
     rounds: list[ReductionRound] = []
-    next_scale = scale if scale is not None else cfg.default_K
     for _ in range(MAX_ROUNDS):
-        rnd = reduce_case_bound(cfg, conj, cc, bound_n, next_scale)
+        rnd = reduce_case_bound(cfg, conj, cc, bound_n, scale)
         rounds.append(rnd)
         if not rnd.ok or rnd.bound >= bound_n:
             break
         bound_n = rnd.bound
-        if stop_below is not None and bound_n <= stop_below:
+        if bound_n <= stop_below:
             break
-        next_scale = _next_scale(bound_n, cc.rank)
+        scale = _next_scale(bound_n, cc.rank)
     return ReductionReport(cfg.case_id, start_bound, bound_n, tuple(rounds))

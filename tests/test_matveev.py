@@ -1,11 +1,11 @@
 """The explicit linear-forms coefficient and the absolute exponent bound."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from cyclobound.matveev import (
-    BoundInput,
     absolute_bound,
     inequality_coefficients,
     matveev_c9,
@@ -39,20 +39,14 @@ class TestC9:
             assert chains[cid].c9 == want
 
     def test_rejects_wrong_height_count(self, chains):
-        inp = chains["10-271"].bound_input
-        bad = BoundInput(
-            d=inp.d, p=inp.p, rank=inp.rank, c3=inp.c3, c7=inp.c7, c8=inp.c8,
-            a_values=inp.a_values[:-1],
-        )
+        cc = chains["10-271"].constants
+        bad = dataclasses.replace(cc, a_values=cc.a_values[:-1])
         with pytest.raises(ValueError, match="per multiplicand"):
             matveev_c9(bad)
 
     def test_monotone_in_heights(self, chains):
-        inp = chains["10-271"].bound_input
-        bigger = BoundInput(
-            d=inp.d, p=inp.p, rank=inp.rank, c3=inp.c3, c7=inp.c7, c8=inp.c8,
-            a_values=tuple(2 * a for a in inp.a_values),
-        )
+        cc = chains["10-271"].constants
+        bigger = dataclasses.replace(cc, a_values=tuple(2 * a for a in cc.a_values))
         assert matveev_c9(bigger) > chains["10-271"].c9
 
 
@@ -64,22 +58,23 @@ class TestAbsoluteBound:
     def test_least_certified_collision(self, chains):
         # N collides, N-1 does not: the bisection returned the least point
         for ch in chains.values():
-            collides = _collision_test(ch.bound_input, ch.c9, DEFAULT_PREC)
+            collides = _collision_test(ch.constants, ch.c9, DEFAULT_PREC)
             assert collides(ch.abs_bound)
             assert not collides(ch.abs_bound - 1)
 
     def test_collision_persists_past_bound(self, chains):
         for ch in chains.values():
-            collides = _collision_test(ch.bound_input, ch.c9, DEFAULT_PREC)
+            collides = _collision_test(ch.constants, ch.c9, DEFAULT_PREC)
             for n in (ch.abs_bound + 1, ch.abs_bound + 1000, 2 * ch.abs_bound):
                 assert collides(n)
 
     def test_small_exponents_do_not_collide(self, chains):
         ch = chains["15-41"]
-        assert not _collision_test(ch.bound_input, ch.c9, DEFAULT_PREC)(1000)
+        assert not _collision_test(ch.constants, ch.c9, DEFAULT_PREC)(1000)
 
-    def test_rejects_small_unit_slope(self):
-        bad = BoundInput(
+    def test_rejects_small_unit_slope(self, chains):
+        bad = dataclasses.replace(
+            chains["10-271"].constants,
             d=1, p=3, rank=3, c3=Fraction(2), c7=Fraction(1, 2),
             c8=Fraction(1), a_values=(Fraction(1), Fraction(1), Fraction(1)),
         )
@@ -87,14 +82,14 @@ class TestAbsoluteBound:
             absolute_bound(bad)
 
     def test_determinism_across_precision(self, chains):
-        inp = chains["10-271"].bound_input
-        assert absolute_bound(inp, 256) == absolute_bound(inp, 512)
+        cc = chains["10-271"].constants
+        assert absolute_bound(cc, 256) == absolute_bound(cc, 512)
 
 
 class TestInequalityCoefficients:
     def test_pinned_display_values(self, chains):
         for cid, (slope, shift, cn, c1) in COEFF_PINS.items():
-            got = inequality_coefficients(chains[cid].bound_input)
+            got = inequality_coefficients(chains[cid].constants)
             assert got["lhs_slope"] == Fraction(slope)
             assert got["lhs_shift"] == Fraction(shift)
             assert got["log_coeff_n"] == Fraction(cn)
@@ -108,7 +103,7 @@ class TestInequalityCoefficients:
         import math
 
         for ch in chains.values():
-            got = inequality_coefficients(ch.bound_input)
+            got = inequality_coefficients(ch.constants)
             n = ch.abs_bound + ch.abs_bound // 50
             lhs = float(got["lhs_slope"]) * n - float(got["lhs_shift"])
             arg = float(got["log_coeff_n"]) * n + float(got["log_coeff_1"])

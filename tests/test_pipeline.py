@@ -1,5 +1,6 @@
 """End-to-end solve runs, the direct search, and the command line."""
 
+import dataclasses
 import json
 import math
 import random
@@ -8,6 +9,7 @@ import pytest
 
 from cyclobound import padic, pipeline
 from cyclobound.cli import main
+from cyclobound.realalg import ConjugateData
 from cyclobound.numberfield import _config_from_dict, case_to_dict, get_case
 from cyclobound.pipeline import (
     SEARCH_FLOOR,
@@ -198,7 +200,7 @@ class TestSolveCase:
 
     def test_report_serializes(self):
         rep = solve_case("10-271")
-        blob = emit_report(rep, as_json=True)
+        blob = json.dumps(rep.to_dict())
         parsed = json.loads(blob)
         assert parsed["verdict"] == "no_solutions"
         assert parsed["reduced_bound"] == 38
@@ -207,11 +209,37 @@ class TestSolveCase:
         assert "case 10-271: no_solutions" in text
         assert "reduced bound:    n <= 38" in text
 
-    def test_short_search_is_inconclusive(self):
-        rep = solve_case("10-271", search_max=10)
-        assert rep.verdict == "inconclusive"
-        assert "direct search stopped" in rep.reason
-        assert not rep.ok
+    def test_text_report_names_every_stage_time(self):
+        rep = solve_case("10-271")
+        (line,) = [t for t in emit_report(rep).splitlines() if "time:" in t]
+        assert len(rep.timings) == 6
+        for stage, seconds in rep.timings.items():
+            assert f"{stage} {seconds:.3f}s" in line, stage
+
+    def test_ceiling_above_search_floor_still_searches_to_it(self, monkeypatch):
+        # a reduced ceiling of 1000 lies above SEARCH_FLOOR but below the
+        # 15-5581 floor 4015: the search still stops at SEARCH_FLOOR, since
+        # the floor rules out every exponent above it
+        reduction_loop, direct_search = pipeline.reduction_loop, pipeline.direct_search
+        searched = []
+
+        def loose_reduction(*args, **kwargs):
+            report = reduction_loop(*args, **kwargs)
+            return dataclasses.replace(report, final_bound=1000)
+
+        def recording_search(f, p, n_max):
+            searched.append(n_max)
+            return direct_search(f, p, n_max)
+
+        monkeypatch.setattr(pipeline, "reduction_loop", loose_reduction)
+        monkeypatch.setattr(pipeline, "direct_search", recording_search)
+        rep = solve_case("15-5581")
+        assert rep.reduced_bound == 1000
+        assert SEARCH_FLOOR < rep.reduced_bound < rep.n_lower == 4015
+        assert searched == [SEARCH_FLOOR]
+        assert rep.search_max == SEARCH_FLOOR
+        assert rep.verdict == "no_solutions"
+        assert "n <= 1000" in rep.reason
 
     def test_failed_verification_returns_early(self):
         raw = case_to_dict(get_case("10-271"))
@@ -221,11 +249,12 @@ class TestSolveCase:
         assert rep.reason == "case data failed verification"
         assert set(rep.timings) == {"verify"}
 
-    def test_small_scale_is_inconclusive(self):
+    def test_small_scale_is_inconclusive(self, monkeypatch):
         # a small first-round K escalates until the proof concludes, but
         # at 64 bits the log enclosures stop the escalation first
         assert solve_case("10-271", scale=100).verdict == "no_solutions"
-        rep = solve_case("10-271", precision_bits=64, scale=100)
+        monkeypatch.setattr(pipeline, "ConjugateData", lambda cfg: ConjugateData(cfg, 64))
+        rep = solve_case("10-271", scale=100)
         assert rep.verdict == "inconclusive"
         assert "no certified bound" in rep.reason
 
@@ -346,9 +375,25 @@ class TestCLI:
 
     def test_unreadable_config_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
-        path.write_text("{")
-        assert main(["verify", "--config", str(path)]) == 2
+        for text in ("{", "5", "null", '"text"'):
+            path.write_text(text)
+            assert main(["verify", "--config", str(path)]) == 2, text
+            assert "error" in capsys.readouterr().err
         assert main(["verify", "--config", str(tmp_path / "missing.json")]) == 2
+
+    @pytest.mark.parametrize("command", ["scan", "bound", "reduce"])
+    def test_no_root_mod_p_fails_the_scan_stage(self, tmp_path, capsys, command):
+        # f = x^4 - x^3 + x^2 - x + 2 has no root mod 5, so there is no
+        # digit to scan: the stage fails for the case instead of raising
+        raw = case_to_dict(get_case("10-271"))
+        raw["p"] = 5
+        path = tmp_path / "rootless.json"
+        path.write_text(json.dumps(raw))
+        assert main([command, "--config", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            "case 10-271: digit scan failed: f has no roots mod 5:"
+            " no solutions exist for n >= 1 at all\n"
+        )
 
     def test_bad_scale_rejected_by_parser(self):
         for flags in (
@@ -400,7 +445,7 @@ class TestCLI:
         assert "p = 9 is not a proven prime" in capsys.readouterr().err
 
     def test_reduce_reports_failed_stage(self, capsys):
-        argv = ["--case", "10-271", "--precision-bits", "8"]
+        argv = ["--case", "10-271", "--K", "1e100"]
         assert main(["reduce", *argv]) == 1
         reduced = capsys.readouterr().out
         assert main(["solve", *argv]) == 1
@@ -410,5 +455,5 @@ class TestCLI:
         assert reduced == f"case 10-271: {reason}\n"
 
     def test_solve_exit_one_when_inconclusive(self, capsys):
-        assert main(["solve", "--case", "10-271", "--search-max", "10"]) == 1
+        assert main(["solve", "--case", "10-271", "--K", "1e100"]) == 1
         assert "inconclusive" in capsys.readouterr().out

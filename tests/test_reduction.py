@@ -466,7 +466,7 @@ def test_one_case_etas_per_round(chains, monkeypatch):
     calls = _count_case_etas(monkeypatch)
     conj = ConjugateData(ch.cfg, ch.conj.prec)
     for _ in range(2):
-        rnd = reduce_case_bound(ch.cfg, conj, cc, bound_n)
+        rnd = reduce_case_bound(ch.cfg, conj, cc, bound_n, ch.scale)
         assert rnd.bound == 23
     assert calls == ["15-5581"]
 
@@ -499,7 +499,7 @@ class TestRobustness:
         conj512 = ConjugateData(ch.cfg, 512)
         cc512 = compute_constants(ch.cfg, conj512, ch.n_lower)
         assert cc512 == ch.constants
-        round512 = reduce_case_bound(ch.cfg, conj512, cc512, ch.abs_bound)
+        round512 = reduce_case_bound(ch.cfg, conj512, cc512, ch.abs_bound, ch.scale)
         assert round512.ok
         assert round512.bound == 38
         easy = {
