@@ -8,7 +8,7 @@ certified lower bound on n.
 """
 
 from cyclobound import get_case
-from cyclobound.padic import digit_scan_bound, heuristic_expected_solutions, scan_case
+from cyclobound.padic import digit_scan_bound, scan_case
 
 cfg = get_case("10-271")
 print(f"case {cfg.case_id}: f = {cfg.f}, p = {cfg.p}")
@@ -30,7 +30,3 @@ print(f"needs n >= d*(k0 - 1) - 1 = {cfg.d}*{k0 - 1} - 1 = {bound}")
 for depth in (20, 40, cfg.default_scan_depth):
     b = digit_scan_bound(scan_case(cfg, depth)[0], cfg.d)
     print(f"  scan depth {depth:3d}: n >= {b}")
-
-expected = heuristic_expected_solutions(cfg.p, cfg.d)
-print(f"\nheuristic count of spoiler digits in an infinite scan: {expected:.5f}")
-print("(small, so a long clean prefix is the typical outcome, not luck)")

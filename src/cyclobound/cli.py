@@ -21,7 +21,7 @@ from .numberfield import (
     load_case_config,
     verify_case_data,
 )
-from .padic import digit_scan_bound, heuristic_expected_solutions
+from .padic import digit_scan_bound
 from .pipeline import ProofChain, StageFailed, emit_report, solve_case
 
 
@@ -123,7 +123,6 @@ def _scan(chain, args):
         "case_id": cfg.case_id,
         "depth": depth,
         "lower_bound": chain.n_lower,
-        "expected_chance_hits": heuristic_expected_solutions(cfg.p, cfg.d),
         "roots": [
             {
                 "r0": r.r0,
@@ -142,7 +141,6 @@ def _scan(chain, args):
                 f"  root {r.r0} mod {cfg.p}: {where}"
                 f" -> n >= {digit_scan_bound(r, cfg.d)}"
             )
-        print(f"  chance hits expected: {entry['expected_chance_hits']:.3g}")
     return entry, True
 
 

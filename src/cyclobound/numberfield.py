@@ -135,26 +135,29 @@ def nf_norm(a: FieldElement, f: IntPoly) -> Fraction:
 def charpoly(a: FieldElement, f: IntPoly) -> IntPoly:
     """Primitive integer characteristic polynomial of a acting on Q[x]/(f).
 
-    Computed from traces by Newton's identities, twice: the power sums P_j
-    of the roots of f come from its coefficients, Tr(a^k) is the sum of
-    coeff_j(a^k) * P_j, and those traces give the coefficients.  Equals the
-    minimal polynomial raised to a power, scaled to integer coefficients of
-    content 1 with positive leading coefficient.
+    For monic f.  Computed on the integral numerator A = den * a from traces
+    by Newton's identities, twice: the power sums P_j of the roots of f come
+    from its coefficients, Tr(A^k) is the sum of coeff_j(A^k) * P_j, and
+    those traces give the coefficients.  Every value is an integer, so each
+    division by k is exact.  Scaling the coefficient of x^(d-k) by den^(d-k)
+    turns the polynomial of A into one of a.  Equals the minimal polynomial
+    raised to a power, scaled to integer coefficients of content 1 with
+    positive leading coefficient.
     """
+    if f.lc() != 1:
+        raise ValueError("characteristic polynomial requires monic f")
     d = f.degree()
-    sums = [Fraction(d)]  # P_j, sums of j-th powers of the roots of f
+    sums = [d]  # P_j, sums of j-th powers of the roots of f
     for k in range(1, d):
-        acc = k * f[d - k] + sum(f[d - i] * sums[k - i] for i in range(1, k))
-        sums.append(Fraction(-acc, f.lc()))
-    cs = [Fraction(1)]  # cs[k]: coefficient of x^(d-k)
-    traces = []  # Tr(a^k) = sum_j coeff_j(a^k) * P_j
-    power = a
+        sums.append(-k * f[d - k] - sum(f[d - i] * sums[k - i] for i in range(1, k)))
+    cs = [1]  # cs[k]: coefficient of x^(d-k) in the polynomial of A
+    traces = []  # Tr(A^k) = sum_j coeff_j(A^k) * P_j
+    power = a.num
     for k in range(1, d + 1):
-        traces.append(sum(power.num[j] * sums[j] for j in range(d)) / power.den)
-        cs.append(-sum(cs[k - i] * traces[i - 1] for i in range(1, k + 1)) / k)
-        power = nf_mul(power, a, f)
-    den = math.lcm(*(c.denominator for c in cs))
-    ints = [int(c * den) for c in reversed(cs)]  # lowest degree first
+        traces.append(sum(power[j] * sums[j] for j in range(d)))
+        cs.append(-sum(cs[k - i] * traces[i - 1] for i in range(1, k + 1)) // k)
+        power = (power * a.num) % f
+    ints = [c * a.den ** (d - k) for k, c in enumerate(cs)][::-1]  # lowest first
     g = math.gcd(*ints)
     return IntPoly(*(c // g for c in ints))
 
@@ -387,6 +390,8 @@ def _config_from_dict(case_id: str, raw: dict) -> CaseConfig:
         raise ValueError(f"case {case_id}: units, gammas and deltas must be non-empty")
     if cfg.d != _euler_phi(cfg.m):
         raise ValueError(f"case {case_id}: f has degree {cfg.d}, not phi({cfg.m})")
+    if cfg.f.lc() != 1:
+        raise ValueError(f"case {case_id}: f must be monic")
     keys = list(range(len(cfg.norm_p_gammas)))
     if sorted(choice) != keys:
         raise ValueError(
@@ -415,8 +420,8 @@ def get_case(case_id: str) -> CaseConfig:
 def load_case_config(path: str) -> CaseConfig:
     """Load a case definition from a JSON file (schema in the module docstring).
 
-    Malformed data, or a p that _is_prime cannot prove prime, raises
-    ValueError.
+    Malformed data (a non-monic f among it), or a p that _is_prime cannot
+    prove prime, raises ValueError.
     """
     with open(path) as fh:
         raw = json.load(fh)

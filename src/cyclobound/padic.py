@@ -238,11 +238,3 @@ def combined_lower_bound(
     if lifted is not None:
         lifted.extend(roots)
     return min(digit_scan_bound(r, cfg.d) for r in roots)
-
-
-def heuristic_expected_solutions(p: int, d: int) -> float:
-    """Expected number of n whose digit window is clear by chance: 1/(p^(1-1/d)-1).
-
-    Diagnostic only; nothing downstream consumes it.
-    """
-    return 1.0 / (p ** (1.0 - 1.0 / d) - 1.0)

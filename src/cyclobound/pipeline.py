@@ -154,7 +154,10 @@ class ProofChain:
 
     @cached_property
     def conj(self) -> ConjugateData:
-        return ConjugateData(self.cfg)
+        try:
+            return ConjugateData(self.cfg)
+        except (ValueError, ArithmeticError) as err:  # e.g. a real root of f
+            raise StageFailed(f"constant chain failed: {err}") from err
 
     @cached_property
     def constants(self) -> CaseConstants:

@@ -561,7 +561,9 @@ class ConjugateData:
 
     Embedding i sends the generator to roots[i]; the first d/2 roots have
     positive imaginary part and decreasing real part, and root d/2 + i is
-    the conjugate of root i.  Embedding values are cached per element.
+    the conjugate of root i, so embedding d/2 + i is the conjugate of
+    embedding i.  Embedding values, their magnitudes and the logs of those
+    are cached per element.
     """
 
     def __init__(self, cfg: CaseConfig, prec: int = DEFAULT_PREC):
@@ -570,6 +572,7 @@ class ConjugateData:
         self.roots = certified_roots(cfg.f, prec)
         self._embeds: dict = {}
         self._abs: dict = {}
+        self._logs: dict = {}
 
     @property
     def d(self) -> int:
@@ -581,11 +584,20 @@ class ConjugateData:
         return case_etas(self.cfg)
 
     def embed(self, elem: FieldElement, i: int) -> ComplexBall:
-        """Enclosure of the image of elem under embedding i."""
+        """Enclosure of the image of elem under embedding i.
+
+        For i >= d/2 it is the conjugate of embedding i - d/2: Horner at the
+        conjugate root gives the same endpoints, because outward rounding
+        is symmetric under negation.
+        """
         key = (elem, i)
         got = self._embeds.get(key)
         if got is None:
-            got = poly_eval(elem.num, self.roots[i]) / elem.den
+            half = self.d // 2
+            if i >= half:
+                got = self.embed(elem, i - half).conj()
+            else:
+                got = poly_eval(elem.num, self.roots[i]) / elem.den
             self._embeds[key] = got
         return got
 
@@ -595,6 +607,15 @@ class ConjugateData:
         if got is None:
             got = abs(self.embed(elem, i))
             self._abs[key] = got
+        return got
+
+    def log_abs(self, elem: FieldElement, i: int) -> Ball:
+        """embed_abs(elem, i).log(), computed once per (elem, i)."""
+        key = (elem, i)
+        got = self._logs.get(key)
+        if got is None:
+            got = self.embed_abs(elem, i).log()
+            self._logs[key] = got
         return got
 
     def max_abs_root(self) -> Ball:
@@ -618,8 +639,11 @@ def log_height(
         lead = charpoly(elem, cfg.f).lc()
     total = Ball(abs(lead), conj.prec).log()
     one = Ball(1, conj.prec)
-    for i in range(conj.d):
-        total = total + ball_max(conj.embed_abs(elem, i), one).log()
+    # embedding d/2 + i has the magnitude of embedding i; the terms are
+    # added in embedding order, so the sum rounds as it always has
+    terms = [ball_max(conj.embed_abs(elem, i), one).log() for i in range(conj.d // 2)]
+    for term in terms + terms:
+        total = total + term
     return total / conj.d
 
 
@@ -636,7 +660,7 @@ def regulator(cfg: CaseConfig, conj: ConjugateData, idxs=None) -> Ball:
         idxs = tuple(range(len(units)))
     if len(idxs) != len(units) or len(set(idxs)) != len(units):
         raise ValueError("need as many distinct embeddings as units")
-    rows = [[conj.embed_abs(u, i).log() for u in units] for i in idxs]
+    rows = [[conj.log_abs(u, i) for u in units] for i in idxs]
     return abs(det(rows))
 
 
@@ -832,9 +856,7 @@ def compute_constants(
         u = len(units)
         best = None
         for triple in itertools.combinations(range(d // 2), u):
-            rows = [
-                [conj.embed_abs(unit, i).log() for unit in units] for i in triple
-            ]
+            rows = [[conj.log_abs(unit, i) for unit in units] for i in triple]
             vol = abs(det(rows))
             if vol.lo <= 0:
                 continue

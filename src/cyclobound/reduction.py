@@ -178,19 +178,17 @@ class _GammaLogs:
     lam1[di][j] covers log|2/delta^d| at embedding j for delta di,
     lam2[j] covers log|p/gamma^d|, and lam_units[t][j] covers
     -d*log|unit_t| (the sign the exponent vector carries), for the etas
-    of conj (computed once per ConjugateData).
+    of conj (computed once per ConjugateData, as are the logs).
     """
 
     def __init__(self, conj: ConjugateData, gamma_index: int):
         eta1, eta2, units = conj.etas
         d = conj.d
         half = d // 2
-        self.lam1 = [
-            [conj.embed_abs(e, j).log() for j in range(half)] for e in eta1
-        ]
-        self.lam2 = [conj.embed_abs(eta2[gamma_index], j).log() for j in range(half)]
+        self.lam1 = [[conj.log_abs(e, j) for j in range(half)] for e in eta1]
+        self.lam2 = [conj.log_abs(eta2[gamma_index], j) for j in range(half)]
         self.lam_units = [
-            [conj.embed_abs(u, j).log() * (-d) for j in range(half)] for u in units
+            [conj.log_abs(u, j) * (-d) for j in range(half)] for u in units
         ]
         everything = self.lam2 + [
             b for row in self.lam1 + self.lam_units for b in row

@@ -6,6 +6,7 @@ as exact decimal strings; "sig" tolerances mean within one unit in the
 last counted significant digit, "pct" tolerances are relative.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -274,3 +275,22 @@ def test_criterion_8_property_suites():
 
     finish("criterion 8: Hensel, LLL, distance-lemma and norm property"
            " suites clean", failures)
+
+
+# SHA-256 of repr(solve_case(cid).to_dict()) without its timings: every
+# verdict, floor, bound, rounded constant and attempt value of the report
+REPORT_DIGESTS = {
+    "15-41": "9175c9b16f096123d983758d6a2b9e7c6df20c49648fac209b3ccf899d6cedcd",
+    "15-5581": "411f1684521dcf788a6ff2864a356df801917b98607969f698b1a9d29cd003c4",
+    "10-271": "d91974acbceffcadef016867322d3c5656f463042839e02d24137b4665064f08",
+}
+
+
+def test_criterion_9_reports_reproduce_bit_for_bit():
+    failures = []
+    for cid, pin in REPORT_DIGESTS.items():
+        report = solve_case(cid).to_dict()
+        del report["timings"]
+        got = hashlib.sha256(repr(report).encode()).hexdigest()
+        check(failures, got == pin, f"{cid} report digest {got}")
+    finish("criterion 9: every solve report reproduces bit for bit", failures)

@@ -263,6 +263,11 @@ class TestCharpoly:
             for a in elements:
                 assert charpoly(a, cfg.f) == reference_charpoly(a, cfg.f)
 
+    def test_non_monic_f_rejected(self):
+        # as in nf_norm: the power sums of a non-monic f are not integers
+        with pytest.raises(ValueError, match="monic"):
+            charpoly(FieldElement(IntPoly(0, 1)), IntPoly(2, -1, 1, -1, 2))
+
     def test_constant_term_is_norm_for_integral_elements(self):
         # even degree makes the sign drop out
         rng = random.Random(6881)

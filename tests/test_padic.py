@@ -15,7 +15,6 @@ from cyclobound.padic import (
     combined_lower_bound,
     digit_scan_bound,
     hensel_lift,
-    heuristic_expected_solutions,
     roots_mod_p,
     scan_case,
 )
@@ -221,11 +220,3 @@ class TestScanBounds:
         cfg = dataclasses.replace(get_case("10-271"), p=7, f=IntPoly(1, 0, 1))
         with pytest.raises(ValueError, match="no roots"):
             scan_case(cfg, 5)
-
-
-class TestHeuristic:
-    def test_expected_clear_windows(self):
-        got = heuristic_expected_solutions(41, 8)
-        assert abs(got - 1.0 / (41 ** 0.875 - 1.0)) < 1e-12
-        assert abs(got - 0.0404) < 5e-4
-        assert heuristic_expected_solutions(5581, 8) < 0.0006

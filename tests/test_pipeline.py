@@ -395,6 +395,38 @@ class TestCLI:
             " no solutions exist for n >= 1 at all\n"
         )
 
+    @pytest.mark.parametrize("command", ["verify", "scan", "bound", "reduce", "solve"])
+    def test_non_monic_f_is_usage_error(self, tmp_path, capsys, command):
+        # the norm, the characteristic polynomial and the root enclosures
+        # all need a monic f, so the loader refuses the file
+        raw = case_to_dict(get_case("10-271"))
+        raw["f"] = [2, -1, 1, -1, 2]
+        path = tmp_path / "nonmonic.json"
+        path.write_text(json.dumps(raw))
+        assert main([command, "--config", str(path)]) == 2
+        assert "case 10-271: f must be monic" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, status",
+        [("verify", 1), ("scan", 0), ("bound", 1), ("reduce", 1), ("solve", 1)],
+    )
+    def test_real_root_ends_without_a_traceback(self, tmp_path, capsys, command, status):
+        # f = x^4 - x^3 + x^2 - x - 2 has a real root, so the field has no
+        # conjugate pairs to embed: verify and solve fail the data checks,
+        # the scan still proves a floor, and bound and reduce fail the
+        # constant chain for the case
+        raw = case_to_dict(get_case("10-271"))
+        raw["f"] = [-2, -1, 1, -1, 1]
+        path = tmp_path / "realroot.json"
+        path.write_text(json.dumps(raw))
+        assert main([command, "--config", str(path)]) == status
+        out = capsys.readouterr().out
+        if command in ("bound", "reduce"):
+            assert out == (
+                "case 10-271: constant chain failed:"
+                " polynomial appears to have a real root\n"
+            )
+
     def test_bad_scale_rejected_by_parser(self):
         for flags in (
             ["reduce", "--K", "-5"],

@@ -861,6 +861,24 @@ class TestConjugateData:
             assert lhs.re.lo <= rhs.re.hi and rhs.re.lo <= lhs.re.hi
             assert lhs.im.lo <= rhs.im.hi and rhs.im.lo <= lhs.im.hi
 
+    @pytest.mark.parametrize("prec", [realalg.DEFAULT_PREC, 64])
+    def test_conjugate_embeddings_are_horner_at_conjugate_roots(self, chains, prec):
+        # embedding d/2 + i is taken as the conjugate of embedding i; it
+        # must have the endpoints of Horner at the conjugate root, also at
+        # 64 bits, where the embeddings run through ComplexBall._coerce
+        for ch in chains.values():
+            cfg = ch.cfg
+            conj = ConjugateData(cfg, prec)
+            eta1, eta2, _ = conj.etas
+            half = cfg.d // 2
+            for e in (*cfg.units, *cfg.gammas, *cfg.deltas, *eta1, *eta2):
+                for i in range(half):
+                    want = poly_eval(e.num, conj.roots[half + i]) / e.den
+                    got = conj.embed(e, half + i)
+                    for part in ("re", "im"):
+                        g, w = getattr(got, part), getattr(want, part)
+                        assert (g._mpi, g.prec) == (w._mpi, w.prec), (e, i, part)
+
     def test_embed_abs_cached(self, chains):
         ch = chains["10-271"]
         a = FieldElement(IntPoly(5, 1))

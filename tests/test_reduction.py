@@ -471,6 +471,32 @@ def test_one_case_etas_per_round(chains, monkeypatch):
     assert calls == ["15-5581"]
 
 
+def test_one_log_per_embedding(chains, monkeypatch):
+    # the regulator, the unit minors and every reduction round read the
+    # same log|embedding| enclosures, so each (element, embedding) log is
+    # computed once per ConjugateData
+    ch = chains["15-5581"]
+    conj = ConjugateData(ch.cfg, ch.conj.prec)
+    logged = []
+    log = Ball.log
+
+    def counting_log(self):
+        logged.append(self)
+        return log(self)
+
+    monkeypatch.setattr(Ball, "log", counting_log)
+    cc = compute_constants(ch.cfg, conj, ch.n_lower)
+    for _ in range(2):
+        assert reduce_case_bound(ch.cfg, conj, cc, ch.abs_bound, ch.scale).bound == 23
+    # logged keeps every ball alive, so no id is reused
+    key_of = {id(b): key for key, b in conj._abs.items()}
+    seen = [key_of[id(b)] for b in logged if id(b) in key_of]
+    assert len(seen) == len(set(seen))
+    eta1, eta2, units = conj.etas
+    half = ch.cfg.d // 2
+    assert set(seen) == {(e, i) for e in (*eta1, *eta2, *units) for i in range(half)}
+
+
 @pytest.mark.parametrize("scale", [None, 3162 * 10**31])
 def test_one_case_etas_per_proof(monkeypatch, scale):
     # the constant chain and every reduction round, including those of a
