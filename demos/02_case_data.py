@@ -2,12 +2,13 @@
 
 Each case file carries units, elements gamma of norm +-p^c, elements
 delta of norm +-2, and a factorization of 2.  The proof only needs these
-to satisfy their norm equations, which is checked here by exact resultant
-arithmetic; where the elements came from does not matter.
+to satisfy their norm equations, which is checked here by exact integer
+arithmetic (each norm is the constant term of a characteristic
+polynomial); where the elements came from does not matter.
 """
 
 from cyclobound import get_case, list_case_ids
-from cyclobound.numberfield import enumerate_exponent_cases, nf_norm, verify_case_data
+from cyclobound.numberfield import nf_norm, verify_case_data
 from cyclobound.polyarith import discriminant
 
 for cid in list_case_ids():
@@ -32,5 +33,6 @@ for d in cfg.deltas:
     print(f"  delta:   N = {nf_norm(d, cfg.f)}")
 
 # taking norms in f(x) = 2*p^n forces x - theta into finitely many shapes
-shapes = enumerate_exponent_cases(cfg)
-print(f"\n{len(shapes)} (gamma, delta) branches cover every solution shape")
+# (one norm-p gamma for the prime above p, one delta for the prime above 2)
+branches = len(cfg.norm_p_gammas) * len(cfg.deltas)
+print(f"\n{branches} (gamma, delta) branches cover every solution shape")

@@ -38,7 +38,7 @@ import json
 import math
 from fractions import Fraction
 
-from .polyarith import IntPoly, discriminant, cyclotomic, poly_eval, resultant
+from .polyarith import IntPoly, charpoly_mod, cyclotomic, discriminant, poly_eval
 
 
 # ---------------------------------------------------------------------------
@@ -83,10 +83,6 @@ def nf_add(a: FieldElement, b: FieldElement) -> FieldElement:
     return FieldElement(a.num * b.den + b.num * a.den, a.den * b.den)
 
 
-def nf_neg(a: FieldElement) -> FieldElement:
-    return FieldElement(-a.num, a.den)
-
-
 def nf_mul(a: FieldElement, b: FieldElement, f: IntPoly) -> FieldElement:
     return FieldElement((a.num * b.num) % f, a.den * b.den)
 
@@ -124,40 +120,23 @@ def nf_pow(a: FieldElement, k: int, f: IntPoly) -> FieldElement:
 
 
 def nf_norm(a: FieldElement, f: IntPoly) -> Fraction:
-    """Field norm N(a) = Res(f, num) / den^d for monic f."""
-    if f.lc() != 1:
-        raise ValueError("norm formula requires monic f")
-    if a.is_zero():
-        return Fraction(0)
-    return Fraction(resultant(f, a.num), a.den ** f.degree())
+    """Field norm N(a) = (-1)^d chi(0) / den^d for monic f, where chi is
+    charpoly_mod of the integral numerator."""
+    d = f.degree()
+    sign = -1 if d % 2 else 1
+    return Fraction(sign * charpoly_mod(a.num, f)[0], a.den ** d)
 
 
 def charpoly(a: FieldElement, f: IntPoly) -> IntPoly:
     """Primitive integer characteristic polynomial of a acting on Q[x]/(f).
 
-    For monic f.  Computed on the integral numerator A = den * a from traces
-    by Newton's identities, twice: the power sums P_j of the roots of f come
-    from its coefficients, Tr(A^k) is the sum of coeff_j(A^k) * P_j, and
-    those traces give the coefficients.  Every value is an integer, so each
-    division by k is exact.  Scaling the coefficient of x^(d-k) by den^(d-k)
-    turns the polynomial of A into one of a.  Equals the minimal polynomial
-    raised to a power, scaled to integer coefficients of content 1 with
-    positive leading coefficient.
+    For monic f.  polyarith.charpoly_mod gives the monic polynomial of the
+    integral numerator A = den * a; scaling its coefficient of x^k by den^k
+    turns it into one of a.  Equals the minimal polynomial raised to a
+    power, scaled to integer coefficients of content 1 with positive
+    leading coefficient.
     """
-    if f.lc() != 1:
-        raise ValueError("characteristic polynomial requires monic f")
-    d = f.degree()
-    sums = [d]  # P_j, sums of j-th powers of the roots of f
-    for k in range(1, d):
-        sums.append(-k * f[d - k] - sum(f[d - i] * sums[k - i] for i in range(1, k)))
-    cs = [1]  # cs[k]: coefficient of x^(d-k) in the polynomial of A
-    traces = []  # Tr(A^k) = sum_j coeff_j(A^k) * P_j
-    power = a.num
-    for k in range(1, d + 1):
-        traces.append(sum(power[j] * sums[j] for j in range(d)))
-        cs.append(-sum(cs[k - i] * traces[i - 1] for i in range(1, k + 1)) // k)
-        power = (power * a.num) % f
-    ints = [c * a.den ** (d - k) for k, c in enumerate(cs)][::-1]  # lowest first
+    ints = [c * a.den ** k for k, c in enumerate(charpoly_mod(a.num, f).coeffs)]
     g = math.gcd(*ints)
     return IntPoly(*(c // g for c in ints))
 
@@ -493,11 +472,11 @@ def _envelope_certificate(f: IntPoly) -> bool:
 def verify_case_data(cfg: CaseConfig) -> VerificationReport:
     """Exact re-verification of everything the pipeline consumes.
 
-    All checks are integer/rational identities: unit norms, gamma and delta
-    norms, the multiplicative witness for 2, p not dividing disc(f), and the
-    growth envelope that the archimedean estimates rest on.  Items that
-    cannot be checked without an independent unit-group computation are
-    listed under ``trusted``.
+    All checks are integer/rational identities: unit norms and the unit
+    count, gamma and delta norms, the multiplicative witness for 2, p not
+    dividing disc(f), and the growth envelope that the archimedean
+    estimates rest on.  Items that cannot be checked without an independent
+    unit-group computation are listed under ``trusted``.
     """
     checks: list[CheckResult] = []
 
@@ -526,6 +505,18 @@ def verify_case_data(cfg: CaseConfig) -> VerificationReport:
             f"unit {i} has norm +-1",
             abs(nu) == 1,
             f"N({u}) = {nu}",
+        )
+
+    # the trusted fundamental system needs as many units as the unit rank,
+    # d/2 - 1 by Dirichlet, since Phi_m > 0 on the reals for m >= 3 leaves
+    # f = Phi_m + 1 no real root; a wrong count refutes it, so it is listed
+    # as a failed check
+    rank = cfg.d // 2 - 1
+    if len(cfg.units) != rank:
+        check(
+            f"as many units as the unit rank {rank}",
+            False,
+            f"{len(cfg.units)} listed, so they are no fundamental system",
         )
 
     for i, (g, c) in enumerate(zip(cfg.gammas, cfg.gamma_norm_exponents), 1):
@@ -560,14 +551,3 @@ def verify_case_data(cfg: CaseConfig) -> VerificationReport:
     )
 
     return VerificationReport(cfg.case_id, checks, list(_TRUSTED))
-
-
-def enumerate_exponent_cases(cfg: CaseConfig) -> list[tuple[FieldElement, FieldElement]]:
-    """All (delta, gamma) pairs the S-unit step must handle.
-
-    The prime-ideal exponent vector of 2*p^n forces, for each gamma with
-    norm exponent c, a contribution c*n_i with n_i in {0, n}; the total must
-    be n, so exactly one gamma with c = 1 appears.  Either delta may carry
-    the single factor of 2.
-    """
-    return [(dd, g) for g in cfg.norm_p_gammas for dd in cfg.deltas]

@@ -1,9 +1,8 @@
 """Exact integer polynomial arithmetic.
 
 Coefficient vectors are stored lowest degree first.  Everything here is
-plain ``int`` arithmetic, so results are exact; the resultant uses the
-subresultant polynomial remainder sequence to keep intermediate
-coefficients polynomially sized.
+plain ``int`` arithmetic, so results are exact.  Norms and discriminants
+come from one characteristic polynomial, computed by Newton's identities.
 """
 from __future__ import annotations
 
@@ -154,13 +153,16 @@ def poly_eval(f: IntPoly, x):
     return acc
 
 
-def det(rows):
+def det(rows, one=1):
     """Determinant by cofactor expansion along the first row.
 
     Ring-generic like ``poly_eval``: only +, - and * are used, so entries
     may be ints (exact result), Fractions or balls.  Cost grows as n!, which
-    suits the bound chain's matrices of order at most 4.
+    suits the bound chain's matrices of order at most 4.  The empty matrix
+    has determinant ``one``, the ring's unit.
     """
+    if not rows:
+        return one
     if len(rows) == 1:
         return rows[0][0]
     total = None
@@ -176,61 +178,39 @@ def poly_derivative(f: IntPoly) -> IntPoly:
     return IntPoly(*(i * c for i, c in enumerate(f.coeffs) if i))
 
 
-def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
-    # prem(a, b): lc(b)^(deg a - deg b + 1) * a = q*b + prem, deg prem < deg b
-    da, db = a.degree(), b.degree()
-    lcb = b.lc()
-    e = da - db + 1
-    r = a
-    while not r.is_zero() and r.degree() >= db:
-        shift = r.degree() - db
-        r = r * lcb - IntPoly(*([0] * shift + [r.lc()])) * b
-        e -= 1
-    return r * lcb**e
+def charpoly_mod(a: IntPoly, f: IntPoly) -> IntPoly:
+    """Characteristic polynomial of multiplication by a on ZZ[x]/(f), f monic.
 
+    Newton's identities, twice: the power sums P_j of the roots of f come
+    from its coefficients, Tr(a^k) is the sum of coeff_j(a^k mod f) * P_j,
+    and those traces give the coefficients.  Every value is an integer, so
+    each division by k is exact.  The result is monic of degree deg f, and
+    its constant term is (-1)^deg f times the norm of a, that is Res(f, a).
 
-def resultant(f: IntPoly, g: IntPoly) -> int:
-    """Res(f, g) over ZZ via the subresultant PRS (Collins/Brown-Traub).
-
-    >>> resultant(IntPoly(-2, 1), IntPoly(-3, 1))   # Res(x-2, x-3)
-    -1
+    >>> charpoly_mod(IntPoly(0, 2), IntPoly(1, 0, 1))   # 2i: x^2 + 4
+    IntPoly(coeffs=(4, 0, 1))
     """
-    if f.is_zero() and g.is_zero():
-        raise ValueError("resultant of two zero polynomials")
-    if f.is_zero() or g.is_zero():
-        return 0
-    if f.degree() == 0:
-        return f.lc() ** g.degree()
-    if g.degree() == 0:
-        return g.lc() ** f.degree()
-    sign = 1
-    a, b = f, g
-    if a.degree() < b.degree():
-        a, b = b, a
-        if a.degree() % 2 and b.degree() % 2:
-            sign = -sign
-    gg, hh = 1, 1
-    while b.degree() > 0:
-        delta = a.degree() - b.degree()
-        if a.degree() % 2 and b.degree() % 2:
-            sign = -sign
-        rem = _pseudo_rem(a, b)
-        divisor = gg * hh**delta
-        a, b = b, IntPoly(*(c // divisor for c in rem.coeffs))
-        assert all(c % divisor == 0 for c in rem.coeffs)
-        if b.is_zero():
-            return 0  # common factor of positive degree
-        gg = a.lc()
-        if delta > 0:
-            hh = gg**delta // hh ** (delta - 1)
-    da = a.degree()
-    num, den = b.lc() ** da, hh ** (da - 1)
-    assert num % den == 0
-    return sign * (num // den)
+    if f.lc() != 1:
+        raise ValueError("characteristic polynomial requires monic f")
+    d = f.degree()
+    sums = [d]  # P_j, sums of j-th powers of the roots of f
+    for k in range(1, d):
+        sums.append(-k * f[d - k] - sum(f[d - i] * sums[k - i] for i in range(1, k)))
+    cs = [1]  # cs[k]: coefficient of x^(d-k)
+    traces = []  # Tr(a^k) = sum_j coeff_j(a^k) * P_j
+    a = a % f
+    power = a
+    for k in range(1, d + 1):
+        traces.append(sum(power[j] * sums[j] for j in range(d)))
+        cs.append(-sum(cs[k - i] * traces[i - 1] for i in range(1, k + 1)) // k)
+        power = (power * a) % f
+    return IntPoly(*reversed(cs))
 
 
 def discriminant(f: IntPoly) -> int:
-    """disc(f) = (-1)^(d(d-1)/2) * Res(f, f') / lc(f).
+    """disc(f) = (-1)^(d(d-1)/2) * N(f'(x)) in ZZ[x]/(f), for monic f.
+
+    The norm is read from the constant term of charpoly_mod.
 
     >>> discriminant(IntPoly(1, 0, 1))   # x^2 + 1
     -4
@@ -238,10 +218,8 @@ def discriminant(f: IntPoly) -> int:
     d = f.degree()
     if d < 1:
         raise ValueError("discriminant needs degree >= 1")
-    r = resultant(f, poly_derivative(f))
-    s = -1 if (d * (d - 1) // 2) % 2 else 1
-    assert r % f.lc() == 0
-    return s * (r // f.lc())
+    norm_sign = -1 if (d * (d - 1) // 2 + d) % 2 else 1
+    return norm_sign * charpoly_mod(poly_derivative(f), f)[0]
 
 
 def _divisors(m: int) -> list[int]:

@@ -209,21 +209,15 @@ class ComplexBall:
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re, im=None):
-        if not isinstance(re, Ball):
-            re = Ball(re)
-        if im is None:
-            im = Ball(0, re.prec)
-        elif not isinstance(im, Ball):
-            im = Ball(im, re.prec)
+    def __init__(self, re: Ball, im: Ball | None = None):
         self.re = re
-        self.im = im
+        self.im = Ball(0, re.prec) if im is None else im
 
-    @staticmethod
-    def _coerce(value) -> "ComplexBall":
+    def _coerce(self, value) -> "ComplexBall":
+        """value as a ComplexBall; a plain number at this ball's precision."""
         if isinstance(value, ComplexBall):
             return value
-        return ComplexBall(value if isinstance(value, Ball) else Ball(value))
+        return ComplexBall(value if isinstance(value, Ball) else Ball(value, self.re.prec))
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -252,10 +246,6 @@ class ComplexBall:
 
     def __abs__(self) -> Ball:
         return self.abs_squared().sqrt()
-
-    def log_abs(self) -> Ball:
-        """Enclosure of log|z|, tighter than log(abs) via the square."""
-        return self.abs_squared().log() / 2
 
     def arg(self) -> Ball:
         return ball_atan2(self.im, self.re)
@@ -846,42 +836,41 @@ def compute_constants(
     reg = regulator(cfg, conj)
     if reg.lo <= 0:
         raise ArithmeticError("regulator not certified nonzero")
+    # Cramer's rule on u of the d/2 embeddings, u = len(units): each m_i
+    # is a sum of u minors times a drift of at most c5*n + c6, over the
+    # determinant; the embeddings with the smallest largest minor are used
     units = cfg.units
-    if len(units) == 1:
-        c7 = round_sig((Ball(c5, prec) / reg).hi, 4, "up")
-        c8 = round_sig((Ball(c6, prec) / reg).hi, 4, "up")
-        minor_bound = None
-        minor_triple = None
-    else:
-        u = len(units)
-        best = None
-        for triple in itertools.combinations(range(d // 2), u):
-            rows = [[conj.log_abs(unit, i) for unit in units] for i in triple]
-            vol = abs(det(rows))
-            if vol.lo <= 0:
-                continue
-            minors = [
-                abs(det([r[:cj] + r[cj + 1 :] for r in rows[:ri] + rows[ri + 1 :]]))
-                for ri in range(u)
-                for cj in range(u)
-            ]
-            r2 = ball_max(*minors)
-            if best is None or r2.hi < best[0]:
-                best = (r2.hi, triple, r2, vol)
-        if best is None:
-            raise ArithmeticError("no conjugate triple has a certified determinant")
-        _, minor_triple, r2, vol = best
-        c7 = round_sig((r2 * 3 * c5 / vol).hi, 4, "up")
-        c8 = round_sig((r2 * 3 * c6 / vol).hi, 4, "up")
-        minor_bound = round_sig(r2.hi, 4, "up")
+    u = len(units)
+    best = None
+    for triple in itertools.combinations(range(d // 2), u):
+        rows = [[conj.log_abs(unit, i) for unit in units] for i in triple]
+        vol = abs(det(rows))
+        if vol.lo <= 0:
+            continue
+        minors = [
+            abs(det([r[:cj] + r[cj + 1 :] for r in rows[:ri] + rows[ri + 1 :]], one))
+            for ri in range(u)
+            for cj in range(u)
+        ]
+        r2 = ball_max(*minors)
+        if best is None or r2.hi < best[0]:
+            best = (r2.hi, triple, r2, vol)
+    if best is None:
+        raise ArithmeticError("no conjugate triple has a certified determinant")
+    _, triple, r2, vol = best
+    c7 = round_sig((r2 * u * c5 / vol).hi, 4, "up")
+    c8 = round_sig((r2 * u * c6 / vol).hi, 4, "up")
+    # one unit has only the empty minor, 1, so there is no minor to report
+    minor_bound = round_sig(r2.hi, 4, "up") if u > 1 else None
+    minor_triple = triple if u > 1 else None
 
     # Baker heights: A_j covers d*h(eta_j), every principal |log eta_j|,
     # and the 0.16 floor; eta1/eta2 aggregate over their case choices
     def matveev_a(elem: FieldElement, lead: int | None = None) -> Ball:
         best_b = log_height(cfg, elem, conj, lead) * d
         for i in range(d // 2):
-            e = conj.embed(elem, i)
-            term = (e.log_abs() ** 2 + e.arg() ** 2).sqrt()
+            arg = conj.embed(elem, i).arg()
+            term = (conj.log_abs(elem, i) ** 2 + arg ** 2).sqrt()
             best_b = ball_max(best_b, term)
         return ball_max(best_b, Ball(Fraction(4, 25), prec))
 

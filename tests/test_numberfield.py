@@ -12,14 +12,12 @@ from cyclobound.numberfield import (
     FieldElement,
     case_to_dict,
     charpoly,
-    enumerate_exponent_cases,
     get_case,
     list_case_ids,
     load_case_config,
     nf_add,
     nf_inverse,
     nf_mul,
-    nf_neg,
     nf_norm,
     nf_pow,
     verify_case_data,
@@ -29,6 +27,7 @@ from cyclobound.numberfield import (
 )
 from cyclobound.polyarith import IntPoly, cyclotomic
 from cyclobound.realalg import case_etas
+from test_polyarith import sylvester_det
 
 
 def random_element(rng: random.Random, d: int, span: int = 5) -> FieldElement:
@@ -269,7 +268,8 @@ class TestCharpoly:
             charpoly(FieldElement(IntPoly(0, 1)), IntPoly(2, -1, 1, -1, 2))
 
     def test_constant_term_is_norm_for_integral_elements(self):
-        # even degree makes the sign drop out
+        # the norm of an integral element is Res(f, num), here the Sylvester
+        # determinant; even degree makes the sign drop out
         rng = random.Random(6881)
         for cid in ("15-41", "10-271"):
             f = get_case(cid).f
@@ -277,7 +277,7 @@ class TestCharpoly:
                 a = FieldElement(IntPoly(*[rng.randint(-4, 4) for _ in range(f.degree())]))
                 if a.is_zero():
                     continue
-                assert charpoly(a, f)[0] == nf_norm(a, f)
+                assert charpoly(a, f)[0] == sylvester_det(f, a.num)
 
 
 # strong pseudoprime to the bases 2..37, = 399165290221 * 798330580441
@@ -403,16 +403,6 @@ class TestCaseData:
         path.write_text(json.dumps(raw))
         with pytest.raises(ValueError, match="case_id"):
             load_case_config(str(path))
-
-    def test_exponent_case_counts(self):
-        assert len(enumerate_exponent_cases(get_case("15-41"))) == 2
-        assert len(enumerate_exponent_cases(get_case("15-5581"))) == 4
-        assert len(enumerate_exponent_cases(get_case("10-271"))) == 2
-
-    def test_exponent_cases_only_use_norm_p_gammas(self):
-        cfg = get_case("10-271")
-        for _, g in enumerate_exponent_cases(cfg):
-            assert abs(nf_norm(g, cfg.f)) == cfg.p
 
 
 class TestEnvelope:

@@ -373,6 +373,22 @@ class TestCLI:
         assert main(["verify", "--config", str(path)]) == 1
         assert "[FAIL]" in capsys.readouterr().out
 
+    def test_too_few_units_fail_verify_and_solve(self, tmp_path, capsys):
+        # 15-41 has unit rank 3; with two units every norm still checks out
+        # and the constant chain runs, so without the unit count this file
+        # proved "no solutions"
+        raw = case_to_dict(get_case("15-41"))
+        del raw["units"][2]
+        raw["default_conjugate_choice"] = {"0": [1, 3]}
+        path = tmp_path / "two_units.json"
+        path.write_text(json.dumps(raw))
+        assert main(["verify", "--config", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert out.count("[FAIL]") == 1
+        assert "[FAIL] as many units as the unit rank 3 (2 listed" in out
+        assert main(["solve", "--config", str(path)]) == 1
+        assert "inconclusive" in capsys.readouterr().out
+
     def test_unreadable_config_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         for text in ("{", "5", "null", '"text"'):

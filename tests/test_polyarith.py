@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from cyclobound.numberfield import FieldElement, nf_norm
 from cyclobound.polyarith import (
     IntPoly,
     cyclotomic,
@@ -12,7 +13,6 @@ from cyclobound.polyarith import (
     discriminant,
     poly_derivative,
     poly_eval,
-    resultant,
 )
 
 
@@ -41,8 +41,8 @@ def elimination_det(rows) -> Fraction:
 def sylvester_det(f: IntPoly, g: IntPoly) -> Fraction:
     """Resultant as the determinant of the Sylvester matrix.
 
-    Fraction-exact Gaussian elimination; independent of the subresultant
-    code path under test.
+    Fraction-exact Gaussian elimination; independent of the Newton-identity
+    norms under test.
     """
     m, n = f.degree(), g.degree()
     rows = []
@@ -62,6 +62,11 @@ def random_poly(rng: random.Random, max_deg: int = 5, span: int = 9) -> IntPoly:
     while lead == 0:
         lead = rng.randint(-span, span)
     return IntPoly(*coeffs, lead)
+
+
+def random_monic(rng: random.Random, max_deg: int = 6, span: int = 9) -> IntPoly:
+    deg = rng.randint(1, max_deg)
+    return IntPoly(*[rng.randint(-span, span) for _ in range(deg)], 1)
 
 
 class TestIntPoly:
@@ -101,37 +106,46 @@ class TestIntPoly:
 
 
 class TestResultant:
+    """Res(f, g) for monic f is the norm of g in Q[x]/(f), which nf_norm
+    reads from the characteristic polynomial; the Sylvester determinant is
+    the oracle."""
+
+    @staticmethod
+    def res(f: IntPoly, g: IntPoly) -> Fraction:
+        return nf_norm(FieldElement(g), f)
+
     def test_linear_pair(self):
         # Res(x-2, x-3) = 2 - 3 with the row-of-f-coefficients convention
-        assert resultant(IntPoly(-2, 1), IntPoly(-3, 1)) == -1
+        assert self.res(IntPoly(-2, 1), IntPoly(-3, 1)) == -1
 
     def test_shared_root_vanishes(self):
         f = IntPoly(-1, 1) * IntPoly(2, 1)
-        g = IntPoly(-1, 1) * IntPoly(5, 3)
-        assert resultant(f, g) == 0
+        g = IntPoly(5, 3)
+        assert self.res(f, IntPoly(-1, 1) * g) == 0
 
     def test_matches_sylvester_determinant(self):
+        # random monic f, random g of lower degree over a random denominator
         rng = random.Random(2203)
-        checked = 0
         for _ in range(80):
-            f, g = random_poly(rng), random_poly(rng)
-            assert resultant(f, g) == sylvester_det(f, g)
-            checked += 1
-        assert checked == 80
+            f = random_monic(rng)
+            g = random_poly(rng, max_deg=f.degree() - 1) if f.degree() > 1 else IntPoly(7)
+            den = rng.randint(1, 5)
+            want = sylvester_det(f, g) / den ** f.degree()
+            assert nf_norm(FieldElement(g, den), f) == want
 
     def test_multiplicative_in_second_argument(self):
         rng = random.Random(2740)
         for _ in range(30):
-            f, g, h = (random_poly(rng, max_deg=4) for _ in range(3))
-            assert resultant(f, g * h) == resultant(f, g) * resultant(f, h)
+            f = random_monic(rng, max_deg=4)
+            g, h = (random_poly(rng, max_deg=4) for _ in range(2))
+            assert self.res(f, g * h) == self.res(f, g) * self.res(f, h)
 
     def test_degenerate_inputs(self):
         f = IntPoly(1, 2, 1)
-        assert resultant(f, IntPoly(5)) == 25
-        assert resultant(IntPoly(5), f) == 25
-        assert resultant(f, IntPoly()) == 0
-        with pytest.raises(ValueError):
-            resultant(IntPoly(), IntPoly())
+        assert self.res(f, IntPoly(5)) == 25
+        assert self.res(f, IntPoly()) == 0
+        with pytest.raises(ValueError, match="monic"):
+            self.res(IntPoly(1, 2, 3), IntPoly(1, 1))
 
 
 class TestDet:
@@ -143,6 +157,13 @@ class TestDet:
             got = det(rows)
             assert isinstance(got, int)
             assert got == elimination_det(rows)
+
+    def test_empty_matrix_is_the_unit(self):
+        from cyclobound.realalg import Ball
+
+        assert det([]) == 1
+        unit = Ball(1, 64)
+        assert det([], unit) is unit
 
     def test_fraction_entries(self):
         rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 5)]]
@@ -178,6 +199,19 @@ class TestDiscriminant:
 
     def test_repeated_root_vanishes(self):
         assert discriminant(IntPoly(1, 2, 1)) == 0
+
+    def test_matches_sylvester_determinant(self):
+        # disc(f) = (-1)^(d(d-1)/2) Res(f, f') for monic f
+        rng = random.Random(3319)
+        for _ in range(60):
+            f = random_monic(rng)
+            d = f.degree()
+            want = (-1) ** (d * (d - 1) // 2) * sylvester_det(f, poly_derivative(f))
+            assert discriminant(f) == want
+
+    def test_non_monic_rejected(self):
+        with pytest.raises(ValueError, match="monic"):
+            discriminant(IntPoly(1, 0, 2))
 
 
 class TestCyclotomic:

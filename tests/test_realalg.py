@@ -6,6 +6,7 @@ Either way the assertions demand containment or exact equality, never
 float-approximate equality.
 """
 
+import dataclasses
 import functools
 import hashlib
 import math
@@ -188,7 +189,7 @@ class TestComplexBall:
         assert z.abs_squared().lo <= 25 <= z.abs_squared().hi
         a = abs(z)
         assert a.lo <= 5 <= a.hi
-        la = z.log_abs()
+        la = a.log()
         assert float(la.lo) <= math.log(5) <= float(la.hi)
 
     def test_conjugate(self):
@@ -497,10 +498,10 @@ PINNED_DIGESTS = {
         "9cd758802b909d23f4f2c878080427295bdc372214519516031de24d6a2573aa",
         "e89aef0bbb41cea8393311774ad39465038a83be0c1344ff43a675d4a0bfb47a",
     ),
-    # 64 bits: the roots are 96-bit balls, the embeddings built from them
-    # run through ComplexBall._coerce at the default precision
+    # 64 bits: the roots are 96-bit balls, and the embeddings built from
+    # them run at that precision too
     ("10-271", 64): (
-        "c59d77d5f1ddc32a9d7aed09098fc8edcc4118d295586bc8966d19264404fb85",
+        "da068e06d38730f43dd5c78a8b7470b2ab065818d55c3f6fa55fa182d78ae861",
         "e89aef0bbb41cea8393311774ad39465038a83be0c1344ff43a675d4a0bfb47a",
     ),
 }
@@ -515,6 +516,15 @@ def test_enclosures_match_pinned_digests(chains):
             constants = compute_constants(ch.cfg, conj, ch.n_lower)
         assert _gamma_logs_digest(ch.cfg, conj) == logs_digest, (cid, prec)
         assert _digest(repr(constants)) == constants_digest, (cid, prec)
+
+
+@pytest.mark.parametrize("prec", [64, 128, 512])
+def test_rounded_constants_do_not_depend_on_precision(chains, prec):
+    # the rounded table reproduces the pinned 256-bit digest at each precision
+    for cid, ch in chains.items():
+        conj = ConjugateData(ch.cfg, prec)
+        constants = compute_constants(ch.cfg, conj, ch.n_lower)
+        assert _digest(repr(constants)) == PINNED_DIGESTS[(cid, 256)][1], (cid, prec)
 
 
 def reference_nearest_int(x: Fraction) -> int:
@@ -865,7 +875,8 @@ class TestConjugateData:
     def test_conjugate_embeddings_are_horner_at_conjugate_roots(self, chains, prec):
         # embedding d/2 + i is taken as the conjugate of embedding i; it
         # must have the endpoints of Horner at the conjugate root, also at
-        # 64 bits, where the embeddings run through ComplexBall._coerce
+        # 64 bits, where the Horner constants are coerced at the roots'
+        # precision
         for ch in chains.values():
             cfg = ch.cfg
             conj = ConjugateData(cfg, prec)
@@ -878,6 +889,16 @@ class TestConjugateData:
                     for part in ("re", "im"):
                         g, w = getattr(got, part), getattr(want, part)
                         assert (g._mpi, g.prec) == (w._mpi, w.prec), (e, i, part)
+
+    @pytest.mark.parametrize("prec", [8, 64, 512])
+    def test_embeddings_run_at_the_roots_precision(self, chains, prec):
+        cfg = chains["10-271"].cfg
+        conj = ConjugateData(cfg, prec)
+        work = conj.roots[0].re.prec  # the certified roots carry guard bits
+        assert work == max(prec, 64) + 32
+        for elem in (cfg.units[0], *conj.etas[0]):
+            assert conj.embed_abs(elem, 0).prec == work
+            assert conj.log_abs(elem, 1).prec == work
 
     def test_embed_abs_cached(self, chains):
         ch = chains["10-271"]
@@ -1044,6 +1065,15 @@ class TestConstantChain:
         eta1, eta2, units = case_etas(ch.cfg)
         assert compute_constants(ch.cfg, ch.conj, ch.n_lower) == ch.constants
         assert len(seen) == len(eta1) + len(eta2) + len(units) == 6
+
+    def test_unit_bounds_scale_with_the_unit_count(self, chains):
+        # Cramer's rule over u units sums u minors, so dropping 15-41's
+        # third unit leaves factor 2, where a fixed 3 gave 5.227 / 5.998
+        ch = chains["15-41"]
+        cfg = dataclasses.replace(ch.cfg, units=ch.cfg.units[:2])
+        cc = compute_constants(cfg, ConjugateData(cfg), ch.n_lower)
+        assert (cc.c7, cc.c8) == (Fraction("3.485"), Fraction("3.999"))
+        assert cc.unit_minor_triple is not None
 
     def test_small_lower_bound_rejected(self, chains):
         ch = chains["15-41"]
