@@ -11,16 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
 from .matveev import inequality_coefficients
-from .numberfield import (
-    get_case,
-    list_case_ids,
-    load_case_config,
-    verify_case_data,
-)
+from .numberfield import get_case, list_case_ids, load_case_config
 from .padic import digit_scan_bound
 from .pipeline import ProofChain, StageFailed, emit_report, solve_case
 
@@ -105,7 +101,7 @@ def _run(args, cases, command) -> int:
 
 
 def _verify(chain, args):
-    rep = verify_case_data(chain.cfg)
+    rep = chain.verification
     if not args.json:
         print(f"case {chain.cfg.case_id}: {'ok' if rep.passed else 'FAILED'}")
         for chk in rep.checks:
@@ -210,7 +206,16 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    return _run(args, cases, _COMMANDS[args.command])
+    try:
+        status = _run(args, cases, _COMMANDS[args.command])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: as in the recipe of Python's signal
+        # docs, send what is left to devnull so that the interpreter's
+        # final flush cannot fail again, and report the failed write
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

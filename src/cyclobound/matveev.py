@@ -9,10 +9,11 @@ upper bound for the exponent of any solution.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from fractions import Fraction
 
-from .realalg import DEFAULT_PREC, Ball, CaseConstants, round_sig
+from .realalg import DEFAULT_PREC, Ball, CaseConstants, nearest_int, round_sig
 
 
 def matveev_c9(cc: CaseConstants, prec: int = DEFAULT_PREC) -> Fraction:
@@ -33,29 +34,81 @@ def matveev_c9(cc: CaseConstants, prec: int = DEFAULT_PREC) -> Fraction:
     return round_sig(chain.hi, 4, "up")
 
 
-def _collision_test(cc: CaseConstants, c9: Fraction, prec: int) -> Callable[[int], bool]:
-    """Certified check that exponent n is already impossible, as a function
-    of n; the Balls that do not depend on n are built once."""
+def _sides(cc: CaseConstants, c9: Fraction, prec: int) -> Callable[[int], tuple[Ball, Ball]]:
+    """Enclosures of the two sides of the collision inequality at exponent
+    n, as a function of n; the Balls that do not depend on n are built once."""
     log_p, log_c3 = Ball(cc.p, prec).log(), Ball(cc.c3, prec).log()
     c9_ball = Ball(c9, prec)
 
-    def collides(n: int) -> bool:
+    def sides(n: int) -> tuple[Ball, Ball]:
         lhs = Ball(n, prec) * log_p / cc.d - log_c3
         big_b = cc.rank * cc.d * (cc.c7 * n + cc.c8)
-        rhs = c9_ball * (1 + Ball(big_b, prec).log())
+        return lhs, c9_ball * (1 + Ball(big_b, prec).log())
+
+    return sides
+
+
+def _collision_test(cc: CaseConstants, c9: Fraction, prec: int) -> Callable[[int], bool]:
+    """Certified check that exponent n is already impossible, as a function
+    of n: the left side of the inequality exceeds the right one."""
+    sides = _sides(cc, c9, prec)
+
+    def collides(n: int) -> bool:
+        lhs, rhs = sides(n)
         return lhs.gt(rhs)
 
     return collides
 
 
-def absolute_bound(cc: CaseConstants, prec: int = DEFAULT_PREC) -> int:
-    """Least certified N with no solutions at exponent n >= N.
+def _collision_guess(cc: CaseConstants, c9: Fraction, sides, start: int) -> int:
+    """Estimate of the exponent where the gap
+    g(n) = n*log(p)/d - log(c3) - c9*(1 + log(r*d*(c7*n + c8))) turns
+    positive, for a start between the gap's minimum and that point.
 
-    Past the stationary point of the gap the left side grows linearly
-    while the right side grows logarithmically, so one certified collision
-    settles every larger exponent; the search brackets and bisects above
-    that point.  Requires d*c7 >= 1 so the unit-exponent part of B
-    dominates the n term.
+    In floats: one step of the fixed-point map n -> n - g(n)/(log(p)/d)
+    from `start`, which stays below the crossing, then Newton's method,
+    which climbs from there monotonically because g is concave.  Then one
+    Newton step from the midpoint of the gap's enclosure at the rounded
+    float root.  Nothing rests on the result: it only says where to start
+    looking, and an input the floats cannot handle returns `start`.
+    """
+    slope = math.log(cc.p) / cc.d
+    shift = math.log(cc.c3)
+    c9f, c7, c8 = float(c9), float(cc.c7), float(cc.c8)
+    rd = cc.rank * cc.d
+
+    def gap(n: float) -> float:
+        return n * slope - shift - c9f * (1 + math.log(rd * (c7 * n + c8)))
+
+    def derivative(n: float) -> float:
+        return slope - c9f * c7 / (c7 * n + c8)
+
+    try:
+        n = start - gap(start) / slope
+        for _ in range(100):
+            step = gap(n) / derivative(n)
+            n -= step
+            if abs(step) <= n * 2.0 ** -50:
+                break
+        guess = int(n)
+        lhs, rhs = sides(guess)
+        return nearest_int(guess - (lhs - rhs).mid / Fraction(derivative(guess)))
+    except (ArithmeticError, ValueError):  # overflow, a log of a negative, nan
+        return start
+
+
+def absolute_bound(cc: CaseConstants, prec: int = DEFAULT_PREC) -> int:
+    """Certified N with no solutions at exponent n >= N.
+
+    The gap between the two sides is increasing past its stationary point
+    n_star, since the left side grows linearly while the right side grows
+    logarithmically.  So N is sound as soon as collides(N) holds and
+    N >= lo > n_star, and the result is such an N.  A float estimate of
+    the crossing gives the first N tried; certified collides calls then
+    step out from it by 1, 2, 4, ... until they bracket a change from no
+    collision (or lo) to collision, and bisect that bracket, so N - 1 does
+    not collide unless N = lo.  Requires d*c7 >= 1 so the unit-exponent
+    part of B dominates the n term.
     """
     if cc.d * cc.c7 < 1:
         raise ValueError("bound on B needs d*c7 >= 1")
@@ -65,20 +118,41 @@ def absolute_bound(cc: CaseConstants, prec: int = DEFAULT_PREC) -> int:
     log_p = Ball(cc.p, prec).log()
     n_star = (Ball(c9, prec) * cc.c7 * cc.d / log_p - cc.c8) / cc.c7
     lo = max(int(n_star.hi) + 2, 2)
+    top = lo * 2 ** 64  # past this, the constants look wrong
 
+    sides = _sides(cc, c9, prec)
     collides = _collision_test(cc, c9, prec)
-    hi = lo
-    while not collides(hi):
-        hi *= 2
-        if hi > lo * 2 ** 64:
-            raise ArithmeticError("no collision found; constants look wrong")
+    guess = min(max(_collision_guess(cc, c9, sides, lo), lo), top)
+    # bracket: collides(hi), and no exponent in [lo, hi) is known to
+    # collide; step down from a colliding guess, up from one that is not
+    step = 1
+    if collides(guess):
+        hi = guess
+        while hi > lo:
+            below = max(hi - step, lo)
+            if below == lo:
+                break
+            if not collides(below):
+                lo = below + 1
+                break
+            hi, step = below, 2 * step
+    else:
+        below = guess
+        while True:
+            if below >= top:
+                raise ArithmeticError("no collision found; constants look wrong")
+            hi = min(below + step, top)
+            if collides(hi):
+                break
+            below, step = hi, 2 * step
+        lo = below + 1
     while lo < hi:
         mid = (lo + hi) // 2
         if collides(mid):
             hi = mid
         else:
             lo = mid + 1
-    return lo
+    return hi
 
 
 def inequality_coefficients(cc: CaseConstants, prec: int = DEFAULT_PREC) -> dict:

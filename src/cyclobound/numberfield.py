@@ -38,7 +38,7 @@ import json
 import math
 from fractions import Fraction
 
-from .polyarith import IntPoly, charpoly_mod, cyclotomic, discriminant, poly_eval
+from .polyarith import IntPoly, charpoly_mod, cyclotomic, discriminant, mulmod, poly_eval
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +84,7 @@ def nf_add(a: FieldElement, b: FieldElement) -> FieldElement:
 
 
 def nf_mul(a: FieldElement, b: FieldElement, f: IntPoly) -> FieldElement:
-    return FieldElement((a.num * b.num) % f, a.den * b.den)
+    return FieldElement(mulmod(a.num, b.num, f), a.den * b.den)
 
 
 def nf_inverse(a: FieldElement, f: IntPoly) -> FieldElement:

@@ -118,11 +118,13 @@ class ProofChain:
     """The proof stages of one case, each computed once on first read.
 
     Reading a stage runs the stages it depends on: the scan depth, the
-    lifted roots and the digit-scan floor n_lower; the conjugate data and
-    the rounded constants; c9 and the absolute bound; and the lattice
-    reduction of that bound down to the floor, starting at lattice scale
-    `scale` (default: the case's K).  A scan, constant chain or reduction
-    that cannot finish raises StageFailed.
+    lifted roots and the digit-scan floor n_lower; the verification of the
+    case data, the conjugate data and the rounded constants; c9 and the
+    absolute bound; and the lattice reduction of that bound down to the
+    floor, starting at lattice scale `scale` (default: the case's K).  A
+    scan, constant chain or reduction that cannot finish raises
+    StageFailed, and so does reading the constants of case data that
+    failed verification.
     """
 
     def __init__(
@@ -160,8 +162,14 @@ class ProofChain:
             raise StageFailed(f"constant chain failed: {err}") from err
 
     @cached_property
+    def verification(self) -> VerificationReport:
+        return verify_case_data(self.cfg)
+
+    @cached_property
     def constants(self) -> CaseConstants:
         conj, n_lower = self.conj, self.n_lower  # earlier failures keep their type
+        if not self.verification.passed:
+            raise StageFailed("case data failed verification")
         try:
             return compute_constants(self.cfg, conj, n_lower)
         except (ValueError, ArithmeticError) as err:
@@ -264,7 +272,7 @@ def solve_case(
     timings = report.timings
 
     with _timed(timings, "verify"):
-        report.verification = verify_case_data(cfg)
+        report.verification = chain.verification
     if not report.verification.passed:
         report.reason = "case data failed verification"
         return report

@@ -96,20 +96,9 @@ class IntPoly:
         (IntPoly(coeffs=(-1, 1)), IntPoly(coeffs=()))
         """
         other = _coerce(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        if other.lc() not in (1, -1):
-            raise ValueError("integer divmod needs a monic divisor")
         rem = list(self.coeffs)
-        db = other.degree()
-        q = [0] * max(len(rem) - db, 0)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i] * other.lc()
-            if c:
-                q[i - db] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[i - db + j] -= c * b
-        return IntPoly(*q), IntPoly(*rem[:db])
+        q = _reduce(rem, other)
+        return IntPoly(*q), IntPoly(*rem[: other.degree()])
 
     def __floordiv__(self, other) -> "IntPoly":
         return divmod(self, other)[0]
@@ -132,6 +121,25 @@ class IntPoly:
             mag = "" if abs(c) == 1 and i else str(abs(c))
             parts.append(("-" if c < 0 else "+" if parts else "") + mag + term)
         return "".join(parts)
+
+
+def _reduce(rem: list, f: IntPoly) -> list:
+    """Divide the coefficient list rem by f, whose leading coefficient is
+    +-1, in place: rem[:deg f] is left holding the remainder.  Returns the
+    quotient's coefficients."""
+    if f.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    lc, db = f.lc(), f.degree()
+    if lc not in (1, -1):
+        raise ValueError("integer divmod needs a monic divisor")
+    q = [0] * max(len(rem) - db, 0)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i] * lc
+        if c:
+            q[i - db] = c
+            for j, b in enumerate(f.coeffs, i - db):
+                rem[j] -= c * b
+    return q
 
 
 def _coerce(v) -> IntPoly:
@@ -178,6 +186,23 @@ def poly_derivative(f: IntPoly) -> IntPoly:
     return IntPoly(*(i * c for i, c in enumerate(f.coeffs) if i))
 
 
+def mulmod(a: IntPoly, b: IntPoly, f: IntPoly) -> IntPoly:
+    """(a * b) % f in one pass: the product and its reduction by f (leading
+    coefficient +-1) run on one coefficient list, and only the remainder
+    becomes an IntPoly.
+
+    >>> mulmod(IntPoly(1, 1), IntPoly(-1, 1), IntPoly(1, 0, 1))   # x^2-1 mod x^2+1
+    IntPoly(coeffs=(-2,))
+    """
+    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        if x:
+            for j, y in enumerate(b.coeffs):
+                out[i + j] += x * y
+    _reduce(out, f)
+    return IntPoly(out[: f.degree()])
+
+
 def charpoly_mod(a: IntPoly, f: IntPoly) -> IntPoly:
     """Characteristic polynomial of multiplication by a on ZZ[x]/(f), f monic.
 
@@ -201,9 +226,10 @@ def charpoly_mod(a: IntPoly, f: IntPoly) -> IntPoly:
     a = a % f
     power = a
     for k in range(1, d + 1):
-        traces.append(sum(power[j] * sums[j] for j in range(d)))
+        traces.append(sum(c * s for c, s in zip(power.coeffs, sums)))
         cs.append(-sum(cs[k - i] * traces[i - 1] for i in range(1, k + 1)) // k)
-        power = (power * a) % f
+        if k < d:
+            power = mulmod(power, a, f)
     return IntPoly(*reversed(cs))
 
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from mpmath import libmp
 
 from .numberfield import CaseConfig, FieldElement, charpoly, nf_inverse, nf_mul, nf_pow
-from .polyarith import IntPoly, det, poly_derivative, poly_eval
+from .polyarith import IntPoly, det, poly_derivative
 
 DEFAULT_PREC = 256
 
@@ -205,34 +205,17 @@ def ball_atan2(y: Ball, x: Ball) -> Ball:
 
 
 class ComplexBall:
-    """Rectangular complex enclosure with Ball real and imaginary parts."""
+    """Rectangular complex enclosure with Ball real and imaginary parts.
+
+    Polynomial values come from _horner_at; a ComplexBall is otherwise
+    only divided by a real, conjugated and measured.
+    """
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re: Ball, im: Ball | None = None):
+    def __init__(self, re: Ball, im: Ball):
         self.re = re
-        self.im = Ball(0, re.prec) if im is None else im
-
-    def _coerce(self, value) -> "ComplexBall":
-        """value as a ComplexBall; a plain number at this ball's precision."""
-        if isinstance(value, ComplexBall):
-            return value
-        return ComplexBall(value if isinstance(value, Ball) else Ball(value, self.re.prec))
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return ComplexBall(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return ComplexBall(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
-
-    __rmul__ = __mul__
+        self.im = im
 
     def __truediv__(self, other):
         """Division by a real: an int, a Fraction or a Ball."""
@@ -249,6 +232,33 @@ class ComplexBall:
 
     def arg(self) -> Ball:
         return ball_atan2(self.im, self.re)
+
+
+def _horner_at(f: IntPoly, z: ComplexBall) -> ComplexBall:
+    """Enclosure of f(z) for a ComplexBall z whose parts share one precision.
+
+    Horner's rule on the endpoint pairs: each step is the four-product
+    complex multiplication (acc.re*z.re - acc.im*z.im, acc.re*z.im +
+    acc.im*z.re) followed by adding the coefficient as an int interval,
+    every libmpi call at z's precision.  Adding the exact 0 of a
+    coefficient's imaginary part, or a zero coefficient, is left out: at
+    that precision it returns the other operand unchanged.
+    """
+    prec = z.re.prec
+    xr, xi = z.re._mpi, z.im._mpi
+    mul, add, sub = libmp.mpi_mul, libmp.mpi_add, libmp.mpi_sub
+    coeffs = f.coeffs
+    ar = ai = (libmp.fzero, libmp.fzero)
+    if coeffs:
+        ar = _int_interval(coeffs[-1], prec)
+    for c in reversed(coeffs[:-1]):
+        ar, ai = (
+            sub(mul(ar, xr, prec), mul(ai, xi, prec), prec),
+            add(mul(ar, xi, prec), mul(ai, xr, prec), prec),
+        )
+        if c:
+            ar = add(ar, _int_interval(c, prec), prec)
+    return ComplexBall(Ball._make(ar, prec), Ball._make(ai, prec))
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +597,7 @@ class ConjugateData:
             if i >= half:
                 got = self.embed(elem, i - half).conj()
             else:
-                got = poly_eval(elem.num, self.roots[i]) / elem.den
+                got = _horner_at(elem.num, self.roots[i]) / elem.den
             self._embeds[key] = got
         return got
 
@@ -777,7 +787,7 @@ def compute_constants(
     for i in range(1, d):
         g = poly_derivative(g)
         fact *= i
-        vals = [abs(poly_eval(g, conj.roots[j])) / fact for j in range(d // 2)]
+        vals = [abs(_horner_at(g, conj.roots[j])) / fact for j in range(d // 2)]
         deriv_exact.append(ball_max(*vals))
     deriv_bounds = tuple(round_sig(b.hi, 4, "up") for b in deriv_exact)
 

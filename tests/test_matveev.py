@@ -1,17 +1,19 @@
 """The explicit linear-forms coefficient and the absolute exponent bound."""
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
 
+from cyclobound import matveev
 from cyclobound.matveev import (
     absolute_bound,
     inequality_coefficients,
     matveev_c9,
     _collision_test,
 )
-from cyclobound.realalg import DEFAULT_PREC
+from cyclobound.realalg import DEFAULT_PREC, Ball
 
 C9_PINS = {
     "15-41": Fraction("1.465") * 10**25,
@@ -31,6 +33,67 @@ COEFF_PINS = {
     "15-5581": ("1.078", "2.165", "51.44", "108.7"),
     "10-271": ("1.400", "1.441", "5.964", "4.182"),
 }
+
+
+def reference_absolute_bound(cc, prec=DEFAULT_PREC):
+    """absolute_bound as it searched before its float-estimated start:
+    doubling from lo just past n_star, then bisecting [lo, hi]."""
+    c9 = matveev_c9(cc, prec)
+    log_p = Ball(cc.p, prec).log()
+    n_star = (Ball(c9, prec) * cc.c7 * cc.d / log_p - cc.c8) / cc.c7
+    lo = max(int(n_star.hi) + 2, 2)
+    collides = _collision_test(cc, c9, prec)
+    hi = lo
+    while not collides(hi):
+        hi *= 2
+        if hi > lo * 2 ** 64:
+            raise ArithmeticError("no collision found; constants look wrong")
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if collides(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def perturbed_constants(chains, count, seed):
+    """Seeded variants of the three cases' constants: c3, c7, c8 and the
+    heights each scaled by a factor between 1/4 and 4, keeping d*c7 >= 1."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        cc = chains[("15-41", "15-5581", "10-271")[k % 3]].constants
+
+        def scale(x):
+            return x * Fraction(rng.randint(250, 4000), 1000)
+
+        out.append(dataclasses.replace(
+            cc,
+            c3=scale(cc.c3),
+            c7=max(scale(cc.c7), Fraction(1, cc.d)),
+            c8=scale(cc.c8),
+            a_values=tuple(scale(a) for a in cc.a_values),
+        ))
+    return out
+
+
+def count_collides(monkeypatch):
+    """Patch matveev._collision_test to count certified collides calls."""
+    calls = []
+    real = matveev._collision_test
+
+    def counting(*args):
+        collides = real(*args)
+
+        def counted(n):
+            calls.append(n)
+            return collides(n)
+
+        return counted
+
+    monkeypatch.setattr(matveev, "_collision_test", counting)
+    return calls
 
 
 class TestC9:
@@ -80,6 +143,36 @@ class TestAbsoluteBound:
         )
         with pytest.raises(ValueError, match="d\\*c7"):
             absolute_bound(bad)
+
+    def test_matches_reference_bisection(self, chains):
+        for ch in chains.values():
+            assert absolute_bound(ch.constants) == reference_absolute_bound(ch.constants)
+        for cc in perturbed_constants(chains, 54, 5323):
+            assert absolute_bound(cc) == reference_absolute_bound(cc), cc
+
+    @pytest.mark.parametrize(
+        "guess",
+        [lambda n: 0, lambda n: n - 10**6, lambda n: 10**6 * n, lambda n: 10**100],
+        ids=["below_lo", "below", "far_above", "past_the_runaway_limit"],
+    )
+    def test_bad_guess_gives_the_same_bound(self, chains, monkeypatch, guess):
+        # the estimate only picks the first exponent tried: below lo, below
+        # the crossing, far above it, or past the runaway limit
+        for cid, want in ABS_PINS.items():
+            monkeypatch.setattr(matveev, "_collision_guess", lambda *args: guess(want))
+            assert absolute_bound(chains[cid].constants) == want
+
+    def test_few_certified_calls(self, chains, monkeypatch):
+        calls = count_collides(monkeypatch)
+        for cid, want in ABS_PINS.items():
+            calls.clear()
+            assert absolute_bound(chains[cid].constants) == want
+            assert len(calls) <= 4, (cid, calls)
+
+    def test_runaway_guard(self, chains, monkeypatch):
+        monkeypatch.setattr(matveev, "_collision_test", lambda *args: lambda n: False)
+        with pytest.raises(ArithmeticError, match="no collision found"):
+            absolute_bound(chains["10-271"].constants)
 
     def test_determinism_across_precision(self, chains):
         cc = chains["10-271"].constants

@@ -3,10 +3,15 @@
 import dataclasses
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cyclobound
 from cyclobound import padic, pipeline
 from cyclobound.cli import main
 from cyclobound.realalg import ConjugateData
@@ -249,6 +254,19 @@ class TestSolveCase:
         assert rep.reason == "case data failed verification"
         assert set(rep.timings) == {"verify"}
 
+    def test_verification_runs_once(self, monkeypatch):
+        # the verify stage and the constant chain's gate share one report
+        calls = []
+        verify = pipeline.verify_case_data
+
+        def counting_verify(cfg):
+            calls.append(cfg.case_id)
+            return verify(cfg)
+
+        monkeypatch.setattr(pipeline, "verify_case_data", counting_verify)
+        assert solve_case("10-271").verdict == "no_solutions"
+        assert calls == ["10-271"]
+
     def test_small_scale_is_inconclusive(self, monkeypatch):
         # a small first-round K escalates until the proof concludes, but
         # at 64 bits the log enclosures stop the escalation first
@@ -388,6 +406,39 @@ class TestCLI:
         assert "[FAIL] as many units as the unit rank 3 (2 listed" in out
         assert main(["solve", "--config", str(path)]) == 1
         assert "inconclusive" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["bound", "reduce"])
+    def test_stage_commands_gate_on_verification(self, tmp_path, capsys, command):
+        # the file of the test above fails verify, so its constants and
+        # reduced bound rest on nothing and are not printed
+        raw = case_to_dict(get_case("15-41"))
+        del raw["units"][2]
+        raw["default_conjugate_choice"] = {"0": [1, 3]}
+        path = tmp_path / "two_units.json"
+        path.write_text(json.dumps(raw))
+        assert main([command, "--config", str(path)]) == 1
+        assert capsys.readouterr().out == "case 15-41: case data failed verification\n"
+        assert main([command]) == 0
+        assert "verification" not in capsys.readouterr().out
+
+    def test_closed_pipe_ends_without_a_traceback(self):
+        # a reader that stops after one line, like `cyclobound verify |
+        # head -1`; unbuffered, so every later line meets the closed pipe
+        src = str(Path(cyclobound.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+        ))
+        argv = [sys.executable, "-u", "-m", "cyclobound.cli", "verify"]
+        proc = subprocess.Popen(
+            argv + ["--case", "15-5581"] * 20,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+        )
+        assert proc.stdout.readline() == "case 15-5581: ok\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert "Traceback" not in err, err
 
     def test_unreadable_config_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -11,6 +11,7 @@ from cyclobound.polyarith import (
     cyclotomic,
     det,
     discriminant,
+    mulmod,
     poly_derivative,
     poly_eval,
 )
@@ -103,6 +104,31 @@ class TestIntPoly:
     def test_derivative(self):
         assert poly_derivative(IntPoly(2, -1, 0, 5)) == IntPoly(-1, 0, 15)
         assert poly_derivative(IntPoly(7)) == IntPoly()
+
+
+class TestMulmod:
+    def test_matches_multiply_then_reduce(self):
+        # divisors with leading coefficient 1 and -1, of degree 0 to 6,
+        # and operands that are zero, shorter or longer than the divisor
+        rng = random.Random(4409)
+        for _ in range(300):
+            f = IntPoly(*(rng.randint(-9, 9) for _ in range(rng.randint(0, 6))), rng.choice((1, -1)))
+            a = IntPoly(*(rng.randint(-10**6, 10**6) for _ in range(rng.randint(0, 12))))
+            b = IntPoly(*(rng.randint(-10**6, 10**6) for _ in range(rng.randint(0, 12))))
+            assert mulmod(a, b, f) == (a * b) % f, (a, b, f)
+
+    def test_zero_operands(self):
+        f = IntPoly(2, -1, 1)
+        for a, b in ((IntPoly(), IntPoly(3, 1)), (IntPoly(3, 1), IntPoly()), (IntPoly(), IntPoly())):
+            assert mulmod(a, b, f) == (a * b) % f == IntPoly()
+
+    def test_divisor_errors_match_divmod(self):
+        a, b = IntPoly(1, 1), IntPoly(2, 3)
+        for f, err in ((IntPoly(), ZeroDivisionError), (IntPoly(1, 2), ValueError)):
+            with pytest.raises(err):
+                (a * b) % f
+            with pytest.raises(err):
+                mulmod(a, b, f)
 
 
 class TestResultant:

@@ -155,23 +155,105 @@ class TestBallAtan2:
         assert float(got.lo) <= math.atan2(-1, -2) <= float(got.hi)
 
 
+class OracleComplex:
+    """ComplexBall's arithmetic as it stood before realalg._horner_at:
+    addition and the four-product multiplication on Ball parts, a plain
+    number taken at this value's precision with an exact zero imaginary
+    part.  Kept as an oracle: poly_eval over it is the Horner the kernel
+    must reproduce endpoint for endpoint."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im=None):
+        self.re = re
+        self.im = Ball(0, re.prec) if im is None else im
+
+    def _coerce(self, value):
+        if isinstance(value, OracleComplex):
+            return value
+        if isinstance(value, ComplexBall):
+            return OracleComplex(value.re, value.im)
+        return OracleComplex(value if isinstance(value, Ball) else Ball(value, self.re.prec))
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return OracleComplex(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        return OracleComplex(
+            self.re * o.re - self.im * o.im,
+            self.re * o.im + self.im * o.re,
+        )
+
+    __rmul__ = __mul__
+
+
+def oracle_mul(*factors) -> ComplexBall:
+    """Product of ComplexBalls by the four-product formula."""
+    out = OracleComplex(factors[0].re, factors[0].im)
+    for z in factors[1:]:
+        out = out * z
+    return ComplexBall(out.re, out.im)
+
+
+def oracle_horner(f: IntPoly, z: ComplexBall) -> ComplexBall:
+    """poly_eval(f, z) on the four-product arithmetic."""
+    got = poly_eval(f, OracleComplex(z.re, z.im))
+    return ComplexBall(got.re, got.im)
+
+
+def _same(a: ComplexBall, b: ComplexBall) -> bool:
+    return all(
+        (getattr(a, part)._mpi, getattr(a, part).prec)
+        == (getattr(b, part)._mpi, getattr(b, part).prec)
+        for part in ("re", "im")
+    )
+
+
 class TestComplexBall:
-    def exact_mul(self, a, b):
-        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+    def exact_horner(self, coeffs, z):
+        acc = (Fraction(0), Fraction(0))
+        for c in reversed(coeffs):
+            acc = (acc[0] * z[0] - acc[1] * z[1] + c, acc[0] * z[1] + acc[1] * z[0])
+        return acc
 
     def test_contains_exact_complex_arithmetic(self):
+        # the Horner kernel at rational points: its enclosure contains the
+        # exact value, a sum c0 + c1*z and products of z with itself among
+        # them
         rng = random.Random(8011)
         for _ in range(60):
             a = (random_fraction(rng), random_fraction(rng))
-            b = (random_fraction(rng), random_fraction(rng))
+            f = IntPoly(*(rng.randint(-40, 40) for _ in range(rng.randint(0, 6))))
             za = ComplexBall(Ball(a[0]), Ball(a[1]))
-            zb = ComplexBall(Ball(b[0]), Ball(b[1]))
-            got = za * zb
-            wre, wim = self.exact_mul(a, b)
+            got = realalg._horner_at(f, za)
+            wre, wim = self.exact_horner(f.coeffs, a)
             assert got.re.lo <= wre <= got.re.hi
             assert got.im.lo <= wim <= got.im.hi
-            s = za + zb
-            assert s.re.lo <= a[0] + b[0] <= s.re.hi
+            c0 = rng.randint(-40, 40)
+            s = realalg._horner_at(IntPoly(c0, 1), za)
+            assert s.re.lo <= a[0] + c0 <= s.re.hi
+
+    @pytest.mark.parametrize("prec", [64, 256, 512])
+    def test_horner_kernel_matches_four_product_horner(self, prec):
+        # same endpoints as poly_eval on the four-product arithmetic, for
+        # degrees 0-9 and the zero polynomial, coefficients up to 10^30
+        # with zeros among them, at every certified root of both fields
+        rng = random.Random(7717 + prec)
+        polys = [IntPoly()]
+        for _ in range(40):
+            size = 10 ** rng.choice((1, 3, 12, 30))
+            coeffs = [rng.choice((0, rng.randint(-size, size))) for _ in range(rng.randint(1, 10))]
+            coeffs[-1] = coeffs[-1] or 1
+            polys.append(IntPoly(*coeffs))
+        assert {g.degree() for g in polys} == set(range(-1, 10))
+        for cid in ("15-41", "10-271"):
+            for z in certified_roots(get_case(cid).f, prec):
+                for g in polys:
+                    assert _same(realalg._horner_at(g, z), oracle_horner(g, z)), (cid, g)
 
     def test_division_by_a_real(self):
         z = ComplexBall(Ball(3), Ball(-2))
@@ -644,16 +726,13 @@ class TestCertifiedRoots:
     def test_roots_satisfy_polynomial(self):
         f = get_case("10-271").f
         for z in certified_roots(f):
-            val = poly_eval(f, z)
+            val = realalg._horner_at(f, z)
             assert val.re.lo <= 0 <= val.re.hi
             assert val.im.lo <= 0 <= val.im.hi
 
     def test_product_of_roots_is_constant_term(self):
         f = get_case("15-41").f
-        roots = certified_roots(f)
-        prod = roots[0]
-        for z in roots[1:]:
-            prod = prod * z
+        prod = oracle_mul(*certified_roots(f))
         assert prod.re.lo <= 2 <= prod.re.hi
         assert prod.im.lo <= 0 <= prod.im.hi
 
@@ -828,7 +907,7 @@ class TestRootCentres:
             half = f.degree() // 2
             assert len(roots) == f.degree()
             for z in roots:
-                val = poly_eval(f, z)
+                val = realalg._horner_at(f, z)
                 assert val.re.lo <= 0 <= val.re.hi
                 assert val.im.lo <= 0 <= val.im.hi
             for i in range(half - 1):
@@ -866,17 +945,17 @@ class TestConjugateData:
         b = FieldElement(IntPoly(0, 1, 1), 3)
         for i in range(cfg.d):
             lhs = ch.conj.embed(nf_mul(a, b, cfg.f), i)
-            rhs = ch.conj.embed(a, i) * ch.conj.embed(b, i)
+            rhs = oracle_mul(ch.conj.embed(a, i), ch.conj.embed(b, i))
             # both enclose the same exact value, so they must intersect
             assert lhs.re.lo <= rhs.re.hi and rhs.re.lo <= lhs.re.hi
             assert lhs.im.lo <= rhs.im.hi and rhs.im.lo <= lhs.im.hi
 
     @pytest.mark.parametrize("prec", [realalg.DEFAULT_PREC, 64])
     def test_conjugate_embeddings_are_horner_at_conjugate_roots(self, chains, prec):
-        # embedding d/2 + i is taken as the conjugate of embedding i; it
-        # must have the endpoints of Horner at the conjugate root, also at
-        # 64 bits, where the Horner constants are coerced at the roots'
-        # precision
+        # embedding i comes from the Horner kernel and embedding d/2 + i is
+        # taken as its conjugate; both must have the endpoints of the
+        # four-product Horner at their root, also at 64 bits, where the
+        # Horner constants are coerced at the roots' precision
         for ch in chains.values():
             cfg = ch.cfg
             conj = ConjugateData(cfg, prec)
@@ -884,11 +963,10 @@ class TestConjugateData:
             half = cfg.d // 2
             for e in (*cfg.units, *cfg.gammas, *cfg.deltas, *eta1, *eta2):
                 for i in range(half):
-                    want = poly_eval(e.num, conj.roots[half + i]) / e.den
-                    got = conj.embed(e, half + i)
-                    for part in ("re", "im"):
-                        g, w = getattr(got, part), getattr(want, part)
-                        assert (g._mpi, g.prec) == (w._mpi, w.prec), (e, i, part)
+                    want = oracle_horner(e.num, conj.roots[i]) / e.den
+                    assert _same(conj.embed(e, i), want), (e, i)
+                    want = oracle_horner(e.num, conj.roots[half + i]) / e.den
+                    assert _same(conj.embed(e, half + i), want), (e, half + i)
 
     @pytest.mark.parametrize("prec", [8, 64, 512])
     def test_embeddings_run_at_the_roots_precision(self, chains, prec):
