@@ -3,12 +3,14 @@
 Every archimedean quantity in the bound chain is carried as a Ball, an
 interval held as a pair of mpf endpoints that mpmath's libmpi operates on
 with outward rounding, so comparisons and rounded constants are proved
-rather than sampled.  Polynomial roots are located by Durand-Kerner in
-machine floats, polished by Newton in integer fixed point, and then
-certified independently by an exact disc test.  Constants are rounded to
-four significant digits in a fixed direction, and each one is checked
-against its enclosure in the direction that keeps it a valid bound; a
-failed check raises instead of weakening the result.
+rather than sampled; embeddings and their magnitudes come from an integer
+kernel with the same endpoints.  Polynomial roots are located by
+Durand-Kerner in machine floats, polished by Newton in integer fixed
+point, and then certified independently by an exact disc test.
+Constants are rounded to four significant digits in a fixed direction,
+and each one is checked against its enclosure in the direction that
+keeps it a valid bound; a failed check raises instead of weakening the
+result.
 """
 from __future__ import annotations
 
@@ -208,7 +210,7 @@ class ComplexBall:
     """Rectangular complex enclosure with Ball real and imaginary parts.
 
     Polynomial values come from _horner_at; a ComplexBall is otherwise
-    only divided by a real, conjugated and measured.
+    only conjugated and measured.
     """
 
     __slots__ = ("re", "im")
@@ -217,48 +219,205 @@ class ComplexBall:
         self.re = re
         self.im = im
 
-    def __truediv__(self, other):
-        """Division by a real: an int, a Fraction or a Ball."""
-        return ComplexBall(self.re / other, self.im / other)
-
     def conj(self) -> "ComplexBall":
         return ComplexBall(self.re, -self.im)
 
-    def abs_squared(self) -> Ball:
-        return self.re ** 2 + self.im ** 2
-
     def __abs__(self) -> Ball:
-        return self.abs_squared().sqrt()
+        """sqrt(re**2 + im**2), with libmpi's endpoints."""
+        re, im = self.re, self.im
+        xr, xi = _ints(re._mpi), _ints(im._mpi)
+        if xr is None or xi is None:
+            return (re ** 2 + im ** 2).sqrt()
+        prec = max(re.prec, im.prec)
+        total = _add(_square(xr, re.prec), _square(xi, im.prec), prec)
+        return Ball._make(_mpfs(_sqrt(total, prec)), prec)
 
     def arg(self) -> Ball:
         return ball_atan2(self.im, self.re)
 
 
-def _horner_at(f: IntPoly, z: ComplexBall) -> ComplexBall:
-    """Enclosure of f(z) for a ComplexBall z whose parts share one precision.
+# ---------------------------------------------------------------------------
+# the integer kernel
+#
+# Embeddings and their magnitudes run on plain integers.  An endpoint is an
+# exact pair (m, e) worth m * 2**e, m a signed int, and an interval is the
+# tuple (lo_m, lo_e, hi_m, hi_e).  mpmath's add, mul, div and sqrt round
+# correctly in the direction asked, so each kernel step computes its result
+# exactly and floors or ceils it to prec significant bits wherever libmpi
+# rounds; the endpoints then match libmpi's, and are converted to mpf once.
 
-    Horner's rule on the endpoint pairs: each step is the four-product
-    complex multiplication (acc.re*z.re - acc.im*z.im, acc.re*z.im +
-    acc.im*z.re) followed by adding the coefficient as an int interval,
-    every libmpi call at z's precision.  Adding the exact 0 of a
+
+def _round(m: int, e: int, prec: int, up: bool):
+    """m*2**e to prec significant bits, rounded up (ceiling) or down (floor)."""
+    n = m.bit_length() - prec
+    if n > 0:
+        return (-(-m >> n) if up else m >> n), e + n
+    return m, e
+
+
+def _ints(mpi):
+    """The kernel interval of an mpf endpoint pair, or None if not finite."""
+    (s1, m1, e1, _), (s2, m2, e2, _) = mpi
+    if (not m1 and e1) or (not m2 and e2):
+        return None
+    return (-m1 if s1 else m1), e1, (-m2 if s2 else m2), e2
+
+
+def _mpfs(x):
+    return libmp.from_man_exp(x[0], x[1]), libmp.from_man_exp(x[2], x[3])
+
+
+def _const(c: int, prec: int):
+    return (*_round(c, 0, prec, False), *_round(c, 0, prec, True))
+
+
+def _sum(m1, e1, m2, e2, prec, up):
+    """_round of m1*2**e1 + m2*2**e2."""
+    if not m2:
+        m, e = m1, e1
+    elif not m1:
+        m, e = m2, e2
+    else:
+        if e1 < e2:
+            m1, e1, m2, e2 = m2, e2, m1, e1
+        offset = e1 - e2
+        if offset > 100 and m1.bit_length() + offset - m2.bit_length() > prec + 4:
+            # as in mpf_add: the smaller term lies below every bit the
+            # rounding keeps, so one bit of its sign stands in for it
+            m, e = (m1 << prec + 4) + (1 if m2 > 0 else -1), e1 - prec - 4
+        else:
+            m, e = (m1 << offset) + m2, e2
+    n = m.bit_length() - prec
+    if n > 0:
+        return (-(-m >> n) if up else m >> n), e + n
+    return m, e
+
+
+def _add(x, y, prec):
+    return (*_sum(x[0], x[1], y[0], y[1], prec, False),
+            *_sum(x[2], x[3], y[2], y[3], prec, True))
+
+
+def _sub(x, y, prec):
+    return (*_sum(x[0], x[1], -y[2], y[3], prec, False),
+            *_sum(x[2], x[3], -y[0], y[1], prec, True))
+
+
+def _mul(x, y, prec):
+    """libmpi's mpi_mul: the endpoint products its sign cases pick (the
+    product is symmetric, so an x that straddles zero swaps with y)."""
+    if x[0] < 0 < x[2]:
+        if y[0] < 0 < y[2]:
+            # both straddle zero: libmpi compares all four products
+            return _ints(libmp.mpi_mul(_mpfs(x), _mpfs(y), prec))
+        x, y = y, x
+    am, ae, bm, be = x
+    cm, ce, dm, de = y
+    if am >= 0:
+        if cm >= 0:
+            lm, le, hm, he = am * cm, ae + ce, bm * dm, be + de
+        elif dm <= 0:
+            lm, le, hm, he = bm * cm, be + ce, am * dm, ae + de
+        else:
+            lm, le, hm, he = bm * cm, be + ce, bm * dm, be + de
+    elif cm >= 0:
+        lm, le, hm, he = am * dm, ae + de, bm * cm, be + ce
+    elif dm <= 0:
+        lm, le, hm, he = bm * dm, be + de, am * cm, ae + ce
+    else:
+        lm, le, hm, he = am * dm, ae + de, am * cm, ae + ce
+    n = lm.bit_length() - prec
+    if n > 0:
+        lm, le = lm >> n, le + n
+    n = hm.bit_length() - prec
+    if n > 0:
+        hm, he = -(-hm >> n), he + n
+    return lm, le, hm, he
+
+
+def _square(x, prec):
+    """libmpi's mpi_pow_int(x, 2), that is mpi_square."""
+    am, ae, bm, be = x
+    if am >= 0:
+        return (*_round(am * am, 2 * ae, prec, False), *_round(bm * bm, 2 * be, prec, True))
+    if bm <= 0:
+        return (*_round(bm * bm, 2 * be, prec, False), *_round(am * am, 2 * ae, prec, True))
+    return _ints(libmp.mpi_pow_int(_mpfs(x), 2, prec))
+
+
+def _div_int(x, den, prec):
+    """libmpi's mpi_div by the point interval of an int 0 < den < 2**prec:
+    each quotient to prec + 2 bits or more, a last odd bit standing in for
+    a nonzero remainder."""
+    out = ()
+    for m, e, up in ((x[0], x[1], False), (x[2], x[3], True)):
+        k = max(0, prec + 2 + den.bit_length() - m.bit_length())
+        q, r = divmod(m << k, den)
+        out += _round(2 * q + 1, e - k - 1, prec, up) if r else _round(q, e - k, prec, up)
+    return out
+
+
+def _sqrt(x, prec):
+    """libmpi's mpi_sqrt for x >= 0, rounded as _div_int rounds."""
+    out = ()
+    for m, e, up in ((x[0], x[1], False), (x[2], x[3], True)):
+        if e & 1:
+            m, e = m << 1, e - 1
+        k = max(0, prec + 2 - m.bit_length() // 2)
+        m, e = m << 2 * k, e // 2 - k
+        r = math.isqrt(m)
+        out += _round(2 * r + 1, e - 1, prec, up) if r * r != m else _round(r, e, prec, up)
+    return out
+
+
+_KERNEL = (_const, _mul, _add, _sub)
+_LIBMPI = (_int_interval, libmp.mpi_mul, libmp.mpi_add, libmp.mpi_sub)
+
+
+def _horner(coeffs, xr, xi, prec, ops):
+    """Horner's rule for a polynomial at xr + i*xi, on kernel intervals or
+    mpf endpoint pairs: each step is the four-product complex
+    multiplication (acc.re*xr - acc.im*xi, acc.re*xi + acc.im*xr)
+    followed by adding the coefficient.  Adding the exact 0 of a
     coefficient's imaginary part, or a zero coefficient, is left out: at
-    that precision it returns the other operand unchanged.
-    """
-    prec = z.re.prec
-    xr, xi = z.re._mpi, z.im._mpi
-    mul, add, sub = libmp.mpi_mul, libmp.mpi_add, libmp.mpi_sub
-    coeffs = f.coeffs
-    ar = ai = (libmp.fzero, libmp.fzero)
+    prec it returns the other operand unchanged."""
+    const, mul, add, sub = ops
+    ar = ai = const(0, prec)
     if coeffs:
-        ar = _int_interval(coeffs[-1], prec)
+        ar = const(coeffs[-1], prec)
     for c in reversed(coeffs[:-1]):
         ar, ai = (
             sub(mul(ar, xr, prec), mul(ai, xi, prec), prec),
             add(mul(ar, xi, prec), mul(ai, xr, prec), prec),
         )
         if c:
-            ar = add(ar, _int_interval(c, prec), prec)
-    return ComplexBall(Ball._make(ar, prec), Ball._make(ai, prec))
+            ar = add(ar, const(c, prec), prec)
+    return ar, ai
+
+
+def _horner_at(f: IntPoly, z: ComplexBall, den: int = 1) -> ComplexBall:
+    """Enclosure of f(z) / den for a ComplexBall z whose parts share one
+    precision and an int den > 0.
+
+    The endpoints are those of libmpi's Horner (_horner on mpf pairs)
+    followed by division by den as an int interval, every call at z's
+    precision.  The integer kernel computes them; libmpi itself takes
+    the inputs the kernel does not: non-finite endpoints, and a den wider
+    than the precision, whose int interval is not a point.
+    """
+    prec = z.re.prec
+    xr, xi = _ints(z.re._mpi), _ints(z.im._mpi)
+    if xr is None or xi is None or den.bit_length() > prec:
+        re, im = _horner(f.coeffs, z.re._mpi, z.im._mpi, prec, _LIBMPI)
+        if den != 1:
+            d = _int_interval(den, prec)
+            re, im = libmp.mpi_div(re, d, prec), libmp.mpi_div(im, d, prec)
+    else:
+        re, im = _horner(f.coeffs, xr, xi, prec, _KERNEL)
+        if den != 1:
+            re, im = _div_int(re, den, prec), _div_int(im, den, prec)
+        re, im = _mpfs(re), _mpfs(im)
+    return ComplexBall(Ball._make(re, prec), Ball._make(im, prec))
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +756,7 @@ class ConjugateData:
             if i >= half:
                 got = self.embed(elem, i - half).conj()
             else:
-                got = _horner_at(elem.num, self.roots[i]) / elem.den
+                got = _horner_at(elem.num, self.roots[i], elem.den)
             self._embeds[key] = got
         return got
 
@@ -638,10 +797,20 @@ def log_height(
     if lead is None:
         lead = charpoly(elem, cfg.f).lc()
     total = Ball(abs(lead), conj.prec).log()
-    one = Ball(1, conj.prec)
+    # log max(|x|, 1) is the cached log|x| with both ends raised to 0:
+    # libmpi logs each endpoint alone, and log 1 = 0 exactly.  An
+    # enclosure of |x| that reaches 0 has no log, and takes the max first
+    terms = []
+    for i in range(conj.d // 2):
+        x = conj.embed_abs(elem, i)
+        if libmp.mpf_sign(x._mpi[0]) > 0:
+            ends = conj.log_abs(elem, i)._mpi
+            ends = tuple(max(v, libmp.fzero, key=_BY_VALUE) for v in ends)
+            terms.append(Ball._make(ends, x.prec))
+        else:
+            terms.append(ball_max(x, Ball(1, conj.prec)).log())
     # embedding d/2 + i has the magnitude of embedding i; the terms are
     # added in embedding order, so the sum rounds as it always has
-    terms = [ball_max(conj.embed_abs(elem, i), one).log() for i in range(conj.d // 2)]
     for term in terms + terms:
         total = total + term
     return total / conj.d
@@ -662,6 +831,34 @@ def regulator(cfg: CaseConfig, conj: ConjugateData, idxs=None) -> Ball:
         raise ValueError("need as many distinct embeddings as units")
     rows = [[conj.log_abs(u, i) for u in units] for i in idxs]
     return abs(det(rows))
+
+
+def matveev_a(
+    cfg: CaseConfig, elem: FieldElement, conj: ConjugateData, lead: int | None = None
+) -> Ball:
+    """Enclosure of the Baker height max(d*h(elem), |log sigma_i(elem)|
+    for every embedding i, 0.16) with the upper end of the maximum over
+    every term.
+
+    Only the upper end is read.  Every angle ball_atan2 returns lies in
+    [-pi_hi, pi_hi], so |log sigma_i(elem)| is at most sqrt(log|sigma_i|^2
+    + pi_hi^2), computed with the same roundings; the angle is taken only
+    where that bound could raise the upper end of the running maximum.
+    The lower end leaves out the terms skipped, so it may be lower.
+    `lead` is as in log_height.
+    """
+    d = conj.d
+    work = conj.roots[0].re.prec
+    pi_hi = libmp.mpf_pi(work, libmp.round_ceiling)
+    pi_sq = Ball._make((libmp.mpf_neg(pi_hi), pi_hi), work) ** 2
+    best = ball_max(log_height(cfg, elem, conj, lead) * d, Ball(Fraction(4, 25), conj.prec))
+    for i in range(d // 2):
+        log_sq = conj.log_abs(elem, i) ** 2
+        if libmp.mpf_le((log_sq + pi_sq).sqrt()._mpi[1], best._mpi[1]):
+            continue
+        arg = conj.embed(elem, i).arg()
+        best = ball_max(best, (log_sq + arg ** 2).sqrt())
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -874,23 +1071,19 @@ def compute_constants(
     minor_bound = round_sig(r2.hi, 4, "up") if u > 1 else None
     minor_triple = triple if u > 1 else None
 
-    # Baker heights: A_j covers d*h(eta_j), every principal |log eta_j|,
-    # and the 0.16 floor; eta1/eta2 aggregate over their case choices
-    def matveev_a(elem: FieldElement, lead: int | None = None) -> Ball:
-        best_b = log_height(cfg, elem, conj, lead) * d
-        for i in range(d // 2):
-            arg = conj.embed(elem, i).arg()
-            term = (conj.log_abs(elem, i) ** 2 + arg ** 2).sqrt()
-            best_b = ball_max(best_b, term)
-        return ball_max(best_b, Ball(Fraction(4, 25), prec))
-
+    # Baker heights: eta1/eta2 aggregate over their case choices
     eta1, eta2, _ = conj.etas
     a0_eta1 = tuple(charpoly(e, f).lc() for e in eta1)
     a0_eta2 = tuple(charpoly(e, f).lc() for e in eta2)
+
+    def a_value(elems, leads) -> Fraction:
+        heights = [matveev_a(cfg, e, conj, lead) for e, lead in zip(elems, leads)]
+        return round_sig(ball_max(*heights).hi, 4, "up")
+
     a_values = (
-        round_sig(ball_max(*map(matveev_a, eta1, a0_eta1)).hi, 4, "up"),
-        round_sig(ball_max(*map(matveev_a, eta2, a0_eta2)).hi, 4, "up"),
-        *(round_sig(matveev_a(unit).hi, 4, "up") for unit in units),
+        a_value(eta1, a0_eta1),
+        a_value(eta2, a0_eta2),
+        *(a_value([unit], [None]) for unit in units),
     )
 
     return CaseConstants(

@@ -16,9 +16,11 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath import libmp
 
 from cyclobound import realalg
-from cyclobound.numberfield import FieldElement, charpoly, get_case
+from cyclobound.numberfield import FieldElement, charpoly, get_case, nf_inverse, nf_mul
+from cyclobound.pipeline import solve_case
 from cyclobound.polyarith import IntPoly, poly_eval
 from cyclobound.realalg import (
     Ball,
@@ -31,6 +33,7 @@ from cyclobound.realalg import (
     certified_roots,
     compute_constants,
     log_height,
+    matveev_a,
     nearest_int,
     regulator,
     round_div,
@@ -205,6 +208,38 @@ def oracle_horner(f: IntPoly, z: ComplexBall) -> ComplexBall:
     return ComplexBall(got.re, got.im)
 
 
+def reference_horner_at(f: IntPoly, z: ComplexBall) -> ComplexBall:
+    """realalg._horner_at as it stood on libmpi: Horner's rule on the
+    endpoint pairs, each step the four-product complex multiplication
+    followed by adding the coefficient as an int interval, every call at
+    z's precision, the exact additions of 0 left out."""
+    prec = z.re.prec
+    xr, xi = z.re._mpi, z.im._mpi
+    mul, add, sub = libmp.mpi_mul, libmp.mpi_add, libmp.mpi_sub
+    coeffs = f.coeffs
+    ar = ai = (libmp.fzero, libmp.fzero)
+    if coeffs:
+        ar = realalg._int_interval(coeffs[-1], prec)
+    for c in reversed(coeffs[:-1]):
+        ar, ai = (
+            sub(mul(ar, xr, prec), mul(ai, xi, prec), prec),
+            add(mul(ar, xi, prec), mul(ai, xr, prec), prec),
+        )
+        if c:
+            ar = add(ar, realalg._int_interval(c, prec), prec)
+    return ComplexBall(Ball._make(ar, prec), Ball._make(ai, prec))
+
+
+def oracle_div(z: ComplexBall, den: int) -> ComplexBall:
+    """Each part divided by den through libmpi's Ball division."""
+    return ComplexBall(z.re / den, z.im / den)
+
+
+def oracle_abs(z: ComplexBall) -> Ball:
+    """|z| as sqrt(re**2 + im**2) on Balls."""
+    return (z.re ** 2 + z.im ** 2).sqrt()
+
+
 def _same(a: ComplexBall, b: ComplexBall) -> bool:
     return all(
         (getattr(a, part)._mpi, getattr(a, part).prec)
@@ -256,20 +291,21 @@ class TestComplexBall:
                     assert _same(realalg._horner_at(g, z), oracle_horner(g, z)), (cid, g)
 
     def test_division_by_a_real(self):
-        z = ComplexBall(Ball(3), Ball(-2))
-        for den, exact in (
-            (7, Fraction(7)),
-            (Fraction(-2, 3), Fraction(-2, 3)),
-            (Ball(Fraction(5, 11), 64), Fraction(5, 11)),
-        ):
-            got = z / den
-            assert got.re.lo <= 3 / exact <= got.re.hi
-            assert got.im.lo <= -2 / exact <= got.im.hi
+        # _horner_at divides f(z) by an int den: the endpoints of libmpi's
+        # Ball division of each part, up to dens wider than the precision,
+        # which libmpi divides itself
+        z = ComplexBall(Ball(3, 64), Ball(-2, 64))
+        gen = IntPoly(0, 1)
+        for den in (1, 7, 3**40, 2**64 - 1, 2**64 + 1, 3**400):
+            got = realalg._horner_at(gen, z, den)
+            assert _same(got, oracle_div(z, den)), den
+            assert got.re.lo <= Fraction(3, den) <= got.re.hi
+            assert got.im.lo <= Fraction(-2, den) <= got.im.hi
 
     def test_abs_and_log_abs(self):
         z = ComplexBall(Ball(3), Ball(4))
-        assert z.abs_squared().lo <= 25 <= z.abs_squared().hi
         a = abs(z)
+        assert a._mpi == oracle_abs(z)._mpi
         assert a.lo <= 5 <= a.hi
         la = a.log()
         assert float(la.lo) <= math.log(5) <= float(la.hi)
@@ -549,6 +585,222 @@ class TestAgainstReference:
         for y, x in ((0, -3), (0, 0), (0, 2)):
             assert_same(ball_atan2(Ball(y), Ball(x)),
                         reference_atan2(ReferenceBall(y), ReferenceBall(x)))
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against the libmpi calls it replaces: every step must
+# return, bit for bit, the endpoints of its libmpi call (mpi_mul in all
+# nine sign cases, mpi_add and mpi_sub with the perturbation branch,
+# mpi_div by an int, mpi_square, mpi_sqrt), and Horner, |z| and the
+# division by a denominator those of reference_horner_at, including on the
+# inputs the kernel hands to libmpi itself
+
+
+def endpoint(rng: random.Random, prec: int, sign: int):
+    """A random mpf of at most prec bits with the given sign, of widely
+    varying size and bit count."""
+    if sign == 0:
+        return libmp.fzero
+    bits = rng.choice((1, 2, 7, prec // 2, prec - 1, prec, 2 * prec))
+    man = rng.getrandbits(bits) | 1
+    exp = rng.randint(-3 * prec, 2 * prec)
+    return libmp.from_man_exp(-man if sign < 0 else man, exp, prec, libmp.round_floor)
+
+
+def interval(rng: random.Random, prec: int, kind: str):
+    """A random libmpi interval: kind "pos" (lower end >= 0), "neg" (upper
+    end <= 0) or "mixed" (straddling 0); pos and neg may have a zero
+    endpoint, or both."""
+    if kind == "mixed":
+        return endpoint(rng, prec, -1), endpoint(rng, prec, 1)
+    sign = 1 if kind == "pos" else -1
+    shape = rng.randrange(6)
+    if shape == 0:
+        return libmp.fzero, libmp.fzero
+    if shape == 1:
+        ends = [libmp.fzero, endpoint(rng, prec, sign)]
+    elif shape == 2:
+        v = endpoint(rng, prec, sign)
+        ends = [v, v]
+    elif shape == 3:
+        # a narrow interval, as Horner's accumulators are
+        v = endpoint(rng, prec, sign)
+        w = libmp.mpf_add(v, libmp.mpf_shift(v, -prec // 2), prec, libmp.round_floor)
+        ends = [v, w]
+    else:
+        ends = [endpoint(rng, prec, sign), endpoint(rng, prec, sign)]
+    lo, hi = sorted(ends, key=realalg._BY_VALUE)
+    return lo, hi
+
+
+KINDS = ("pos", "neg", "mixed")
+
+
+def kernel(op, *mpis, prec):
+    """op on the kernel form of the given libmpi intervals, back as mpf."""
+    return realalg._mpfs(op(*map(realalg._ints, mpis), prec))
+
+
+@pytest.mark.parametrize("prec", PRECS)
+class TestKernelSteps:
+    def test_mul_in_every_sign_case(self, prec):
+        rng = random.Random(5100 + prec)
+        for kx in KINDS:
+            for ky in KINDS:
+                for _ in range(30):
+                    x, y = interval(rng, prec, kx), interval(rng, prec, ky)
+                    assert kernel(realalg._mul, x, y, prec=prec) == libmp.mpi_mul(x, y, prec), (x, y)
+
+    def test_add_and_sub(self, prec):
+        rng = random.Random(5200 + prec)
+        for _ in range(150):
+            x = interval(rng, prec, rng.choice(KINDS))
+            y = interval(rng, prec, rng.choice(KINDS))
+            if rng.random() < 0.3:
+                # cancellation: y close to -x or to x
+                y = libmp.mpi_neg(x) if rng.random() < 0.5 else x
+            assert kernel(realalg._add, x, y, prec=prec) == libmp.mpi_add(x, y, prec)
+            assert kernel(realalg._sub, x, y, prec=prec) == libmp.mpi_sub(x, y, prec)
+
+    def test_add_and_sub_far_apart(self, prec):
+        # offsets beyond 100 bits: gaps past prec + 4 take mpf_add's
+        # perturbation branch, narrower ones the exact sum
+        rng = random.Random(5300 + prec)
+        perturbed = exact = 0
+        for _ in range(200):
+            bbits = rng.choice((1, 3, prec))
+            man = (rng.getrandbits(bbits) | 1 << (bbits - 1) | 1) * rng.choice((-1, 1))
+            big = libmp.from_man_exp(man, rng.randint(-prec, prec))
+            _, _, bexp, bbc = big
+            sbits = rng.choice((1, 5, prec))
+            gap = rng.choice((prec + 5, prec + 6, prec + rng.randint(7, 400), rng.randint(prec - 2, prec + 4)))
+            sexp = bexp + bbc - gap - sbits
+            small = libmp.from_man_exp((rng.getrandbits(sbits) | 1 << (sbits - 1)) * rng.choice((-1, 1)), sexp)
+            offset = bexp - small[2]
+            if offset <= 100:
+                continue
+            if bbc + bexp - small[3] - small[2] > prec + 4:
+                perturbed += 1
+            else:
+                exact += 1
+            for x, y in (((big, big), (small, small)), ((small, big), (big, big)), ((big, big), (small, big))):
+                if libmp.mpf_gt(x[0], x[1]) or libmp.mpf_gt(y[0], y[1]):
+                    continue
+                assert kernel(realalg._add, x, y, prec=prec) == libmp.mpi_add(x, y, prec)
+                assert kernel(realalg._sub, x, y, prec=prec) == libmp.mpi_sub(x, y, prec)
+                assert kernel(realalg._add, y, x, prec=prec) == libmp.mpi_add(y, x, prec)
+        assert perturbed >= 20 and exact >= 3, (perturbed, exact)
+
+    def test_div_by_ints_of_every_width(self, prec):
+        rng = random.Random(5400 + prec)
+        for bits in range(1, prec + 1):
+            den = rng.getrandbits(bits) | 1 << (bits - 1)
+            if rng.random() < 0.1:
+                den = 1 << (bits - 1)  # a power of two divides exactly
+            x = interval(rng, prec, rng.choice(KINDS))
+            want = libmp.mpi_div(x, realalg._int_interval(den, prec), prec)
+            got = realalg._mpfs(realalg._div_int(realalg._ints(x), den, prec))
+            assert got == want, (x, den)
+
+    def test_square_in_its_three_cases(self, prec):
+        rng = random.Random(5500 + prec)
+        for kind in KINDS:
+            for _ in range(60):
+                x = interval(rng, prec, kind)
+                assert kernel(realalg._square, x, prec=prec) == libmp.mpi_pow_int(x, 2, prec)
+
+    def test_sqrt(self, prec):
+        rng = random.Random(5600 + prec)
+        for _ in range(100):
+            x = interval(rng, prec, "pos")
+            assert kernel(realalg._sqrt, x, prec=prec) == libmp.mpi_sqrt(x, prec)
+        for _ in range(60):
+            # exact squares at even and odd exponents, and one bit off
+            root = rng.getrandbits(rng.randint(1, prec // 2)) | 1
+            exp = rng.randint(-prec, prec)
+            sq = libmp.from_man_exp(root * root, exp)
+            off = libmp.from_man_exp(root * root + 1, exp, prec, libmp.round_ceiling)
+            for x in ((sq, sq), (sq, off), (libmp.fzero, sq)):
+                assert kernel(realalg._sqrt, x, prec=prec) == libmp.mpi_sqrt(x, prec)
+
+
+def random_box(rng: random.Random, prec: int) -> ComplexBall:
+    parts = []
+    for _ in range(2):
+        kind = rng.choice(("narrow", "narrow", "mixed", "point"))
+        if kind == "point":
+            v = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+            parts.append(Ball(v, prec))
+        elif kind == "narrow":
+            v = Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**6))
+            parts.append(Ball.from_endpoints(v, v + Fraction(1, 10**rng.randint(3, 40)), prec))
+        else:
+            parts.append(Ball.from_endpoints(Fraction(-rng.randint(1, 99), 100),
+                                             Fraction(rng.randint(1, 99), 100), prec))
+    return ComplexBall(*parts)
+
+
+def random_poly(rng: random.Random) -> IntPoly:
+    size = 10 ** rng.choice((1, 3, 12, 30, 90))
+    return IntPoly(*(rng.choice((0, rng.randint(-size, size))) for _ in range(rng.randint(0, 9))))
+
+
+@pytest.mark.parametrize("prec", PRECS)
+def test_horner_abs_and_division_match_libmpi(prec):
+    # random boxes, some straddling zero (mixed x mixed products go to
+    # libmpi), point parts, and denominators of 1 to past prec bits
+    rng = random.Random(5700 + prec)
+    for _ in range(40):
+        z = random_box(rng, prec)
+        f = random_poly(rng)
+        den = rng.choice((1, 1, 3, 2**20 + 7, 2**prec - 1, 2**prec + 1, 3**(prec // 2)))
+        want = reference_horner_at(f, z)
+        if den != 1:
+            want = oracle_div(want, den)
+        got = realalg._horner_at(f, z, den)
+        assert _same(got, want), (f, den)
+        assert abs(got)._mpi == oracle_abs(want)._mpi
+
+
+def test_horner_at_certified_roots_matches_libmpi():
+    rng = random.Random(5800)
+    for cid in ("15-41", "10-271"):
+        for z in certified_roots(get_case(cid).f, 64):
+            for _ in range(15):
+                f, den = random_poly(rng), rng.choice((1, 2, 17, 2**200 + 1))
+                want = reference_horner_at(f, z)
+                if den != 1:
+                    want = oracle_div(want, den)
+                assert _same(realalg._horner_at(f, z, den), want), (cid, f, den)
+
+
+@pytest.mark.parametrize("ends", [
+    (libmp.fninf, libmp.finf),
+    (libmp.fzero, libmp.finf),
+    (libmp.fninf, libmp.fone),
+])
+def test_nonfinite_endpoints_go_through_libmpi(ends):
+    z = ComplexBall(Ball._make(ends, 64), Ball(Fraction(1, 3), 64))
+    assert realalg._ints(ends) is None
+    for f in (IntPoly(), IntPoly(5), IntPoly(2, -1, 0, 1), IntPoly(0, 1)):
+        for den in (1, 7):
+            want = reference_horner_at(f, z)
+            if den != 1:
+                want = oracle_div(want, den)
+            assert _same(realalg._horner_at(f, z, den), want), (f, den)
+    for w in (z, z.conj(), ComplexBall(z.im, z.re)):
+        assert abs(w)._mpi == oracle_abs(w)._mpi
+
+
+def test_parts_of_different_precisions():
+    # |z| squares each part at its own precision and adds at the wider
+    rng = random.Random(5900)
+    for _ in range(30):
+        re = Ball(Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**20)), rng.choice(PRECS))
+        im = Ball(Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**20)), rng.choice(PRECS))
+        z = ComplexBall(re, im)
+        got, want = abs(z), oracle_abs(z)
+        assert (got._mpi, got.prec) == (want._mpi, want.prec)
 
 
 def _digest(text: str) -> str:
@@ -952,21 +1204,21 @@ class TestConjugateData:
 
     @pytest.mark.parametrize("prec", [realalg.DEFAULT_PREC, 64])
     def test_conjugate_embeddings_are_horner_at_conjugate_roots(self, chains, prec):
-        # embedding i comes from the Horner kernel and embedding d/2 + i is
-        # taken as its conjugate; both must have the endpoints of the
-        # four-product Horner at their root, also at 64 bits, where the
-        # Horner constants are coerced at the roots' precision
+        # embedding i comes from the integer kernel and embedding d/2 + i
+        # is taken as its conjugate; both must have the endpoints of the
+        # four-product Horner at their root divided by the denominator on
+        # Balls, also at 64 bits, where the Horner constants are coerced at
+        # the roots' precision; so must their magnitudes
         for ch in chains.values():
             cfg = ch.cfg
             conj = ConjugateData(cfg, prec)
             eta1, eta2, _ = conj.etas
             half = cfg.d // 2
             for e in (*cfg.units, *cfg.gammas, *cfg.deltas, *eta1, *eta2):
-                for i in range(half):
-                    want = oracle_horner(e.num, conj.roots[i]) / e.den
+                for i in (*range(half), *range(half, cfg.d)):
+                    want = oracle_div(oracle_horner(e.num, conj.roots[i]), e.den)
                     assert _same(conj.embed(e, i), want), (e, i)
-                    want = oracle_horner(e.num, conj.roots[half + i]) / e.den
-                    assert _same(conj.embed(e, half + i), want), (e, half + i)
+                    assert conj.embed_abs(e, i)._mpi == oracle_abs(want)._mpi, (e, i)
 
     @pytest.mark.parametrize("prec", [8, 64, 512])
     def test_embeddings_run_at_the_roots_precision(self, chains, prec):
@@ -1018,6 +1270,140 @@ class TestHeights:
         ch = chains["10-271"]
         with pytest.raises(ValueError):
             log_height(ch.cfg, FieldElement(0), ch.conj)
+
+
+def reference_log_height(cfg, elem, conj, lead=None) -> Ball:
+    """log_height as it stood before it read the cached logs: each term
+    is log max(|sigma_i|, 1) taken afresh."""
+    if lead is None:
+        lead = charpoly(elem, cfg.f).lc()
+    total = Ball(abs(lead), conj.prec).log()
+    one = Ball(1, conj.prec)
+    terms = [ball_max(conj.embed_abs(elem, i), one).log() for i in range(conj.d // 2)]
+    for term in terms + terms:
+        total = total + term
+    return total / conj.d
+
+
+def reference_matveev_a(cfg, elem, conj, lead=None) -> Ball:
+    """compute_constants' Baker height as it stood before the angle was
+    skipped: every angle is taken."""
+    d = conj.d
+    best_b = reference_log_height(cfg, elem, conj, lead) * d
+    for i in range(d // 2):
+        arg = conj.embed(elem, i).arg()
+        term = (conj.log_abs(elem, i) ** 2 + arg ** 2).sqrt()
+        best_b = ball_max(best_b, term)
+    return ball_max(best_b, Ball(Fraction(4, 25), conj.prec))
+
+
+def _case_elements(cfg, conj):
+    eta1, eta2, _ = conj.etas
+    return (*cfg.units, *cfg.gammas, *cfg.deltas, *eta1, *eta2)
+
+
+class TestBakerHeights:
+    @pytest.mark.parametrize("prec", [64, 256, 512])
+    def test_match_reference_on_case_elements(self, chains, prec):
+        # log heights bit for bit, and the upper end of every Baker height,
+        # the only end compute_constants reads
+        for ch in chains.values():
+            conj = ConjugateData(ch.cfg, prec)
+            for e in _case_elements(ch.cfg, conj):
+                got, want = log_height(ch.cfg, e, conj), reference_log_height(ch.cfg, e, conj)
+                assert (got._mpi, got.prec) == (want._mpi, want.prec), (ch.cfg.case_id, e)
+                got = matveev_a(ch.cfg, e, conj)
+                assert got._mpi[1] == reference_matveev_a(ch.cfg, e, conj)._mpi[1], e
+                assert got.lo <= got.hi
+
+    @pytest.mark.parametrize("prec", [64, 256, 512])
+    def test_match_reference_on_seeded_products(self, chains, prec):
+        # products of case elements and their inverses, with embeddings
+        # whose magnitude lies below 1, above it, or on both sides across
+        # the embeddings, and the constants 1, -1, 1/2 and 3
+        rng = random.Random(6300 + prec)
+        for ch in chains.values():
+            cfg = ch.cfg
+            conj = ConjugateData(cfg, prec)
+            pool = list(_case_elements(cfg, conj))
+            elems = [FieldElement(1), FieldElement(-1), FieldElement(IntPoly(1), 2), FieldElement(3)]
+            for _ in range(6):
+                e = FieldElement(1)
+                for _ in range(rng.randint(1, 3)):
+                    factor = rng.choice(pool)
+                    if rng.random() < 0.5:
+                        factor = nf_inverse(factor, cfg.f)
+                    e = nf_mul(e, factor, cfg.f)
+                elems.append(e)
+            sides = set()
+            for e in elems:
+                mags = [conj.embed_abs(e, i) for i in range(cfg.d // 2)]
+                sides.add((any(m.hi < 1 for m in mags), any(m.lo > 1 for m in mags)))
+                got, want = log_height(cfg, e, conj), reference_log_height(cfg, e, conj)
+                assert (got._mpi, got.prec) == (want._mpi, want.prec), e
+                assert matveev_a(cfg, e, conj)._mpi[1] == reference_matveev_a(cfg, e, conj)._mpi[1]
+            assert {(True, False), (False, True), (True, True)} <= sides
+
+    def test_enclosures_across_one_and_reaching_zero(self, chains):
+        # an enclosure of |sigma_i| that contains 1 has its log clamped at
+        # 0 below; one that reaches 0 has no log and takes the max first
+        ch = chains["10-271"]
+        work = ch.conj.roots[0].re.prec
+        for lo, hi in ((Fraction(999, 1000), Fraction(1001, 1000)), (Fraction(0), Fraction(2)),
+                       (Fraction(0), Fraction(1, 2)), (Fraction(1), Fraction(1))):
+            conj = ConjugateData(ch.cfg, ch.conj.prec)
+            e = FieldElement(IntPoly(3, 1))
+            conj._abs[(e, 0)] = Ball.from_endpoints(lo, hi, work)
+            got, want = log_height(ch.cfg, e, conj), reference_log_height(ch.cfg, e, conj)
+            assert (got._mpi, got.prec) == (want._mpi, want.prec), (lo, hi)
+
+    def test_angles_taken_per_proof(self, monkeypatch):
+        # the certified angle is taken only where the bound |arg| <= pi
+        # could raise a Baker height: 4 per built-in proof, not 24/28/8
+        calls = []
+        angle = realalg.ball_atan2
+
+        def counted(y, x):
+            calls.append(1)
+            return angle(y, x)
+
+        monkeypatch.setattr(realalg, "ball_atan2", counted)
+        for cid in ("15-41", "15-5581", "10-271"):
+            calls.clear()
+            solve_case(cid)
+            assert len(calls) == 4, cid
+
+    def test_exact_angle_decides_for_10_271(self, chains):
+        # 10-271's first eta1 and its unit: the largest exact |log sigma_i|
+        # (2.73 and 2.63) exceeds d*h (2.49 and 2.37), so the angle sets A
+        ch = chains["10-271"]
+        cfg, conj = ch.cfg, ch.conj
+        eta1, _, units = conj.etas
+        for elem, lead, dh_pin, term_pin in ((eta1[0], charpoly(eta1[0], cfg.f).lc(), "2.49", "2.73"),
+                                             (units[0], None, "2.37", "2.63")):
+            dh = log_height(cfg, elem, conj, lead) * cfg.d
+            terms = [(conj.log_abs(elem, i) ** 2 + conj.embed(elem, i).arg() ** 2).sqrt()
+                     for i in range(cfg.d // 2)]
+            top = ball_max(*terms)
+            assert round_sig(dh.mid, 3) == Fraction(dh_pin)
+            assert round_sig(top.mid, 3) == Fraction(term_pin)
+            assert top.gt(dh)
+            assert matveev_a(cfg, elem, conj, lead)._mpi[1] == top._mpi[1]
+
+    def test_every_angle_lies_within_pi_hi(self):
+        # the bound the skip rests on, on boxes in every quadrant and
+        # hugging the negative real axis from both sides
+        rng = random.Random(6400)
+        for prec in PRECS:
+            pi_hi = libmp.mpf_pi(prec, libmp.round_ceiling)
+            for _ in range(60):
+                x = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**3))
+                y = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), 10 ** rng.randint(0, prec // 2))
+                for bx in (Ball(x, prec), Ball.from_endpoints(x - 1, x, prec)):
+                    for by in (Ball(y, prec), Ball.from_endpoints(min(y, 0), max(y, 0), prec)):
+                        arg = ball_atan2(by, bx)
+                        assert libmp.mpf_le(libmp.mpf_neg(pi_hi), arg._mpi[0])
+                        assert libmp.mpf_le(arg._mpi[1], pi_hi)
 
 
 class TestRegulator:
