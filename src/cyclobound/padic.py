@@ -148,14 +148,6 @@ def roots_mod_p(f: IntPoly, p: int) -> list[int]:
     return sorted(_split_linear(g, p))
 
 
-def _eval_mod(f: IntPoly, x: int, mod: int) -> int:
-    """f(x) mod `mod` by Horner's rule, reducing after every step."""
-    acc = 0
-    for c in reversed(f.coeffs):
-        acc = (acc * x + c) % mod
-    return acc
-
-
 def _digits(x: int, p: int, n: int) -> list[int]:
     """The n base-p digits of 0 <= x < p^n, lowest first.
 
@@ -173,33 +165,54 @@ def _digits(x: int, p: int, n: int) -> list[int]:
     return _digits(lo, p, h) + _digits(hi, p, n - h)
 
 
+def _precisions(depth: int) -> list[int]:
+    """The Newton precisions ceil(depth/2^k), ..., ceil(depth/2), depth.
+
+    Ascending from 1, each at most twice the one before, so every step
+    doubles and the last one starts from ceil(depth/2) digits; there are
+    ceil(log2(depth)) + 1 of them.
+    """
+    out = [depth]
+    while out[-1] > 1:
+        out.append((out[-1] + 1) // 2)
+    return out[::-1]
+
+
 def hensel_lift(f: IntPoly, p: int, r0: int, depth: int) -> PAdicRoot:
     """Lift a simple root of f mod p to a root mod p^depth.
 
-    Newton iteration with doubling modulus: each step squares the modulus,
-    so reaching depth digits takes about log2(depth) big-int rounds.  The
-    step x <- x - f(x)*y needs y = f'(x)^(-1) only mod p^e when x is a
-    root mod p^e and the new modulus is at most p^(2e), so y is carried
-    along and refined by y <- y*(2 - f'(x)*y), which doubles its precision
-    too; one modular inverse mod p starts it.  A simple root mod p has
-    exactly one lift mod p^depth, so the digits equal those of any other
-    correct lift.
+    Newton iteration on the precisions of _precisions(depth), which halve
+    from depth down to 1: every step exactly doubles, and the last one
+    starts from ceil(depth/2) digits, so a depth just above a power of two
+    costs no second near-full step.  A step from a root x mod p^e to one
+    mod p^E, E <= 2e, is x <- x - f(x)*y and needs y = f'(root)^(-1) only
+    mod p^e.  So y is carried along and refined by y <- y*(2 - f'(x)*y)
+    mod p^e before x moves (f'(x) = f'(root) mod p^e), which doubles its
+    precision too; one modular inverse mod p starts it.  Each step builds
+    one table of x^k mod p^E, k <= deg f, and takes f(x) mod p^E and
+    f'(x) mod p^e from it as sums with the small coefficients.  A simple
+    root mod p has exactly one lift mod p^depth, so the digits equal those
+    of any other correct lift.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if poly_eval(f, r0) % p != 0:
         raise ValueError(f"{r0} is not a root of f mod {p}")
     fprime = poly_derivative(f)
-    if poly_eval(fprime, r0) % p == 0:
+    fprime_r0 = poly_eval(fprime, r0)
+    if fprime_r0 % p == 0:
         raise ValueError(f"root {r0} of f mod {p} is not simple")
-    x, e = r0 % p, 1
-    y = pow(poly_eval(fprime, x), -1, p)
-    while e < depth:
-        e = min(2 * e, depth)
-        mod = p**e
-        x = (x - _eval_mod(f, x, mod) * y) % mod
-        if e < depth:
-            y = y * (2 - _eval_mod(fprime, x, mod) * y) % mod
+    x, y = r0 % p, pow(fprime_r0, -1, p)
+    precisions = _precisions(depth)
+    for e, E in zip(precisions, precisions[1:]):
+        mod, mod_e = p**E, p**e
+        powers = [1, x]
+        for _ in range(f.degree() - 1):
+            powers.append(powers[-1] * x % mod)
+        fpx = sum(c * w for c, w in zip(fprime.coeffs, powers))
+        y = y * (2 - fpx % mod_e * y) % mod_e
+        fx = sum(c * w for c, w in zip(f.coeffs, powers))
+        x = (x - fx * y) % mod
     return PAdicRoot(p, tuple(_digits(x, p, depth)))
 
 

@@ -12,6 +12,7 @@ import pytest
 from cyclobound.numberfield import get_case
 from cyclobound.padic import (
     PAdicRoot,
+    _precisions,
     combined_lower_bound,
     digit_scan_bound,
     hensel_lift,
@@ -143,22 +144,50 @@ class TestHenselLift:
 
     def test_matches_reference(self):
         # every root of the paper's primes and of seeded primes, for both
-        # polynomials; depth 1 takes no Newton step, 3 ends on a capped
-        # step, and 1500 splits its digits at several levels
+        # case polynomials, then a non-monic cubic with negative
+        # coefficients and a linear f; depth 1 takes no Newton step, 3 and
+        # 7 end on a capped step in the reference, 63 / 64 / 65 and 1025
+        # sit on both sides of a power of two, and 1500 splits its digits
+        # at several levels
         rng = random.Random(60607)
-        for cid, paper_primes in (("15-41", (41, 5581)), ("10-271", (271,))):
-            f = get_case(cid).f
-            for p in (*paper_primes, *seeded_primes(f, 1, rng)):
-                for r in roots_mod_p(f, p):
-                    for depth in (1, 2, 3, 7, 1500):
+        polys = [
+            (get_case(cid).f, paper_primes)
+            for cid, paper_primes in (("15-41", (41, 5581)), ("10-271", (271,)))
+        ]
+        polys = [(f, (*primes, *seeded_primes(f, 1, rng))) for f, primes in polys]
+        polys += [(IntPoly(2, -7, -5, 3), (31, 10007)), (IntPoly(-3, 5), (7, 101))]
+        for f, primes in polys:
+            for p in primes:
+                roots = roots_mod_p(f, p)
+                assert roots, (f, p)
+                for r in roots:
+                    for depth in (1, 2, 3, 7, 63, 64, 65, 1025, 1500):
                         got = hensel_lift(f, p, r, depth)
-                        assert got == reference_hensel_lift(f, p, r, depth), (p, r, depth)
+                        assert got == reference_hensel_lift(f, p, r, depth), (f, p, r, depth)
 
     def test_value_digit_roundtrip(self):
         root = hensel_lift(get_case("10-271").f, 271, 241, 12)
         assert root.depth == 12
         rebuilt = PAdicRoot(271, root.digits)
         assert rebuilt.value() == root.value() < 271**12
+
+
+class TestPrecisions:
+    def test_pinned_schedules(self):
+        assert _precisions(1) == [1]
+        assert _precisions(2) == [1, 2]
+        assert _precisions(64) == [1, 2, 4, 8, 16, 32, 64]
+        assert _precisions(65) == [1, 2, 3, 5, 9, 17, 33, 65]
+        assert _precisions(1025) == [1, 2, 3, 5, 9, 17, 33, 65, 129, 257, 513, 1025]
+        assert _precisions(2333)[-3:] == [584, 1167, 2333]
+
+    def test_every_step_at_most_doubles_from_the_half(self):
+        for depth in range(1, 5000):
+            precs = _precisions(depth)
+            assert len(precs) == (depth - 1).bit_length() + 1  # ceil(log2 depth) + 1
+            assert precs[0] == 1 and precs[-1] == depth
+            for e, E in zip(precs, precs[1:]):
+                assert e == -(-E // 2), depth
 
 
 class TestDigitPrefixes:
