@@ -38,7 +38,9 @@ import json
 import math
 from fractions import Fraction
 
-from .polyarith import IntPoly, charpoly_mod, cyclotomic, discriminant, mulmod, poly_eval
+from .polyarith import (
+    IntPoly, charpoly_mod, cyclotomic, discriminant, is_prime, mulmod, poly_eval,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -203,33 +205,6 @@ class VerificationReport:
 
 def _euler_phi(m: int) -> int:
     return sum(1 for k in range(1, m + 1) if math.gcd(k, m) == 1)
-
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_PROVEN_BELOW = 3_317_044_064_679_887_385_961_981
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin on _MR_BASES: a proof below _MR_PROVEN_BELOW, False from it up."""
-    if n < 2 or n >= _MR_PROVEN_BELOW:
-        return False
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    r, s = n - 1, 0
-    while r % 2 == 0:
-        r, s = r // 2, s + 1
-    for a in _MR_BASES:
-        x = pow(a, r, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _int(value, what: str, least: int | None = None) -> int:
@@ -399,7 +374,7 @@ def get_case(case_id: str) -> CaseConfig:
 def load_case_config(path: str) -> CaseConfig:
     """Load a case definition from a JSON file (schema in the module docstring).
 
-    Malformed data (a non-monic f among it), or a p that _is_prime cannot
+    Malformed data (a non-monic f among it), or a p that is_prime cannot
     prove prime, raises ValueError.
     """
     with open(path) as fh:
@@ -409,7 +384,7 @@ def load_case_config(path: str) -> CaseConfig:
     if "case_id" not in raw:
         raise ValueError("case file missing field 'case_id'")
     cfg = _config_from_dict(str(raw["case_id"]), raw)
-    if not _is_prime(cfg.p):
+    if not is_prime(cfg.p):
         raise ValueError(f"case {cfg.case_id}: p = {cfg.p} is not a proven prime")
     return cfg
 
@@ -490,7 +465,7 @@ def verify_case_data(cfg: CaseConfig) -> VerificationReport:
         cfg.f == f_expect and cfg.f.degree() == cfg.d == phi and cfg.f.lc() == 1,
         f"f = {cfg.f}, degree {cfg.f.degree()} = phi({cfg.m})",
     )
-    check("p is an odd prime", cfg.p % 2 == 1 and _is_prime(cfg.p), f"p = {cfg.p}")
+    check("p is an odd prime", cfg.p % 2 == 1 and is_prime(cfg.p), f"p = {cfg.p}")
 
     disc = discriminant(cfg.f)
     check(

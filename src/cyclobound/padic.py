@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import dataclasses
 
-from .numberfield import CaseConfig, _is_prime
-from .polyarith import IntPoly, poly_derivative, poly_eval
+from .numberfield import CaseConfig
+from .polyarith import IntPoly, poly_derivative, poly_eval, roots_mod_p
 
 
 class NoRootsModP(ValueError):
@@ -48,104 +48,6 @@ class PAdicRoot:
             if self.digits[k] in (0, self.p - 1):
                 return k
         return None
-
-
-# Polynomials over F_p are coefficient lists, lowest first, each entry in
-# 0..p-1 and no trailing zeros; the zero polynomial is [].
-
-
-def _fp_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by a nonzero b over F_p."""
-    rem, db = list(a), len(b) - 1
-    inv = pow(b[-1], -1, p)
-    quo = [0] * max(len(a) - db, 0)
-    for k in range(len(a) - 1, db - 1, -1):
-        c = rem[k] * inv % p
-        if c:
-            quo[k - db] = c
-            for j in range(db + 1):
-                rem[k - db + j] = (rem[k - db + j] - c * b[j]) % p
-    return quo, _fp_trim(rem[:db])
-
-
-def _fp_mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
-    """a*b mod m over F_p."""
-    prod = [0] * max(len(a) + len(b) - 1, 0)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            prod[i + j] += x * y
-    return _fp_divmod([c % p for c in prod], m, p)[1]
-
-
-def _fp_powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
-    """a^e mod m over F_p, by square-and-multiply."""
-    result, base = _fp_divmod([1], m, p)[1], _fp_divmod(a, m, p)[1]
-    while e:
-        if e & 1:
-            result = _fp_mulmod(result, base, m, p)
-        base = _fp_mulmod(base, base, m, p)
-        e >>= 1
-    return result
-
-
-def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    """The monic gcd of a and b over F_p, not both zero."""
-    while b:
-        a, b = b, _fp_divmod(a, b, p)[1]
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
-
-
-def _split_linear(g: list[int], p: int) -> list[int]:
-    """The roots of a monic g over F_p, p odd, g a product of distinct
-    linear factors: equal-degree factorisation (Cohen, GTM 138, §3.4)
-    with the shifts a = 0, 1, 2, ... in turn instead of random ones.
-
-    gcd((x + a)^((p-1)/2) - 1, g) keeps the roots r of g with r + a a
-    nonzero square.  For roots r != s the Legendre symbols of
-    (r + a)(s + a) sum to -1 over all a, so some a puts r + a and s + a
-    on opposite sides, and the loop over a always splits g.
-    """
-    if len(g) <= 2:
-        return [-g[0] % p] if len(g) == 2 else []
-    for a in range(p):
-        w = _fp_powmod([a, 1], (p - 1) // 2, g, p)
-        w[0] = (w[0] - 1) % p
-        s = _fp_gcd(g, _fp_trim(w), p)
-        if 1 < len(s) < len(g):
-            return _split_linear(s, p) + _split_linear(_fp_divmod(g, s, p)[0], p)
-    raise AssertionError("no shift splits g")  # unreachable, see above
-
-
-def roots_mod_p(f: IntPoly, p: int) -> list[int]:
-    """All roots of f mod p, sorted, for a prime p.
-
-    Exact over the field F_p: x^p - x is the product of x - r over all r
-    in F_p, so g = gcd(x^p - x, f mod p) vanishes at exactly the roots of
-    f mod p, each a simple root of g.  x^p is reduced mod f by
-    square-and-multiply, and g is split into its linear factors.  When
-    g = x^p - x (f mod p is zero, or divisible by x^p - x) every residue
-    is a root.  A p not proved prime is refused: if Z/p is no field,
-    Hensel lifts need not be unique and a floor built on them is not
-    proved.
-    """
-    if not _is_prime(p):
-        raise ValueError(f"p = {p} is not a proven prime; roots mod p need a field")
-    fp = _fp_trim([c % p for c in f.coeffs])
-    if not fp:
-        return list(range(p))
-    h = _fp_powmod([0, 1], p, fp, p) + [0, 0]
-    h[1] -= 1
-    g = _fp_gcd(fp, _fp_trim([c % p for c in h]), p)
-    if len(g) == p + 1:
-        return list(range(p))
-    return sorted(_split_linear(g, p))
 
 
 def _digits(x: int, p: int, n: int) -> list[int]:
@@ -239,15 +141,8 @@ def scan_case(cfg: CaseConfig, depth: int) -> list[PAdicRoot]:
     return [hensel_lift(cfg.f, cfg.p, r, depth + 1) for r in roots]
 
 
-def combined_lower_bound(
-    cfg: CaseConfig, depth: int, lifted: list[PAdicRoot] | None = None
-) -> int:
-    """min over lifted roots of the digit-scan bound, scanning indices 1..depth.
-
-    The lifted roots are appended to `lifted` when it is given, so a caller
-    that needs both the roots and the floor lifts each root once.
-    """
+def combined_lower_bound(cfg: CaseConfig, depth: int) -> tuple[list[PAdicRoot], int]:
+    """The lifted roots, and the min over them of the digit-scan bound,
+    scanning indices 1..depth."""
     roots = scan_case(cfg, depth)
-    if lifted is not None:
-        lifted.extend(roots)
-    return min(digit_scan_bound(r, cfg.d) for r in roots)
+    return roots, min(digit_scan_bound(r, cfg.d) for r in roots)

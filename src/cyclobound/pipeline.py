@@ -20,7 +20,7 @@ from functools import cached_property
 from .matveev import absolute_bound, matveev_c9
 from .numberfield import CaseConfig, VerificationReport, get_case, verify_case_data
 from .padic import NoRootsModP, PAdicRoot, combined_lower_bound
-from .polyarith import IntPoly, poly_eval
+from .polyarith import IntPoly, poly_eval, values_mod
 from .realalg import DEFAULT_PREC, CaseConstants, ConjugateData, compute_constants
 from .reduction import ReductionReport, reduction_loop
 
@@ -62,17 +62,6 @@ def _iroot(t: int, d: int) -> int:
     return x
 
 
-def _values_mod(f: IntPoly, q: int) -> set[int]:
-    """The values of f mod q at every residue, by Horner's rule mod q."""
-    values = set()
-    for x in range(q):
-        acc = 0
-        for c in reversed(f.coeffs):
-            acc = (acc * x + c) % q
-        values.add(acc)
-    return values
-
-
 def _sieve(f: IntPoly, p: int, n_max: int) -> list[int]:
     """The exponents 1 <= n <= n_max that pass the test mod every q in
     SIEVE_PRIMES: 2*p^n mod q is a value of f mod q.
@@ -84,7 +73,7 @@ def _sieve(f: IntPoly, p: int, n_max: int) -> list[int]:
     for q in SIEVE_PRIMES:
         if p % q == 0:
             continue
-        values = _values_mod(f, q)
+        values = values_mod(f, q)
         residues, u = [], 1  # 2*p^n mod q for n = 1 .. ord_q(p)
         while not residues or u != 1:
             u = u * p % q
@@ -151,9 +140,8 @@ class ProofChain:
     @cached_property
     def _scan(self) -> tuple[list[PAdicRoot], int]:
         # one lift per root, inside combined_lower_bound, the scan stage
-        roots: list[PAdicRoot] = []
         try:
-            return roots, combined_lower_bound(self.cfg, self.depth, roots)
+            return combined_lower_bound(self.cfg, self.depth)
         except NoRootsModP as err:
             raise StageFailed(f"digit scan failed: {err}") from err
 

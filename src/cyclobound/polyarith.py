@@ -1,8 +1,10 @@
-"""Exact integer polynomial arithmetic.
+"""Exact integer polynomial arithmetic, over ZZ and mod q.
 
 Coefficient vectors are stored lowest degree first.  Everything here is
 plain ``int`` arithmetic, so results are exact.  Norms and discriminants
 come from one characteristic polynomial, computed by Newton's identities.
+Arithmetic mod q (F_q[x], roots mod p, residue tables and the primality
+proof) runs on the same division and product kernels as ZZ[x].
 """
 from __future__ import annotations
 
@@ -97,7 +99,7 @@ class IntPoly:
         """
         other = _coerce(other)
         rem = list(self.coeffs)
-        q = _reduce(rem, other)
+        q = _reduce(rem, other.coeffs)
         return IntPoly(*q), IntPoly(*rem[: other.degree()])
 
     def __floordiv__(self, other) -> "IntPoly":
@@ -123,13 +125,13 @@ class IntPoly:
         return "".join(parts)
 
 
-def _reduce(rem: list, f: IntPoly) -> list:
-    """Divide the coefficient list rem by f, whose leading coefficient is
-    +-1, in place: rem[:deg f] is left holding the remainder.  Returns the
-    quotient's coefficients."""
-    if f.is_zero():
+def _reduce(rem: list, f) -> list:
+    """Divide the coefficient list rem by the coefficient sequence f, whose
+    leading coefficient is +-1, in place: rem[:deg f] is left holding the
+    remainder.  Returns the quotient's coefficients."""
+    if not f:
         raise ZeroDivisionError("polynomial division by zero")
-    lc, db = f.lc(), f.degree()
+    lc, db = f[-1], len(f) - 1
     if lc not in (1, -1):
         raise ValueError("integer divmod needs a monic divisor")
     q = [0] * max(len(rem) - db, 0)
@@ -137,7 +139,7 @@ def _reduce(rem: list, f: IntPoly) -> list:
         c = rem[i] * lc
         if c:
             q[i - db] = c
-            for j, b in enumerate(f.coeffs, i - db):
+            for j, b in enumerate(f, i - db):
                 rem[j] -= c * b
     return q
 
@@ -194,13 +196,19 @@ def mulmod(a: IntPoly, b: IntPoly, f: IntPoly) -> IntPoly:
     >>> mulmod(IntPoly(1, 1), IntPoly(-1, 1), IntPoly(1, 0, 1))   # x^2-1 mod x^2+1
     IntPoly(coeffs=(-2,))
     """
-    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
-    for i, x in enumerate(a.coeffs):
+    return IntPoly(_mul_reduce(a.coeffs, b.coeffs, f.coeffs))
+
+
+def _mul_reduce(a, b, f) -> list:
+    """The coefficients of (a * b) % f, for coefficient sequences a, b and
+    f (leading coefficient +-1): the core of mulmod over ZZ and F_q."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b.coeffs):
+            for j, y in enumerate(b):
                 out[i + j] += x * y
     _reduce(out, f)
-    return IntPoly(out[: f.degree()])
+    return out[: len(f) - 1]
 
 
 def charpoly_mod(a: IntPoly, f: IntPoly) -> IntPoly:
@@ -270,3 +278,141 @@ def cyclotomic(m: int) -> IntPoly:
         assert r.is_zero()
         num = q
     return num
+
+
+# Arithmetic mod q.  A polynomial over F_q is a plain coefficient list,
+# lowest degree first, each entry in 0..q-1 and no trailing zeros; the zero
+# polynomial is [].  Every divisor is made monic first, so division is
+# _reduce over ZZ followed by one reduction mod q: reducing mod q commutes
+# with division by a monic polynomial.
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROVEN_BELOW = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin on _MR_BASES: a proof below _MR_PROVEN_BELOW, False from it up.
+
+    >>> [is_prime(n) for n in (271, 341, 5581)]
+    [True, False, True]
+    """
+    if n < 2 or n >= _MR_PROVEN_BELOW:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    r, s = n - 1, 0
+    while r % 2 == 0:
+        r, s = r // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, r, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def values_mod(f: IntPoly, q: int) -> set[int]:
+    """The values of f mod q at every residue, by Horner's rule mod q."""
+    values = set()
+    for x in range(q):
+        acc = 0
+        for c in reversed(f.coeffs):
+            acc = (acc * x + c) % q
+        values.add(acc)
+    return values
+
+
+def _fq(coeffs, q: int) -> list[int]:
+    """The integer coefficient sequence coeffs as a polynomial over F_q."""
+    out = [c % q for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _fq_monic(a: list[int], q: int) -> list[int]:
+    """The nonzero a over F_q divided by its leading coefficient."""
+    inv = pow(a[-1], -1, q)
+    return [c * inv % q for c in a]
+
+
+def _fq_divmod(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by a monic b over F_q."""
+    rem = list(a)
+    quo = _reduce(rem, b)
+    return _fq(quo, q), _fq(rem[: len(b) - 1], q)
+
+
+def _fq_powmod(a: list[int], e: int, m: list[int], q: int) -> list[int]:
+    """a^e mod a monic m over F_q, by square-and-multiply."""
+    result, base = _fq_divmod([1], m, q)[1], _fq_divmod(a, m, q)[1]
+    while e:
+        if e & 1:
+            result = _fq(_mul_reduce(result, base, m), q)
+        base = _fq(_mul_reduce(base, base, m), q)
+        e >>= 1
+    return result
+
+
+def _fq_gcd(a: list[int], b: list[int], q: int) -> list[int]:
+    """The monic gcd of a monic a and any b over F_q."""
+    while b:
+        b = _fq_monic(b, q)
+        a, b = b, _fq_divmod(a, b, q)[1]
+    return a
+
+
+def _split_linear(g: list[int], q: int) -> list[int]:
+    """The roots of a monic g over F_q, q odd, g a product of distinct
+    linear factors: equal-degree factorisation (Cohen, GTM 138, §3.4)
+    with the shifts a = 0, 1, 2, ... in turn instead of random ones.
+
+    gcd((x + a)^((q-1)/2) - 1, g) keeps the roots r of g with r + a a
+    nonzero square.  For roots r != s the Legendre symbols of
+    (r + a)(s + a) sum to -1 over all a, so some a puts r + a and s + a
+    on opposite sides, and the loop over a always splits g.
+    """
+    if len(g) <= 2:
+        return [-g[0] % q] if len(g) == 2 else []
+    for a in range(q):
+        w = _fq_powmod([a, 1], (q - 1) // 2, g, q)
+        w[0] -= 1
+        s = _fq_gcd(g, _fq(w, q), q)
+        if 1 < len(s) < len(g):
+            return _split_linear(s, q) + _split_linear(_fq_divmod(g, s, q)[0], q)
+    raise AssertionError("no shift splits g")  # unreachable, see above
+
+
+def roots_mod_p(f: IntPoly, p: int) -> list[int]:
+    """All roots of f mod p, sorted, for a prime p.
+
+    Exact over the field F_p: x^p - x is the product of x - r over all r
+    in F_p, so g = gcd(x^p - x, f mod p) vanishes at exactly the roots of
+    f mod p, each a simple root of g.  x^p is reduced mod f by
+    square-and-multiply, and g is split into its linear factors.  When
+    g = x^p - x (f mod p is zero, or divisible by x^p - x) every residue
+    is a root.  A p not proved prime is refused: if Z/p is no field,
+    Hensel lifts need not be unique and a floor built on them is not
+    proved.
+
+    >>> roots_mod_p(IntPoly(2, -1, 1, -1, 1), 271)   # x^4 - x^3 + x^2 - x + 2
+    [241]
+    """
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not a proven prime; roots mod p need a field")
+    fp = _fq(f.coeffs, p)
+    if not fp:
+        return list(range(p))
+    fp = _fq_monic(fp, p)
+    h = _fq_powmod([0, 1], p, fp, p) + [0, 0]
+    h[1] -= 1
+    g = _fq_gcd(fp, _fq(h, p), p)
+    if len(g) == p + 1:
+        return list(range(p))
+    return sorted(_split_linear(g, p))

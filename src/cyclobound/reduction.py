@@ -204,7 +204,6 @@ def _theta(ball: Ball, K: int) -> int:
 class ReductionAttempt:
     """One (gamma, delta, conjugate choice, K) reduction attempt."""
 
-    case_id: str
     gamma_index: int
     delta_index: int
     choice: tuple[int, ...]
@@ -286,7 +285,6 @@ def _attempt(
     K = lattice.K
     rho = K * logs.max_rad
     base = dict(
-        case_id=cc.case_id,
         gamma_index=gamma_index,
         delta_index=delta_index,
         choice=lattice.choice,
@@ -412,7 +410,6 @@ def reduce_case_bound(
                 except (ValueError, ArithmeticError) as err:
                     attempts.append(
                         ReductionAttempt(
-                            case_id=cc.case_id,
                             gamma_index=gi,
                             delta_index=-1,
                             choice=choice,

@@ -41,3 +41,29 @@ def test_guard_flags_other_packages():
         "    import gmpy2\n"
     )
     assert foreign_imports(source) == ["sympy.ntheory", "numpy", "gmpy2"]
+
+
+def private_imports(source: str) -> list[str]:
+    """Underscore names that source imports from another package module."""
+    return [
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_package_imports_no_private_names():
+    for path in sorted(SRC.glob("*.py")):
+        assert private_imports(path.read_text()) == [], path.name
+
+
+def test_guard_flags_private_names():
+    source = (
+        "from math import _private\n"
+        "from .numberfield import CaseConfig, _is_prime\n"
+        "def f():\n"
+        "    from .polyarith import _reduce as reduce\n"
+    )
+    assert private_imports(source) == ["_is_prime", "_reduce"]

@@ -23,11 +23,10 @@ from cyclobound.numberfield import (
     verify_case_data,
     _config_from_dict,
     _envelope_certificate,
-    _is_prime,
 )
 from cyclobound.polyarith import IntPoly, cyclotomic
 from cyclobound.realalg import case_etas
-from test_polyarith import sylvester_det
+from test_polyarith import PSP_37, PSP_41, sylvester_det
 
 
 def random_element(rng: random.Random, d: int, span: int = 5) -> FieldElement:
@@ -280,36 +279,7 @@ class TestCharpoly:
                 assert charpoly(a, f)[0] == sylvester_det(f, a.num)
 
 
-# strong pseudoprime to the bases 2..37, = 399165290221 * 798330580441
-PSP_37 = 318_665_857_834_031_151_167_461
-# strong pseudoprime to the bases 2..41, the first p the test cannot decide
-PSP_41 = 3_317_044_064_679_887_385_961_981
-
-
 class TestIsPrime:
-    def test_small_numbers_match_trial_division(self):
-        def trial(n):
-            return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
-
-        assert [n for n in range(3000) if _is_prime(n)] == [
-            n for n in range(3000) if trial(n)
-        ]
-
-    def test_pseudoprimes_rejected(self):
-        assert 399_165_290_221 * 798_330_580_441 == PSP_37
-        assert _is_prime(399_165_290_221) and _is_prime(798_330_580_441)
-        assert not _is_prime(PSP_37)
-        assert not _is_prime(PSP_41)
-
-    def test_primes_below_the_bound_accepted(self):
-        assert _is_prime(2**61 - 1)
-        assert not _is_prime(2**61 + 1)
-
-    def test_no_certificate_at_or_above_the_bound(self):
-        # 2^89 - 1 is a Mersenne prime, but above the deterministic range
-        assert 2**89 - 1 > PSP_41
-        assert not _is_prime(2**89 - 1)
-
     def test_verify_refuses_pseudoprime_p(self):
         for p in (PSP_37, PSP_41):
             cfg = dataclasses.replace(get_case("10-271"), p=p)

@@ -16,10 +16,15 @@ from cyclobound.padic import (
     combined_lower_bound,
     digit_scan_bound,
     hensel_lift,
-    roots_mod_p,
     scan_case,
 )
-from cyclobound.polyarith import IntPoly, discriminant, poly_derivative, poly_eval
+from cyclobound.polyarith import (
+    IntPoly,
+    discriminant,
+    poly_derivative,
+    poly_eval,
+    roots_mod_p,
+)
 
 PREFIX_41 = (8, 18, 3, 17, 9, 14, 12, 38, 31, 35, 19, 25, 19, 38, 25, 24, 1,
              18, 25, 10, 14, 29, 31, 18, 36, 2, 24)
@@ -104,6 +109,18 @@ class TestRootsModP:
     )
     def test_matches_reference_on_toys(self, f, p):
         assert roots_mod_p(f, p) == reference_roots_mod_p(f, p)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            IntPoly(4, -11, 7, 30),  # 30x^3 + 7x^2 - 11x + 4: lc 0 mod 2, 3, 5
+            IntPoly(-2, 1) ** 2 * IntPoly(3, 1, 1),  # (x - 2)^2 (x^2 + x + 3)
+        ],
+    )
+    def test_matches_reference_below_200(self, f):
+        for p in range(2, 200):
+            if is_prime(p):
+                assert roots_mod_p(f, p) == reference_roots_mod_p(f, p), p
 
     def test_refuses_composite_modulus(self):
         with pytest.raises(ValueError, match="p = 9 is not a proven prime"):
@@ -233,10 +250,9 @@ class TestScanBounds:
 
     def test_combined_bound_is_min_over_roots(self):
         cfg = get_case("15-5581")
-        roots = scan_case(cfg, 502)
-        assert combined_lower_bound(cfg, 502) == min(
-            digit_scan_bound(r, cfg.d) for r in roots
-        )
+        roots, floor = combined_lower_bound(cfg, 502)
+        assert roots == scan_case(cfg, 502)
+        assert floor == min(digit_scan_bound(r, cfg.d) for r in roots)
 
     def test_scan_depth_plus_one_digits(self, chains):
         for ch in chains.values():

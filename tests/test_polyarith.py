@@ -1,5 +1,6 @@
 """Integer polynomial arithmetic against independent oracles."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from cyclobound.polyarith import (
     cyclotomic,
     det,
     discriminant,
+    is_prime,
     mulmod,
     poly_derivative,
     poly_eval,
@@ -264,3 +266,34 @@ class TestCyclotomic:
     def test_case_polynomials_are_shifted_cyclotomics(self, chains):
         for ch in chains.values():
             assert ch.cfg.f == cyclotomic(ch.cfg.m) + IntPoly(1)
+
+
+# strong pseudoprime to the bases 2..37, = 399165290221 * 798330580441
+PSP_37 = 318_665_857_834_031_151_167_461
+# strong pseudoprime to the bases 2..41, the first p the test cannot decide
+PSP_41 = 3_317_044_064_679_887_385_961_981
+
+
+class TestIsPrime:
+    def test_small_numbers_match_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+        assert [n for n in range(3000) if is_prime(n)] == [
+            n for n in range(3000) if trial(n)
+        ]
+
+    def test_pseudoprimes_rejected(self):
+        assert 399_165_290_221 * 798_330_580_441 == PSP_37
+        assert is_prime(399_165_290_221) and is_prime(798_330_580_441)
+        assert not is_prime(PSP_37)
+        assert not is_prime(PSP_41)
+
+    def test_primes_below_the_bound_accepted(self):
+        assert is_prime(2**61 - 1)
+        assert not is_prime(2**61 + 1)
+
+    def test_no_certificate_at_or_above_the_bound(self):
+        # 2^89 - 1 is a Mersenne prime, but above the deterministic range
+        assert 2**89 - 1 > PSP_41
+        assert not is_prime(2**89 - 1)
