@@ -158,16 +158,16 @@ def absolute_bound(cc: CaseConstants, prec: int = DEFAULT_PREC) -> int:
 def inequality_coefficients(cc: CaseConstants, prec: int = DEFAULT_PREC) -> dict:
     """Display form of the collision inequality, rounded like the tables.
 
-    The left slope log(p)/d is truncated, everything on the right is
-    rounded up, so the displayed inequality is weaker than the certified
-    one and stays true wherever the certified one holds.
+    The left slope log(p)/d is truncated and the right side's log
+    coefficients are rounded up; with c9 from matveev_c9, itself rounded
+    up, the displayed inequality is weaker than the certified one and
+    stays true wherever the certified one holds.
     """
     log_p = Ball(cc.p, prec).log()
     rd = cc.rank * cc.d
     return {
         "lhs_slope": round_sig((log_p / cc.d).lo, 4, "trunc"),
         "lhs_shift": round_sig(Ball(cc.c3, prec).log().hi, 4, "up"),
-        "c9": matveev_c9(cc, prec),
         "log_coeff_n": round_sig(Fraction(rd) * cc.c7, 4, "up"),
         "log_coeff_1": round_sig(Fraction(rd) * cc.c8, 4, "up"),
     }

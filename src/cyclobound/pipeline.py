@@ -170,7 +170,7 @@ class ProofChain:
         if not self.verification.passed:
             raise StageFailed("case data failed verification")
         try:
-            return compute_constants(self.cfg, conj, n_lower)
+            return compute_constants(conj, n_lower)
         except (ValueError, ArithmeticError) as err:
             raise StageFailed(f"constant chain failed: {err}") from err
 
@@ -187,8 +187,7 @@ class ProofChain:
         start = self.abs_bound  # earlier failures keep their type
         try:
             return reduction_loop(
-                self.cfg, self.conj, self.constants, start,
-                stop_below=self.n_lower, scale=self.scale,
+                self.conj, self.constants, start, stop_below=self.n_lower, scale=self.scale
             )
         except ArithmeticError as err:
             raise StageFailed(f"reduction failed: {err}") from err

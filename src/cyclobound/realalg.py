@@ -225,11 +225,8 @@ class ComplexBall:
     def __abs__(self) -> Ball:
         """sqrt(re**2 + im**2), with libmpi's endpoints."""
         re, im = self.re, self.im
-        xr, xi = _ints(re._mpi), _ints(im._mpi)
-        if xr is None or xi is None:
-            return (re ** 2 + im ** 2).sqrt()
         prec = max(re.prec, im.prec)
-        total = _add(_square(xr, re.prec), _square(xi, im.prec), prec)
+        total = _add(_square(_ints(re._mpi), re.prec), _square(_ints(im._mpi), im.prec), prec)
         return Ball._make(_mpfs(_sqrt(total, prec)), prec)
 
     def arg(self) -> Ball:
@@ -244,7 +241,8 @@ class ComplexBall:
 # tuple (lo_m, lo_e, hi_m, hi_e).  mpmath's add, mul, div and sqrt round
 # correctly in the direction asked, so each kernel step computes its result
 # exactly and floors or ceils it to prec significant bits wherever libmpi
-# rounds; the endpoints then match libmpi's, and are converted to mpf once.
+# rounds; the endpoints then match libmpi's on every finite input, and are
+# converted to mpf once.
 
 
 def _round(m: int, e: int, prec: int, up: bool):
@@ -256,11 +254,18 @@ def _round(m: int, e: int, prec: int, up: bool):
 
 
 def _ints(mpi):
-    """The kernel interval of an mpf endpoint pair, or None if not finite."""
+    """The kernel interval of an mpf endpoint pair; ValueError if an
+    endpoint is not finite."""
     (s1, m1, e1, _), (s2, m2, e2, _) = mpi
     if (not m1 and e1) or (not m2 and e2):
-        return None
+        raise ValueError("nonfinite interval endpoint")
     return (-m1 if s1 else m1), e1, (-m2 if s2 else m2), e2
+
+
+def _below(m1, e1, m2, e2) -> bool:
+    """m1*2**e1 < m2*2**e2."""
+    e = min(e1, e2)
+    return m1 << e1 - e < m2 << e2 - e
 
 
 def _mpfs(x):
@@ -305,11 +310,10 @@ def _sub(x, y, prec):
 
 def _mul(x, y, prec):
     """libmpi's mpi_mul: the endpoint products its sign cases pick (the
-    product is symmetric, so an x that straddles zero swaps with y)."""
-    if x[0] < 0 < x[2]:
-        if y[0] < 0 < y[2]:
-            # both straddle zero: libmpi compares all four products
-            return _ints(libmp.mpi_mul(_mpfs(x), _mpfs(y), prec))
+    product is symmetric, so an x that straddles zero swaps with a y that
+    does not); when both straddle zero, the lesser of the two negative
+    products and the greater of the two positive ones."""
+    if x[0] < 0 < x[2] and not y[0] < 0 < y[2]:
         x, y = y, x
     am, ae, bm, be = x
     cm, ce, dm, de = y
@@ -326,6 +330,11 @@ def _mul(x, y, prec):
         lm, le, hm, he = bm * dm, be + de, am * cm, ae + ce
     else:
         lm, le, hm, he = am * dm, ae + de, am * cm, ae + ce
+        if bm > 0:
+            if _below(bm * cm, be + ce, lm, le):
+                lm, le = bm * cm, be + ce
+            if _below(hm, he, bm * dm, be + de):
+                hm, he = bm * dm, be + de
     n = lm.bit_length() - prec
     if n > 0:
         lm, le = lm >> n, le + n
@@ -336,24 +345,31 @@ def _mul(x, y, prec):
 
 
 def _square(x, prec):
-    """libmpi's mpi_pow_int(x, 2), that is mpi_square."""
+    """libmpi's mpi_pow_int(x, 2), that is mpi_square: [0, max(-a, b)**2]
+    for an x = [a, b] that straddles zero."""
     am, ae, bm, be = x
     if am >= 0:
         return (*_round(am * am, 2 * ae, prec, False), *_round(bm * bm, 2 * be, prec, True))
     if bm <= 0:
         return (*_round(bm * bm, 2 * be, prec, False), *_round(am * am, 2 * ae, prec, True))
-    return _ints(libmp.mpi_pow_int(_mpfs(x), 2, prec))
+    m, e = (-am, ae) if _below(bm, be, -am, ae) else (bm, be)
+    return (0, 0, *_round(m * m, 2 * e, prec, True))
 
 
 def _div_int(x, den, prec):
-    """libmpi's mpi_div by the point interval of an int 0 < den < 2**prec:
-    each quotient to prec + 2 bits or more, a last odd bit standing in for
-    a nonzero remainder."""
+    """libmpi's mpi_div by the int interval [c, d] of an int den > 0: each
+    quotient to prec + 2 bits or more, a last odd bit standing in for a
+    nonzero remainder.  [c, d] is the point den unless den is wider than
+    prec; as in mpi_div, the lower end divides by d when it is >= 0 and by
+    c otherwise, the upper end by c when it is >= 0 and by d otherwise."""
+    cm, ce, dm, de = _const(den, prec)
     out = ()
     for m, e, up in ((x[0], x[1], False), (x[2], x[3], True)):
-        k = max(0, prec + 2 + den.bit_length() - m.bit_length())
-        q, r = divmod(m << k, den)
-        out += _round(2 * q + 1, e - k - 1, prec, up) if r else _round(q, e - k, prec, up)
+        nm, ne = (cm, ce) if (m >= 0) == up else (dm, de)
+        k = max(0, prec + 2 + nm.bit_length() - m.bit_length())
+        q, r = divmod(m << k, nm)
+        e -= ne + k
+        out += _round(2 * q + 1, e - 1, prec, up) if r else _round(q, e, prec, up)
     return out
 
 
@@ -370,54 +386,35 @@ def _sqrt(x, prec):
     return out
 
 
-_KERNEL = (_const, _mul, _add, _sub)
-_LIBMPI = (_int_interval, libmp.mpi_mul, libmp.mpi_add, libmp.mpi_sub)
-
-
-def _horner(coeffs, xr, xi, prec, ops):
-    """Horner's rule for a polynomial at xr + i*xi, on kernel intervals or
-    mpf endpoint pairs: each step is the four-product complex
-    multiplication (acc.re*xr - acc.im*xi, acc.re*xi + acc.im*xr)
-    followed by adding the coefficient.  Adding the exact 0 of a
-    coefficient's imaginary part, or a zero coefficient, is left out: at
-    prec it returns the other operand unchanged."""
-    const, mul, add, sub = ops
-    ar = ai = const(0, prec)
-    if coeffs:
-        ar = const(coeffs[-1], prec)
-    for c in reversed(coeffs[:-1]):
-        ar, ai = (
-            sub(mul(ar, xr, prec), mul(ai, xi, prec), prec),
-            add(mul(ar, xi, prec), mul(ai, xr, prec), prec),
-        )
-        if c:
-            ar = add(ar, const(c, prec), prec)
-    return ar, ai
-
-
 def _horner_at(f: IntPoly, z: ComplexBall, den: int = 1) -> ComplexBall:
     """Enclosure of f(z) / den for a ComplexBall z whose parts share one
     precision and an int den > 0.
 
-    The endpoints are those of libmpi's Horner (_horner on mpf pairs)
-    followed by division by den as an int interval, every call at z's
-    precision.  The integer kernel computes them; libmpi itself takes
-    the inputs the kernel does not: non-finite endpoints, and a den wider
-    than the precision, whose int interval is not a point.
+    The endpoints are those of libmpi's Horner's rule on z's endpoint
+    pairs, followed by mpi_div of each part by den's int interval, every
+    call at z's precision; the integer kernel computes them for every
+    finite z and raises ValueError on a non-finite endpoint.  Each step is
+    the four-product complex multiplication (acc.re*xr - acc.im*xi,
+    acc.re*xi + acc.im*xr) followed by adding the coefficient.  Adding the
+    exact 0 of a coefficient's imaginary part, or a zero coefficient, is
+    left out: at prec it returns the other operand unchanged.
     """
     prec = z.re.prec
     xr, xi = _ints(z.re._mpi), _ints(z.im._mpi)
-    if xr is None or xi is None or den.bit_length() > prec:
-        re, im = _horner(f.coeffs, z.re._mpi, z.im._mpi, prec, _LIBMPI)
-        if den != 1:
-            d = _int_interval(den, prec)
-            re, im = libmp.mpi_div(re, d, prec), libmp.mpi_div(im, d, prec)
-    else:
-        re, im = _horner(f.coeffs, xr, xi, prec, _KERNEL)
-        if den != 1:
-            re, im = _div_int(re, den, prec), _div_int(im, den, prec)
-        re, im = _mpfs(re), _mpfs(im)
-    return ComplexBall(Ball._make(re, prec), Ball._make(im, prec))
+    coeffs = f.coeffs
+    ar = ai = _const(0, prec)
+    if coeffs:
+        ar = _const(coeffs[-1], prec)
+    for c in reversed(coeffs[:-1]):
+        ar, ai = (
+            _sub(_mul(ar, xr, prec), _mul(ai, xi, prec), prec),
+            _add(_mul(ar, xi, prec), _mul(ai, xr, prec), prec),
+        )
+        if c:
+            ar = _add(ar, _const(c, prec), prec)
+    if den != 1:
+        ar, ai = _div_int(ar, den, prec), _div_int(ai, den, prec)
+    return ComplexBall(Ball._make(_mpfs(ar), prec), Ball._make(_mpfs(ai), prec))
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +719,10 @@ class ConjugateData:
     positive imaginary part and decreasing real part, and root d/2 + i is
     the conjugate of root i, so embedding d/2 + i is the conjugate of
     embedding i.  Embedding values, their magnitudes and the logs of those
-    are cached per element.
+    are cached per element, and so is the leading coefficient of each
+    element's characteristic polynomial.  The stages after it read the
+    case data from conj.cfg, so one object fixes both the field and its
+    precision.
     """
 
     def __init__(self, cfg: CaseConfig, prec: int = DEFAULT_PREC):
@@ -732,6 +732,7 @@ class ConjugateData:
         self._embeds: dict = {}
         self._abs: dict = {}
         self._logs: dict = {}
+        self._leads: dict = {}
 
     @property
     def d(self) -> int:
@@ -777,26 +778,27 @@ class ConjugateData:
             self._logs[key] = got
         return got
 
+    def lead(self, elem: FieldElement) -> int:
+        """Leading coefficient of charpoly(elem, f), computed once per elem."""
+        got = self._leads.get(elem)
+        if got is None:
+            got = self._leads[elem] = charpoly(elem, self.cfg.f).lc()
+        return got
+
     def max_abs_root(self) -> Ball:
         return ball_max(*[abs(z) for z in self.roots[: self.d // 2]])
 
 
-def log_height(
-    cfg: CaseConfig, elem: FieldElement, conj: ConjugateData, lead: int | None = None
-) -> Ball:
+def log_height(elem: FieldElement, conj: ConjugateData) -> Ball:
     """Enclosure of the absolute logarithmic height of a field element.
 
     Uses the degree-d characteristic polynomial; if that is a power of the
     minimal polynomial the formula is unchanged, since both the leading
-    coefficient and the conjugate list repeat by the same factor.  A caller
-    that already has that polynomial's leading coefficient passes it as
-    `lead`.
+    coefficient and the conjugate list repeat by the same factor.
     """
     if elem.is_zero():
         raise ValueError("height of zero is undefined")
-    if lead is None:
-        lead = charpoly(elem, cfg.f).lc()
-    total = Ball(abs(lead), conj.prec).log()
+    total = Ball(abs(conj.lead(elem)), conj.prec).log()
     # log max(|x|, 1) is the cached log|x| with both ends raised to 0:
     # libmpi logs each endpoint alone, and log 1 = 0 exactly.  An
     # enclosure of |x| that reaches 0 has no log, and takes the max first
@@ -816,7 +818,7 @@ def log_height(
     return total / conj.d
 
 
-def regulator(cfg: CaseConfig, conj: ConjugateData, idxs=None) -> Ball:
+def regulator(conj: ConjugateData, idxs=None) -> Ball:
     """Unit-lattice determinant in the single-log convention.
 
     Rows are log|unit| at one embedding per conjugate pair.  Any choice of
@@ -824,7 +826,7 @@ def regulator(cfg: CaseConfig, conj: ConjugateData, idxs=None) -> Ball:
     rows summed over all pairs vanish; the standard convention with
     doubled logs is 2**len(units) times this.
     """
-    units = cfg.units
+    units = conj.cfg.units
     if idxs is None:
         idxs = tuple(range(len(units)))
     if len(idxs) != len(units) or len(set(idxs)) != len(units):
@@ -833,9 +835,7 @@ def regulator(cfg: CaseConfig, conj: ConjugateData, idxs=None) -> Ball:
     return abs(det(rows))
 
 
-def matveev_a(
-    cfg: CaseConfig, elem: FieldElement, conj: ConjugateData, lead: int | None = None
-) -> Ball:
+def matveev_a(elem: FieldElement, conj: ConjugateData) -> Ball:
     """Enclosure of the Baker height max(d*h(elem), |log sigma_i(elem)|
     for every embedding i, 0.16) with the upper end of the maximum over
     every term.
@@ -845,13 +845,12 @@ def matveev_a(
     + pi_hi^2), computed with the same roundings; the angle is taken only
     where that bound could raise the upper end of the running maximum.
     The lower end leaves out the terms skipped, so it may be lower.
-    `lead` is as in log_height.
     """
     d = conj.d
     work = conj.roots[0].re.prec
     pi_hi = libmp.mpf_pi(work, libmp.round_ceiling)
     pi_sq = Ball._make((libmp.mpf_neg(pi_hi), pi_hi), work) ** 2
-    best = ball_max(log_height(cfg, elem, conj, lead) * d, Ball(Fraction(4, 25), conj.prec))
+    best = ball_max(log_height(elem, conj) * d, Ball(Fraction(4, 25), conj.prec))
     for i in range(d // 2):
         log_sq = conj.log_abs(elem, i) ** 2
         if libmp.mpf_le((log_sq + pi_sq).sqrt()._mpi[1], best._mpi[1]):
@@ -949,15 +948,14 @@ def case_etas(cfg: CaseConfig):
     return eta1, eta2, list(cfg.units)
 
 
-def compute_constants(
-    cfg: CaseConfig, conj: ConjugateData, n_lower: int
-) -> CaseConstants:
-    """Run the full rounded-constant chain for one case.
+def compute_constants(conj: ConjugateData, n_lower: int) -> CaseConstants:
+    """Run the full rounded-constant chain for the case of conj.
 
     n_lower must be a proved lower bound on the exponent; several tail
     estimates need p**n_lower > (2*10**10)**d and the call refuses to
     continue otherwise.
     """
+    cfg = conj.cfg
     d, p, f, prec = cfg.d, cfg.p, cfg.f, conj.prec
     y_floor = 2 * 10 ** 10
     if p ** n_lower <= y_floor ** d:
@@ -1040,7 +1038,7 @@ def compute_constants(
     )
 
     # bound max|m_i| <= c7*n + c8 by solving the log-embedding system
-    reg = regulator(cfg, conj)
+    reg = regulator(conj)
     if reg.lo <= 0:
         raise ArithmeticError("regulator not certified nonzero")
     # Cramer's rule on u of the d/2 embeddings, u = len(units): each m_i
@@ -1073,18 +1071,13 @@ def compute_constants(
 
     # Baker heights: eta1/eta2 aggregate over their case choices
     eta1, eta2, _ = conj.etas
-    a0_eta1 = tuple(charpoly(e, f).lc() for e in eta1)
-    a0_eta2 = tuple(charpoly(e, f).lc() for e in eta2)
+    a0_eta1 = tuple(conj.lead(e) for e in eta1)
+    a0_eta2 = tuple(conj.lead(e) for e in eta2)
 
-    def a_value(elems, leads) -> Fraction:
-        heights = [matveev_a(cfg, e, conj, lead) for e, lead in zip(elems, leads)]
-        return round_sig(ball_max(*heights).hi, 4, "up")
+    def a_value(elems) -> Fraction:
+        return round_sig(ball_max(*(matveev_a(e, conj) for e in elems)).hi, 4, "up")
 
-    a_values = (
-        a_value(eta1, a0_eta1),
-        a_value(eta2, a0_eta2),
-        *(a_value([unit], [None]) for unit in units),
-    )
+    a_values = (a_value(eta1), a_value(eta2), *(a_value([unit]) for unit in units))
 
     return CaseConstants(
         case_id=cfg.case_id,

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numberfield import CaseConfig
 from .polyarith import det
 from .realalg import (
     Ball,
@@ -291,11 +290,6 @@ def _attempt(
         K=K,
         rho=rho,
     )
-    if rho > MAX_ROUNDING_SLACK:
-        raise PrecisionError(
-            f"K*radius = {float(rho):.2e} exceeds {float(MAX_ROUNDING_SLACK)}"
-        )
-
     got = distance_lower_bound(lattice.reduced, lattice.target(logs, delta_index))
     if got is None:
         return ReductionAttempt(ok=False, reason="target lies on a lattice line", **base)
@@ -374,29 +368,31 @@ class ReductionReport:
 
 
 def reduce_case_bound(
-    cfg: CaseConfig,
-    conj: ConjugateData,
-    cc: CaseConstants,
-    bound_n: int,
-    scale: int,
+    conj: ConjugateData, cc: CaseConstants, bound_n: int, scale: int
 ) -> ReductionRound:
     """One reduction round: a certified bound covering every branch.
 
     Every (gamma, delta) branch must produce a positive certified c; the
     round bound is the worst branch bound.  Per gamma, the configured
     conjugate choice is tried first and the remaining choices serve as
-    fallbacks.  The first scale K is always tried (an oversized one raises
-    PrecisionError); while a branch is left open, K is multiplied by 100
-    for as long as K * radius stays within MAX_ROUNDING_SLACK, i.e. while
-    the log enclosures are still accurate at that scale.  A branch left
-    without a bound fails the round rather than inheriting a neighbour's.
+    fallbacks.  The first scale K is always tried, and an oversized one
+    raises PrecisionError before any lattice is built; while a branch is
+    left open, K is multiplied by 100 for as long as K * radius stays
+    within MAX_ROUNDING_SLACK, i.e. while the log enclosures are still
+    accurate at that scale.  A branch left without a bound fails the round
+    rather than inheriting a neighbour's.
     """
-    prec = conj.prec
+    cfg, prec = conj.cfg, conj.prec
     attempts: list[ReductionAttempt] = []
     branch_bounds: list[int] = []
     all_ok = True
     for gi in range(len(cfg.norm_p_gammas)):
         logs = _GammaLogs(conj, gi)
+        rho = scale * logs.max_rad
+        if rho > MAX_ROUNDING_SLACK:
+            raise PrecisionError(
+                f"K*radius = {float(rho):.2e} exceeds {float(MAX_ROUNDING_SLACK)}"
+            )
         default = cfg.default_conjugate_choice[gi]
         others = itertools.combinations(range(1, cfg.d // 2 + 1), cc.rank - 2)
         choices = [default] + [c for c in others if c != default]
@@ -451,12 +447,7 @@ def _next_scale(bound_n: int, rank: int) -> int:
 
 
 def reduction_loop(
-    cfg: CaseConfig,
-    conj: ConjugateData,
-    cc: CaseConstants,
-    start_bound: int,
-    stop_below: int,
-    scale: int,
+    conj: ConjugateData, cc: CaseConstants, start_bound: int, stop_below: int, scale: int
 ) -> ReductionReport:
     """Iterate reduction rounds until the bound stalls or is small enough.
 
@@ -468,7 +459,7 @@ def reduction_loop(
     bound_n = start_bound
     rounds: list[ReductionRound] = []
     for _ in range(MAX_ROUNDS):
-        rnd = reduce_case_bound(cfg, conj, cc, bound_n, scale)
+        rnd = reduce_case_bound(conj, cc, bound_n, scale)
         rounds.append(rnd)
         if not rnd.ok or rnd.bound >= bound_n:
             break
@@ -476,4 +467,4 @@ def reduction_loop(
         if bound_n <= stop_below:
             break
         scale = _next_scale(bound_n, cc.rank)
-    return ReductionReport(cfg.case_id, start_bound, bound_n, tuple(rounds))
+    return ReductionReport(conj.cfg.case_id, start_bound, bound_n, tuple(rounds))

@@ -438,7 +438,7 @@ def test_case_lattices_match_reference(chains, monkeypatch):
     monkeypatch.setattr(reduction, "lll_reduce", recording_lll)
     for cid, ch in chains.items():
         for K in (ch.cfg.default_K, ESCALATE_K[cid]):
-            reduction_loop(ch.cfg, ch.conj, ch.constants, ch.abs_bound,
+            reduction_loop(ch.conj, ch.constants, ch.abs_bound,
                            stop_below=ch.n_lower, scale=K)
     # default K: 1 + 2 + 3 lattices; escalation windows: 9 + 18 + 7
     assert len(built) == 40
@@ -466,7 +466,7 @@ def test_one_case_etas_per_round(chains, monkeypatch):
     calls = _count_case_etas(monkeypatch)
     conj = ConjugateData(ch.cfg, ch.conj.prec)
     for _ in range(2):
-        rnd = reduce_case_bound(ch.cfg, conj, cc, bound_n, ch.scale)
+        rnd = reduce_case_bound(conj, cc, bound_n, ch.scale)
         assert rnd.bound == 23
     assert calls == ["15-5581"]
 
@@ -485,9 +485,9 @@ def test_one_log_per_embedding(chains, monkeypatch):
         return log(self)
 
     monkeypatch.setattr(Ball, "log", counting_log)
-    cc = compute_constants(ch.cfg, conj, ch.n_lower)
+    cc = compute_constants(conj, ch.n_lower)
     for _ in range(2):
-        assert reduce_case_bound(ch.cfg, conj, cc, ch.abs_bound, ch.scale).bound == 23
+        assert reduce_case_bound(conj, cc, ch.abs_bound, ch.scale).bound == 23
     # logged keeps every ball alive, so no id is reused
     key_of = {id(b): key for key, b in conj._abs.items()}
     seen = [key_of[id(b)] for b in logged if id(b) in key_of]
@@ -523,9 +523,9 @@ class TestRobustness:
         # and bound must come out identical at 512 bits
         ch = chains["10-271"]
         conj512 = ConjugateData(ch.cfg, 512)
-        cc512 = compute_constants(ch.cfg, conj512, ch.n_lower)
+        cc512 = compute_constants(conj512, ch.n_lower)
         assert cc512 == ch.constants
-        round512 = reduce_case_bound(ch.cfg, conj512, cc512, ch.abs_bound, ch.scale)
+        round512 = reduce_case_bound(conj512, cc512, ch.abs_bound, ch.scale)
         assert round512.ok
         assert round512.bound == 38
         easy = {
@@ -540,7 +540,7 @@ class TestRobustness:
         # and K went as far as the enclosures allow and no further
         ch = chains["10-271"]
         conj64 = ConjugateData(ch.cfg, 64)
-        got = reduce_case_bound(ch.cfg, conj64, ch.constants, ch.abs_bound,
+        got = reduce_case_bound(conj64, ch.constants, ch.abs_bound,
                                 scale=100)
         assert not got.ok
         assert got.bound is None
@@ -549,12 +549,14 @@ class TestRobustness:
         assert all(a.rho <= MAX_ROUNDING_SLACK for a in got.attempts)
         assert max(a.rho for a in got.attempts) * 100 > MAX_ROUNDING_SLACK
 
-    def test_oversized_scale_raises_precision_error(self, chains):
+    def test_oversized_scale_raises_precision_error(self, chains, monkeypatch):
+        # the slack is checked once per gamma, before any lattice is built
+        built = []
+        monkeypatch.setattr(reduction, "lll_reduce", lambda cols: built.append(cols))
         ch = chains["10-271"]
-        with pytest.raises(PrecisionError):
-            reduce_case_bound(
-                ch.cfg, ch.conj, ch.constants, ch.abs_bound, scale=10**100
-            )
+        with pytest.raises(PrecisionError, match=r"K\*radius = 2\.00e\+25 exceeds 0\.001"):
+            reduce_case_bound(ch.conj, ch.constants, ch.abs_bound, scale=10**100)
+        assert built == []
 
     def test_distance_bound_shrinks_no_further(self, chains, reductions):
         # one round suffices: the loop stopped because the bound cleared
