@@ -342,7 +342,8 @@ def _config_from_dict(case_id: str, raw: dict) -> CaseConfig:
         raise ValueError(f"case {case_id}: malformed case data ({err})") from err
     if not (cfg.units and cfg.gammas and cfg.deltas):
         raise ValueError(f"case {case_id}: units, gammas and deltas must be non-empty")
-    if cfg.d != _euler_phi(cfg.m):
+    # phi(m) >= sqrt(m/2), so an m above 2*d^2 is refused before phi is counted
+    if cfg.m > 2 * cfg.d ** 2 or cfg.d != _euler_phi(cfg.m):
         raise ValueError(f"case {case_id}: f has degree {cfg.d}, not phi({cfg.m})")
     if cfg.f.lc() != 1:
         raise ValueError(f"case {case_id}: f must be monic")
@@ -353,10 +354,11 @@ def _config_from_dict(case_id: str, raw: dict) -> CaseConfig:
             f"one per gamma of norm exponent 1"
         )
     pairs = set(range(1, cfg.d // 2 + 1))
-    if any(len(c) != cfg.rank - 2 or not pairs.issuperset(c) for c in choice.values()):
+    # set(c) & pairs keeps all of c only when its indices are distinct pairs
+    if any(len(c) != cfg.rank - 2 or len(set(c) & pairs) != len(c) for c in choice.values()):
         raise ValueError(
             f"case {case_id}: each conjugate choice needs rank - 2 = "
-            f"{cfg.rank - 2} indices in 1..{cfg.d // 2}"
+            f"{cfg.rank - 2} distinct indices in 1..{cfg.d // 2}"
         )
     return cfg
 

@@ -17,8 +17,8 @@ from .numberfield import CaseConfig
 from .polyarith import IntPoly, poly_derivative, poly_eval, roots_mod_p
 
 
-class NoRootsModP(ValueError):
-    """f has no root mod p, so no digit can be scanned."""
+class NoDigitScan(ValueError):
+    """f has no root mod p, or a repeated one, so no digit can be scanned."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -133,12 +133,15 @@ def digit_scan_bound(root: PAdicRoot, d: int) -> int:
 
 def scan_case(cfg: CaseConfig, depth: int) -> list[PAdicRoot]:
     """Lift every root of f mod p to depth+1 digits (digit indices 0..depth)."""
-    roots = roots_mod_p(cfg.f, cfg.p)
+    f, p = cfg.f, cfg.p
+    roots = roots_mod_p(f, p)
     if not roots:
-        raise NoRootsModP(
-            f"f has no roots mod {cfg.p}: no solutions exist for n >= 1 at all"
-        )
-    return [hensel_lift(cfg.f, cfg.p, r, depth + 1) for r in roots]
+        raise NoDigitScan(f"f has no roots mod {p}: no solutions exist for n >= 1 at all")
+    fprime = poly_derivative(f)
+    for r in roots:
+        if poly_eval(fprime, r) % p == 0:
+            raise NoDigitScan(f"root {r} of f mod {p} is not simple: p divides disc(f)")
+    return [hensel_lift(f, p, r, depth + 1) for r in roots]
 
 
 def combined_lower_bound(cfg: CaseConfig, depth: int) -> tuple[list[PAdicRoot], int]:

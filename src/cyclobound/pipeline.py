@@ -19,7 +19,7 @@ from functools import cached_property
 
 from .matveev import absolute_bound, matveev_c9
 from .numberfield import CaseConfig, VerificationReport, get_case, verify_case_data
-from .padic import NoRootsModP, PAdicRoot, combined_lower_bound
+from .padic import NoDigitScan, PAdicRoot, combined_lower_bound
 from .polyarith import IntPoly, poly_eval, values_mod
 from .realalg import DEFAULT_PREC, CaseConstants, ConjugateData, compute_constants
 from .reduction import ReductionReport, reduction_loop
@@ -142,7 +142,7 @@ class ProofChain:
         # one lift per root, inside combined_lower_bound, the scan stage
         try:
             return combined_lower_bound(self.cfg, self.depth)
-        except NoRootsModP as err:
+        except NoDigitScan as err:
             raise StageFailed(f"digit scan failed: {err}") from err
 
     @property

@@ -4,7 +4,8 @@ Every archimedean quantity in the bound chain is carried as a Ball, an
 interval held as a pair of mpf endpoints that mpmath's libmpi operates on
 with outward rounding, so comparisons and rounded constants are proved
 rather than sampled; embeddings and their magnitudes come from an integer
-kernel with the same endpoints.  Polynomial roots are located by
+kernel with the same endpoints, and exact numbers enter and leave
+intervals only through that kernel.  Polynomial roots are located by
 Durand-Kerner in machine floats, polished by Newton in integer fixed
 point, and then certified independently by an exact disc test.
 Constants are rounded to four significant digits in a fixed direction,
@@ -32,30 +33,15 @@ DEFAULT_PREC = 256
 _BY_VALUE = functools.cmp_to_key(libmp.mpf_cmp)
 
 
-def _endpoint_fraction(raw) -> Fraction:
-    """Exact value of one mpf component tuple (sign, man, exp, bc)."""
-    sign, man, exp, _ = raw
-    man, exp = int(man), int(exp)
-    if man == 0:
-        if exp == 0:
-            return Fraction(0)
-        raise ValueError("nonfinite interval endpoint")
-    v = Fraction(man) * Fraction(2) ** exp
-    return -v if sign else v
-
-
-def _int_interval(n: int, prec: int):
-    lo = libmp.from_int(n, prec, libmp.round_floor)
-    return lo, libmp.from_int(n, prec, libmp.round_ceiling)
-
-
 class Ball:
     """Closed real interval guaranteed to contain the value it stands for.
 
     The interval is a pair of mpf endpoints operated on by mpmath's libmpi,
     which rounds every result outward at prec bits; an operation on two
     balls runs at the wider of their precisions.  A Ball is made from an
-    int, a Fraction or another Ball (whose endpoints it keeps).
+    int, a Fraction or another Ball (whose endpoints it keeps); exact
+    numbers enter through the integer kernel's _const and _div_int, and
+    lo and hi read the endpoints back through its _ints.
     """
 
     __slots__ = ("_mpi", "prec")
@@ -64,15 +50,11 @@ class Ball:
         if isinstance(value, Ball):
             self._mpi = value._mpi
         elif isinstance(value, int):
-            self._mpi = _int_interval(value, prec)
+            self._mpi = _mpfs(_const(value, prec))
         elif isinstance(value, Fraction):
             # an int interval over an int interval; the frozen outputs rest
             # on this rounding, which differs from libmp's from_rational
-            self._mpi = libmp.mpi_div(
-                _int_interval(value.numerator, prec),
-                _int_interval(value.denominator, prec),
-                prec,
-            )
+            self._mpi = _mpfs(_div_int(_const(value.numerator, prec), value.denominator, prec))
         else:
             raise TypeError(f"cannot make a Ball from {type(value).__name__}")
         self.prec = prec
@@ -96,11 +78,11 @@ class Ball:
 
     @property
     def lo(self) -> Fraction:
-        return _endpoint_fraction(self._mpi[0])
+        return _fraction(*_ints(self._mpi)[:2])
 
     @property
     def hi(self) -> Fraction:
-        return _endpoint_fraction(self._mpi[1])
+        return _fraction(*_ints(self._mpi)[2:])
 
     @property
     def mid(self) -> Fraction:
@@ -242,7 +224,8 @@ class ComplexBall:
 # correctly in the direction asked, so each kernel step computes its result
 # exactly and floors or ceils it to prec significant bits wherever libmpi
 # rounds; the endpoints then match libmpi's on every finite input, and are
-# converted to mpf once.
+# converted to mpf once.  _round is the one rounding step, and _const,
+# _div_int and _ints are the one codec between exact numbers and endpoints.
 
 
 def _round(m: int, e: int, prec: int, up: bool):
@@ -260,6 +243,11 @@ def _ints(mpi):
     if (not m1 and e1) or (not m2 and e2):
         raise ValueError("nonfinite interval endpoint")
     return (-m1 if s1 else m1), e1, (-m2 if s2 else m2), e2
+
+
+def _fraction(m: int, e: int) -> Fraction:
+    """The exact value m * 2**e."""
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
 
 
 def _below(m1, e1, m2, e2) -> bool:
@@ -292,10 +280,7 @@ def _sum(m1, e1, m2, e2, prec, up):
             m, e = (m1 << prec + 4) + (1 if m2 > 0 else -1), e1 - prec - 4
         else:
             m, e = (m1 << offset) + m2, e2
-    n = m.bit_length() - prec
-    if n > 0:
-        return (-(-m >> n) if up else m >> n), e + n
-    return m, e
+    return _round(m, e, prec, up)
 
 
 def _add(x, y, prec):
@@ -335,13 +320,7 @@ def _mul(x, y, prec):
                 lm, le = bm * cm, be + ce
             if _below(hm, he, bm * dm, be + de):
                 hm, he = bm * dm, be + de
-    n = lm.bit_length() - prec
-    if n > 0:
-        lm, le = lm >> n, le + n
-    n = hm.bit_length() - prec
-    if n > 0:
-        hm, he = -(-hm >> n), he + n
-    return lm, le, hm, he
+    return (*_round(lm, le, prec, False), *_round(hm, he, prec, True))
 
 
 def _square(x, prec):
@@ -620,15 +599,14 @@ def _root_centres(coeffs_desc, starts, scale: int, work: int):
         if got is None:
             return None
         x, y, shift = got
-        parts = []
-        for v in (x, y):
-            if abs(v) << work < 2 << shift:
-                parts.append(Fraction(0))
-            else:
-                raw = libmp.from_man_exp(v, -shift, work, libmp.round_nearest)
-                parts.append(_endpoint_fraction(raw))
-        if parts[1] > 0:
-            out.append(tuple(parts))
+        raw = [
+            libmp.fzero if abs(v) << work < 2 << shift
+            else libmp.from_man_exp(v, -shift, work, libmp.round_nearest)
+            for v in (x, y)
+        ]
+        xm, xe, ym, ye = _ints(raw)
+        if ym > 0:
+            out.append((_fraction(xm, xe), _fraction(ym, ye)))
     return out
 
 

@@ -277,6 +277,10 @@ class TestSolveCase:
         assert "no certified bound" in rep.reason
 
 
+# 15-41's three units take three distinct indices; this choice repeats one
+DUPLICATE_CHOICE = {"0": [1, 1, 3]}
+
+
 class TestCLI:
     def test_verify_all_builtins(self, capsys):
         assert main(["verify"]) == 0
@@ -451,16 +455,21 @@ class TestCLI:
     @pytest.mark.parametrize("command", ["scan", "bound", "reduce"])
     def test_no_root_mod_p_fails_the_scan_stage(self, tmp_path, capsys, command):
         # f = x^4 - x^3 + x^2 - x + 2 has no root mod 5, so there is no
-        # digit to scan: the stage fails for the case instead of raising
-        raw = case_to_dict(get_case("10-271"))
-        raw["p"] = 5
-        path = tmp_path / "rootless.json"
-        path.write_text(json.dumps(raw))
-        assert main([command, "--config", str(path)]) == 1
-        assert capsys.readouterr().out == (
-            "case 10-271: digit scan failed: f has no roots mod 5:"
-            " no solutions exist for n >= 1 at all\n"
-        )
+        # digit to scan, and a p dividing disc(f) gives a repeated root,
+        # which has no unique lift: the stage fails for the case instead
+        # of raising
+        for case, p, reason in (
+            ("10-271", 5, "f has no roots mod 5: no solutions exist for n >= 1 at all"),
+            ("10-271", 349, "root 172 of f mod 349 is not simple: p divides disc(f)"),
+            ("15-41", 83, "root 28 of f mod 83 is not simple: p divides disc(f)"),
+            ("10-271", 2, "root 1 of f mod 2 is not simple: p divides disc(f)"),
+        ):
+            raw = case_to_dict(get_case(case))
+            raw["p"] = p
+            path = tmp_path / "unscannable.json"
+            path.write_text(json.dumps(raw))
+            assert main([command, "--config", str(path)]) == 1, (case, p)
+            assert capsys.readouterr().out == f"case {case}: digit scan failed: {reason}\n"
 
     @pytest.mark.parametrize("command", ["verify", "scan", "bound", "reduce", "solve"])
     def test_non_monic_f_is_usage_error(self, tmp_path, capsys, command):
@@ -522,10 +531,14 @@ class TestCLI:
             ("default_conjugate_choice", {"0": [9]}),
             ("default_conjugate_choice", {}),
             ("default_conjugate_choice", {"1": [2]}),
+            ("default_conjugate_choice", DUPLICATE_CHOICE),
+            # phi(m) >= sqrt(m/2) refuses this m before phi is counted
+            ("m", 10**12),
         ],
     )
     def test_malformed_config_is_usage_error(self, tmp_path, capsys, field, value):
-        raw = case_to_dict(get_case("10-271"))
+        # a repeated index needs a case whose choices take more than one
+        raw = case_to_dict(get_case("15-41" if value is DUPLICATE_CHOICE else "10-271"))
         raw[field] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(raw))

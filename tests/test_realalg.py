@@ -208,6 +208,24 @@ def oracle_horner(f: IntPoly, z: ComplexBall) -> ComplexBall:
     return ComplexBall(got.re, got.im)
 
 
+def int_interval(n: int, prec: int):
+    """libmp's interval of an int at prec bits: from_int floored and ceiled."""
+    lo = libmp.from_int(n, prec, libmp.round_floor)
+    return lo, libmp.from_int(n, prec, libmp.round_ceiling)
+
+
+def endpoint_fraction(raw) -> Fraction:
+    """Exact value of one mpf component tuple (sign, man, exp, bc)."""
+    sign, man, exp, _ = raw
+    man, exp = int(man), int(exp)
+    if man == 0:
+        if exp == 0:
+            return Fraction(0)
+        raise ValueError("nonfinite interval endpoint")
+    v = Fraction(man) * Fraction(2) ** exp
+    return -v if sign else v
+
+
 def reference_horner_at(f: IntPoly, z: ComplexBall) -> ComplexBall:
     """realalg._horner_at as it stood on libmpi: Horner's rule on the
     endpoint pairs, each step the four-product complex multiplication
@@ -219,20 +237,24 @@ def reference_horner_at(f: IntPoly, z: ComplexBall) -> ComplexBall:
     coeffs = f.coeffs
     ar = ai = (libmp.fzero, libmp.fzero)
     if coeffs:
-        ar = realalg._int_interval(coeffs[-1], prec)
+        ar = int_interval(coeffs[-1], prec)
     for c in reversed(coeffs[:-1]):
         ar, ai = (
             sub(mul(ar, xr, prec), mul(ai, xi, prec), prec),
             add(mul(ar, xi, prec), mul(ai, xr, prec), prec),
         )
         if c:
-            ar = add(ar, realalg._int_interval(c, prec), prec)
+            ar = add(ar, int_interval(c, prec), prec)
     return ComplexBall(Ball._make(ar, prec), Ball._make(ai, prec))
 
 
 def oracle_div(z: ComplexBall, den: int) -> ComplexBall:
-    """Each part divided by den through libmpi's Ball division."""
-    return ComplexBall(z.re / den, z.im / den)
+    """Each part divided by den's int interval through libmpi's mpi_div."""
+    prec = z.re.prec
+    return ComplexBall(*(
+        Ball._make(libmp.mpi_div(part._mpi, int_interval(den, prec), prec), prec)
+        for part in (z.re, z.im)
+    ))
 
 
 def oracle_abs(z: ComplexBall) -> Ball:
@@ -350,11 +372,11 @@ class ReferenceBall:
 
     @property
     def lo(self) -> Fraction:
-        return realalg._endpoint_fraction(self.iv._mpi_[0])
+        return endpoint_fraction(self.iv._mpi_[0])
 
     @property
     def hi(self) -> Fraction:
-        return realalg._endpoint_fraction(self.iv._mpi_[1])
+        return endpoint_fraction(self.iv._mpi_[1])
 
     def _pair(self, other):
         if not isinstance(other, ReferenceBall):
@@ -699,9 +721,25 @@ class TestKernelSteps:
             if rng.random() < 0.1:
                 den = 1 << (bits - 1)  # a power of two divides exactly
             x = interval(rng, prec, rng.choice(KINDS))
-            want = libmp.mpi_div(x, realalg._int_interval(den, prec), prec)
+            want = libmp.mpi_div(x, int_interval(den, prec), prec)
             got = realalg._mpfs(realalg._div_int(realalg._ints(x), den, prec))
             assert got == want, (x, den)
+
+    def test_ball_from_int_and_fraction(self, prec):
+        # Ball(n) and Ball(Fraction(n, d)) are libmp's int interval and
+        # mpi_div of two int intervals, and lo/hi read back their endpoints
+        rng = random.Random(5450 + prec)
+        for bits in range(1, 2 * prec + 2):
+            n, d = (1 << b - 1 | rng.getrandbits(b - 1) for b in (bits, rng.randint(1, 2 * prec + 1)))
+            n *= rng.choice((-1, -1, 0, 1, 1))
+            got = Ball(n, prec)
+            assert got._mpi == int_interval(n, prec), n
+            assert (got.lo, got.hi) == tuple(map(endpoint_fraction, got._mpi))
+            q = Fraction(n, d)
+            got = Ball(q, prec)
+            want = libmp.mpi_div(int_interval(q.numerator, prec), int_interval(q.denominator, prec), prec)
+            assert got._mpi == want, q
+            assert (got.lo, got.hi) == tuple(map(endpoint_fraction, want))
 
     def test_square_in_its_three_cases(self, prec):
         rng = random.Random(5500 + prec)
@@ -786,6 +824,9 @@ def test_nonfinite_endpoints_are_refused(ends):
     z = ComplexBall(Ball._make(ends, 64), Ball(Fraction(1, 3), 64))
     with pytest.raises(ValueError, match="nonfinite"):
         realalg._ints(ends)
+    for end in ("lo", "hi"):
+        with pytest.raises(ValueError, match="nonfinite"):
+            getattr(z.re, end)
     for f in (IntPoly(), IntPoly(5), IntPoly(2, -1, 0, 1), IntPoly(0, 1)):
         for den in (1, 7):
             with pytest.raises(ValueError, match="nonfinite"):
