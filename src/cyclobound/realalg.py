@@ -41,7 +41,7 @@ class Ball:
     balls runs at the wider of their precisions.  A Ball is made from an
     int, a Fraction or another Ball (whose endpoints it keeps); exact
     numbers enter through the integer kernel's _const and _div_int, and
-    lo and hi read the endpoints back through its _ints.
+    lo, hi and dyadic_mid read the endpoints back through its _ints.
     """
 
     __slots__ = ("_mpi", "prec")
@@ -86,7 +86,13 @@ class Ball:
 
     @property
     def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
+        return _fraction(*self.dyadic_mid())
+
+    def dyadic_mid(self) -> tuple[int, int]:
+        """The midpoint as an exact pair (n, e) worth n * 2**e."""
+        m1, e1, m2, e2 = _ints(self._mpi)
+        e = min(e1, e2)
+        return (m1 << e1 - e) + (m2 << e2 - e), e - 1
 
     @property
     def rad(self) -> Fraction:

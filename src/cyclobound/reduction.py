@@ -7,11 +7,12 @@ integer lattice.  A reduced basis certifies a lower bound on that distance
 (de Weger's lemma); when the certified distance clears the rounding slack,
 the exponent bound collapses from 10^27-ish to double digits.
 
-Everything here is exact: the LLL pass updates an integral Gram-Schmidt
-(Gram determinants and scaled mu, Cohen 2.6.7) in place after each size
-reduction and swap, its output is re-verified from a fresh one, and the
-only real-number steps go through Ball enclosures.  Failures escalate the
-scale K instead of weakening a check.
+Everything here is exact: lattice entries are rounded from each log
+enclosure's dyadic midpoint in integers, the LLL pass updates an integral
+Gram-Schmidt (Gram determinants and scaled mu, Cohen 2.6.7) in place after
+each size reduction and swap, its output is re-verified from a fresh one,
+and the only real-number steps go through Ball enclosures.  Failures
+escalate the scale K instead of weakening a check.
 """
 from __future__ import annotations
 
@@ -73,10 +74,13 @@ def lll_reduce(columns):
 
     _gram runs once on the input; every size reduction and swap then
     updates lam and d in place by exact division, so they always equal a
-    fresh _gram of the current basis.  Returns (reduced, transform),
-    transform[j] holding the integer coefficients of reduced column j in
-    the input columns (unimodular by construction).  Callers should still
-    confirm the outcome through verify_lll_reduced; the two share no state.
+    fresh _gram of the current basis; column k is size-reduced against
+    k-1 down to 0 (round_div, inlined) before its Lovasz test.  Only the
+    transform is carried: returns (reduced, transform), transform[j]
+    holding the integer coefficients of reduced column j in the input
+    columns (unimodular by construction) and reduced[j] their image.
+    Callers should still confirm the outcome through verify_lll_reduced;
+    the two share no state.
     """
     n = len(columns)
     b = [[int(x) for x in col] for col in columns]
@@ -84,31 +88,36 @@ def lll_reduce(columns):
     lam, d = _gram(b)
     k = 1
     while k < n:
+        lk, uk = lam[k], u[k]
         for j in range(k - 1, -1, -1):
-            q = round_div(lam[k][j], d[j + 1])
-            if q:
-                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                u[k] = [x - q * y for x, y in zip(u[k], u[j])]
-                lam[k][j] -= q * d[j + 1]
-                for i in range(j):
-                    lam[k][i] -= q * lam[j][i]
-        m = lam[k][k - 1]
+            dj, r2 = d[j + 1], 2 * lk[j]
+            if -dj < r2 < dj:
+                continue
+            q = (r2 + dj) // (2 * dj) if r2 > 0 else -((dj - r2) // (2 * dj))
+            uk = [x - q * y for x, y in zip(uk, u[j])]
+            lk[j] -= q * dj
+            for i in range(j):
+                lk[i] -= q * lam[j][i]
+        u[k] = uk
+        m, dk0, dk, dk1 = lk[k - 1], d[k - 1], d[k], d[k + 1]
         # Lovasz condition times 4 d[k] d[k - 1]
-        if 4 * (d[k + 1] * d[k - 1] + m * m) >= 3 * d[k] * d[k]:
+        if 4 * (dk1 * dk0 + m * m) >= 3 * dk * dk:
             k += 1
             continue
         # Gram determinant of the first k columns after the swap
-        new_d = (d[k - 1] * d[k + 1] + m * m) // d[k]
-        b[k - 1], b[k] = b[k], b[k - 1]
-        u[k - 1], u[k] = u[k], u[k - 1]
-        lam[k - 1][: k - 1], lam[k][: k - 1] = lam[k][: k - 1], lam[k - 1][: k - 1]
+        new_d = (dk0 * dk1 + m * m) // dk
+        u[k - 1], u[k] = uk, u[k - 1]
+        lp = lam[k - 1]
+        lp[: k - 1], lk[: k - 1] = lk[: k - 1], lp[: k - 1]
         for i in range(k + 1, n):
-            t = lam[i][k]
-            lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
-            lam[i][k - 1] = (new_d * t + m * lam[i][k]) // d[k + 1]
+            li = lam[i]
+            t = li[k]
+            li[k] = (dk1 * li[k - 1] - m * t) // dk
+            li[k - 1] = (new_d * t + m * li[k]) // dk1
         d[k] = new_d
-        k = max(k - 1, 1)
-    return b, u
+        if k > 1:
+            k -= 1
+    return [[_dot(uj, row) for row in zip(*b)] for uj in u], u
 
 
 def verify_lll_reduced(columns, reduced, transform) -> list[str]:
@@ -153,13 +162,17 @@ def distance_lower_bound(reduced, y):
     2^(-(n-1)/2) * ||s_n|| * |c_1| with s the coordinates of y in the
     reduced basis and ||.|| the distance to the nearest integer; when the
     last coordinate is an exact integer the lemma says nothing.  s_n comes
-    from Cramer's rule.  Returns (squared bound, ||s_n||) as exact Fractions.
+    from Cramer's rule, whose two determinants share the cofactors of the
+    last column.  Returns (squared bound, ||s_n||) as exact Fractions.
     """
     n = len(reduced)
-    volume = det(reduced)
+    head = reduced[:-1]
+    minors = [det([c[:i] + c[i + 1 :] for c in head]) for i in range(n)]
+    cofactors = [(-1) ** (n - 1 + i) * x for i, x in enumerate(minors)]
+    volume = _dot(cofactors, reduced[-1])
     if volume == 0:
         raise ValueError("columns are linearly dependent")
-    s_n = Fraction(det([*reduced[:-1], y]), volume)
+    s_n = Fraction(_dot(cofactors, y), volume)
     frac = abs(s_n - nearest_int(s_n))
     if frac == 0:
         return None
@@ -177,7 +190,8 @@ class _GammaLogs:
     lam1[di][j] covers log|2/delta^d| at embedding j for delta di,
     lam2[j] covers log|p/gamma^d|, and lam_units[t][j] covers
     -d*log|unit_t| (the sign the exponent vector carries), for the etas
-    of conj (computed once per ConjugateData, as are the logs).
+    of conj (computed once per ConjugateData, as are the logs); mid1,
+    mid2 and mid_units hold their midpoints as Ball.dyadic_mid pairs.
     """
 
     def __init__(self, conj: ConjugateData, gamma_index: int):
@@ -193,10 +207,15 @@ class _GammaLogs:
             b for row in self.lam1 + self.lam_units for b in row
         ]
         self.max_rad = max(b.rad for b in everything)
+        self.mid1 = [[b.dyadic_mid() for b in row] for row in self.lam1]
+        self.mid2 = [b.dyadic_mid() for b in self.lam2]
+        self.mid_units = [[b.dyadic_mid() for b in row] for row in self.lam_units]
 
 
-def _theta(ball: Ball, K: int) -> int:
-    return nearest_int(K * ball.mid)
+def _theta(mid: tuple[int, int], K: int) -> int:
+    """nearest_int(K * m * 2**e) for mid = (m, e), on integers only."""
+    m, e = mid
+    return K * m << e if e >= 0 else round_div(K * m, 1 << -e)
 
 
 @dataclass(frozen=True)
@@ -257,9 +276,9 @@ class _ReducedLattice:
         self.choice = choice
         self.K = K
         cols = [
-            [_theta(lam[j], K) for j in rows] + [0] for lam in logs.lam_units
+            [_theta(mid[j], K) for j in rows] + [0] for mid in logs.mid_units
         ]
-        cols.append([_theta(logs.lam2[j], K) for j in rows] + [1])
+        cols.append([_theta(logs.mid2[j], K) for j in rows] + [1])
         self.columns = cols
         self.reduced, self.transform = lll_reduce(cols)
         problems = verify_lll_reduced(cols, self.reduced, self.transform)
@@ -268,7 +287,7 @@ class _ReducedLattice:
         self.rows = rows
 
     def target(self, logs: _GammaLogs, delta_index: int):
-        return [-_theta(logs.lam1[delta_index][j], self.K) for j in self.rows] + [0]
+        return [-_theta(logs.mid1[delta_index][j], self.K) for j in self.rows] + [0]
 
 
 def _attempt(
@@ -279,6 +298,8 @@ def _attempt(
     delta_index: int,
     bound_n: int,
     prec: int,
+    log_c3: Ball,
+    d_log_p: Ball,
 ) -> ReductionAttempt:
     r = cc.rank
     K = lattice.K
@@ -313,11 +334,8 @@ def _attempt(
     if c_lower <= 0:
         return ReductionAttempt(ok=False, reason="certified c is not positive", **base)
 
-    new_ball = (Ball(cc.d, prec) / Ball(cc.p, prec).log()) * (
-        _c3_effective(cc, prec).log()
-        - Ball(c_lower, prec).log()
-        + Ball(bound_n, prec).log() / (r - 2)
-    )
+    log_c = Ball(c_lower, prec).log()
+    new_ball = d_log_p * (log_c3 - log_c + Ball(bound_n, prec).log() / (r - 2))
     new_bound = math.floor(new_ball.hi)
     return ReductionAttempt(
         ok=True,
@@ -383,6 +401,9 @@ def reduce_case_bound(
     rather than inheriting a neighbour's.
     """
     cfg, prec = conj.cfg, conj.prec
+    # invariants of _attempt's bound step
+    log_c3 = _c3_effective(cc, prec).log()
+    d_log_p = Ball(cc.d, prec) / Ball(cc.p, prec).log()
     attempts: list[ReductionAttempt] = []
     branch_bounds: list[int] = []
     all_ok = True
@@ -417,7 +438,7 @@ def reduce_case_bound(
                     )
                     continue
                 for di in sorted(pending):
-                    att = _attempt(cc, logs, lattice, gi, di, bound_n, prec)
+                    att = _attempt(cc, logs, lattice, gi, di, bound_n, prec, log_c3, d_log_p)
                     attempts.append(att)
                     if att.ok:
                         found[di] = att

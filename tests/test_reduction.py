@@ -7,6 +7,7 @@ the true closest lattice point.  The case runs pin frozen first-run values
 that later runs must reproduce bit for bit.
 """
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -16,6 +17,7 @@ import pytest
 from cyclobound import realalg, reduction
 from cyclobound.numberfield import get_case, nf_inverse
 from cyclobound.pipeline import solve_case
+from cyclobound.polyarith import det
 from cyclobound.realalg import (
     Ball,
     ConjugateData,
@@ -31,7 +33,9 @@ from cyclobound.reduction import (
     reduce_case_bound,
     reduction_loop,
     verify_lll_reduced,
+    _GammaLogs,
     _gram,
+    _theta,
 )
 
 
@@ -309,6 +313,36 @@ class TestDistanceLemma:
         reduced = [[4, 0], [0, 4]]
         assert exact_min_distance_sq(reduced, [1, 2]) == 1 + 4
 
+    def test_matches_two_determinant_formula(self):
+        # the shared last-column cofactors give exactly what two full
+        # determinants give, on bases that need not be reduced
+        rng = random.Random(32611)
+        nones = 0
+        for trial in range(160):
+            n = 2 + trial % 4
+            cols = random_columns(rng, n, span=10 ** rng.choice((1, 6, 30)))
+            if trial % 5 == 0:
+                # a lattice point has an integral last coordinate: the None path
+                coeffs = [rng.randint(-9, 9) for _ in range(n)]
+                y = [sum(c * col[i] for c, col in zip(coeffs, cols)) for i in range(n)]
+            else:
+                y = [rng.randint(-10**20, 10**20) for _ in range(n)]
+            s_n = Fraction(det([*cols[:-1], y]), det(cols))
+            frac = abs(s_n - nearest_int(s_n))
+            got = distance_lower_bound(cols, y)
+            if frac == 0:
+                assert got is None
+                nones += 1
+                continue
+            c1_sq = sum(x * x for x in cols[0])
+            assert got == (frac * frac * Fraction(c1_sq, 2 ** (n - 1)), frac)
+        assert nones >= 32
+
+    def test_dependent_columns_rejected(self):
+        for cols in ([[1, 2], [2, 4]], [[1, 0, 2], [0, 1, 1], [2, 2, 6]]):
+            with pytest.raises(ValueError, match="dependent"):
+                distance_lower_bound(cols, [1] * len(cols))
+
 
 def window(x, lo: str, hi: str) -> bool:
     return Fraction(lo) < Fraction(x) < Fraction(hi)
@@ -444,6 +478,98 @@ def test_case_lattices_match_reference(chains, monkeypatch):
     assert len(built) == 40
     for cols, out in built:
         assert out == reference_lll(cols)
+
+
+# the `escalate` benchmark's first-round K grid per case (perfbench's
+# k_grid, written out), and the SHA-256 of the concatenated
+# repr(solve_case(cid, scale=K).to_dict()) without timings, in grid order
+ESCALATE_GRID_DIGESTS = {
+    "15-41": (
+        (3162 * 10**31, 5623 * 10**31, 10**35, 1778 * 10**32),
+        "38e1a9ac81821d70d37c1e78cb1bd044bab83b5ef47724b56f5fdf7273cf2c22",
+    ),
+    "15-5581": (
+        (3162 * 10**31, 5623 * 10**31, 10**35),
+        "fbcf9cb118bc3880e545876200600919f9b74ba7cb53495139aa4793a981c4b3",
+    ),
+    "10-271": (
+        (10**36, 1778 * 10**33, 3162 * 10**33, 5623 * 10**33, 10**37),
+        "1486a081fd82f2a02d28318427e1cbbbaf2a0e5387d632064275f8d6e7cf7be9",
+    ),
+}
+
+
+@pytest.mark.parametrize("cid", list(ESCALATE_GRID_DIGESTS))
+def test_escalate_grid_reports_reproduce_bit_for_bit(cid):
+    # below the default K most attempts fail and K escalates: every
+    # lattice, attempt value and bound there must reproduce as well
+    grid, pin = ESCALATE_GRID_DIGESTS[cid]
+    digest = hashlib.sha256()
+    for K in grid:
+        report = solve_case(cid, scale=K).to_dict()
+        del report["timings"]
+        digest.update(repr(report).encode())
+    assert digest.hexdigest() == pin
+
+
+def midpoint(ball: Ball) -> Fraction:
+    """The oracle's midpoint, from the endpoints as Fractions."""
+    return (ball.lo + ball.hi) / 2
+
+
+class TestIntegerTheta:
+    """_theta on a dyadic midpoint equals nearest_int(K * mid)."""
+
+    def test_case_enclosures(self, chains):
+        # every log enclosure of the three cases, on a quarter-decade K
+        # grid from 10^30 to 10^45
+        scales = [m * 10 ** (e - 3) for e in range(30, 46) for m in (1000, 1778, 3162, 5623)]
+        checked = 0
+        for ch in chains.values():
+            for gi in range(len(ch.cfg.norm_p_gammas)):
+                logs = _GammaLogs(ch.conj, gi)
+                rows = [(logs.lam2, logs.mid2)]
+                rows += zip(logs.lam1, logs.mid1)
+                rows += zip(logs.lam_units, logs.mid_units)
+                for balls, mids in rows:
+                    for ball, mid in zip(balls, mids):
+                        assert mid == ball.dyadic_mid()
+                        for K in scales:
+                            assert _theta(mid, K) == nearest_int(K * midpoint(ball))
+                            checked += 1
+        assert checked >= 64 * 20
+
+    def test_random_balls(self):
+        rng = random.Random(34019)
+        ties = negative = unequal = whole = 0
+        for trial in range(900):
+            prec = rng.choice((53, 64, 256))
+            kind = trial % 3
+            if kind == 0:
+                # dyadic endpoints a/2^s, b/2^s with a + b odd and K an odd
+                # multiple of 2^s: K * mid lies exactly halfway
+                s = rng.randint(0, 90)
+                a = rng.randint(-2**40, 2**40)
+                b = a + 2 * rng.randint(0, 2**20) + 1
+                ball = Ball.from_endpoints(Fraction(a, 2**s), Fraction(b, 2**s), prec)
+                K = 2**s * (2 * rng.randint(0, 10**6) + 1)
+            elif kind == 1:
+                value = Fraction(rng.randint(-10**40, 10**40), rng.randint(1, 10**30))
+                ball = Ball(value, prec)
+                K = rng.randint(1, 10**45)
+            else:
+                # large integers rounded to prec bits: midpoint exponents >= 0
+                ball = Ball(rng.randint(-2**400, 2**400), prec)
+                K = rng.randint(1, 10**12)
+            mid = ball.dyadic_mid()
+            want = K * midpoint(ball)
+            assert _theta(mid, K) == nearest_int(want)
+            _, e1, _, e2 = realalg._ints(ball._mpi)
+            ties += want.denominator == 2
+            negative += want < 0
+            unequal += e1 != e2
+            whole += mid[1] >= 0
+        assert min(ties, negative, unequal, whole) >= 100, (ties, negative, unequal, whole)
 
 
 def _count_case_etas(monkeypatch):
