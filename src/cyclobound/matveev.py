@@ -26,7 +26,7 @@ def matveev_c9(cc: CaseConstants, prec: int = DEFAULT_PREC) -> Fraction:
     r, d = cc.rank, cc.d
     if len(cc.a_values) != r:
         raise ValueError("need exactly one height bound per multiplicand")
-    chain = Ball(3, prec) * Ball(30, prec) ** (r + 4)
+    chain = Ball(3 * 30 ** (r + 4), prec)
     chain = chain * Ball(r + 1, prec) ** Fraction(11, 2)
     chain = chain * d ** 2 * (1 + Ball(d, prec).log())
     for a in cc.a_values:

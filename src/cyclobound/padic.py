@@ -103,7 +103,7 @@ def hensel_lift(f: IntPoly, p: int, r0: int, depth: int) -> PAdicRoot:
     fprime = poly_derivative(f)
     fprime_r0 = poly_eval(fprime, r0)
     if fprime_r0 % p == 0:
-        raise ValueError(f"root {r0} of f mod {p} is not simple")
+        raise NoDigitScan(f"root {r0} of f mod {p} is not simple: p divides disc(f)")
     x, y = r0 % p, pow(fprime_r0, -1, p)
     precisions = _precisions(depth)
     for e, E in zip(precisions, precisions[1:]):
@@ -137,10 +137,6 @@ def scan_case(cfg: CaseConfig, depth: int) -> list[PAdicRoot]:
     roots = roots_mod_p(f, p)
     if not roots:
         raise NoDigitScan(f"f has no roots mod {p}: no solutions exist for n >= 1 at all")
-    fprime = poly_derivative(f)
-    for r in roots:
-        if poly_eval(fprime, r) % p == 0:
-            raise NoDigitScan(f"root {r} of f mod {p} is not simple: p divides disc(f)")
     return [hensel_lift(f, p, r, depth + 1) for r in roots]
 
 

@@ -1,12 +1,11 @@
 """Certified numerics: interval scalars, root enclosures, rounded constants.
 
 Every archimedean quantity in the bound chain is carried as a Ball, an
-interval held as a pair of mpf endpoints that mpmath's libmpi operates on
-with outward rounding, so comparisons and rounded constants are proved
-rather than sampled; embeddings and their magnitudes come from an integer
-kernel with the same endpoints, and exact numbers enter and leave
-intervals only through that kernel.  Polynomial roots are located by
-Durand-Kerner in machine floats, polished by Newton in integer fixed
+interval with exact binary endpoints that an integer kernel rounds
+outward exactly as mpmath's libmpi would, so comparisons and rounded
+constants are proved rather than sampled; libmpi itself is left only
+log, exp, atan2, pi and division by a ball.  Polynomial roots are located
+by Durand-Kerner in machine floats, polished by Newton in integer fixed
 point, and then certified independently by an exact disc test.
 Constants are rounded to four significant digits in a fixed direction,
 and each one is checked against its enclosure in the direction that
@@ -29,41 +28,37 @@ from .polyarith import IntPoly, det, poly_derivative
 
 DEFAULT_PREC = 256
 
-# mpf endpoints ordered by value, for max()
-_BY_VALUE = functools.cmp_to_key(libmp.mpf_cmp)
-
 
 class Ball:
     """Closed real interval guaranteed to contain the value it stands for.
 
-    The interval is a pair of mpf endpoints operated on by mpmath's libmpi,
-    which rounds every result outward at prec bits; an operation on two
-    balls runs at the wider of their precisions.  A Ball is made from an
-    int, a Fraction or another Ball (whose endpoints it keeps); exact
-    numbers enter through the integer kernel's _const and _div_int, and
-    lo, hi and dyadic_mid read the endpoints back through its _ints.
+    The interval is a kernel tuple (lo_m, lo_e, hi_m, hi_e) rounded outward
+    at prec bits; an operation on two balls runs at the wider of their
+    precisions.  Only log, exp, powers other than 2 and division by other
+    than an int > 0 leave the kernel for libmpi.  A Ball is made from an
+    int, a Fraction or another Ball (whose endpoints it keeps).
     """
 
-    __slots__ = ("_mpi", "prec")
+    __slots__ = ("_iv", "prec")
 
     def __init__(self, value, prec: int = DEFAULT_PREC):
         if isinstance(value, Ball):
-            self._mpi = value._mpi
+            self._iv = value._iv
         elif isinstance(value, int):
-            self._mpi = _mpfs(_const(value, prec))
+            self._iv = _const(value, prec)
         elif isinstance(value, Fraction):
             # an int interval over an int interval; the frozen outputs rest
             # on this rounding, which differs from libmp's from_rational
-            self._mpi = _mpfs(_div_int(_const(value.numerator, prec), value.denominator, prec))
+            self._iv = _div_int(_const(value.numerator, prec), value.denominator, prec)
         else:
             raise TypeError(f"cannot make a Ball from {type(value).__name__}")
         self.prec = prec
 
     @classmethod
-    def _make(cls, mpi, prec: int) -> "Ball":
-        """The ball with the given (lower, upper) mpf endpoint pair."""
+    def _make(cls, iv, prec: int) -> "Ball":
+        """The ball with the given kernel interval."""
         out = object.__new__(cls)
-        out._mpi = mpi
+        out._iv = iv
         out.prec = prec
         return out
 
@@ -72,17 +67,16 @@ class Ball:
         """Smallest representable interval containing [lo, hi]."""
         if lo > hi:
             raise ValueError("endpoints out of order")
-        a = cls(Fraction(lo), prec)._mpi[0]
-        b = cls(Fraction(hi), prec)._mpi[1]
-        return cls._make((a, b), prec)
+        a, b = cls(Fraction(lo), prec)._iv, cls(Fraction(hi), prec)._iv
+        return cls._make(a[:2] + b[2:], prec)
 
     @property
     def lo(self) -> Fraction:
-        return _fraction(*_ints(self._mpi)[:2])
+        return _fraction(*self._iv[:2])
 
     @property
     def hi(self) -> Fraction:
-        return _fraction(*_ints(self._mpi)[2:])
+        return _fraction(*self._iv[2:])
 
     @property
     def mid(self) -> Fraction:
@@ -90,7 +84,7 @@ class Ball:
 
     def dyadic_mid(self) -> tuple[int, int]:
         """The midpoint as an exact pair (n, e) worth n * 2**e."""
-        m1, e1, m2, e2 = _ints(self._mpi)
+        m1, e1, m2, e2 = self._iv
         e = min(e1, e2)
         return (m1 << e1 - e) + (m2 << e2 - e), e - 1
 
@@ -104,65 +98,66 @@ class Ball:
             other = Ball(other, self.prec)
         prec = max(self.prec, other.prec)
         x, y = (other, self) if swap else (self, other)
-        return Ball._make(op(x._mpi, y._mpi, prec), prec)
+        return Ball._make(op(x._iv, y._iv, prec), prec)
 
     def _unary(self, op, *args) -> "Ball":
-        return Ball._make(op(self._mpi, *args, self.prec), self.prec)
+        return Ball._make(op(self._iv, *args, self.prec), self.prec)
 
     def __add__(self, other):
-        return self._binary(libmp.mpi_add, other)
+        return self._binary(_add, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binary(libmp.mpi_sub, other)
+        return self._binary(_sub, other)
 
     def __rsub__(self, other):
-        return self._binary(libmp.mpi_sub, other, swap=True)
+        return self._binary(_sub, other, swap=True)
 
     def __mul__(self, other):
-        return self._binary(libmp.mpi_mul, other)
+        return self._binary(_mul, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self._binary(libmp.mpi_div, other)
+        if isinstance(other, int) and other > 0:
+            return self._unary(_div_int, other)
+        return self._binary(_div, other)
 
     def __neg__(self):
-        return self._unary(libmp.mpi_neg)
+        return self._unary(_neg)
 
     def __abs__(self):
-        return self._unary(libmp.mpi_abs)
+        return self._unary(_abs)
 
     def __pow__(self, e):
+        if e == 2:
+            return self._unary(_square)
         if isinstance(e, int):
-            return self._unary(libmp.mpi_pow_int, e)
-        e = Fraction(e)
-        if libmp.mpf_sign(self._mpi[0]) <= 0:
+            return self._unary(_pow_int, e)
+        if self._iv[0] <= 0:
             raise ValueError("fractional power needs a positive interval")
-        return (self.log() * e).exp()
+        return (self.log() * Fraction(e)).exp()
 
     def log(self) -> "Ball":
-        if libmp.mpf_sign(self._mpi[0]) <= 0:
+        if self._iv[0] <= 0:
             raise ValueError("log needs a strictly positive interval")
-        return self._unary(libmp.mpi_log)
+        return self._unary(_log)
 
     def exp(self) -> "Ball":
-        return self._unary(libmp.mpi_exp)
+        return self._unary(_exp)
 
     def sqrt(self) -> "Ball":
-        if libmp.mpf_sign(self._mpi[0]) < 0:
+        if self._iv[0] < 0:
             raise ValueError("sqrt needs a nonnegative interval")
-        return self._unary(libmp.mpi_sqrt)
+        return self._unary(_sqrt)
 
     def gt(self, other) -> bool:
         """True only when every point of self exceeds every point of other."""
-        if not isinstance(other, Ball):
-            other = Ball(other, self.prec)
-        return libmp.mpf_gt(self._mpi[0], other._mpi[1])
+        return _below(*Ball(other, self.prec)._iv[2:], *self._iv[:2])
 
     def __repr__(self) -> str:
-        return f"Ball({libmp.mpi_str(self._mpi, self.prec)}, prec={self.prec})"
+        return f"Ball({libmp.mpi_str(_mpfs(self._iv), self.prec)}, prec={self.prec})"
 
 
 def ball_max(first, *rest) -> Ball:
@@ -170,14 +165,20 @@ def ball_max(first, *rest) -> Ball:
     balls = [first if isinstance(first, Ball) else Ball(first)]
     balls += [b if isinstance(b, Ball) else Ball(b, balls[0].prec) for b in rest]
     prec = max(b.prec for b in balls)
-    lo = max((b._mpi[0] for b in balls), key=_BY_VALUE)
-    hi = max((b._mpi[1] for b in balls), key=_BY_VALUE)
-    return Ball._make(libmp.mpi_pos((lo, hi), prec), prec)
+    lo = functools.reduce(_larger, (b._iv[:2] for b in balls))
+    hi = functools.reduce(_larger, (b._iv[2:] for b in balls))
+    return Ball._make(_pos(lo + hi, prec), prec)
 
 
 def ball_min(*balls) -> Ball:
     """Enclosure of the minimum of the given balls (negation is exact)."""
     return -ball_max(*(-b for b in balls))
+
+
+def _pi_hull(prec: int) -> Ball:
+    """[-pi_hi, pi_hi] for pi_hi = pi rounded up: it holds every angle."""
+    pi_hi = libmp.mpf_pi(prec, libmp.round_ceiling)
+    return Ball._make(_ints((libmp.mpf_neg(pi_hi), pi_hi)), prec)
 
 
 def ball_atan2(y: Ball, x: Ball) -> Ball:
@@ -187,11 +188,9 @@ def ball_atan2(y: Ball, x: Ball) -> Ball:
     range [-pi, pi], which stays correct for magnitude bounds.
     """
     prec = max(y.prec, x.prec)
-    y_lo, y_hi = (libmp.mpf_sign(v) for v in y._mpi)
-    if y_lo <= 0 <= y_hi and libmp.mpf_sign(x._mpi[0]) <= 0:
-        pi_hi = libmp.mpf_pi(prec, libmp.round_ceiling)
-        return Ball._make((libmp.mpf_neg(pi_hi), pi_hi), prec)
-    return Ball._make(libmp.mpi_atan2(y._mpi, x._mpi, prec), prec)
+    if y._iv[0] <= 0 <= y._iv[2] and x._iv[0] <= 0:
+        return _pi_hull(prec)
+    return Ball._make(_atan2(y._iv, x._iv, prec), prec)
 
 
 class ComplexBall:
@@ -211,11 +210,7 @@ class ComplexBall:
         return ComplexBall(self.re, -self.im)
 
     def __abs__(self) -> Ball:
-        """sqrt(re**2 + im**2), with libmpi's endpoints."""
-        re, im = self.re, self.im
-        prec = max(re.prec, im.prec)
-        total = _add(_square(_ints(re._mpi), re.prec), _square(_ints(im._mpi), im.prec), prec)
-        return Ball._make(_mpfs(_sqrt(total, prec)), prec)
+        return (self.re ** 2 + self.im ** 2).sqrt()
 
     def arg(self) -> Ball:
         return ball_atan2(self.im, self.re)
@@ -224,14 +219,13 @@ class ComplexBall:
 # ---------------------------------------------------------------------------
 # the integer kernel
 #
-# Embeddings and their magnitudes run on plain integers.  An endpoint is an
-# exact pair (m, e) worth m * 2**e, m a signed int, and an interval is the
-# tuple (lo_m, lo_e, hi_m, hi_e).  mpmath's add, mul, div and sqrt round
-# correctly in the direction asked, so each kernel step computes its result
-# exactly and floors or ceils it to prec significant bits wherever libmpi
-# rounds; the endpoints then match libmpi's on every finite input, and are
-# converted to mpf once.  _round is the one rounding step, and _const,
-# _div_int and _ints are the one codec between exact numbers and endpoints.
+# A Ball's interval is the tuple (lo_m, lo_e, hi_m, hi_e) of two exact
+# endpoints m * 2**e, m a signed int.  mpmath's add, mul, div and sqrt
+# round correctly in the direction asked, so each kernel step computes its
+# result exactly and floors or ceils it to prec significant bits wherever
+# libmpi rounds; the endpoints then match libmpi's on every finite input.
+# _round is the one rounding step, _const and _div_int bring exact numbers
+# in, and _libmpi is the one way to libmpi's mpf endpoints and back.
 
 
 def _round(m: int, e: int, prec: int, up: bool):
@@ -244,7 +238,7 @@ def _round(m: int, e: int, prec: int, up: bool):
 
 def _ints(mpi):
     """The kernel interval of an mpf endpoint pair; ValueError if an
-    endpoint is not finite."""
+    endpoint is not finite, as libmpi's may be."""
     (s1, m1, e1, _), (s2, m2, e2, _) = mpi
     if (not m1 and e1) or (not m2 and e2):
         raise ValueError("nonfinite interval endpoint")
@@ -260,6 +254,11 @@ def _below(m1, e1, m2, e2) -> bool:
     """m1*2**e1 < m2*2**e2."""
     e = min(e1, e2)
     return m1 << e1 - e < m2 << e2 - e
+
+
+def _larger(x, y):
+    """The greater of two endpoint pairs (m, e)."""
+    return y if _below(*x, *y) else x
 
 
 def _mpfs(x):
@@ -337,8 +336,25 @@ def _square(x, prec):
         return (*_round(am * am, 2 * ae, prec, False), *_round(bm * bm, 2 * be, prec, True))
     if bm <= 0:
         return (*_round(bm * bm, 2 * be, prec, False), *_round(am * am, 2 * ae, prec, True))
-    m, e = (-am, ae) if _below(bm, be, -am, ae) else (bm, be)
+    m, e = _larger((bm, be), (-am, ae))
     return (0, 0, *_round(m * m, 2 * e, prec, True))
+
+
+def _pos(x, prec):
+    """libmpi's mpi_pos: x with its endpoints rounded outward to prec bits."""
+    return (*_round(x[0], x[1], prec, False), *_round(x[2], x[3], prec, True))
+
+
+def _neg(x, prec):
+    return _pos((-x[2], x[3], -x[0], x[1]), prec)
+
+
+def _abs(x, prec):
+    """libmpi's mpi_abs: x, -x, or [0, max(-a, b)] for x = [a, b] around 0."""
+    am, ae, bm, be = x
+    if am < 0 <= bm:
+        x = (0, 0, *_larger((bm, be), (-am, ae)))
+    return _neg(x, prec) if x[2] < 0 else _pos(x, prec)
 
 
 def _div_int(x, den, prec):
@@ -371,21 +387,29 @@ def _sqrt(x, prec):
     return out
 
 
+def _libmpi(op):
+    """libmpi's op(x, ..., prec) on kernel intervals, by way of mpf endpoints."""
+    return lambda *args: _ints(op(*(_mpfs(a) if isinstance(a, tuple) else a for a in args)))
+
+
+_log, _exp, _div, _atan2, _pow_int = map(_libmpi, (
+    libmp.mpi_log, libmp.mpi_exp, libmp.mpi_div, libmp.mpi_atan2, libmp.mpi_pow_int))
+
+
 def _horner_at(f: IntPoly, z: ComplexBall, den: int = 1) -> ComplexBall:
     """Enclosure of f(z) / den for a ComplexBall z whose parts share one
     precision and an int den > 0.
 
     The endpoints are those of libmpi's Horner's rule on z's endpoint
     pairs, followed by mpi_div of each part by den's int interval, every
-    call at z's precision; the integer kernel computes them for every
-    finite z and raises ValueError on a non-finite endpoint.  Each step is
-    the four-product complex multiplication (acc.re*xr - acc.im*xi,
-    acc.re*xi + acc.im*xr) followed by adding the coefficient.  Adding the
-    exact 0 of a coefficient's imaginary part, or a zero coefficient, is
-    left out: at prec it returns the other operand unchanged.
+    call at z's precision.  Each step is the four-product complex
+    multiplication (acc.re*xr - acc.im*xi, acc.re*xi + acc.im*xr) followed
+    by adding the coefficient.  Adding the exact 0 of a coefficient's
+    imaginary part, or a zero coefficient, is left out: at prec it returns
+    the other operand unchanged.
     """
     prec = z.re.prec
-    xr, xi = _ints(z.re._mpi), _ints(z.im._mpi)
+    xr, xi = z.re._iv, z.im._iv
     coeffs = f.coeffs
     ar = ai = _const(0, prec)
     if coeffs:
@@ -399,7 +423,7 @@ def _horner_at(f: IntPoly, z: ComplexBall, den: int = 1) -> ComplexBall:
             ar = _add(ar, _const(c, prec), prec)
     if den != 1:
         ar, ai = _div_int(ar, den, prec), _div_int(ai, den, prec)
-    return ComplexBall(Ball._make(_mpfs(ar), prec), Ball._make(_mpfs(ai), prec))
+    return ComplexBall(Ball._make(ar, prec), Ball._make(ai, prec))
 
 
 # ---------------------------------------------------------------------------
@@ -461,10 +485,6 @@ def round_sig(x, sig: int = 4, mode: str = "nearest") -> Fraction:
 
 # ---------------------------------------------------------------------------
 # certified root enclosures
-
-
-def _sqrt_upper(x: Fraction, prec: int) -> Fraction:
-    return Ball(x, prec).sqrt().hi
 
 
 def certified_roots(f: IntPoly, prec: int = DEFAULT_PREC) -> list[ComplexBall]:
@@ -681,7 +701,7 @@ def _certify_roots(f, upper, work, ordered=True):
     out = []
     for i in range(half):
         x, y = upper[i]
-        r = _sqrt_upper(Fraction(*rad[i]), prec)
+        r = Ball(Fraction(*rad[i]), prec).sqrt().hi
         out.append(
             ComplexBall(
                 Ball.from_endpoints(x - r, x + r, prec),
@@ -786,15 +806,10 @@ def log_height(elem: FieldElement, conj: ConjugateData) -> Ball:
     # log max(|x|, 1) is the cached log|x| with both ends raised to 0:
     # libmpi logs each endpoint alone, and log 1 = 0 exactly.  An
     # enclosure of |x| that reaches 0 has no log, and takes the max first
-    terms = []
-    for i in range(conj.d // 2):
-        x = conj.embed_abs(elem, i)
-        if libmp.mpf_sign(x._mpi[0]) > 0:
-            ends = conj.log_abs(elem, i)._mpi
-            ends = tuple(max(v, libmp.fzero, key=_BY_VALUE) for v in ends)
-            terms.append(Ball._make(ends, x.prec))
-        else:
-            terms.append(ball_max(x, Ball(1, conj.prec)).log())
+    one = Ball(1, conj.prec)
+    mags = [conj.embed_abs(elem, i) for i in range(conj.d // 2)]
+    terms = [ball_max(conj.log_abs(elem, i), 0) if x._iv[0] > 0 else ball_max(x, one).log()
+             for i, x in enumerate(mags)]
     # embedding d/2 + i has the magnitude of embedding i; the terms are
     # added in embedding order, so the sum rounds as it always has
     for term in terms + terms:
@@ -831,13 +846,11 @@ def matveev_a(elem: FieldElement, conj: ConjugateData) -> Ball:
     The lower end leaves out the terms skipped, so it may be lower.
     """
     d = conj.d
-    work = conj.roots[0].re.prec
-    pi_hi = libmp.mpf_pi(work, libmp.round_ceiling)
-    pi_sq = Ball._make((libmp.mpf_neg(pi_hi), pi_hi), work) ** 2
+    pi_sq = _pi_hull(conj.roots[0].re.prec) ** 2
     best = ball_max(log_height(elem, conj) * d, Ball(Fraction(4, 25), conj.prec))
     for i in range(d // 2):
         log_sq = conj.log_abs(elem, i) ** 2
-        if libmp.mpf_le((log_sq + pi_sq).sqrt()._mpi[1], best._mpi[1]):
+        if (log_sq + pi_sq).sqrt().hi <= best.hi:
             continue
         arg = conj.embed(elem, i).arg()
         best = ball_max(best, (log_sq + arg ** 2).sqrt())
@@ -1003,23 +1016,14 @@ def compute_constants(conj: ConjugateData, n_lower: int) -> CaseConstants:
     # c5/c6 are taken from the rounded range endpoints rather than the raw
     # enclosures; the endpoint rounding only widens the ratios, so the
     # results stay valid upper bounds
+    def log_ratio_bound(top, low, high, bottom) -> Fraction:
+        """max(log(top / low), log(high / bottom)), rounded up."""
+        ratios = (Ball(top, prec) / low).log(), (Ball(high, prec) / bottom).log()
+        return round_sig(ball_max(*ratios).hi, 4, "up")
+
     p_root_d = Ball(p, prec) ** Fraction(1, d)
-    c5 = round_sig(
-        ball_max(
-            (p_root_d / gamma_abs_range[0]).log(),
-            (Ball(gamma_abs_range[1], prec) / p_root_d).log(),
-        ).hi,
-        4,
-        "up",
-    )
-    c6 = round_sig(
-        ball_max(
-            (Ball(c4, prec) / delta_abs_range[0]).log(),
-            (Ball(delta_abs_range[1], prec) / c1).log(),
-        ).hi,
-        4,
-        "up",
-    )
+    c5 = log_ratio_bound(p_root_d, *gamma_abs_range, p_root_d)
+    c6 = log_ratio_bound(c4, *delta_abs_range, c1)
 
     # bound max|m_i| <= c7*n + c8 by solving the log-embedding system
     reg = regulator(conj)

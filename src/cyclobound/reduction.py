@@ -279,7 +279,6 @@ class _ReducedLattice:
             [_theta(mid[j], K) for j in rows] + [0] for mid in logs.mid_units
         ]
         cols.append([_theta(logs.mid2[j], K) for j in rows] + [1])
-        self.columns = cols
         self.reduced, self.transform = lll_reduce(cols)
         problems = verify_lll_reduced(cols, self.reduced, self.transform)
         if problems:

@@ -67,3 +67,36 @@ def test_guard_flags_private_names():
         "    from .polyarith import _reduce as reduce\n"
     )
     assert private_imports(source) == ["_is_prime", "_reduce"]
+
+
+# libmpi steps the integer kernel does itself: interval +, -, *, sqrt, the
+# rounding of endpoints to prec, and comparisons of endpoints
+KERNEL_STEPS = {"mpi_add", "mpi_sub", "mpi_mul", "mpi_sqrt", "mpi_pos", "mpf_cmp", "mpf_gt", "mpf_le"}
+
+
+def names_used(source: str) -> set[str]:
+    """Every name, attribute and imported name in the code of source."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rpartition(".")[2])
+    return out
+
+
+def test_package_leaves_kernel_steps_to_the_kernel():
+    for path in sorted(SRC.glob("*.py")):
+        assert names_used(path.read_text()) & KERNEL_STEPS == set(), path.name
+
+
+def test_guard_flags_kernel_steps():
+    source = (
+        "from mpmath.libmp import mpi_add\n"
+        "from mpmath import libmp\n"
+        "x = libmp.mpf_gt(a, b) or libmp.mpi_log(c, 53)\n"
+        "'mpi_mul in a docstring is no call'\n"
+    )
+    assert names_used(source) & KERNEL_STEPS == {"mpi_add", "mpf_gt"}

@@ -158,60 +158,79 @@ class TestBallAtan2:
         assert float(got.lo) <= math.atan2(-1, -2) <= float(got.hi)
 
 
-class OracleComplex:
-    """ComplexBall's arithmetic as it stood before realalg._horner_at:
-    addition and the four-product multiplication on Ball parts, a plain
-    number taken at this value's precision with an exact zero imaginary
-    part.  Kept as an oracle: poly_eval over it is the Horner the kernel
-    must reproduce endpoint for endpoint."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im=None):
-        self.re = re
-        self.im = Ball(0, re.prec) if im is None else im
-
-    def _coerce(self, value):
-        if isinstance(value, OracleComplex):
-            return value
-        if isinstance(value, ComplexBall):
-            return OracleComplex(value.re, value.im)
-        return OracleComplex(value if isinstance(value, Ball) else Ball(value, self.re.prec))
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return OracleComplex(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return OracleComplex(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
-
-    __rmul__ = __mul__
+def mpi(ball: Ball):
+    """The mpf endpoint pair of a Ball, as libmpi takes it."""
+    return realalg._mpfs(ball._iv)
 
 
-def oracle_mul(*factors) -> ComplexBall:
-    """Product of ComplexBalls by the four-product formula."""
-    out = OracleComplex(factors[0].re, factors[0].im)
-    for z in factors[1:]:
-        out = out * z
-    return ComplexBall(out.re, out.im)
-
-
-def oracle_horner(f: IntPoly, z: ComplexBall) -> ComplexBall:
-    """poly_eval(f, z) on the four-product arithmetic."""
-    got = poly_eval(f, OracleComplex(z.re, z.im))
-    return ComplexBall(got.re, got.im)
+def from_mpi(ends, prec: int) -> Ball:
+    """The Ball with a finite libmpi interval's endpoints."""
+    return Ball._make(realalg._ints(ends), prec)
 
 
 def int_interval(n: int, prec: int):
     """libmp's interval of an int at prec bits: from_int floored and ceiled."""
     lo = libmp.from_int(n, prec, libmp.round_floor)
     return lo, libmp.from_int(n, prec, libmp.round_ceiling)
+
+
+class OracleComplex:
+    """ComplexBall's arithmetic as it stood before realalg._horner_at, on
+    libmpi: addition and the four-product multiplication on mpf endpoint
+    pairs, every call at the first factor's precision, a plain number taken
+    as its int interval with an exact zero imaginary part.  Kept as an
+    oracle: poly_eval over it is the Horner the kernel must reproduce
+    endpoint for endpoint."""
+
+    __slots__ = ("re", "im", "prec")
+
+    def __init__(self, re, im, prec: int):
+        self.re, self.im, self.prec = re, im, prec
+
+    @classmethod
+    def of(cls, z: ComplexBall) -> "OracleComplex":
+        return cls(mpi(z.re), mpi(z.im), z.re.prec)
+
+    def _coerce(self, value):
+        if isinstance(value, OracleComplex):
+            return value
+        if isinstance(value, ComplexBall):
+            return OracleComplex.of(value)
+        return OracleComplex(int_interval(value, self.prec), (libmp.fzero, libmp.fzero), self.prec)
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        add = libmp.mpi_add
+        return OracleComplex(add(self.re, o.re, self.prec), add(self.im, o.im, self.prec), self.prec)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        mul, add, sub, prec = libmp.mpi_mul, libmp.mpi_add, libmp.mpi_sub, self.prec
+        return OracleComplex(
+            sub(mul(self.re, o.re, prec), mul(self.im, o.im, prec), prec),
+            add(mul(self.re, o.im, prec), mul(self.im, o.re, prec), prec),
+            prec,
+        )
+
+    __rmul__ = __mul__
+
+    def ball(self) -> ComplexBall:
+        return ComplexBall(from_mpi(self.re, self.prec), from_mpi(self.im, self.prec))
+
+
+def oracle_mul(*factors) -> ComplexBall:
+    """Product of ComplexBalls by the four-product formula."""
+    out = OracleComplex.of(factors[0])
+    for z in factors[1:]:
+        out = out * z
+    return out.ball()
+
+
+def oracle_horner(f: IntPoly, z: ComplexBall) -> ComplexBall:
+    """poly_eval(f, z) on the four-product arithmetic."""
+    return poly_eval(f, OracleComplex.of(z)).ball()
 
 
 def endpoint_fraction(raw) -> Fraction:
@@ -232,7 +251,7 @@ def reference_horner_at(f: IntPoly, z: ComplexBall) -> ComplexBall:
     followed by adding the coefficient as an int interval, every call at
     z's precision, the exact additions of 0 left out."""
     prec = z.re.prec
-    xr, xi = z.re._mpi, z.im._mpi
+    xr, xi = mpi(z.re), mpi(z.im)
     mul, add, sub = libmp.mpi_mul, libmp.mpi_add, libmp.mpi_sub
     coeffs = f.coeffs
     ar = ai = (libmp.fzero, libmp.fzero)
@@ -245,29 +264,33 @@ def reference_horner_at(f: IntPoly, z: ComplexBall) -> ComplexBall:
         )
         if c:
             ar = add(ar, int_interval(c, prec), prec)
-    return ComplexBall(Ball._make(ar, prec), Ball._make(ai, prec))
+    return ComplexBall(from_mpi(ar, prec), from_mpi(ai, prec))
 
 
 def oracle_div(z: ComplexBall, den: int) -> ComplexBall:
     """Each part divided by den's int interval through libmpi's mpi_div."""
     prec = z.re.prec
     return ComplexBall(*(
-        Ball._make(libmp.mpi_div(part._mpi, int_interval(den, prec), prec), prec)
+        from_mpi(libmp.mpi_div(mpi(part), int_interval(den, prec), prec), prec)
         for part in (z.re, z.im)
     ))
 
 
 def oracle_abs(z: ComplexBall) -> Ball:
-    """|z| as sqrt(re**2 + im**2) on Balls."""
-    return (z.re ** 2 + z.im ** 2).sqrt()
+    """|z| as sqrt(re**2 + im**2) through libmpi, each part squared at its
+    own precision and the rest at the wider one."""
+    prec = max(z.re.prec, z.im.prec)
+    re2, im2 = (libmp.mpi_pow_int(mpi(part), 2, part.prec) for part in (z.re, z.im))
+    return from_mpi(libmp.mpi_sqrt(libmp.mpi_add(re2, im2, prec), prec), prec)
+
+
+def same_ball(a: Ball, b: Ball) -> bool:
+    """Equal precisions and, read as mpf, equal endpoints."""
+    return (mpi(a), a.prec) == (mpi(b), b.prec)
 
 
 def _same(a: ComplexBall, b: ComplexBall) -> bool:
-    return all(
-        (getattr(a, part)._mpi, getattr(a, part).prec)
-        == (getattr(b, part)._mpi, getattr(b, part).prec)
-        for part in ("re", "im")
-    )
+    return same_ball(a.re, b.re) and same_ball(a.im, b.im)
 
 
 class TestComplexBall:
@@ -327,7 +350,7 @@ class TestComplexBall:
     def test_abs_and_log_abs(self):
         z = ComplexBall(Ball(3), Ball(4))
         a = abs(z)
-        assert a._mpi == oracle_abs(z)._mpi
+        assert same_ball(a, oracle_abs(z))
         assert a.lo <= 5 <= a.hi
         la = a.log()
         assert float(la.lo) <= math.log(5) <= float(la.hi)
@@ -618,6 +641,10 @@ class TestAgainstReference:
 # finite input
 
 
+# mpf endpoints ordered by value
+BY_VALUE = functools.cmp_to_key(libmp.mpf_cmp)
+
+
 def endpoint(rng: random.Random, prec: int, sign: int):
     """A random mpf of at most prec bits with the given sign, of widely
     varying size and bit count."""
@@ -651,7 +678,7 @@ def interval(rng: random.Random, prec: int, kind: str):
         ends = [v, w]
     else:
         ends = [endpoint(rng, prec, sign), endpoint(rng, prec, sign)]
-    lo, hi = sorted(ends, key=realalg._BY_VALUE)
+    lo, hi = sorted(ends, key=BY_VALUE)
     return lo, hi
 
 
@@ -733,12 +760,12 @@ class TestKernelSteps:
             n, d = (1 << b - 1 | rng.getrandbits(b - 1) for b in (bits, rng.randint(1, 2 * prec + 1)))
             n *= rng.choice((-1, -1, 0, 1, 1))
             got = Ball(n, prec)
-            assert got._mpi == int_interval(n, prec), n
-            assert (got.lo, got.hi) == tuple(map(endpoint_fraction, got._mpi))
+            assert mpi(got) == int_interval(n, prec), n
+            assert (got.lo, got.hi) == tuple(map(endpoint_fraction, mpi(got)))
             q = Fraction(n, d)
             got = Ball(q, prec)
             want = libmp.mpi_div(int_interval(q.numerator, prec), int_interval(q.denominator, prec), prec)
-            assert got._mpi == want, q
+            assert mpi(got) == want, q
             assert (got.lo, got.hi) == tuple(map(endpoint_fraction, want))
 
     def test_square_in_its_three_cases(self, prec):
@@ -761,6 +788,90 @@ class TestKernelSteps:
             off = libmp.from_man_exp(root * root + 1, exp, prec, libmp.round_ceiling)
             for x in ((sq, sq), (sq, off), (libmp.fzero, sq)):
                 assert kernel(realalg._sqrt, x, prec=prec) == libmp.mpi_sqrt(x, prec)
+
+
+def seeded_ball(rng: random.Random) -> Ball:
+    """A Ball at one of PRECS: an int or Fraction of either sign, an
+    interval between two of them (often straddling zero), or one of those
+    kept at a lower precision, so that its endpoints are wider than prec."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Ball(random_operand(rng), rng.choice(PRECS))
+    if kind == 3:
+        return Ball(seeded_ball(rng), rng.choice(PRECS))
+    lo, hi = sorted(Fraction(random_operand(rng)) for _ in range(2))
+    return Ball.from_endpoints(lo, hi, rng.choice(PRECS))
+
+
+def libmpi_max(*balls):
+    """ball_max as it stood on libmpi: the greater lower and the greater
+    upper endpoint by value, then mpi_pos at the widest precision."""
+    ends = [mpi(b) for b in balls]
+    prec = max(b.prec for b in balls)
+    top = (max((e[0] for e in ends), key=BY_VALUE), max((e[1] for e in ends), key=BY_VALUE))
+    return libmp.mpi_pos(top, prec), prec
+
+
+class TestBallAgainstLibmpi:
+    """Every Ball operator on seeded balls at mixed precisions, against the
+    libmpi call it stood on, endpoint for endpoint."""
+
+    def check(self, got, want, prec):
+        assert (mpi(got), got.prec) == (want, prec)
+
+    def test_arithmetic(self):
+        rng = random.Random(6501)
+        for _ in range(300):
+            a, b = seeded_ball(rng), seeded_ball(rng)
+            x = random_operand(rng)
+            A, B, X = mpi(a), mpi(b), mpi(Ball(x, a.prec))
+            prec = max(a.prec, b.prec)
+            self.check(a + b, libmp.mpi_add(A, B, prec), prec)
+            self.check(a - b, libmp.mpi_sub(A, B, prec), prec)
+            self.check(a * b, libmp.mpi_mul(A, B, prec), prec)
+            self.check(x + a, libmp.mpi_add(A, X, a.prec), a.prec)
+            self.check(x - a, libmp.mpi_sub(X, A, a.prec), a.prec)
+            self.check(x * a, libmp.mpi_mul(A, X, a.prec), a.prec)
+            self.check(-a, libmp.mpi_neg(A, a.prec), a.prec)
+            self.check(abs(a), libmp.mpi_abs(A, a.prec), a.prec)
+            for k in (2, 3, -2):
+                if k > 0 or not b.lo <= 0 <= b.hi:
+                    self.check(b ** k, libmp.mpi_pow_int(B, k, b.prec), b.prec)
+            if a.lo >= 0:
+                self.check(a.sqrt(), libmp.mpi_sqrt(A, a.prec), a.prec)
+            assert a.gt(b) == libmp.mpf_gt(A[0], B[1])
+            assert a.gt(x) == libmp.mpf_gt(A[0], X[1])
+
+    def test_division(self):
+        # by an int > 0 on the kernel, by anything else through libmpi; a
+        # divisor around zero leaves libmpi with an infinite endpoint
+        rng = random.Random(6502)
+        for _ in range(300):
+            a, b = seeded_ball(rng), seeded_ball(rng)
+            A, B = mpi(a), mpi(b)
+            prec = max(a.prec, b.prec)
+            if b.lo <= 0 <= b.hi:
+                with pytest.raises(ValueError, match="nonfinite"):
+                    a / b
+            else:
+                self.check(a / b, libmp.mpi_div(A, B, prec), prec)
+            n = random_operand(rng)
+            if n == 0:
+                continue
+            q = n if isinstance(n, int) else n.numerator
+            self.check(a / q, libmp.mpi_div(A, mpi(Ball(q, a.prec)), a.prec), a.prec)
+            self.check(a / abs(q), libmp.mpi_div(A, int_interval(abs(q), a.prec), a.prec), a.prec)
+            self.check(a / n, libmp.mpi_div(A, mpi(Ball(n, a.prec)), a.prec), a.prec)
+
+    def test_max_and_min(self):
+        rng = random.Random(6503)
+        for _ in range(200):
+            balls = [seeded_ball(rng) for _ in range(rng.randint(1, 5))]
+            want, prec = libmpi_max(*balls)
+            self.check(ball_max(*balls), want, prec)
+            negs = [from_mpi(libmp.mpi_neg(mpi(b), b.prec), b.prec) for b in balls]
+            want, prec = libmpi_max(*negs)
+            self.check(ball_min(*balls), libmp.mpi_neg(want, prec), prec)
 
 
 def random_box(rng: random.Random, prec: int) -> ComplexBall:
@@ -798,7 +909,7 @@ def test_horner_abs_and_division_match_libmpi(prec):
             want = oracle_div(want, den)
         got = realalg._horner_at(f, z, den)
         assert _same(got, want), (f, den)
-        assert abs(got)._mpi == oracle_abs(want)._mpi
+        assert same_ball(abs(got), oracle_abs(want))
 
 
 def test_horner_at_certified_roots_matches_libmpi():
@@ -819,21 +930,15 @@ def test_horner_at_certified_roots_matches_libmpi():
     (libmp.fninf, libmp.fone),
 ])
 def test_nonfinite_endpoints_are_refused(ends):
-    # the kernel covers every finite input and refuses the rest;
-    # certified_roots never returns a non-finite endpoint
-    z = ComplexBall(Ball._make(ends, 64), Ball(Fraction(1, 3), 64))
+    # a Ball's endpoints are finite: a libmpi result that is not, such as
+    # the quotient by an interval around zero, raises instead of entering
     with pytest.raises(ValueError, match="nonfinite"):
         realalg._ints(ends)
-    for end in ("lo", "hi"):
-        with pytest.raises(ValueError, match="nonfinite"):
-            getattr(z.re, end)
-    for f in (IntPoly(), IntPoly(5), IntPoly(2, -1, 0, 1), IntPoly(0, 1)):
-        for den in (1, 7):
-            with pytest.raises(ValueError, match="nonfinite"):
-                realalg._horner_at(f, z, den)
-    for w in (z, z.conj(), ComplexBall(z.im, z.re)):
-        with pytest.raises(ValueError, match="nonfinite"):
-            abs(w)
+    returns_ends = realalg._libmpi(lambda *args: ends)
+    with pytest.raises(ValueError, match="nonfinite"):
+        returns_ends(Ball(Fraction(1, 3), 64)._iv, 64)
+    with pytest.raises(ValueError, match="nonfinite"):
+        Ball(1, 64) / Ball.from_endpoints(-1, 1, 64)
 
 
 def test_parts_of_different_precisions():
@@ -843,8 +948,7 @@ def test_parts_of_different_precisions():
         re = Ball(Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**20)), rng.choice(PRECS))
         im = Ball(Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**20)), rng.choice(PRECS))
         z = ComplexBall(re, im)
-        got, want = abs(z), oracle_abs(z)
-        assert (got._mpi, got.prec) == (want._mpi, want.prec)
+        assert same_ball(abs(z), oracle_abs(z))
 
 
 def _digest(text: str) -> str:
@@ -1262,7 +1366,7 @@ class TestConjugateData:
                 for i in (*range(half), *range(half, cfg.d)):
                     want = oracle_div(oracle_horner(e.num, conj.roots[i]), e.den)
                     assert _same(conj.embed(e, i), want), (e, i)
-                    assert conj.embed_abs(e, i)._mpi == oracle_abs(want)._mpi, (e, i)
+                    assert same_ball(conj.embed_abs(e, i), oracle_abs(want)), (e, i)
 
     @pytest.mark.parametrize("prec", [8, 64, 512])
     def test_embeddings_run_at_the_roots_precision(self, chains, prec):
@@ -1354,9 +1458,9 @@ class TestBakerHeights:
             conj = ConjugateData(ch.cfg, prec)
             for e in _case_elements(ch.cfg, conj):
                 got, want = log_height(e, conj), reference_log_height(e, conj)
-                assert (got._mpi, got.prec) == (want._mpi, want.prec), (ch.cfg.case_id, e)
+                assert same_ball(got, want), (ch.cfg.case_id, e)
                 got = matveev_a(e, conj)
-                assert got._mpi[1] == reference_matveev_a(e, conj)._mpi[1], e
+                assert got.hi == reference_matveev_a(e, conj).hi, e
                 assert got.lo <= got.hi
 
     @pytest.mark.parametrize("prec", [64, 256, 512])
@@ -1383,8 +1487,8 @@ class TestBakerHeights:
                 mags = [conj.embed_abs(e, i) for i in range(cfg.d // 2)]
                 sides.add((any(m.hi < 1 for m in mags), any(m.lo > 1 for m in mags)))
                 got, want = log_height(e, conj), reference_log_height(e, conj)
-                assert (got._mpi, got.prec) == (want._mpi, want.prec), e
-                assert matveev_a(e, conj)._mpi[1] == reference_matveev_a(e, conj)._mpi[1]
+                assert same_ball(got, want), e
+                assert matveev_a(e, conj).hi == reference_matveev_a(e, conj).hi
             assert {(True, False), (False, True), (True, True)} <= sides
 
     def test_enclosures_across_one_and_reaching_zero(self, chains):
@@ -1398,7 +1502,7 @@ class TestBakerHeights:
             e = FieldElement(IntPoly(3, 1))
             conj._abs[(e, 0)] = Ball.from_endpoints(lo, hi, work)
             got, want = log_height(e, conj), reference_log_height(e, conj)
-            assert (got._mpi, got.prec) == (want._mpi, want.prec), (lo, hi)
+            assert same_ball(got, want), (lo, hi)
 
     def test_angles_taken_per_proof(self, monkeypatch):
         # the certified angle is taken only where the bound |arg| <= pi
@@ -1430,7 +1534,7 @@ class TestBakerHeights:
             assert round_sig(dh.mid, 3) == Fraction(dh_pin)
             assert round_sig(top.mid, 3) == Fraction(term_pin)
             assert top.gt(dh)
-            assert matveev_a(elem, conj)._mpi[1] == top._mpi[1]
+            assert matveev_a(elem, conj).hi == top.hi
 
     def test_every_angle_lies_within_pi_hi(self):
         # the bound the skip rests on, on boxes in every quadrant and
@@ -1444,8 +1548,9 @@ class TestBakerHeights:
                 for bx in (Ball(x, prec), Ball.from_endpoints(x - 1, x, prec)):
                     for by in (Ball(y, prec), Ball.from_endpoints(min(y, 0), max(y, 0), prec)):
                         arg = ball_atan2(by, bx)
-                        assert libmp.mpf_le(libmp.mpf_neg(pi_hi), arg._mpi[0])
-                        assert libmp.mpf_le(arg._mpi[1], pi_hi)
+                        lo, hi = mpi(arg)
+                        assert libmp.mpf_le(libmp.mpf_neg(pi_hi), lo)
+                        assert libmp.mpf_le(hi, pi_hi)
 
 
 class TestRegulator:

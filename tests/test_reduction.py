@@ -561,10 +561,14 @@ class TestIntegerTheta:
                 # large integers rounded to prec bits: midpoint exponents >= 0
                 ball = Ball(rng.randint(-2**400, 2**400), prec)
                 K = rng.randint(1, 10**12)
+            if trial // 3 % 2:
+                # the same endpoints stripped of trailing zero bits, as a
+                # result read back from libmpi has them
+                ball = Ball._make(realalg._ints(realalg._mpfs(ball._iv)), prec)
             mid = ball.dyadic_mid()
             want = K * midpoint(ball)
             assert _theta(mid, K) == nearest_int(want)
-            _, e1, _, e2 = realalg._ints(ball._mpi)
+            _, e1, _, e2 = ball._iv
             ties += want.denominator == 2
             negative += want < 0
             unequal += e1 != e2
