@@ -15,7 +15,6 @@ import os
 import sys
 from fractions import Fraction
 
-from .matveev import inequality_coefficients
 from .numberfield import get_case, list_case_ids, load_case_config
 from .padic import digit_scan_bound
 from .pipeline import ProofChain, StageFailed, emit_report, solve_case
@@ -141,8 +140,7 @@ def _scan(chain, args):
 
 
 def _bound(chain, args):
-    cc = chain.constants
-    coeffs = inequality_coefficients(cc)
+    cc, coeffs = chain.constants, chain.coefficients
     entry = cc.to_dict()
     entry["c9"] = float(chain.c9)
     entry["absolute_bound"] = chain.abs_bound

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .matveev import absolute_bound, matveev_c9
+from .matveev import absolute_bound, inequality_coefficients, matveev_c9
 from .numberfield import CaseConfig, VerificationReport, get_case, verify_case_data
-from .padic import NoDigitScan, PAdicRoot, combined_lower_bound
+from .padic import PAdicRoot, combined_lower_bound
 from .polyarith import IntPoly, poly_eval, values_mod
 from .realalg import DEFAULT_PREC, CaseConstants, ConjugateData, compute_constants
 from .reduction import ReductionReport, reduction_loop
@@ -114,17 +114,28 @@ class StageFailed(Exception):
     """A proof stage could not finish; the message is the report's reason."""
 
 
+@contextmanager
+def _stage(name: str):
+    """One stage's rule: a ValueError or ArithmeticError raised in it ends
+    it with StageFailed("<name> failed: ..."); a StageFailed from a stage
+    it reads passes unchanged."""
+    try:
+        yield
+    except (ValueError, ArithmeticError) as err:
+        raise StageFailed(f"{name} failed: {err}") from err
+
+
 class ProofChain:
     """The proof stages of one case, each computed once on first read.
 
     Reading a stage runs the stages it depends on: the scan depth, the
     lifted roots and the digit-scan floor n_lower; the verification of the
-    case data, the conjugate data and the rounded constants; c9 and the
-    absolute bound; and the lattice reduction of that bound down to the
-    floor, starting at lattice scale `scale` (default: the case's K).  A
-    scan, constant chain or reduction that cannot finish raises
-    StageFailed, and so does reading the constants of case data that
-    failed verification.
+    case data, the conjugate data and the rounded constants; c9, the
+    absolute bound and the display form of its inequality; and the
+    lattice reduction of that bound down to the floor, starting at lattice
+    scale `scale` (default: the case's K).  A stage that cannot finish
+    raises StageFailed (see _stage), and so does reading the constants of
+    case data that failed verification.
     """
 
     def __init__(
@@ -140,10 +151,8 @@ class ProofChain:
     @cached_property
     def _scan(self) -> tuple[list[PAdicRoot], int]:
         # one lift per root, inside combined_lower_bound, the scan stage
-        try:
+        with _stage("digit scan"):
             return combined_lower_bound(self.cfg, self.depth)
-        except NoDigitScan as err:
-            raise StageFailed(f"digit scan failed: {err}") from err
 
     @property
     def roots(self) -> list[PAdicRoot]:
@@ -155,10 +164,8 @@ class ProofChain:
 
     @cached_property
     def conj(self) -> ConjugateData:
-        try:
+        with _stage("constant chain"):  # e.g. a real root of f
             return ConjugateData(self.cfg)
-        except (ValueError, ArithmeticError) as err:  # e.g. a real root of f
-            raise StageFailed(f"constant chain failed: {err}") from err
 
     @cached_property
     def verification(self) -> VerificationReport:
@@ -166,31 +173,33 @@ class ProofChain:
 
     @cached_property
     def constants(self) -> CaseConstants:
-        conj, n_lower = self.conj, self.n_lower  # earlier failures keep their type
+        conj, n_lower = self.conj, self.n_lower
         if not self.verification.passed:
             raise StageFailed("case data failed verification")
-        try:
+        with _stage("constant chain"):
             return compute_constants(conj, n_lower)
-        except (ValueError, ArithmeticError) as err:
-            raise StageFailed(f"constant chain failed: {err}") from err
 
     @cached_property
     def c9(self) -> Fraction:
-        return matveev_c9(self.constants)
+        with _stage("absolute bound"):
+            return matveev_c9(self.constants)
 
     @cached_property
     def abs_bound(self) -> int:
-        return absolute_bound(self.constants)
+        with _stage("absolute bound"):
+            return absolute_bound(self.constants)
+
+    @cached_property
+    def coefficients(self) -> dict:
+        """matveev.inequality_coefficients, the inequality as displayed."""
+        with _stage("absolute bound"):
+            return inequality_coefficients(self.constants)
 
     @cached_property
     def reduction(self) -> ReductionReport:
-        start = self.abs_bound  # earlier failures keep their type
-        try:
-            return reduction_loop(
-                self.conj, self.constants, start, stop_below=self.n_lower, scale=self.scale
-            )
-        except ArithmeticError as err:
-            raise StageFailed(f"reduction failed: {err}") from err
+        with _stage("reduction"):
+            return reduction_loop(self.conj, self.constants, self.abs_bound,
+                                  stop_below=self.n_lower, scale=self.scale)
 
 
 @dataclass

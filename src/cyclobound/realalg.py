@@ -2,11 +2,12 @@
 
 Every archimedean quantity in the bound chain is carried as a Ball, an
 interval with exact binary endpoints that an integer kernel rounds
-outward exactly as mpmath's libmpi would, so comparisons and rounded
-constants are proved rather than sampled; libmpi itself is left only
-log, exp, atan2, pi and division by a ball.  Polynomial roots are located
-by Durand-Kerner in machine floats, polished by Newton in integer fixed
-point, and then certified independently by an exact disc test.
+outward, so comparisons and rounded constants are proved rather than
+sampled.  Each endpoint of +, -, *, /, sqrt, log, exp and atan2 is its
+exact value rounded outward to the ball's precision, from Python's
+integers alone.  Polynomial roots are located by Durand-Kerner in machine
+floats, polished by Newton in integer fixed point, and then certified
+independently by an exact disc test.
 Constants are rounded to four significant digits in a fixed direction,
 and each one is checked against its enclosure in the direction that
 keeps it a valid bound; a failed check raises instead of weakening the
@@ -15,13 +16,12 @@ result.
 from __future__ import annotations
 
 import cmath
+import decimal
 import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-from mpmath import libmp
 
 from .numberfield import CaseConfig, FieldElement, charpoly, nf_inverse, nf_mul, nf_pow
 from .polyarith import IntPoly, det, poly_derivative
@@ -34,9 +34,9 @@ class Ball:
 
     The interval is a kernel tuple (lo_m, lo_e, hi_m, hi_e) rounded outward
     at prec bits; an operation on two balls runs at the wider of their
-    precisions.  Only log, exp, powers other than 2 and division by other
-    than an int > 0 leave the kernel for libmpi.  A Ball is made from an
-    int, a Fraction or another Ball (whose endpoints it keeps).
+    precisions.  A power other than 2 is exp(e * log), so it needs a
+    strictly positive ball.  A Ball is made from an int, a Fraction or
+    another Ball (whose endpoints it keeps).
     """
 
     __slots__ = ("_iv", "prec")
@@ -49,7 +49,7 @@ class Ball:
         elif isinstance(value, Fraction):
             # an int interval over an int interval; the frozen outputs rest
             # on this rounding, which differs from libmp's from_rational
-            self._iv = _div_int(_const(value.numerator, prec), value.denominator, prec)
+            self._iv = _div(_const(value.numerator, prec), _const(value.denominator, prec), prec)
         else:
             raise TypeError(f"cannot make a Ball from {type(value).__name__}")
         self.prec = prec
@@ -120,8 +120,6 @@ class Ball:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, int) and other > 0:
-            return self._unary(_div_int, other)
         return self._binary(_div, other)
 
     def __neg__(self):
@@ -133,10 +131,8 @@ class Ball:
     def __pow__(self, e):
         if e == 2:
             return self._unary(_square)
-        if isinstance(e, int):
-            return self._unary(_pow_int, e)
         if self._iv[0] <= 0:
-            raise ValueError("fractional power needs a positive interval")
+            raise ValueError("a power other than 2 needs a strictly positive interval")
         return (self.log() * Fraction(e)).exp()
 
     def log(self) -> "Ball":
@@ -157,7 +153,14 @@ class Ball:
         return _below(*Ball(other, self.prec)._iv[2:], *self._iv[:2])
 
     def __repr__(self) -> str:
-        return f"Ball({libmp.mpi_str(_mpfs(self._iv), self.prec)}, prec={self.prec})"
+        # each end rounded outward to about as many decimal digits as prec bits
+        ends = []
+        for m, e, rounding in ((*self._iv[:2], decimal.ROUND_FLOOR),
+                               (*self._iv[2:], decimal.ROUND_CEILING)):
+            ctx = decimal.Context(max(1, self.prec * 3 // 10), rounding,
+                                  decimal.MIN_EMIN, decimal.MAX_EMAX)
+            ends.append(ctx.divide(m << max(e, 0), 1 << max(-e, 0)))
+        return f"Ball([{ends[0]}, {ends[1]}], prec={self.prec})"
 
 
 def ball_max(first, *rest) -> Ball:
@@ -177,8 +180,8 @@ def ball_min(*balls) -> Ball:
 
 def _pi_hull(prec: int) -> Ball:
     """[-pi_hi, pi_hi] for pi_hi = pi rounded up: it holds every angle."""
-    pi_hi = libmp.mpf_pi(prec, libmp.round_ceiling)
-    return Ball._make(_ints((libmp.mpf_neg(pi_hi), pi_hi)), prec)
+    m, e = _ziv(lambda w: (_pi(w), -w, 2), (), (), prec)[2:]
+    return Ball._make((-m, e, m, e), prec)
 
 
 def ball_atan2(y: Ball, x: Ball) -> Ball:
@@ -220,12 +223,13 @@ class ComplexBall:
 # the integer kernel
 #
 # A Ball's interval is the tuple (lo_m, lo_e, hi_m, hi_e) of two exact
-# endpoints m * 2**e, m a signed int.  mpmath's add, mul, div and sqrt
-# round correctly in the direction asked, so each kernel step computes its
-# result exactly and floors or ceils it to prec significant bits wherever
-# libmpi rounds; the endpoints then match libmpi's on every finite input.
-# _round is the one rounding step, _const and _div_int bring exact numbers
-# in, and _libmpi is the one way to libmpi's mpf endpoints and back.
+# endpoints m * 2**e, m a signed int.  Each endpoint is its exact value
+# floored or ceiled to prec significant bits: +, -, *, / and sqrt compute
+# that value exactly, or to a last odd bit that stands in for a nonzero
+# remainder, and log, exp, atan2 and pi approximate it until its rounding
+# is decided (_ziv).  The endpoints match libmpi's wherever libmpi rounds
+# correctly, which its add, mul, div and sqrt always do.  _round is the one
+# rounding step, and _const and _div bring exact numbers in.
 
 
 def _round(m: int, e: int, prec: int, up: bool):
@@ -234,15 +238,6 @@ def _round(m: int, e: int, prec: int, up: bool):
     if n > 0:
         return (-(-m >> n) if up else m >> n), e + n
     return m, e
-
-
-def _ints(mpi):
-    """The kernel interval of an mpf endpoint pair; ValueError if an
-    endpoint is not finite, as libmpi's may be."""
-    (s1, m1, e1, _), (s2, m2, e2, _) = mpi
-    if (not m1 and e1) or (not m2 and e2):
-        raise ValueError("nonfinite interval endpoint")
-    return (-m1 if s1 else m1), e1, (-m2 if s2 else m2), e2
 
 
 def _fraction(m: int, e: int) -> Fraction:
@@ -259,10 +254,6 @@ def _below(m1, e1, m2, e2) -> bool:
 def _larger(x, y):
     """The greater of two endpoint pairs (m, e)."""
     return y if _below(*x, *y) else x
-
-
-def _mpfs(x):
-    return libmp.from_man_exp(x[0], x[1]), libmp.from_man_exp(x[2], x[3])
 
 
 def _const(c: int, prec: int):
@@ -357,13 +348,20 @@ def _abs(x, prec):
     return _neg(x, prec) if x[2] < 0 else _pos(x, prec)
 
 
-def _div_int(x, den, prec):
-    """libmpi's mpi_div by the int interval [c, d] of an int den > 0: each
-    quotient to prec + 2 bits or more, a last odd bit standing in for a
-    nonzero remainder.  [c, d] is the point den unless den is wider than
-    prec; as in mpi_div, the lower end divides by d when it is >= 0 and by
-    c otherwise, the upper end by c when it is >= 0 and by d otherwise."""
-    cm, ce, dm, de = _const(den, prec)
+def _div(x, y, prec):
+    """libmpi's mpi_div for a divisor y = [c, d] that does not reach 0.
+
+    A y below 0 negates both operands.  Then, as in mpi_div, the lower end
+    divides by d when it is >= 0 and by c otherwise, the upper end by c
+    when it is >= 0 and by d otherwise; each quotient to prec + 2 bits or
+    more, a last odd bit standing in for a nonzero remainder.  Where libmpi
+    returns an infinite endpoint, for a y that reaches 0, this raises.
+    """
+    if y[0] <= 0 <= y[2]:
+        raise ValueError("nonfinite interval endpoint: the divisor reaches 0")
+    if y[2] < 0:
+        x, y = (-x[2], x[3], -x[0], x[1]), (-y[2], y[3], -y[0], y[1])
+    cm, ce, dm, de = y
     out = ()
     for m, e, up in ((x[0], x[1], False), (x[2], x[3], True)):
         nm, ne = (cm, ce) if (m >= 0) == up else (dm, de)
@@ -375,7 +373,7 @@ def _div_int(x, den, prec):
 
 
 def _sqrt(x, prec):
-    """libmpi's mpi_sqrt for x >= 0, rounded as _div_int rounds."""
+    """libmpi's mpi_sqrt for x >= 0, rounded as _div rounds."""
     out = ()
     for m, e, up in ((x[0], x[1], False), (x[2], x[3], True)):
         if e & 1:
@@ -387,13 +385,187 @@ def _sqrt(x, prec):
     return out
 
 
-def _libmpi(op):
-    """libmpi's op(x, ..., prec) on kernel intervals, by way of mpf endpoints."""
-    return lambda *args: _ints(op(*(_mpfs(a) if isinstance(a, tuple) else a for a in args)))
+# Transcendental endpoints.  A point function f(..., w) returns (v, e, err):
+# the exact value lies within err * 2**e of v * 2**e, with about w bits
+# below the value's leading bit.  It is exact (err 0) for log 1, exp 0 and
+# atan2(0, x >= 0), and otherwise transcendental, so never on a rounding
+# boundary: _ziv, which retries with twice the guard bits while v - err and
+# v + err round apart (Ziv's loop), always ends.
 
 
-_log, _exp, _div, _atan2, _pow_int = map(_libmpi, (
-    libmp.mpi_log, libmp.mpi_exp, libmp.mpi_div, libmp.mpi_atan2, libmp.mpi_pow_int))
+def _ziv(f, a, b, prec):
+    """[f(*a) rounded down, f(*b) rounded up] at prec bits, for a point
+    function f taken at w = prec + guard bits, once when a == b."""
+    guard = 32
+    while True:
+        w = prec + guard
+        v1, e1, r1 = f(*a, w)
+        v2, e2, r2 = (v1, e1, r1) if a == b else f(*b, w)
+        lo = _round(v1 - r1, e1, prec, False)
+        hi = _round(v2 + r2, e2, prec, True)
+        if lo == _round(v1 + r1, e1, prec, False) and hi == _round(v2 - r2, e2, prec, True):
+            return (*lo, *hi)
+        guard *= 2
+
+
+def _fixed(m, e, w):
+    """m * 2**(e + w), floored."""
+    return m << e + w if e + w >= 0 else m >> -e - w
+
+
+def _odd_series(z, w, alternate):
+    """(s, j): s = z - z**3/3 + z**5/5 - ... (atan z), or with every sign
+    + (atanh z) when alternate is not set, in fixed point at w bits; j is
+    the last odd power.  For z <= 2**w / 5 off by less than 5 units, or
+    z <= 2**w / 3 off by less than 1, each of the (j - 1)/2 later terms is
+    off by less than 2 and the tail by less than 1."""
+    z2 = z * z >> w
+    s = term = z
+    j = 1
+    while term:
+        term = term * z2 >> w
+        j += 2
+        s += -(term // j) if alternate and j & 2 else term // j
+    return s, j
+
+
+@functools.lru_cache(maxsize=64)
+def _ln2(w):
+    """ln 2 * 2**w, within 3/2: 2 atanh(1/3) with enough extra bits to
+    cover the error of its terms."""
+    g = w.bit_length() + 8
+    return 2 * _odd_series((1 << w + g) // 3, w + g, False)[0] >> g
+
+
+@functools.lru_cache(maxsize=64)
+def _pi(w):
+    """pi * 2**w, within 3/2: Machin's 16 atan(1/5) - 4 atan(1/239)."""
+    g = w.bit_length() + 8
+    s5, s239 = (_odd_series((1 << w + g) // n, w + g, True)[0] for n in (5, 239))
+    return 16 * s5 - 4 * s239 >> g
+
+
+def _log_at(m, e, w):
+    """log(m * 2**e) for m > 0, as (v, e, err).
+
+    x = 2**k * t with t in [3/4, 3/2), and log t = 2**(r+1) atanh(z) for
+    z = (s - 1)/(s + 1) and s = t**(2**-r), taken by r integer square
+    roots.  Each root is off by less than 5/2 units and z by less than 3,
+    so the series with j its last odd power is off by less than j + 3;
+    ln 2 adds 3/2 per unit of k.  A t within 2**-near of 1 is worked near
+    bits deeper, since log t is then as small as t - 1.
+    """
+    if e <= 0 and m == 1 << -e:
+        return 0, 0, 0
+    b = m.bit_length()
+    k = b + e - 1 + (b > 1 and m >> b - 2 == 3)
+    near = max(0, -e - abs(m - (1 << -e)).bit_length()) if k == 0 else 0
+    w += near
+    r = max(0, 4 - near)
+    one = 1 << w
+    t = _fixed(m, e - k, w)
+    for _ in range(r):
+        t = math.isqrt(t << w)
+    s, j = _odd_series((abs(t - one) << w) // (t + one), w, False)
+    if t < one:
+        s = -s
+    return (s << r + 1) + (k and k * _ln2(w)), -w, (j + 3 << r + 1) + 2 * abs(k)
+
+
+def _exp_at(m, e, w):
+    """exp(m * 2**e), as (v, e, err).
+
+    Below 2**-(w/2) in size, x gives 1 + x, off by less than x**2 and the
+    floor of x.  Otherwise exp x = 2**k exp(r) for r = x - k ln 2 (off by
+    1 + 2|k| units), and exp r is the Taylor series at r / 2**8 squared 8
+    times.  The series with j terms is off by less than 2j + 2 units, and
+    r's error moves it by less than 1/128 of that error plus 1; each
+    squaring doubles an error at most and adds 1, and at |r| <= ln 2 / 2
+    the 8 of them multiply it by less than 2**9.
+    """
+    if not m:
+        return 1, 0, 0
+    mag = m.bit_length() + e
+    if 2 * mag < -w:
+        return (1 << -2 * mag) + _fixed(m, e, -2 * mag), 2 * mag, 2
+    w += max(mag, 0)
+    x = _fixed(m, e, w)
+    l2 = _ln2(w)
+    k = (x + (l2 >> 1)) // l2
+    r = x - k * l2
+    neg, r = r < 0, abs(r)
+    s = term = 1 << w
+    j = 0
+    while term:
+        j += 1
+        term = (term * r >> w + 8) // j
+        s += -term if neg and j & 1 else term
+    for _ in range(8):
+        s = s * s >> w
+    return s, k - w, 2 * j + 4 + (1 + 2 * abs(k) >> 7) << 9
+
+
+def _atan2_at(ym, ye, xm, xe, w):
+    """atan2(y, x) for y = ym * 2**ye and x = xm * 2**xe, as (v, e, err);
+    0 for y = 0 <= x, and pi for y = 0 > x, as mpf_atan2 has it.
+
+    With q = min(|y|, |x|) / max(|y|, |x|) floored, atan(q) is taken by
+    halvings q / (1 + sqrt(1 + q**2)), each off by less than 5 units, down
+    to q <= 1/16, then by its series (off by less than j + 5, j its last
+    odd power) times 2**h for h halvings.  pi/2 - atan(q) for |y| >
+    |x|, and pi less the angle for x < 0, add less than 2 each.  A y much
+    smaller than x > 0 is worked near bits deeper, since the angle is then
+    about q.
+    """
+    if not ym and xm >= 0:
+        return 0, 0, 0
+    ay, ax = abs(ym), abs(xm)
+    swap = _below(ax, xe, ay, ye)
+    (nm, ne), (dm, de) = ((ax, xe), (ay, ye)) if swap else ((ay, ye), (ax, xe))
+    near = 0
+    if nm and not swap and xm > 0:
+        near = max(0, dm.bit_length() + de - nm.bit_length() - ne - 1)
+    w += near
+    h = max(0, 4 - near)
+    one = 1 << w
+    sh = ne - de + w
+    q = (nm << sh) // dm if sh >= 0 else nm // (dm << -sh)
+    for _ in range(h):
+        q = (q << w) // (one + math.isqrt(one * one + q * q))
+    s, j = _odd_series(q, w, True)
+    s <<= h
+    if swap:
+        s = (_pi(w) >> 1) - s
+    if xm < 0:
+        s = _pi(w) - s
+    return (-s if ym < 0 else s), -w, (j + 5 << h) + 4
+
+
+def _log(x, prec):
+    """libmpi's mpi_log for x > 0."""
+    return _ziv(_log_at, x[:2], x[2:], prec)
+
+
+def _exp(x, prec):
+    """libmpi's mpi_exp."""
+    return _ziv(_exp_at, x[:2], x[2:], prec)
+
+
+def _atan2(y, x, prec):
+    """libmpi's mpi_atan2, for a box that ball_atan2 has not sent to the
+    full range: its endpoint pairs in the right half-plane (x >= 0), the
+    upper (y > 0) and the lower (y < 0)."""
+    (ya, yb), (xa, xb) = (y[:2], y[2:]), (x[:2], x[2:])
+    if x[0] >= 0:
+        lo = ya + xb if y[0] >= 0 else ya + xa
+        hi = yb + xa if y[2] >= 0 else yb + xb
+    elif y[0] >= 0:
+        lo = yb + xb if x[2] <= 0 else ya + xb
+        hi = ya + xa
+    else:
+        lo = yb + xa
+        hi = ya + xb if x[2] <= 0 else yb + xb
+    return _ziv(_atan2_at, lo, hi, prec)
 
 
 def _horner_at(f: IntPoly, z: ComplexBall, den: int = 1) -> ComplexBall:
@@ -422,7 +594,8 @@ def _horner_at(f: IntPoly, z: ComplexBall, den: int = 1) -> ComplexBall:
         if c:
             ar = _add(ar, _const(c, prec), prec)
     if den != 1:
-        ar, ai = _div_int(ar, den, prec), _div_int(ai, den, prec)
+        den = _const(den, prec)
+        ar, ai = _div(ar, den, prec), _div(ai, den, prec)
     return ComplexBall(Ball._make(ar, prec), Ball._make(ai, prec))
 
 
@@ -625,15 +798,22 @@ def _root_centres(coeffs_desc, starts, scale: int, work: int):
         if got is None:
             return None
         x, y, shift = got
-        raw = [
-            libmp.fzero if abs(v) << work < 2 << shift
-            else libmp.from_man_exp(v, -shift, work, libmp.round_nearest)
-            for v in (x, y)
-        ]
-        xm, xe, ym, ye = _ints(raw)
-        if ym > 0:
-            out.append((_fraction(xm, xe), _fraction(ym, ye)))
+        x, y = (0 if abs(v) << work < 2 << shift else _round_nearest(v, shift, work)
+                for v in (x, y))
+        if y > 0:
+            out.append((x, y))
     return out
+
+
+def _round_nearest(m: int, shift: int, prec: int) -> Fraction:
+    """m / 2**shift to prec significant bits, to nearest, ties to even (as
+    libmp's round_nearest rounds)."""
+    n = m.bit_length() - prec
+    if n > 0:
+        q, r = divmod(m, 1 << n)
+        m = q + (2 * r > 1 << n or (2 * r == 1 << n and q & 1))
+        shift -= n
+    return _fraction(m, -shift)
 
 
 def _certify_roots(f, upper, work, ordered=True):

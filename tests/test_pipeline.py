@@ -15,7 +15,7 @@ import cyclobound
 from cyclobound import padic, pipeline
 from cyclobound.cli import main
 from cyclobound.realalg import ConjugateData
-from cyclobound.numberfield import _config_from_dict, case_to_dict, get_case
+from cyclobound.numberfield import _config_from_dict, case_to_dict, get_case, nf_inverse, nf_pow
 from cyclobound.pipeline import (
     SEARCH_FLOOR,
     _iroot,
@@ -353,15 +353,16 @@ class TestCLI:
         with pytest.raises(KeyError, match="internal"):
             main(["scan", "--case", "10-271"])
 
-    def test_stage_value_error_is_not_a_usage_error(self, monkeypatch):
+    def test_stage_value_error_is_not_a_usage_error(self, monkeypatch, capsys):
         # only argument and case-file validation may turn a ValueError
-        # into exit 2; one from a bug inside a stage must surface
+        # into exit 2; one raised inside a stage fails that stage, exit 1,
+        # with the error as the reason
         def broken(*args):
             raise ValueError("internal bug")
 
         monkeypatch.setattr(pipeline, "combined_lower_bound", broken)
-        with pytest.raises(ValueError, match="internal bug"):
-            main(["scan", "--case", "10-271"])
+        assert main(["scan", "--case", "10-271"]) == 1
+        assert capsys.readouterr().out == "case 10-271: digit scan failed: internal bug\n"
 
     @pytest.mark.parametrize(
         "path, field",
@@ -502,6 +503,27 @@ class TestCLI:
                 "case 10-271: constant chain failed:"
                 " polynomial appears to have a real root\n"
             )
+
+    @pytest.mark.parametrize("power", [2, 3, -2])
+    def test_unit_power_fails_a_stage_without_a_traceback(self, tmp_path, capsys, power):
+        # 10-271 with its unit eps replaced by eps**2, eps**3 or eps**-2
+        # passes verify, whose norm checks hold for any unit; the unit
+        # exponents then need c7 < 1/d, so bound and solve end with the
+        # absolute bound stage failed, exit 1, and no traceback
+        cfg = get_case("10-271")
+        base = cfg.units[0] if power > 0 else nf_inverse(cfg.units[0], cfg.f)
+        raw = case_to_dict(cfg)
+        raw["units"] = [list(nf_pow(base, abs(power), cfg.f).num.coeffs)]
+        path = tmp_path / "unit_power.json"
+        path.write_text(json.dumps(raw))
+        for command, status in (("verify", 0), ("bound", 1), ("solve", 1)):
+            assert main([command, "--config", str(path)]) == status, command
+            out, err = capsys.readouterr()
+            assert "Traceback" not in out + err, command
+            if status:
+                assert "absolute bound failed: bound on B needs d*c7 >= 1" in out, command
+        if power == 2:
+            assert raw["units"] == [[3, 1, -4, 3]]
 
     def test_bad_scale_rejected_by_parser(self):
         for flags in (
