@@ -33,13 +33,14 @@ when no depth is given explicitly.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 from .polyarith import (
     IntPoly, charpoly_mod, cyclotomic, discriminant, is_prime, mulmod, poly_eval,
+    roots_mod_p,
 )
 
 
@@ -47,10 +48,10 @@ from .polyarith import (
 # field elements
 
 
-@dataclasses.dataclass(init=False, eq=True)
 class FieldElement:
     """num(alpha)/den with deg num < deg f, den > 0, gcd(content, den) = 1."""
 
+    __slots__ = ("num", "den")
     num: IntPoly
     den: int
 
@@ -70,8 +71,16 @@ class FieldElement:
         self.num = num
         self.den = den
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.den == other.den and self.num == other.num
+
     def __hash__(self) -> int:
         return hash((self.num.coeffs, self.den))
+
+    def __repr__(self) -> str:
+        return f"FieldElement(num={self.num!r}, den={self.den!r})"
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -147,22 +156,21 @@ def charpoly(a: FieldElement, f: IntPoly) -> IntPoly:
 # case configuration
 
 
-@dataclasses.dataclass(frozen=True)
-class CaseConfig:
-    case_id: str
-    m: int
-    p: int
-    d: int
-    f: IntPoly
-    units: tuple[FieldElement, ...]
-    gammas: tuple[FieldElement, ...]
-    gamma_norm_exponents: tuple[int, ...]
-    deltas: tuple[FieldElement, ...]
-    two_sign: int
-    two_factors: tuple[tuple[FieldElement, int], ...]
-    default_conjugate_choice: dict[int, tuple[int, ...]]
-    default_K: int
-    default_scan_depth: int
+class CaseConfig(namedtuple("CaseConfig", (
+    "case_id", "m", "p", "d", "f", "units", "gammas", "gamma_norm_exponents",
+    "deltas", "two_sign", "two_factors", "default_conjugate_choice",
+    "default_K", "default_scan_depth",
+))):
+    """One case's data, immutable; _replace(**changes) copies it.
+
+    f is an IntPoly of degree d; units, gammas and deltas are tuples of
+    FieldElements, gamma_norm_exponents the tuple of ints k with
+    |N(gamma)| = p^k, two_factors the (FieldElement, exponent) pairs of the
+    witness for 2, and default_conjugate_choice a dict from each norm-p
+    gamma's index to its tuple of embedding indices.
+    """
+
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
@@ -177,18 +185,44 @@ class CaseConfig:
         )
 
 
-@dataclasses.dataclass
 class CheckResult:
-    name: str
-    ok: bool
-    detail: str
+    """One named check of verify_case_data, whether it held, and what it saw."""
+
+    __slots__ = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str):
+        self.name = name
+        self.ok = ok
+        self.detail = detail
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.ok, self.detail) == (other.name, other.ok, other.detail)
+
+    def __repr__(self) -> str:
+        return f"CheckResult(name={self.name!r}, ok={self.ok!r}, detail={self.detail!r})"
 
 
-@dataclasses.dataclass
 class VerificationReport:
-    case_id: str
-    checks: list[CheckResult]
-    trusted: list[str]
+    """The checks verify_case_data ran on one case, and what it trusts."""
+
+    __slots__ = ("case_id", "checks", "trusted")
+
+    def __init__(self, case_id: str, checks: list[CheckResult], trusted: list[str]):
+        self.case_id = case_id
+        self.checks = checks
+        self.trusted = trusted
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.case_id, self.checks, self.trusted)
+                == (other.case_id, other.checks, other.trusted))
+
+    def __repr__(self) -> str:
+        return (f"VerificationReport(case_id={self.case_id!r}, "
+                f"checks={self.checks!r}, trusted={self.trusted!r})")
 
     @property
     def passed(self) -> bool:
@@ -198,7 +232,7 @@ class VerificationReport:
         return {
             "case_id": self.case_id,
             "passed": self.passed,
-            "checks": [dataclasses.asdict(c) for c in self.checks],
+            "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail} for c in self.checks],
             "trusted": list(self.trusted),
         }
 
@@ -446,11 +480,33 @@ def _envelope_certificate(f: IntPoly) -> bool:
     return True
 
 
+def _root_match(f: IntPoly, q: int, named: dict[str, FieldElement]) -> tuple[bool, str]:
+    """Whether the roots of f mod the prime q and the named elements match
+    one to one, each root a zero mod q of exactly one element and each
+    element of exactly one root; and the zeros found, as text.
+
+    An element of Z[alpha] lies in the prime (q, alpha - r) exactly when
+    it vanishes at r mod q, so an element of norm +-q generates that prime
+    for one root r, and the match gives every prime of residue degree 1
+    above q its own generator.
+    """
+    zeros = {
+        r: [name for name, e in named.items() if poly_eval(e.num, r) % q == 0]
+        for r in roots_mod_p(f, q)
+    }
+    hits = [name for names in zeros.values() for name in names]
+    ok = all(len(names) == 1 for names in zeros.values()) and sorted(hits) == sorted(named)
+    parts = [f"root {r}: {', '.join(names) or 'none'}" for r, names in zeros.items()]
+    parts += [f"{name}: no root" for name in named if name not in hits]
+    return ok, "; ".join(parts)
+
+
 def verify_case_data(cfg: CaseConfig) -> VerificationReport:
     """Exact re-verification of everything the pipeline consumes.
 
     All checks are integer/rational identities: unit norms and the unit
-    count, gamma and delta norms, the multiplicative witness for 2, p not
+    count, gamma and delta norms, one norm-p gamma per root of f mod p and
+    one delta per root of f mod 2, the multiplicative witness for 2, p not
     dividing disc(f), and the growth envelope that the archimedean
     estimates rest on.  Items that cannot be checked without an independent
     unit-group computation are listed under ``trusted``.
@@ -467,7 +523,8 @@ def verify_case_data(cfg: CaseConfig) -> VerificationReport:
         cfg.f == f_expect and cfg.f.degree() == cfg.d == phi and cfg.f.lc() == 1,
         f"f = {cfg.f}, degree {cfg.f.degree()} = phi({cfg.m})",
     )
-    check("p is an odd prime", cfg.p % 2 == 1 and is_prime(cfg.p), f"p = {cfg.p}")
+    p_ok = cfg.p % 2 == 1 and is_prime(cfg.p)
+    check("p is an odd prime", p_ok, f"p = {cfg.p}")
 
     disc = discriminant(cfg.f)
     check(
@@ -504,6 +561,16 @@ def verify_case_data(cfg: CaseConfig) -> VerificationReport:
             f"N({g}) = {ng}",
         )
 
+    # roots_mod_p refuses a p it cannot prove prime
+    if p_ok:
+        norm_p = {
+            f"gamma {i}": g
+            for i, (g, c) in enumerate(zip(cfg.gammas, cfg.gamma_norm_exponents), 1)
+            if c == 1
+        }
+        check("each root of f mod p has its own norm-p gamma",
+              *_root_match(cfg.f, cfg.p, norm_p))
+
     for i, dd in enumerate(cfg.deltas, 1):
         nd = nf_norm(dd, cfg.f)
         check(
@@ -511,6 +578,8 @@ def verify_case_data(cfg: CaseConfig) -> VerificationReport:
             abs(nd) == 2,
             f"N({dd}) = {nd}",
         )
+    deltas = {f"delta {i}": dd for i, dd in enumerate(cfg.deltas, 1)}
+    check("each root of f mod 2 has its own delta", *_root_match(cfg.f, 2, deltas))
 
     prod = FieldElement(cfg.two_sign)
     for fa, e in cfg.two_factors:

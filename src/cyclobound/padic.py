@@ -11,8 +11,6 @@ nonempty (small n is covered separately by the direct search).
 """
 from __future__ import annotations
 
-import dataclasses
-
 from .numberfield import CaseConfig
 from .polyarith import IntPoly, poly_derivative, poly_eval, roots_mod_p
 
@@ -21,12 +19,37 @@ class NoDigitScan(ValueError):
     """f has no root mod p, or a repeated one, so no digit can be scanned."""
 
 
-@dataclasses.dataclass(frozen=True)
 class PAdicRoot:
-    """A root of f modulo p^depth, as base-p digits, lowest first."""
+    """A root of f modulo p^depth, as base-p digits, lowest first; immutable."""
 
+    __slots__ = ("p", "digits")
     p: int
     digits: tuple[int, ...]
+
+    def __init__(self, p: int, digits: tuple[int, ...]):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "digits", digits)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a PAdicRoot")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a PAdicRoot")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not by assignment
+        return PAdicRoot, (self.p, self.digits)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.digits) == (other.p, other.digits)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.digits))
+
+    def __repr__(self) -> str:
+        return f"PAdicRoot(p={self.p!r}, digits={self.digits!r})"
 
     @property
     def r0(self) -> int:
@@ -44,8 +67,9 @@ class PAdicRoot:
 
     def first_extreme_index(self) -> int | None:
         """Least k >= 1 with digit in {0, p-1}, or None if no computed digit hits."""
-        for k in range(1, self.depth):
-            if self.digits[k] in (0, self.p - 1):
+        digits, top = self.digits, self.p - 1
+        for k in range(1, len(digits)):
+            if digits[k] in (0, top):
                 return k
         return None
 

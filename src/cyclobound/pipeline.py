@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -202,25 +201,64 @@ class ProofChain:
                                   stop_below=self.n_lower, scale=self.scale)
 
 
-@dataclass
 class SolveReport:
-    """Everything one case run produced, stage by stage."""
+    """Everything one case run produced, stage by stage.
 
-    case_id: str
-    verdict: str
-    reason: str
-    depth: int
-    precision_bits: int = DEFAULT_PREC
-    n_lower: int | None = None
-    abs_bound: int | None = None
-    c9: object = None
-    reduced_bound: int | None = None
-    search_max: int | None = None
-    solutions: list = field(default_factory=list)
-    verification: VerificationReport | None = None
-    constants: CaseConstants | None = None
-    reduction: ReductionReport | None = None
-    timings: dict = field(default_factory=dict)
+    solutions holds (n, x) pairs and timings maps stage names to seconds;
+    each report starts with its own empty list and dict.
+    """
+
+    __slots__ = (
+        "case_id", "verdict", "reason", "depth", "precision_bits", "n_lower",
+        "abs_bound", "c9", "reduced_bound", "search_max", "solutions",
+        "verification", "constants", "reduction", "timings",
+    )
+
+    def __init__(
+        self,
+        case_id: str,
+        verdict: str,
+        reason: str,
+        depth: int,
+        precision_bits: int = DEFAULT_PREC,
+        n_lower: int | None = None,
+        abs_bound: int | None = None,
+        c9: Fraction | None = None,
+        reduced_bound: int | None = None,
+        search_max: int | None = None,
+        solutions: list | None = None,
+        verification: VerificationReport | None = None,
+        constants: CaseConstants | None = None,
+        reduction: ReductionReport | None = None,
+        timings: dict | None = None,
+    ):
+        self.case_id = case_id
+        self.verdict = verdict
+        self.reason = reason
+        self.depth = depth
+        self.precision_bits = precision_bits
+        self.n_lower = n_lower
+        self.abs_bound = abs_bound
+        self.c9 = c9
+        self.reduced_bound = reduced_bound
+        self.search_max = search_max
+        self.solutions = [] if solutions is None else solutions
+        self.verification = verification
+        self.constants = constants
+        self.reduction = reduction
+        self.timings = {} if timings is None else timings
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"SolveReport({fields})"
 
     @property
     def ok(self) -> bool:

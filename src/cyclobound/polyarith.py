@@ -8,12 +8,10 @@ proof) runs on the same division and product kernels as ZZ[x].
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 
 
-@dataclasses.dataclass(init=False, eq=True)
 class IntPoly:
     """Polynomial over ZZ, coefficients lowest degree first.
 
@@ -23,6 +21,7 @@ class IntPoly:
     0
     """
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[int, ...]
 
     def __init__(self, *coeffs: int):
@@ -32,8 +31,16 @@ class IntPoly:
             coeffs = coeffs[:-1]
         self.coeffs = tuple(int(c) for c in coeffs)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
     def __hash__(self) -> int:
         return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"IntPoly(coeffs={self.coeffs!r})"
 
     def degree(self) -> int:
         """Degree; the zero polynomial has degree -1."""

@@ -20,7 +20,7 @@ import decimal
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .numberfield import CaseConfig, FieldElement, charpoly, nf_inverse, nf_mul, nf_pow
@@ -963,7 +963,13 @@ class ConjugateData:
         return got
 
     def lead(self, elem: FieldElement) -> int:
-        """Leading coefficient of charpoly(elem, f), computed once per elem."""
+        """Leading coefficient of charpoly(elem, f), computed once per elem.
+
+        An integral numerator over den 1 has a monic, hence primitive,
+        characteristic polynomial, so its leading coefficient is 1.
+        """
+        if elem.den == 1:
+            return 1
         got = self._leads.get(elem)
         if got is None:
             got = self._leads[elem] = charpoly(elem, self.cfg.f).lc()
@@ -1041,42 +1047,26 @@ def matveev_a(elem: FieldElement, conj: ConjugateData) -> Ball:
 # the rounded-constant chain
 
 
-@dataclass(frozen=True)
-class CaseConstants:
+class CaseConstants(namedtuple("CaseConstants", (
+    "case_id", "d", "p", "rank", "n_lower", "margin", "max_abs_root",
+    "deriv_bounds", "c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8",
+    "delta_abs_range", "gamma_abs_range", "regulator", "regulator_standard",
+    "unit_minor_bound", "unit_minor_triple", "a_values", "a0_eta1", "a0_eta2",
+))):
     """Rounded constants for one case, each a proved one-sided bound.
 
     c1*p^(n/d) underestimates |x - alpha^(i)| and c4*p^(n/d) overestimates
     it; c2 bounds the Taylor tail of the cofactor, c3 = c2/c1 the relative
     error; c5/c6 bound the per-embedding log drift and c7/c8 the unit
     exponents via max|m_i| <= c7*n + c8; a_values are the per-logarithm
-    Baker heights.  All are exact Fractions rounded in the sound direction.
+    Baker heights.  All are exact Fractions rounded in the sound direction;
+    deriv_bounds, a_values and the (low, high) abs ranges are tuples of
+    them, a0_eta1/a0_eta2 tuples of ints, and unit_minor_bound and
+    unit_minor_triple are None for a single unit.  Immutable;
+    _replace(**changes) copies it.
     """
 
-    case_id: str
-    d: int
-    p: int
-    rank: int
-    n_lower: int
-    margin: Fraction
-    max_abs_root: Fraction
-    deriv_bounds: tuple[Fraction, ...]
-    c1: Fraction
-    c2: Fraction
-    c3: Fraction
-    c4: Fraction
-    c5: Fraction
-    c6: Fraction
-    c7: Fraction
-    c8: Fraction
-    delta_abs_range: tuple[Fraction, Fraction]
-    gamma_abs_range: tuple[Fraction, Fraction]
-    regulator: Fraction
-    regulator_standard: Fraction
-    unit_minor_bound: Fraction | None
-    unit_minor_triple: tuple[int, ...] | None
-    a_values: tuple[Fraction, ...]
-    a0_eta1: tuple[int, ...]
-    a0_eta2: tuple[int, ...]
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         out = {
@@ -1112,14 +1102,19 @@ class CaseConstants:
 
 def case_etas(cfg: CaseConfig):
     """The multiplicands of the unit inequality: 2/delta^d per delta and
-    p/gamma^d per norm-exponent-1 gamma, followed by the units."""
+    p/gamma^d per norm-exponent-1 gamma, followed by the units.
+
+    1/delta^d is taken as (1/delta)^d: delta has small coefficients where
+    delta^d's reach 18 bits, so its characteristic polynomial is cheaper,
+    and a field element has one reduced form, so the value is the same.
+    """
     f, d = cfg.f, cfg.d
     eta1 = [
-        nf_mul(FieldElement(2), nf_inverse(nf_pow(dl, d, f), f), f)
+        nf_mul(FieldElement(2), nf_pow(nf_inverse(dl, f), d, f), f)
         for dl in cfg.deltas
     ]
     eta2 = [
-        nf_mul(FieldElement(cfg.p), nf_inverse(nf_pow(g, d, f), f), f)
+        nf_mul(FieldElement(cfg.p), nf_pow(nf_inverse(g, f), d, f), f)
         for g in cfg.norm_p_gammas
     ]
     return eta1, eta2, list(cfg.units)

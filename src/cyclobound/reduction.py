@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .polyarith import det
@@ -218,22 +218,18 @@ def _theta(mid: tuple[int, int], K: int) -> int:
     return K * m << e if e >= 0 else round_div(K * m, 1 << -e)
 
 
-@dataclass(frozen=True)
-class ReductionAttempt:
-    """One (gamma, delta, conjugate choice, K) reduction attempt."""
+class ReductionAttempt(namedtuple("ReductionAttempt", (
+    "gamma_index", "delta_index", "choice", "K", "ok", "reason", "rho",
+    "c1_norm_sq", "s_fractional", "distance_sq", "c_lower", "new_bound",
+), defaults=(None,) * 5)):
+    """One (gamma, delta, conjugate choice, K) reduction attempt, immutable.
 
-    gamma_index: int
-    delta_index: int
-    choice: tuple[int, ...]
-    K: int
-    ok: bool
-    reason: str
-    rho: Fraction
-    c1_norm_sq: int | None = None
-    s_fractional: Fraction | None = None
-    distance_sq: Fraction | None = None
-    c_lower: Fraction | None = None
-    new_bound: int | None = None
+    rho, s_fractional, distance_sq and c_lower are Fractions; the last five
+    fields default to None, and a failed attempt sets only those its tests
+    reached.
+    """
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         out = {
@@ -346,13 +342,13 @@ def _attempt(
     )
 
 
-@dataclass(frozen=True)
-class ReductionRound:
-    start_bound: int
-    scale: int
-    ok: bool
-    bound: int | None
-    attempts: tuple[ReductionAttempt, ...]
+class ReductionRound(namedtuple(
+    "ReductionRound", ("start_bound", "scale", "ok", "bound", "attempts"),
+)):
+    """One round: its attempts (a tuple of ReductionAttempt) and the bound,
+    None when the round failed.  Immutable."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -364,12 +360,13 @@ class ReductionRound:
         }
 
 
-@dataclass(frozen=True)
-class ReductionReport:
-    case_id: str
-    start_bound: int
-    final_bound: int
-    rounds: tuple[ReductionRound, ...]
+class ReductionReport(namedtuple(
+    "ReductionReport", ("case_id", "start_bound", "final_bound", "rounds"),
+)):
+    """Every round of reduction_loop (a tuple of ReductionRound) and the
+    bound it ended with.  Immutable; _replace(**changes) copies it."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

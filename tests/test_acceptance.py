@@ -280,9 +280,9 @@ def test_criterion_8_property_suites():
 # SHA-256 of repr(solve_case(cid).to_dict()) without its timings: every
 # verdict, floor, bound, rounded constant and attempt value of the report
 REPORT_DIGESTS = {
-    "15-41": "9175c9b16f096123d983758d6a2b9e7c6df20c49648fac209b3ccf899d6cedcd",
-    "15-5581": "411f1684521dcf788a6ff2864a356df801917b98607969f698b1a9d29cd003c4",
-    "10-271": "d91974acbceffcadef016867322d3c5656f463042839e02d24137b4665064f08",
+    "15-41": "386064a38a64fb864716cf6f8977656e959d0f4746e020d5ff9b6c746f821fe0",
+    "15-5581": "cb3d2315f7f6f452ddb9e8df7e51f65da6e0cbc422f3cb47f853a53fd228e5fb",
+    "10-271": "2d4866164b6e8d2177a177d802649bff140461949eb498e43965b9c20e5619e0",
 }
 
 

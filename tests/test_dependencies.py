@@ -88,6 +88,16 @@ def test_import_leaves_mpmath_out():
     assert run_python(code) == "False\n"
 
 
+def test_import_leaves_dataclasses_and_inspect_out():
+    # the result types are plain classes and namedtuples; dataclasses
+    # would load inspect, ast, dis and tokenize with it at every start
+    code = (
+        "import sys, cyclobound, cyclobound.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    assert run_python(code) == "[]\n"
+
+
 def test_proof_runs_with_mpmath_blocked():
     # a None entry in sys.modules makes every import of mpmath fail
     code = (

@@ -1,6 +1,5 @@
 """The explicit linear-forms coefficient and the absolute exponent bound."""
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -68,8 +67,7 @@ def perturbed_constants(chains, count, seed):
         def scale(x):
             return x * Fraction(rng.randint(250, 4000), 1000)
 
-        out.append(dataclasses.replace(
-            cc,
+        out.append(cc._replace(
             c3=scale(cc.c3),
             c7=max(scale(cc.c7), Fraction(1, cc.d)),
             c8=scale(cc.c8),
@@ -103,13 +101,13 @@ class TestC9:
 
     def test_rejects_wrong_height_count(self, chains):
         cc = chains["10-271"].constants
-        bad = dataclasses.replace(cc, a_values=cc.a_values[:-1])
+        bad = cc._replace(a_values=cc.a_values[:-1])
         with pytest.raises(ValueError, match="per multiplicand"):
             matveev_c9(bad)
 
     def test_monotone_in_heights(self, chains):
         cc = chains["10-271"].constants
-        bigger = dataclasses.replace(cc, a_values=tuple(2 * a for a in cc.a_values))
+        bigger = cc._replace(a_values=tuple(2 * a for a in cc.a_values))
         assert matveev_c9(bigger) > chains["10-271"].c9
 
 
@@ -136,8 +134,7 @@ class TestAbsoluteBound:
         assert not _collision_test(ch.constants, ch.c9, DEFAULT_PREC)(1000)
 
     def test_rejects_small_unit_slope(self, chains):
-        bad = dataclasses.replace(
-            chains["10-271"].constants,
+        bad = chains["10-271"].constants._replace(
             d=1, p=3, rank=3, c3=Fraction(2), c7=Fraction(1, 2),
             c8=Fraction(1), a_values=(Fraction(1), Fraction(1), Fraction(1)),
         )

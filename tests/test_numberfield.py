@@ -1,6 +1,5 @@
 """Field arithmetic, case data integrity, and the exact verification layer."""
 
-import dataclasses
 import json
 import math
 import random
@@ -23,6 +22,7 @@ from cyclobound.numberfield import (
     verify_case_data,
     _config_from_dict,
     _envelope_certificate,
+    _root_match,
 )
 from cyclobound.polyarith import IntPoly, cyclotomic
 from cyclobound.realalg import case_etas
@@ -282,7 +282,7 @@ class TestCharpoly:
 class TestIsPrime:
     def test_verify_refuses_pseudoprime_p(self):
         for p in (PSP_37, PSP_41):
-            cfg = dataclasses.replace(get_case("10-271"), p=p)
+            cfg = get_case("10-271")._replace(p=p)
             failed = {c.name for c in verify_case_data(cfg).checks if not c.ok}
             assert "p is an odd prime" in failed
 
@@ -304,6 +304,33 @@ class TestCaseData:
             assert report.passed, [c for c in report.checks if not c.ok]
             assert all(c.ok for c in report.checks)
             assert len(report.trusted) == 2
+
+    def test_builtin_primes_have_their_own_generators(self):
+        # (p, alpha - r) <-> gamma and (2, alpha - r) <-> delta, one to one
+        want = {
+            "15-41": "root 8: gamma 1",
+            "15-5581": "root 257: gamma 2; root 4477: gamma 1",
+            "10-271": "root 241: gamma 1",
+        }
+        for cid, detail in want.items():
+            checks = {c.name: c for c in verify_case_data(get_case(cid)).checks}
+            p_side = checks["each root of f mod p has its own norm-p gamma"]
+            two_side = checks["each root of f mod 2 has its own delta"]
+            assert (p_side.ok, p_side.detail) == (True, detail)
+            assert (two_side.ok, two_side.detail) == (True, "root 0: delta 1; root 1: delta 2")
+
+    def test_root_match_needs_one_generator_per_root(self):
+        # x^2 + 1 mod 5 has the roots 2 and 3; a - 2 and a + 2 vanish at one
+        # each, and 1 + a (norm 2) at neither
+        f = IntPoly(1, 0, 1)
+        at_2, at_3, nowhere = (FieldElement(IntPoly(*c)) for c in ([-2, 1], [2, 1], [1, 1]))
+        assert _root_match(f, 5, {"g1": at_2, "g2": at_3}) == (True, "root 2: g1; root 3: g2")
+        assert _root_match(f, 5, {"g1": at_2, "g2": at_3, "g3": nowhere}) == (
+            False, "root 2: g1; root 3: g2; g3: no root")
+        assert _root_match(f, 5, {"g1": at_2, "g2": nowhere}) == (
+            False, "root 2: g1; root 3: none; g2: no root")
+        assert _root_match(f, 5, {"g1": at_2, "g2": FieldElement(IntPoly(3, 1))}) == (
+            False, "root 2: g1, g2; root 3: none")
 
     def test_verification_report_shape(self):
         report = verify_case_data(get_case("15-41"))

@@ -260,8 +260,6 @@ class TestScanBounds:
                 assert root.depth == ch.cfg.default_scan_depth + 1
 
     def test_scan_refuses_rootless_case(self):
-        import dataclasses
-
-        cfg = dataclasses.replace(get_case("10-271"), p=7, f=IntPoly(1, 0, 1))
+        cfg = get_case("10-271")._replace(p=7, f=IntPoly(1, 0, 1))
         with pytest.raises(ValueError, match="no roots"):
             scan_case(cfg, 5)

@@ -1,9 +1,10 @@
 """End-to-end solve runs, the direct search, and the command line."""
 
-import dataclasses
+import copy
 import json
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -15,7 +16,9 @@ import cyclobound
 from cyclobound import padic, pipeline
 from cyclobound.cli import main
 from cyclobound.realalg import ConjugateData
-from cyclobound.numberfield import _config_from_dict, case_to_dict, get_case, nf_inverse, nf_pow
+from cyclobound.numberfield import (
+    _config_from_dict, case_to_dict, get_case, nf_inverse, nf_pow, verify_case_data,
+)
 from cyclobound.pipeline import (
     SEARCH_FLOOR,
     _iroot,
@@ -230,7 +233,7 @@ class TestSolveCase:
 
         def loose_reduction(*args, **kwargs):
             report = reduction_loop(*args, **kwargs)
-            return dataclasses.replace(report, final_bound=1000)
+            return report._replace(final_bound=1000)
 
         def recording_search(f, p, n_max):
             searched.append(n_max)
@@ -275,6 +278,34 @@ class TestSolveCase:
         rep = solve_case("10-271", scale=100)
         assert rep.verdict == "inconclusive"
         assert "no certified bound" in rep.reason
+
+
+class TestRecords:
+    def test_frozen_records_compare_hash_and_refuse_assignment(self, chains):
+        ch = chains["15-5581"]
+        root, rnd = ch.roots[0], ch.reduction.rounds[0]
+        attempt = rnd.attempts[0]
+        records = [
+            (ch.cfg, ch.cfg._replace(), "p"),
+            (root, padic.PAdicRoot(root.p, root.digits), "digits"),
+            (ch.constants, ch.constants._replace(), "c7"),
+            (ch.reduction, ch.reduction._replace(), "final_bound"),
+            (rnd, rnd._replace(), "bound"),
+            (attempt, attempt._replace(), "new_bound"),
+        ]
+        for rec, twin, field in records:
+            assert twin == rec and twin is not rec, field
+            assert copy.deepcopy(rec) == pickle.loads(pickle.dumps(rec)) == rec, field
+            before = getattr(rec, field)
+            with pytest.raises(AttributeError):
+                setattr(rec, field, 0)
+            assert getattr(rec, field) == before
+        for rec, twin, _ in records[1:]:
+            assert hash(twin) == hash(rec)
+        with pytest.raises(TypeError):  # the conjugate choice is a dict
+            hash(ch.cfg)
+        assert ch.constants._replace(c7=0) != ch.constants
+        assert padic.PAdicRoot(root.p, root.digits[:-1]) != root
 
 
 # 15-41's three units take three distinct indices; this choice repeats one
@@ -411,6 +442,28 @@ class TestCLI:
         assert "[FAIL] as many units as the unit rank 3 (2 listed" in out
         assert main(["solve", "--config", str(path)]) == 1
         assert "inconclusive" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cid, field, failed", [
+        ("15-5581", "gammas", "each root of f mod p has its own norm-p gamma"),
+        ("15-41", "deltas", "each root of f mod 2 has its own delta"),
+    ])
+    def test_prime_without_generator_fails_verify_and_solve(self, tmp_path, capsys,
+                                                            cid, field, failed):
+        # the second gamma (delta) replaced by the first: every norm still
+        # checks out, but the prime above p at the root 257 (the prime
+        # (2, alpha - 1)) has no generator, and these files proved "no
+        # solutions" from the ceilings 26 and 55
+        raw = case_to_dict(get_case(cid))
+        raw[field][1] = raw[field][0]
+        cfg = _config_from_dict(cid, raw)
+        assert [c.name for c in verify_case_data(cfg).checks if not c.ok] == [failed]
+        rep = solve_case(cfg)
+        assert (rep.verdict, rep.reason) == ("inconclusive", "case data failed verification")
+        path = tmp_path / "prime_without_generator.json"
+        path.write_text(json.dumps(raw))
+        assert main(["solve", "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert "no_solutions" not in out and "Traceback" not in out + err
 
     @pytest.mark.parametrize("command", ["bound", "reduce"])
     def test_stage_commands_gate_on_verification(self, tmp_path, capsys, command):

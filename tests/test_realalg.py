@@ -6,7 +6,6 @@ Either way the assertions demand containment or exact equality, never
 float-approximate equality.
 """
 
-import dataclasses
 import functools
 import hashlib
 import math
@@ -19,7 +18,7 @@ import pytest
 from mpmath import libmp
 
 from cyclobound import realalg
-from cyclobound.numberfield import FieldElement, charpoly, get_case, nf_inverse, nf_mul
+from cyclobound.numberfield import FieldElement, charpoly, get_case, nf_inverse, nf_mul, nf_pow
 from cyclobound.pipeline import solve_case
 from cyclobound.polyarith import IntPoly, poly_eval
 from cyclobound.realalg import (
@@ -1942,9 +1941,10 @@ class TestConstantChain:
                     assert glo <= v.lo and v.hi <= ghi
 
     def test_one_charpoly_per_element(self, chains, monkeypatch):
-        # every eta and unit needs its characteristic polynomial once, for
-        # its height and, for an eta, its leading coefficient a0; a fresh
-        # ConjugateData has no leading coefficient cached yet
+        # every eta needs its characteristic polynomial once, for its
+        # height and its leading coefficient a0; a fresh ConjugateData has
+        # no leading coefficient cached yet.  A unit is integral, so its
+        # leading coefficient is 1 without one
         seen = []
 
         def recording_charpoly(elem, f):
@@ -1956,16 +1956,41 @@ class TestConstantChain:
         eta1, eta2, units = case_etas(ch.cfg)
         conj = ConjugateData(ch.cfg)
         assert compute_constants(conj, ch.n_lower) == ch.constants
-        assert len(seen) == len(eta1) + len(eta2) + len(units) == 6
+        assert seen == eta1 + eta2 and len(seen) == 3
         # a second chain on the same ConjugateData reads the cached leads
         assert compute_constants(conj, ch.n_lower) == ch.constants
-        assert len(seen) == 6
+        assert len(seen) == 3
+
+    def test_lead_matches_charpoly(self, chains):
+        rng = random.Random(2207)
+        for ch in chains.values():
+            cfg, conj = ch.cfg, ConjugateData(ch.cfg, 64)
+            eta1, eta2, units = case_etas(cfg)
+            elements = [*units, *cfg.gammas, *cfg.deltas, *eta1, *eta2]
+            for den in (1, 1, 2, 3, 6):
+                num = IntPoly(*[rng.randint(-9, 9) for _ in range(cfg.d)])
+                elements.append(FieldElement(num or IntPoly(1), den))
+            for elem in elements:
+                assert conj.lead(elem) == charpoly(elem, cfg.f).lc(), elem
+
+    def test_etas_match_inverse_of_the_power(self, chains):
+        # case_etas inverts delta and gamma before raising them to the d-th
+        # power; inverting delta^d and gamma^d gives the same elements
+        for ch in chains.values():
+            cfg = ch.cfg
+            f, d = cfg.f, cfg.d
+            eta1, eta2, units = case_etas(cfg)
+            assert eta1 == [nf_mul(FieldElement(2), nf_inverse(nf_pow(dl, d, f), f), f)
+                            for dl in cfg.deltas]
+            assert eta2 == [nf_mul(FieldElement(cfg.p), nf_inverse(nf_pow(g, d, f), f), f)
+                            for g in cfg.norm_p_gammas]
+            assert units == list(cfg.units)
 
     def test_unit_bounds_scale_with_the_unit_count(self, chains):
         # Cramer's rule over u units sums u minors, so dropping 15-41's
         # third unit leaves factor 2, where a fixed 3 gave 5.227 / 5.998
         ch = chains["15-41"]
-        cfg = dataclasses.replace(ch.cfg, units=ch.cfg.units[:2])
+        cfg = ch.cfg._replace(units=ch.cfg.units[:2])
         cc = compute_constants(ConjugateData(cfg), ch.n_lower)
         assert (cc.c7, cc.c8) == (Fraction("3.485"), Fraction("3.999"))
         assert cc.unit_minor_triple is not None

@@ -486,15 +486,15 @@ def test_case_lattices_match_reference(chains, monkeypatch):
 ESCALATE_GRID_DIGESTS = {
     "15-41": (
         (3162 * 10**31, 5623 * 10**31, 10**35, 1778 * 10**32),
-        "38e1a9ac81821d70d37c1e78cb1bd044bab83b5ef47724b56f5fdf7273cf2c22",
+        "306fafeca107c2d427b84bdd66a64b43f218048f4953f38c82702f324f96d5cc",
     ),
     "15-5581": (
         (3162 * 10**31, 5623 * 10**31, 10**35),
-        "fbcf9cb118bc3880e545876200600919f9b74ba7cb53495139aa4793a981c4b3",
+        "e898a27425d38d6c40c17beedbbbf23d8321614aede71b28c39b750fd1e92845",
     ),
     "10-271": (
         (10**36, 1778 * 10**33, 3162 * 10**33, 5623 * 10**33, 10**37),
-        "1486a081fd82f2a02d28318427e1cbbbaf2a0e5387d632064275f8d6e7cf7be9",
+        "15fdec457d6bd3896a20ee321087e6db4c36ad0c71e109cf809586fdac813bd0",
     ),
 }
 
