@@ -185,44 +185,19 @@ class CaseConfig(namedtuple("CaseConfig", (
         )
 
 
-class CheckResult:
+class CheckResult(namedtuple("CheckResult", ("name", "ok", "detail"))):
     """One named check of verify_case_data, whether it held, and what it saw."""
 
-    __slots__ = ("name", "ok", "detail")
-
-    def __init__(self, name: str, ok: bool, detail: str):
-        self.name = name
-        self.ok = ok
-        self.detail = detail
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.ok, self.detail) == (other.name, other.ok, other.detail)
-
-    def __repr__(self) -> str:
-        return f"CheckResult(name={self.name!r}, ok={self.ok!r}, detail={self.detail!r})"
+    __slots__ = ()
 
 
-class VerificationReport:
-    """The checks verify_case_data ran on one case, and what it trusts."""
+class VerificationReport(namedtuple(
+    "VerificationReport", ("case_id", "checks", "trusted"),
+)):
+    """The checks verify_case_data ran on one case (a list of CheckResult),
+    and what it trusts (a list of names); immutable."""
 
-    __slots__ = ("case_id", "checks", "trusted")
-
-    def __init__(self, case_id: str, checks: list[CheckResult], trusted: list[str]):
-        self.case_id = case_id
-        self.checks = checks
-        self.trusted = trusted
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.case_id, self.checks, self.trusted)
-                == (other.case_id, other.checks, other.trusted))
-
-    def __repr__(self) -> str:
-        return (f"VerificationReport(case_id={self.case_id!r}, "
-                f"checks={self.checks!r}, trusted={self.trusted!r})")
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -232,7 +207,7 @@ class VerificationReport:
         return {
             "case_id": self.case_id,
             "passed": self.passed,
-            "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail} for c in self.checks],
+            "checks": [c._asdict() for c in self.checks],
             "trusted": list(self.trusted),
         }
 

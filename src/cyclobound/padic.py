@@ -11,6 +11,8 @@ nonempty (small n is covered separately by the direct search).
 """
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .numberfield import CaseConfig
 from .polyarith import IntPoly, poly_derivative, poly_eval, roots_mod_p
 
@@ -19,37 +21,10 @@ class NoDigitScan(ValueError):
     """f has no root mod p, or a repeated one, so no digit can be scanned."""
 
 
-class PAdicRoot:
+class PAdicRoot(namedtuple("PAdicRoot", ("p", "digits"))):
     """A root of f modulo p^depth, as base-p digits, lowest first; immutable."""
 
-    __slots__ = ("p", "digits")
-    p: int
-    digits: tuple[int, ...]
-
-    def __init__(self, p: int, digits: tuple[int, ...]):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "digits", digits)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of a PAdicRoot")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of a PAdicRoot")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, not by assignment
-        return PAdicRoot, (self.p, self.digits)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.p, self.digits) == (other.p, other.digits)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.digits))
-
-    def __repr__(self) -> str:
-        return f"PAdicRoot(p={self.p!r}, digits={self.digits!r})"
+    __slots__ = ()
 
     @property
     def r0(self) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import namedtuple
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import cached_property
@@ -181,18 +182,18 @@ class ProofChain:
     @cached_property
     def c9(self) -> Fraction:
         with _stage("absolute bound"):
-            return matveev_c9(self.constants)
+            return matveev_c9(self.constants, self.conj.prec)
 
     @cached_property
     def abs_bound(self) -> int:
         with _stage("absolute bound"):
-            return absolute_bound(self.constants)
+            return absolute_bound(self.constants, self.conj.prec)
 
     @cached_property
     def coefficients(self) -> dict:
         """matveev.inequality_coefficients, the inequality as displayed."""
         with _stage("absolute bound"):
-            return inequality_coefficients(self.constants)
+            return inequality_coefficients(self.constants, self.conj.prec)
 
     @cached_property
     def reduction(self) -> ReductionReport:
@@ -201,64 +202,19 @@ class ProofChain:
                                   stop_below=self.n_lower, scale=self.scale)
 
 
-class SolveReport:
-    """Everything one case run produced, stage by stage.
+class SolveReport(namedtuple("SolveReport", (
+    "case_id", "verdict", "reason", "depth", "precision_bits", "n_lower",
+    "abs_bound", "c9", "reduced_bound", "search_max", "solutions",
+    "verification", "constants", "reduction", "timings",
+), defaults=(DEFAULT_PREC,) + (None,) * 10)):
+    """Everything one case run produced, stage by stage; immutable.
 
     solutions holds (n, x) pairs and timings maps stage names to seconds;
-    each report starts with its own empty list and dict.
+    solve_case gives each report its own list and dict.  Both default to
+    None, since a namedtuple's defaults are shared by every instance.
     """
 
-    __slots__ = (
-        "case_id", "verdict", "reason", "depth", "precision_bits", "n_lower",
-        "abs_bound", "c9", "reduced_bound", "search_max", "solutions",
-        "verification", "constants", "reduction", "timings",
-    )
-
-    def __init__(
-        self,
-        case_id: str,
-        verdict: str,
-        reason: str,
-        depth: int,
-        precision_bits: int = DEFAULT_PREC,
-        n_lower: int | None = None,
-        abs_bound: int | None = None,
-        c9: Fraction | None = None,
-        reduced_bound: int | None = None,
-        search_max: int | None = None,
-        solutions: list | None = None,
-        verification: VerificationReport | None = None,
-        constants: CaseConstants | None = None,
-        reduction: ReductionReport | None = None,
-        timings: dict | None = None,
-    ):
-        self.case_id = case_id
-        self.verdict = verdict
-        self.reason = reason
-        self.depth = depth
-        self.precision_bits = precision_bits
-        self.n_lower = n_lower
-        self.abs_bound = abs_bound
-        self.c9 = c9
-        self.reduced_bound = reduced_bound
-        self.search_max = search_max
-        self.solutions = [] if solutions is None else solutions
-        self.verification = verification
-        self.constants = constants
-        self.reduction = reduction
-        self.timings = {} if timings is None else timings
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"SolveReport({fields})"
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -311,53 +267,55 @@ def solve_case(
     """
     chain = ProofChain(case, depth, scale)
     cfg = chain.cfg
-    report = SolveReport(
-        case_id=cfg.case_id, verdict="inconclusive", reason="", depth=chain.depth
-    )
-    timings = report.timings
+    timings: dict = {}
+    found: dict = {"solutions": []}  # the report fields the stages filled
+
+    def report(verdict: str, reason: str) -> SolveReport:
+        return SolveReport(cfg.case_id, verdict, reason, chain.depth,
+                           timings=timings, **found)
 
     with _timed(timings, "verify"):
-        report.verification = chain.verification
-    if not report.verification.passed:
-        report.reason = "case data failed verification"
-        return report
+        found["verification"] = chain.verification
+    if not chain.verification.passed:
+        return report("inconclusive", "case data failed verification")
 
     try:
         with _timed(timings, "scan"):
-            report.n_lower = chain.n_lower
+            found["n_lower"] = n_lower = chain.n_lower
         with _timed(timings, "constants"):
-            report.constants = chain.constants
+            found["constants"] = chain.constants
+        found["precision_bits"] = chain.conj.prec
         with _timed(timings, "absolute_bound"):
-            report.c9, report.abs_bound = chain.c9, chain.abs_bound
+            found["c9"], found["abs_bound"] = chain.c9, chain.abs_bound
         with _timed(timings, "reduction"):
-            report.reduction = chain.reduction
+            found["reduction"] = reduction = chain.reduction
     except StageFailed as err:
-        report.reason = str(err)
-        return report
-    report.reduced_bound = report.reduction.final_bound
+        return report("inconclusive", str(err))
+    found["reduced_bound"] = reduced_bound = reduction.final_bound
 
     with _timed(timings, "search"):
-        report.search_max = SEARCH_FLOOR
-        report.solutions = direct_search(cfg.f, cfg.p, SEARCH_FLOOR)
+        found["search_max"] = SEARCH_FLOOR
+        found["solutions"] = solutions = direct_search(cfg.f, cfg.p, SEARCH_FLOOR)
 
-    if report.solutions:
-        report.verdict = "solutions_found"
-        report.reason = f"direct search found {len(report.solutions)} solution(s)"
-    elif not report.reduction.ok:
-        report.reason = "reduction produced no certified bound"
-    elif report.reduced_bound >= report.n_lower:
-        report.reason = (
-            f"reduced bound {report.reduced_bound} does not clear "
-            f"the digit-scan floor {report.n_lower}"
+    verdict = "inconclusive"
+    if solutions:
+        verdict = "solutions_found"
+        reason = f"direct search found {len(solutions)} solution(s)"
+    elif not reduction.ok:
+        reason = "reduction produced no certified bound"
+    elif reduced_bound >= n_lower:
+        reason = (
+            f"reduced bound {reduced_bound} does not clear "
+            f"the digit-scan floor {n_lower}"
         )
     else:
-        report.verdict = "no_solutions"
-        report.reason = (
-            f"search is empty up to {report.search_max}; any larger exponent "
-            f"falls under the digit-scan floor n >= {report.n_lower}, which "
-            f"contradicts the reduced bound n <= {report.reduced_bound}"
+        verdict = "no_solutions"
+        reason = (
+            f"search is empty up to {SEARCH_FLOOR}; any larger exponent "
+            f"falls under the digit-scan floor n >= {n_lower}, which "
+            f"contradicts the reduced bound n <= {reduced_bound}"
         )
-    return report
+    return report(verdict, reason)
 
 
 def emit_report(report: SolveReport) -> str:

@@ -351,13 +351,7 @@ class ReductionRound(namedtuple(
     __slots__ = ()
 
     def to_dict(self) -> dict:
-        return {
-            "start_bound": self.start_bound,
-            "scale": self.scale,
-            "ok": self.ok,
-            "bound": self.bound,
-            "attempts": [a.to_dict() for a in self.attempts],
-        }
+        return {**self._asdict(), "attempts": [a.to_dict() for a in self.attempts]}
 
 
 class ReductionReport(namedtuple(
@@ -373,12 +367,7 @@ class ReductionReport(namedtuple(
         return all(r.ok for r in self.rounds) and self.final_bound < self.start_bound
 
     def to_dict(self) -> dict:
-        return {
-            "case_id": self.case_id,
-            "start_bound": self.start_bound,
-            "final_bound": self.final_bound,
-            "rounds": [r.to_dict() for r in self.rounds],
-        }
+        return {**self._asdict(), "rounds": [r.to_dict() for r in self.rounds]}
 
 
 def reduce_case_bound(

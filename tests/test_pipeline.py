@@ -15,6 +15,7 @@ import pytest
 import cyclobound
 from cyclobound import padic, pipeline
 from cyclobound.cli import main
+from cyclobound.matveev import absolute_bound
 from cyclobound.realalg import ConjugateData
 from cyclobound.numberfield import (
     _config_from_dict, case_to_dict, get_case, nf_inverse, nf_pow, verify_case_data,
@@ -195,10 +196,10 @@ class TestSolveCase:
             assert rep.search_max == SEARCH_FLOOR
             assert rep.solutions == []
             assert f"n >= {rep.n_lower}" in rep.reason
-            assert set(rep.timings) == {
+            assert list(rep.timings) == [
                 "verify", "scan", "constants", "absolute_bound",
                 "reduction", "search",
-            }
+            ]
 
     def test_report_is_deterministic(self):
         first = solve_case("10-271").to_dict()
@@ -279,14 +280,30 @@ class TestSolveCase:
         assert rep.verdict == "inconclusive"
         assert "no certified bound" in rep.reason
 
+    def test_report_and_bounds_use_the_chain_precision(self, monkeypatch):
+        # c9, the absolute bound and the report follow the precision the
+        # conjugate data ran at; at 64 bits the bound is 16 above 256 bits'
+        at_256 = solve_case("10-271")
+        assert at_256.precision_bits == 256
+        monkeypatch.setattr(pipeline, "ConjugateData", lambda cfg: ConjugateData(cfg, 64))
+        rep = solve_case("10-271")
+        assert rep.precision_bits == 64
+        assert rep.abs_bound == absolute_bound(rep.constants, 64)
+        assert rep.abs_bound == at_256.abs_bound + 16
+
 
 class TestRecords:
     def test_frozen_records_compare_hash_and_refuse_assignment(self, chains):
         ch = chains["15-5581"]
         root, rnd = ch.roots[0], ch.reduction.rounds[0]
         attempt = rnd.attempts[0]
+        check = ch.verification.checks[0]
+        report = solve_case("10-271")
         records = [
             (ch.cfg, ch.cfg._replace(), "p"),
+            (ch.verification, ch.verification._replace(), "checks"),
+            (report, report._replace(), "verdict"),
+            (check, check._replace(), "ok"),
             (root, padic.PAdicRoot(root.p, root.digits), "digits"),
             (ch.constants, ch.constants._replace(), "c7"),
             (ch.reduction, ch.reduction._replace(), "final_bound"),
@@ -300,10 +317,11 @@ class TestRecords:
             with pytest.raises(AttributeError):
                 setattr(rec, field, 0)
             assert getattr(rec, field) == before
-        for rec, twin, _ in records[1:]:
+        for rec, twin, _ in records[3:]:
             assert hash(twin) == hash(rec)
-        with pytest.raises(TypeError):  # the conjugate choice is a dict
-            hash(ch.cfg)
+        for rec, _, _ in records[:3]:
+            with pytest.raises(TypeError):  # a dict or a list inside
+                hash(rec)
         assert ch.constants._replace(c7=0) != ch.constants
         assert padic.PAdicRoot(root.p, root.digits[:-1]) != root
 
