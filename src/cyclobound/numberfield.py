@@ -231,61 +231,49 @@ def _fe(coeffs, what: str) -> FieldElement:
     return FieldElement(IntPoly(*(_int(c, what) for c in coeffs)))
 
 
+# 15-41 and 15-5581 share the field of Phi_15 + 1, its units and the
+# generators above 2
+_OCTIC = {
+    "m": 15,
+    "f": [2, -1, 0, 1, -1, 1, 0, -1, 1],
+    "units": [
+        [-1, 1, 1, 0, 1, 0, 0, 1],
+        [-1, 1, 0, 0, 1, -1, 1],
+        [1, -1, 1],
+    ],
+    "deltas": [[0, 1], [1, 1]],
+    "two_decomposition": {
+        "sign": 1,
+        "factors": [
+            {"coeffs": [0, 1], "exponent": 1},
+            {"coeffs": [1, 1], "exponent": 4},
+            {"coeffs": [1, 0, -1, 1], "exponent": 1},
+            {"coeffs": [-1, 1, 1, 0, 1, 0, 0, 1], "exponent": -2},
+            {"coeffs": [-1, 1, 0, 0, 1, -1, 1], "exponent": 1},
+        ],
+    },
+}
 _BUILTIN_RAW = {
     "15-41": {
-        "m": 15,
+        **_OCTIC,
         "p": 41,
-        "f": [2, -1, 0, 1, -1, 1, 0, -1, 1],
-        "units": [
-            [-1, 1, 1, 0, 1, 0, 0, 1],
-            [-1, 1, 0, 0, 1, -1, 1],
-            [1, -1, 1],
-        ],
         "gammas": [
             {"coeffs": [1, -1, 1, 1, -2, 1, 1, -1], "norm_exponent": 1},
             {"coeffs": [1, 15, 7, -14, 8, -19, 13, -4], "norm_exponent": 7},
         ],
-        "deltas": [[0, 1], [1, 1]],
-        "two_decomposition": {
-            "sign": 1,
-            "factors": [
-                {"coeffs": [0, 1], "exponent": 1},
-                {"coeffs": [1, 1], "exponent": 4},
-                {"coeffs": [1, 0, -1, 1], "exponent": 1},
-                {"coeffs": [-1, 1, 1, 0, 1, 0, 0, 1], "exponent": -2},
-                {"coeffs": [-1, 1, 0, 0, 1, -1, 1], "exponent": 1},
-            ],
-        },
         "default_conjugate_choice": {"0": [1, 3, 4]},
         "default_K": 10**39,
         "default_scan_depth": 60,
     },
     "15-5581": {
-        "m": 15,
+        **_OCTIC,
         "p": 5581,
-        "f": [2, -1, 0, 1, -1, 1, 0, -1, 1],
-        "units": [
-            [-1, 1, 1, 0, 1, 0, 0, 1],
-            [-1, 1, 0, 0, 1, -1, 1],
-            [1, -1, 1],
-        ],
         "gammas": [
             {"coeffs": [1, -2, 0, 0, 0, -1, 1], "norm_exponent": 1},
             {"coeffs": [1, 1, 1, 0, 0, 2], "norm_exponent": 1},
             {"coeffs": [1, 1, 7, -5, -4, 7, -1, -3], "norm_exponent": 2},
             {"coeffs": [-135, 92, 134, -21, 55, -112, -41, 85], "norm_exponent": 4},
         ],
-        "deltas": [[0, 1], [1, 1]],
-        "two_decomposition": {
-            "sign": 1,
-            "factors": [
-                {"coeffs": [0, 1], "exponent": 1},
-                {"coeffs": [1, 1], "exponent": 4},
-                {"coeffs": [1, 0, -1, 1], "exponent": 1},
-                {"coeffs": [-1, 1, 1, 0, 1, 0, 0, 1], "exponent": -2},
-                {"coeffs": [-1, 1, 0, 0, 1, -1, 1], "exponent": 1},
-            ],
-        },
         "default_conjugate_choice": {"0": [2, 3, 4], "1": [1, 3, 4]},
         "default_K": 10**39,
         "default_scan_depth": 502,
@@ -455,10 +443,11 @@ def _envelope_certificate(f: IntPoly) -> bool:
     return True
 
 
-def _root_match(f: IntPoly, q: int, named: dict[str, FieldElement]) -> tuple[bool, str]:
-    """Whether the roots of f mod the prime q and the named elements match
-    one to one, each root a zero mod q of exactly one element and each
-    element of exactly one root; and the zeros found, as text.
+def _root_match(f: IntPoly, q: int, named: dict[str, FieldElement], roots=None) -> tuple[bool, str]:
+    """Whether the roots of f mod the prime q (found here unless given) and
+    the named elements match one to one, each root a zero mod q of exactly
+    one element and each element of exactly one root; and the zeros found,
+    as text.
 
     An element of Z[alpha] lies in the prime (q, alpha - r) exactly when
     it vanishes at r mod q, so an element of norm +-q generates that prime
@@ -467,7 +456,7 @@ def _root_match(f: IntPoly, q: int, named: dict[str, FieldElement]) -> tuple[boo
     """
     zeros = {
         r: [name for name, e in named.items() if poly_eval(e.num, r) % q == 0]
-        for r in roots_mod_p(f, q)
+        for r in (roots_mod_p(f, q) if roots is None else roots)
     }
     hits = [name for names in zeros.values() for name in names]
     ok = all(len(names) == 1 for names in zeros.values()) and sorted(hits) == sorted(named)
@@ -476,7 +465,7 @@ def _root_match(f: IntPoly, q: int, named: dict[str, FieldElement]) -> tuple[boo
     return ok, "; ".join(parts)
 
 
-def verify_case_data(cfg: CaseConfig) -> VerificationReport:
+def verify_case_data(cfg: CaseConfig, roots_p=None) -> VerificationReport:
     """Exact re-verification of everything the pipeline consumes.
 
     All checks are integer/rational identities: unit norms and the unit
@@ -484,7 +473,9 @@ def verify_case_data(cfg: CaseConfig) -> VerificationReport:
     one delta per root of f mod 2, the multiplicative witness for 2, p not
     dividing disc(f), and the growth envelope that the archimedean
     estimates rest on.  Items that cannot be checked without an independent
-    unit-group computation are listed under ``trusted``.
+    unit-group computation are listed under ``trusted``.  roots_p are the
+    roots of f mod p when the caller has found them, as ProofChain does
+    once for this check and the digit scan.
     """
     checks: list[CheckResult] = []
 
@@ -544,7 +535,7 @@ def verify_case_data(cfg: CaseConfig) -> VerificationReport:
             if c == 1
         }
         check("each root of f mod p has its own norm-p gamma",
-              *_root_match(cfg.f, cfg.p, norm_p))
+              *_root_match(cfg.f, cfg.p, norm_p, roots_p))
 
     for i, dd in enumerate(cfg.deltas, 1):
         nd = nf_norm(dd, cfg.f)

@@ -130,17 +130,24 @@ def digit_scan_bound(root: PAdicRoot, d: int) -> int:
     return d * (k0 - 1) - 1
 
 
-def scan_case(cfg: CaseConfig, depth: int) -> list[PAdicRoot]:
-    """Lift every root of f mod p to depth+1 digits (digit indices 0..depth)."""
+def case_roots(cfg: CaseConfig) -> tuple[int, ...]:
+    """The roots of f mod p, the residues the digit scan lifts."""
+    return tuple(roots_mod_p(cfg.f, cfg.p))
+
+
+def scan_case(cfg: CaseConfig, depth: int, roots=None) -> list[PAdicRoot]:
+    """Lift every root of f mod p to depth+1 digits (digit indices 0..depth);
+    roots are case_roots(cfg), found here unless the caller has them."""
     f, p = cfg.f, cfg.p
-    roots = roots_mod_p(f, p)
+    if roots is None:
+        roots = case_roots(cfg)
     if not roots:
         raise NoDigitScan(f"f has no roots mod {p}: no solutions exist for n >= 1 at all")
     return [hensel_lift(f, p, r, depth + 1) for r in roots]
 
 
-def combined_lower_bound(cfg: CaseConfig, depth: int) -> tuple[list[PAdicRoot], int]:
+def combined_lower_bound(cfg: CaseConfig, depth: int, roots=None) -> tuple[list[PAdicRoot], int]:
     """The lifted roots, and the min over them of the digit-scan bound,
-    scanning indices 1..depth."""
-    roots = scan_case(cfg, depth)
-    return roots, min(digit_scan_bound(r, cfg.d) for r in roots)
+    scanning indices 1..depth; roots as for scan_case."""
+    lifts = scan_case(cfg, depth, roots)
+    return lifts, min(digit_scan_bound(r, cfg.d) for r in lifts)

@@ -226,26 +226,36 @@ def charpoly_mod(a: IntPoly, f: IntPoly) -> IntPoly:
     and those traces give the coefficients.  Every value is an integer, so
     each division by k is exact.  The result is monic of degree deg f, and
     its constant term is (-1)^deg f times the norm of a, that is Res(f, a).
+    The coefficients are memoised on the coefficient tuples of a and f (a
+    proof norms and then inverts the same deltas and gammas), and every
+    call returns its own IntPoly.
 
     >>> charpoly_mod(IntPoly(0, 2), IntPoly(1, 0, 1))   # 2i: x^2 + 4
     IntPoly(coeffs=(4, 0, 1))
     """
     if f.lc() != 1:
         raise ValueError("characteristic polynomial requires monic f")
-    d = f.degree()
+    return IntPoly(*_charpoly(a.coeffs, f.coeffs))
+
+
+@functools.lru_cache(maxsize=256)
+def _charpoly(a: tuple, f: tuple) -> tuple:
+    """The coefficients of charpoly_mod, highest degree last."""
+    d = len(f) - 1
     sums = [d]  # P_j, sums of j-th powers of the roots of f
     for k in range(1, d):
         sums.append(-k * f[d - k] - sum(f[d - i] * sums[k - i] for i in range(1, k)))
     cs = [1]  # cs[k]: coefficient of x^(d-k)
     traces = []  # Tr(a^k) = sum_j coeff_j(a^k) * P_j
-    a = a % f
-    power = a
+    a = list(a)
+    _reduce(a, f)
+    power = a = a[:d]
     for k in range(1, d + 1):
-        traces.append(sum(c * s for c, s in zip(power.coeffs, sums)))
+        traces.append(sum(c * s for c, s in zip(power, sums)))
         cs.append(-sum(cs[k - i] * traces[i - 1] for i in range(1, k + 1)) // k)
         if k < d:
-            power = mulmod(power, a, f)
-    return IntPoly(*reversed(cs))
+            power = _mul_reduce(power, a, f)
+    return tuple(reversed(cs))
 
 
 def discriminant(f: IntPoly) -> int:
@@ -263,11 +273,6 @@ def discriminant(f: IntPoly) -> int:
     return norm_sign * charpoly_mod(poly_derivative(f), f)[0]
 
 
-def _divisors(m: int) -> list[int]:
-    out = [d for d in range(1, m + 1) if m % d == 0]
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def cyclotomic(m: int) -> IntPoly:
     """The m-th cyclotomic polynomial, by exact division of x^m - 1.
@@ -280,10 +285,10 @@ def cyclotomic(m: int) -> IntPoly:
     if m < 1:
         raise ValueError("cyclotomic index must be >= 1")
     num = IntPoly(*([-1] + [0] * (m - 1) + [1]))  # x^m - 1
-    for d in _divisors(m)[:-1]:
-        q, r = divmod(num, cyclotomic(d))
-        assert r.is_zero()
-        num = q
+    for d in range(1, m):
+        if m % d == 0:  # x^m - 1 is the product of Phi_d over all d | m
+            num, r = divmod(num, cyclotomic(d))
+            assert r.is_zero()
     return num
 
 

@@ -170,7 +170,7 @@ def ball_max(first, *rest) -> Ball:
     prec = max(b.prec for b in balls)
     lo = functools.reduce(_larger, (b._iv[:2] for b in balls))
     hi = functools.reduce(_larger, (b._iv[2:] for b in balls))
-    return Ball._make(_pos(lo + hi, prec), prec)
+    return Ball._make(_outward(*lo, *hi, prec), prec)
 
 
 def ball_min(*balls) -> Ball:
@@ -229,7 +229,8 @@ class ComplexBall:
 # remainder, and log, exp, atan2 and pi approximate it until its rounding
 # is decided (_ziv).  The endpoints match libmpi's wherever libmpi rounds
 # correctly, which its add, mul, div and sqrt always do.  _round is the one
-# rounding step, and _const and _div bring exact numbers in.
+# rounding step, _outward the same step on both ends of an interval, and
+# _const and _div bring exact numbers in.
 
 
 def _round(m: int, e: int, prec: int, up: bool):
@@ -238,6 +239,18 @@ def _round(m: int, e: int, prec: int, up: bool):
     if n > 0:
         return (-(-m >> n) if up else m >> n), e + n
     return m, e
+
+
+def _outward(lm, le, hm, he, prec):
+    """The interval [lm*2**le, hm*2**he] rounded outward to prec bits, as
+    _round rounds its low end down and its high end up; libmpi's mpi_pos."""
+    n = lm.bit_length() - prec
+    if n > 0:
+        lm, le = lm >> n, le + n
+    n = hm.bit_length() - prec
+    if n > 0:
+        hm, he = -(-hm >> n), he + n
+    return lm, le, hm, he
 
 
 def _fraction(m: int, e: int) -> Fraction:
@@ -257,7 +270,7 @@ def _larger(x, y):
 
 
 def _const(c: int, prec: int):
-    return (*_round(c, 0, prec, False), *_round(c, 0, prec, True))
+    return _outward(c, 0, c, 0, prec)
 
 
 def _sum(m1, e1, m2, e2, prec, up):
@@ -316,7 +329,7 @@ def _mul(x, y, prec):
                 lm, le = bm * cm, be + ce
             if _below(hm, he, bm * dm, be + de):
                 hm, he = bm * dm, be + de
-    return (*_round(lm, le, prec, False), *_round(hm, he, prec, True))
+    return _outward(lm, le, hm, he, prec)
 
 
 def _square(x, prec):
@@ -324,20 +337,15 @@ def _square(x, prec):
     for an x = [a, b] that straddles zero."""
     am, ae, bm, be = x
     if am >= 0:
-        return (*_round(am * am, 2 * ae, prec, False), *_round(bm * bm, 2 * be, prec, True))
+        return _outward(am * am, 2 * ae, bm * bm, 2 * be, prec)
     if bm <= 0:
-        return (*_round(bm * bm, 2 * be, prec, False), *_round(am * am, 2 * ae, prec, True))
+        return _outward(bm * bm, 2 * be, am * am, 2 * ae, prec)
     m, e = _larger((bm, be), (-am, ae))
-    return (0, 0, *_round(m * m, 2 * e, prec, True))
-
-
-def _pos(x, prec):
-    """libmpi's mpi_pos: x with its endpoints rounded outward to prec bits."""
-    return (*_round(x[0], x[1], prec, False), *_round(x[2], x[3], prec, True))
+    return _outward(0, 0, m * m, 2 * e, prec)
 
 
 def _neg(x, prec):
-    return _pos((-x[2], x[3], -x[0], x[1]), prec)
+    return _outward(-x[2], x[3], -x[0], x[1], prec)
 
 
 def _abs(x, prec):
@@ -345,7 +353,7 @@ def _abs(x, prec):
     am, ae, bm, be = x
     if am < 0 <= bm:
         x = (0, 0, *_larger((bm, be), (-am, ae)))
-    return _neg(x, prec) if x[2] < 0 else _pos(x, prec)
+    return _neg(x, prec) if x[2] < 0 else _outward(*x, prec)
 
 
 def _div(x, y, prec):
@@ -587,10 +595,12 @@ def _horner_at(f: IntPoly, z: ComplexBall, den: int = 1) -> ComplexBall:
     if coeffs:
         ar = _const(coeffs[-1], prec)
     for c in reversed(coeffs[:-1]):
-        ar, ai = (
-            _sub(_mul(ar, xr, prec), _mul(ai, xi, prec), prec),
-            _add(_mul(ar, xi, prec), _mul(ai, xr, prec), prec),
-        )
+        # _sub and _add of the four products, inlined as their _sum calls
+        rr, ii, ri, ir = _mul(ar, xr, prec), _mul(ai, xi, prec), _mul(ar, xi, prec), _mul(ai, xr, prec)
+        ar = (*_sum(rr[0], rr[1], -ii[2], ii[3], prec, False),
+              *_sum(rr[2], rr[3], -ii[0], ii[1], prec, True))
+        ai = (*_sum(ri[0], ri[1], ir[0], ir[1], prec, False),
+              *_sum(ri[2], ri[3], ir[2], ir[3], prec, True))
         if c:
             ar = _add(ar, _const(c, prec), prec)
     if den != 1:
@@ -816,13 +826,37 @@ def _round_nearest(m: int, shift: int, prec: int) -> Fraction:
     return _fraction(m, -shift)
 
 
+def _apart(s, ai, bi, aj, bj) -> bool:
+    """s*bi*bj > 2*(ai*bj + aj*bi), that is s > 2*(ai/bi + aj/bj): discs
+    of squared radii ai/bi and aj/bj (all >= 0) whose centres lie sqrt(s)
+    apart are disjoint, since dist^2 > 2*(r_i^2 + r_j^2) gives
+    dist > r_i + r_j.
+
+    The products run to thousands of bits while the two sides differ by
+    hundreds, so bit lengths decide first: an x of n > 0 bits has
+    2**(n-1) <= x < 2**n.  So s lies in [2**(ls-1), 2**ls), each ai/bi in
+    (2**(lai-lbi-1), 2**(lai-lbi+1)), and the right side in
+    (2**k, 2**(k+3)) for k the larger of lai-lbi and laj-lbj.  Where those
+    ranges overlap, or an operand is 0, the exact products decide.
+    """
+    if s and ai and bi and aj and bj:
+        ls = s.bit_length()
+        k = max(ai.bit_length() - bi.bit_length(), aj.bit_length() - bj.bit_length())
+        if ls - 1 >= k + 3:
+            return True
+        if ls <= k:
+            return False
+    return s * bi * bj > 2 * (ai * bj + aj * bi)
+
+
 def _certify_roots(f, upper, work, ordered=True):
     """Enclosures of the roots from candidate centres, or None.
 
     The disc test of certified_roots, in exact integers: with L a common
     denominator of the centres, f(z_i) * L^d and the product of the
     (z_i - z_j)(z_i - conj z_j) times L^(d-1) are Gaussian integers, and
-    each squared radius d^2 |w_i|^2 is held as a fraction A_i / B_i.
+    each squared radius d^2 |w_i|^2, times L^2, is held as a fraction
+    A_i / B_i, so that the tests compare the centres times L.
     ordered=False skips the test that the discs order the centres by
     decreasing real part.
     """
@@ -849,27 +883,22 @@ def _certify_roots(f, upper, work, ordered=True):
                 den = cmul(den, (x - xj, y - yj))
             den = cmul(den, (x - xj, y + yj))
         # a repeated centre makes B_i = 0, which every test below refuses
-        b = (den[0] ** 2 + den[1] ** 2) * scale * scale
-        rad.append((d * d * (num[0] ** 2 + num[1] ** 2), b))
+        rad.append((d * d * (num[0] ** 2 + num[1] ** 2), den[0] ** 2 + den[1] ** 2))
 
     def separated(dx, dy, i, j):
-        # dist > r_i + r_j, certified via dist^2 > 2*(r_i^2 + r_j^2)
-        (ai, bi), (aj, bj) = rad[i], rad[j]
-        return (dx * dx + dy * dy) * bi * bj > 2 * scale * scale * (ai * bj + aj * bi)
+        return _apart(dx * dx + dy * dy, *rad[i], *rad[j])
 
     for i in range(half):
         xi, yi = pts[i]
-        a, b = rad[i]
-        if yi <= 0 or yi * yi * b <= a * scale * scale:
+        if yi <= 0:
             return None
         for j in range(i + 1, half):
             xj, yj = pts[j]
             if not separated(xi - xj, yi - yj, i, j):
                 return None
+        # for j = i, a disc apart from its conjugate lies above the real axis
         for j in range(half):
             xj, yj = pts[j]
-            if i == j:
-                continue
             if not separated(xi - xj, yi + yj, i, j):
                 return None
     for i in range(half - 1 if ordered else 0):
@@ -881,7 +910,7 @@ def _certify_roots(f, upper, work, ordered=True):
     out = []
     for i in range(half):
         x, y = upper[i]
-        r = Ball(Fraction(*rad[i]), prec).sqrt().hi
+        r = Ball(Fraction(rad[i][0], rad[i][1] * scale * scale), prec).sqrt().hi
         out.append(
             ComplexBall(
                 Ball.from_endpoints(x - r, x + r, prec),
@@ -934,32 +963,27 @@ class ConjugateData:
         conjugate root gives the same endpoints, because outward rounding
         is symmetric under negation.
         """
-        key = (elem, i)
-        got = self._embeds.get(key)
+        got = self._embeds.get((elem, i))
         if got is None:
             half = self.d // 2
             if i >= half:
                 got = self.embed(elem, i - half).conj()
             else:
                 got = _horner_at(elem.num, self.roots[i], elem.den)
-            self._embeds[key] = got
+            self._embeds[elem, i] = got
         return got
 
     def embed_abs(self, elem: FieldElement, i: int) -> Ball:
-        key = (elem, i)
-        got = self._abs.get(key)
+        got = self._abs.get((elem, i))
         if got is None:
-            got = abs(self.embed(elem, i))
-            self._abs[key] = got
+            got = self._abs[elem, i] = abs(self.embed(elem, i))
         return got
 
     def log_abs(self, elem: FieldElement, i: int) -> Ball:
         """embed_abs(elem, i).log(), computed once per (elem, i)."""
-        key = (elem, i)
-        got = self._logs.get(key)
+        got = self._logs.get((elem, i))
         if got is None:
-            got = self.embed_abs(elem, i).log()
-            self._logs[key] = got
+            got = self._logs[elem, i] = self.embed_abs(elem, i).log()
         return got
 
     def lead(self, elem: FieldElement) -> int:
@@ -1069,35 +1093,19 @@ class CaseConstants(namedtuple("CaseConstants", (
     __slots__ = ()
 
     def to_dict(self) -> dict:
-        out = {
-            "case_id": self.case_id,
-            "d": self.d,
-            "p": self.p,
-            "rank": self.rank,
-            "n_lower": self.n_lower,
-            "margin": float(self.margin),
-            "max_abs_root": float(self.max_abs_root),
-            "deriv_bounds": [float(v) for v in self.deriv_bounds],
-            "c1": float(self.c1),
-            "c2": float(self.c2),
-            "c3": float(self.c3),
-            "c4": float(self.c4),
-            "c5": float(self.c5),
-            "c6": float(self.c6),
-            "c7": float(self.c7),
-            "c8": float(self.c8),
-            "delta_abs_range": [float(v) for v in self.delta_abs_range],
-            "gamma_abs_range": [float(v) for v in self.gamma_abs_range],
-            "regulator": float(self.regulator),
-            "regulator_standard": float(self.regulator_standard),
-            "a_values": [float(v) for v in self.a_values],
-            "a0_eta1": list(self.a0_eta1),
-            "a0_eta2": list(self.a0_eta2),
-        }
-        if self.unit_minor_bound is not None:
-            out["unit_minor_bound"] = float(self.unit_minor_bound)
-            out["unit_minor_triple"] = list(self.unit_minor_triple)
-        return out
+        """The JSON form: every Fraction a float and every tuple a list, the
+        unit minors last and only when there is more than one unit."""
+        out = self._asdict()
+        for key in ("unit_minor_bound", "unit_minor_triple"):
+            value = out.pop(key)
+            if self.unit_minor_bound is not None:
+                out[key] = value
+
+        def plain(v):
+            return float(v) if isinstance(v, Fraction) else v
+
+        return {k: [plain(x) for x in v] if isinstance(v, tuple) else plain(v)
+                for k, v in out.items()}
 
 
 def case_etas(cfg: CaseConfig):
@@ -1242,30 +1250,9 @@ def compute_constants(conj: ConjugateData, n_lower: int) -> CaseConstants:
 
     a_values = (a_value(eta1), a_value(eta2), *(a_value([unit]) for unit in units))
 
-    return CaseConstants(
-        case_id=cfg.case_id,
-        d=d,
-        p=p,
-        rank=cfg.rank,
-        n_lower=n_lower,
-        margin=margin,
-        max_abs_root=max_abs_root,
-        deriv_bounds=deriv_bounds,
-        c1=c1,
-        c2=c2,
-        c3=c3,
-        c4=c4,
-        c5=c5,
-        c6=c6,
-        c7=c7,
-        c8=c8,
-        delta_abs_range=delta_abs_range,
-        gamma_abs_range=gamma_abs_range,
-        regulator=round_sig(reg.mid, 5, "trunc"),
-        regulator_standard=round_sig(reg.mid * 2 ** len(units), 5, "trunc"),
-        unit_minor_bound=minor_bound,
-        unit_minor_triple=minor_triple,
-        a_values=a_values,
-        a0_eta1=a0_eta1,
-        a0_eta2=a0_eta2,
+    return CaseConstants(  # in field order
+        cfg.case_id, d, p, cfg.rank, n_lower, margin, max_abs_root, deriv_bounds,
+        c1, c2, c3, c4, c5, c6, c7, c8, delta_abs_range, gamma_abs_range,
+        round_sig(reg.mid, 5, "trunc"), round_sig(reg.mid * 2 ** len(units), 5, "trunc"),
+        minor_bound, minor_triple, a_values, a0_eta1, a0_eta2,
     )

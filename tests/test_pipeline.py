@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import cyclobound
-from cyclobound import padic, pipeline
+from cyclobound import numberfield, padic, pipeline, polyarith
 from cyclobound.cli import main
 from cyclobound.matveev import absolute_bound
 from cyclobound.realalg import ConjugateData
@@ -27,7 +27,7 @@ from cyclobound.pipeline import (
     emit_report,
     solve_case,
 )
-from cyclobound.polyarith import IntPoly, poly_eval
+from cyclobound.polyarith import IntPoly, charpoly_mod, poly_eval, roots_mod_p
 
 
 def brute_force_search(f, p, n_max, x_span=2000):
@@ -263,9 +263,9 @@ class TestSolveCase:
         calls = []
         verify = pipeline.verify_case_data
 
-        def counting_verify(cfg):
+        def counting_verify(cfg, *rest):
             calls.append(cfg.case_id)
-            return verify(cfg)
+            return verify(cfg, *rest)
 
         monkeypatch.setattr(pipeline, "verify_case_data", counting_verify)
         assert solve_case("10-271").verdict == "no_solutions"
@@ -290,6 +290,78 @@ class TestSolveCase:
         assert rep.precision_bits == 64
         assert rep.abs_bound == absolute_bound(rep.constants, 64)
         assert rep.abs_bound == at_256.abs_bound + 16
+
+
+def proof_record(cid: str) -> dict:
+    """solve_case's report for cid without its timings."""
+    report = solve_case(cid).to_dict()
+    del report["timings"]
+    return report
+
+
+class TestExactAlgebraOnce:
+    """A proof finds the roots of f mod p once, for the verification and
+    the digit scan, and computes each characteristic polynomial once."""
+
+    def test_one_root_finding_per_proof(self, monkeypatch):
+        calls = []
+
+        def counting(real):
+            def wrapped(f, q):
+                calls.append((f, q))
+                return real(f, q)
+            return wrapped
+
+        # verify looks the name up in numberfield, the scan in padic
+        for module in (numberfield, padic):
+            monkeypatch.setattr(module, "roots_mod_p", counting(module.roots_mod_p))
+        for cid in ("15-41", "15-5581", "10-271"):
+            cfg = get_case(cid)
+            calls.clear()
+            assert solve_case(cid).verdict == "no_solutions"
+            assert calls.count((cfg.f, cfg.p)) == 1, cid
+            assert calls.count((cfg.f, 2)) == 1, cid  # verify's deltas
+            calls.clear()
+            assert main(["scan", "--case", cid]) == 0
+            assert calls == [(cfg.f, cfg.p)]
+
+    def test_one_charpoly_per_distinct_numerator(self, monkeypatch):
+        # verify norms the deltas and gammas that case_etas then inverts
+        real = polyarith._charpoly
+        seen = []
+        monkeypatch.setattr(polyarith, "_charpoly", lambda a, f: seen.append((a, f)) or real(a, f))
+        for cid in ("15-41", "15-5581", "10-271"):
+            real.cache_clear()
+            seen.clear()
+            assert solve_case(cid).verdict == "no_solutions"
+            assert real.cache_info().misses == len(set(seen)) < len(seen), cid
+
+    def test_mutated_results_do_not_poison_a_later_proof(self):
+        cfg = get_case("15-5581")
+        want = proof_record(cfg.case_id)
+        elems = (*cfg.units, *cfg.gammas, *cfg.deltas)
+        charpolys = [charpoly_mod(e.num, cfg.f) for e in elems]
+        for chi in charpolys:
+            chi.coeffs = (1,)
+        roots = roots_mod_p(cfg.f, cfg.p)
+        roots.append(0)
+        roots.reverse()
+        assert padic.case_roots(cfg) == (257, 4477)
+        assert pipeline.ProofChain(cfg)._residues == (257, 4477)
+        assert [charpoly_mod(e.num, cfg.f) for e in elems] == [
+            IntPoly(*polyarith._charpoly.__wrapped__(e.num.coeffs, cfg.f.coeffs)) for e in elems
+        ]
+        assert proof_record(cfg.case_id) == want
+
+    def test_a_p_that_roots_mod_p_refuses_fails_only_the_scan(self):
+        # the chain finds no roots for a p it cannot prove prime: the
+        # verification then reads none, and the scan fails as it always did
+        cfg = get_case("10-271")._replace(p=9)
+        chain = pipeline.ProofChain(cfg)
+        assert chain._residues is None
+        assert not chain.verification.passed
+        with pytest.raises(pipeline.StageFailed, match="digit scan failed: p = 9 is not a proven prime"):
+            chain.n_lower
 
 
 class TestRecords:

@@ -783,6 +783,23 @@ class TestKernelSteps:
                     x, y = interval(rng, prec, kx), interval(rng, prec, ky)
                     assert kernel(realalg._mul, x, y, prec=prec) == libmp.mpi_mul(x, y, prec), (x, y)
 
+    def test_outward_is_round_on_both_ends(self, prec):
+        # the pair helper floors the low end and ceils the high end exactly
+        # as _round does, for every sign and for widths below, at and
+        # above prec
+        rng = random.Random(5150 + prec)
+        widths = (0, 1, prec - 1, prec, prec + 1, prec + 2, 2 * prec + 7)
+        for lw in widths:
+            for hw in widths:
+                for ls in (-1, 1):
+                    for hs in (-1, 1):
+                        lm = ls * (rng.getrandbits(lw) | (1 << lw >> 1))
+                        hm = hs * (rng.getrandbits(hw) | (1 << hw >> 1))
+                        le, he = rng.randint(-600, 600), rng.randint(-600, 600)
+                        want = (*realalg._round(lm, le, prec, False),
+                                *realalg._round(hm, he, prec, True))
+                        assert realalg._outward(lm, le, hm, he, prec) == want, (lm, le, hm, he)
+
     def test_add_and_sub(self, prec):
         rng = random.Random(5200 + prec)
         for _ in range(150):
@@ -1604,6 +1621,73 @@ class TestRootCentres:
     def test_real_root_is_refused(self):
         with pytest.raises(ValueError, match="real root"):
             certified_roots(_mul(IntPoly(-2, 0, 1), IntPoly(3, 1, 1)))
+
+
+def disc_operand(rng: random.Random, bits: int) -> int:
+    """A positive int of exactly `bits` bits, often at either end of its
+    range, where the bit-length bounds are tight."""
+    pick = rng.randrange(3)
+    if pick == 0:
+        return 1 << bits - 1
+    if pick == 1:
+        return (1 << bits) - 1
+    return rng.getrandbits(bits) | 1 << bits - 1
+
+
+class TestDiscDecision:
+    @pytest.mark.parametrize("size, trials", [(1, 20000), (3000, 2000)])
+    def test_bit_lengths_agree_with_the_exact_products(self, size, trials):
+        # seeded operands of size bits and up, their bit lengths drawn so
+        # that the two sides often lie within 2^4 of each other, with the
+        # two products on the right alike in size or one far below
+        rng = random.Random(size)
+        close = {True: 0, False: 0}
+        for _ in range(trials):
+            ls, lbi, lbj = (size + rng.randrange(16) for _ in range(3))
+            lai = max(1, ls + lbi - 1 + rng.randrange(-6, 7))
+            laj = max(1, lai + lbj - lbi + rng.choice((-40, -2, -1, 0, 1, 2)))
+            s, ai, bi, aj, bj = (disc_operand(rng, n) for n in (ls, lai, lbi, laj, lbj))
+            want = s * bi * bj > 2 * (ai * bj + aj * bi)
+            assert realalg._apart(s, ai, bi, aj, bj) == want, (s, ai, bi, aj, bj)
+            left, right = (s * bi * bj).bit_length(), (2 * (ai * bj + aj * bi)).bit_length()
+            if abs(left - right) <= 4:
+                close[want] += 1
+        assert min(close.values()) > trials // 20, close
+
+    def test_zero_operands_take_the_exact_products(self):
+        # a zero distance, A = 0 or B = 0 would break the bounds, since a
+        # zero has no leading bit: bit lengths that would call the discs
+        # apart, or not, must not decide then
+        rng = random.Random(77)
+        big, small = (disc_operand(rng, 4000) for _ in range(2)), (disc_operand(rng, 8) for _ in range(2))
+        (b1, b2), (a1, a2) = big, small
+        cases = [
+            (0, a1, b1, a2, b2),      # a repeated centre
+            (1 << 500, a1, 0, a2, b2),  # B_i = 0
+            (1 << 500, a1, b1, a2, 0),  # B_j = 0
+            (1, 0, b1, 0, b2),        # two discs of radius 0
+            (1, 0, b1, a2, b2),
+            (1, a1, b1, 0, b2),
+            (0, 0, b1, 0, b2),
+            (0, 0, 0, 0, 0),
+        ]
+        for args in cases:
+            s, ai, bi, aj, bj = args
+            assert realalg._apart(*args) == (s * bi * bj > 2 * (ai * bj + aj * bi)), args
+        assert realalg._apart(0, a1, b1, a2, b2) is False
+        assert realalg._apart(1 << 500, a1, 0, a2, b2) is False
+        assert realalg._apart(1, 0, b1, 0, b2) is True
+
+    def test_conjugate_discs_apart_is_the_half_plane_test(self):
+        # disc i against its conjugate's is y*y*b > a*scale*scale with both
+        # sides over scale^2, the upper-half-plane test it replaced
+        rng = random.Random(78)
+        for size in (1, 2000):
+            for _ in range(5000):
+                y = disc_operand(rng, size + rng.randrange(8))
+                b = disc_operand(rng, size + rng.randrange(8))
+                a = disc_operand(rng, max(1, 2 * y.bit_length() + b.bit_length() + rng.randrange(-5, 3)))
+                assert realalg._apart(4 * y * y, a, b, a, b) == (y * y * b > a), (y, a, b)
 
 
 class TestConjugateData:
