@@ -90,7 +90,7 @@ class Ball:
 
     @property
     def rad(self) -> Fraction:
-        return (self.hi - self.lo) / 2
+        return max_rad((self,))
 
     def _binary(self, op, other, swap: bool = False) -> "Ball":
         """op(self, other), or op(other, self) when swap is set."""
@@ -256,6 +256,13 @@ def _outward(lm, le, hm, he, prec):
 def _fraction(m: int, e: int) -> Fraction:
     """The exact value m * 2**e."""
     return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+
+
+def max_rad(balls) -> Fraction:
+    """The largest radius among balls, compared on integers."""
+    ivs = [b._iv for b in balls]
+    e = min(min(iv[1], iv[3]) for iv in ivs)
+    return _fraction(max((hm << he - e) - (lm << le - e) for lm, le, hm, he in ivs), e - 1)
 
 
 def _below(m1, e1, m2, e2) -> bool:

@@ -8,11 +8,11 @@ integer lattice.  A reduced basis certifies a lower bound on that distance
 the exponent bound collapses from 10^27-ish to double digits.
 
 Everything here is exact: lattice entries are rounded from each log
-enclosure's dyadic midpoint in integers, the LLL pass updates an integral
-Gram-Schmidt (Gram determinants and scaled mu, Cohen 2.6.7) in place after
-each size reduction and swap, its output is re-verified from a fresh one,
-and the only real-number steps go through Ball enclosures.  Failures
-escalate the scale K instead of weakening a check.
+enclosure's dyadic midpoint in integers, the LLL pass (Cohen 2.6.7, in
+his order) updates an integral Gram-Schmidt in place, its output is
+re-verified from a fresh one, and the only real-number steps go through
+Ball enclosures.  Failures escalate the scale K instead of weakening a
+check.
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ from .realalg import (
     Ball,
     CaseConstants,
     ConjugateData,
+    max_rad,
     nearest_int,
     round_div,
 )
@@ -44,6 +45,16 @@ def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
+def _gram_row(v, cols, lam, d, row):
+    """row[j] = d[j + 1] * mu(v, j) for each column j of cols; returns the last."""
+    for j, c in enumerate(cols):
+        u = _dot(v, c)
+        for t in range(j):
+            u = (d[t + 1] * u - row[t] * lam[j][t]) // d[t]
+        row[j] = u
+    return u
+
+
 def _gram(cols):
     """Integral Gram-Schmidt of integer columns (Cohen 2.6.7): (lam, d).
 
@@ -55,18 +66,27 @@ def _gram(cols):
     """
     n = len(cols)
     lam = [[0] * n for _ in range(n)]
-    d = [1] + [0] * n
-    for i in range(n):
-        for j in range(i + 1):
-            u = _dot(cols[i], cols[j])
-            for t in range(j):
-                u = (d[t + 1] * u - lam[i][t] * lam[j][t]) // d[t]
-            if j < i:
-                lam[i][j] = u
-        if u == 0:
+    d = [1]
+    for i, c in enumerate(cols):
+        d.append(_gram_row(c, cols[: i + 1], lam, d, lam[i]))
+        lam[i][i] = 0
+        if d[-1] == 0:
             raise ValueError("columns are linearly dependent")
-        d[i + 1] = u
     return lam, d
+
+
+def _swap_det(dm, dk, dp, m):
+    """d_k after swapping columns k-1 and k, or 0 if the Lovasz condition
+    4 (dp dm + m^2) >= 3 dk^2 holds; dm, dk, dp = d_(k-1), d_k, d_(k+1),
+    m = lam_(k,k-1), |m| <= dk/2.  Bit lengths settle it if b = bl(dp) +
+    bl(dm) - 2 bl(dk) >= 2 (4 dp dm > 3 dk^2) or <= -3 (4 dp dm < 2 dk^2
+    and 4 m^2 <= dk^2).
+    """
+    b = dp.bit_length() + dm.bit_length() - 2 * dk.bit_length()
+    if b >= 2:
+        return 0
+    s = dp * dm + m * m
+    return s // dk if b <= -3 or 4 * s < 3 * dk * dk else 0
 
 
 def lll_reduce(columns):
@@ -75,48 +95,44 @@ def lll_reduce(columns):
     _gram runs once on the input; every size reduction and swap then
     updates lam and d in place by exact division, so they always equal a
     fresh _gram of the current basis; column k is size-reduced against
-    k-1 down to 0 (round_div, inlined) before its Lovasz test.  Only the
-    transform is carried: returns (reduced, transform), transform[j]
-    holding the integer coefficients of reduced column j in the input
-    columns (unimodular by construction) and reduced[j] their image.
-    Callers should still confirm the outcome through verify_lll_reduced;
-    the two share no state.
+    k-1 (round_div, inlined), Lovasz-tested (_swap_det) and, if it stays,
+    against k-2 down to 0.  Only the transform is carried: returns
+    (reduced, transform), transform[j] holding the integer coefficients of
+    reduced column j in the input columns (unimodular by construction) and
+    reduced[j] their image.  Callers should still confirm the outcome
+    through verify_lll_reduced; the two share no state.
     """
     n = len(columns)
     b = [[int(x) for x in col] for col in columns]
-    u = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    u = [[int(i == j) for i in range(n)] for j in range(n)]
     lam, d = _gram(b)
     k = 1
     while k < n:
-        lk, uk = lam[k], u[k]
-        for j in range(k - 1, -1, -1):
+        lk = lam[k]
+        for j in reversed(range(k)):
             dj, r2 = d[j + 1], 2 * lk[j]
-            if -dj < r2 < dj:
+            if not -dj < r2 < dj:
+                q = (r2 + dj) // (2 * dj) if r2 > 0 else -((dj - r2) // (2 * dj))
+                u[k] = [x - q * y for x, y in zip(u[k], u[j])]
+                lk[j] -= q * dj
+                for i in range(j):
+                    lk[i] -= q * lam[j][i]
+            if j < k - 1:  # only RED(k, k-1) is followed by the test
                 continue
-            q = (r2 + dj) // (2 * dj) if r2 > 0 else -((dj - r2) // (2 * dj))
-            uk = [x - q * y for x, y in zip(uk, u[j])]
-            lk[j] -= q * dj
-            for i in range(j):
-                lk[i] -= q * lam[j][i]
-        u[k] = uk
-        m, dk0, dk, dk1 = lk[k - 1], d[k - 1], d[k], d[k + 1]
-        # Lovasz condition times 4 d[k] d[k - 1]
-        if 4 * (dk1 * dk0 + m * m) >= 3 * dk * dk:
+            m, dk, dk1 = lk[j], d[k], d[k + 1]
+            new_d = _swap_det(d[j], dk, dk1, m)
+            if new_d:
+                u[j], u[k] = u[k], u[j]
+                lam[j][:j], lk[:j] = lk[:j], lam[j][:j]
+                for li in lam[k + 1 :]:
+                    t = li[k]
+                    li[k] = (dk1 * li[j] - m * t) // dk
+                    li[j] = (new_d * t + m * li[k]) // dk1
+                d[k] = new_d
+                k = max(k - 1, 1)
+                break
+        else:
             k += 1
-            continue
-        # Gram determinant of the first k columns after the swap
-        new_d = (dk0 * dk1 + m * m) // dk
-        u[k - 1], u[k] = uk, u[k - 1]
-        lp = lam[k - 1]
-        lp[: k - 1], lk[: k - 1] = lk[: k - 1], lp[: k - 1]
-        for i in range(k + 1, n):
-            li = lam[i]
-            t = li[k]
-            li[k] = (dk1 * li[k - 1] - m * t) // dk
-            li[k - 1] = (new_d * t + m * li[k]) // dk1
-        d[k] = new_d
-        if k > 1:
-            k -= 1
     return [[_dot(uj, row) for row in zip(*b)] for uj in u], u
 
 
@@ -130,13 +146,9 @@ def verify_lll_reduced(columns, reduced, transform) -> list[str]:
     """
     problems = []
     n = len(reduced)
-    dim = len(columns[0])
+    rows = list(zip(*columns))
     for j in range(n):
-        image = [
-            sum(columns[i][row] * transform[j][i] for i in range(n))
-            for row in range(dim)
-        ]
-        if image != list(reduced[j]):
+        if [_dot(transform[j], row) for row in rows] != list(reduced[j]):
             problems.append(f"column {j} is not the transform image")
     if det(transform) not in (1, -1):
         problems.append("transform is not unimodular")
@@ -155,33 +167,38 @@ def verify_lll_reduced(columns, reduced, transform) -> list[str]:
     return problems
 
 
-def distance_lower_bound(reduced, y):
+def distance_lower_bound(reduced, y, gram=None):
     """Certified squared distance from y to the lattice, or None.
 
     By de Weger's distance lemma, d(lattice, y) is at least
     2^(-(n-1)/2) * ||s_n|| * |c_1| with s the coordinates of y in the
     reduced basis and ||.|| the distance to the nearest integer; when the
-    last coordinate is an exact integer the lemma says nothing.  s_n comes
-    from Cramer's rule, whose two determinants share the cofactors of the
-    last column.  Returns (squared bound, ||s_n||) as exact Fractions.
+    last coordinate is an exact integer the lemma says nothing.  s_n is
+    y's last Gram-Schmidt coefficient, read off its row against gram =
+    _gram(reduced).  Returns (squared bound, ||s_n||) as exact Fractions.
     """
+    lam, d = gram or _gram(reduced)
     n = len(reduced)
-    head = reduced[:-1]
-    minors = [det([c[:i] + c[i + 1 :] for c in head]) for i in range(n)]
-    cofactors = [(-1) ** (n - 1 + i) * x for i, x in enumerate(minors)]
-    volume = _dot(cofactors, reduced[-1])
-    if volume == 0:
-        raise ValueError("columns are linearly dependent")
-    s_n = Fraction(_dot(cofactors, y), volume)
+    s_n = Fraction(_gram_row(y, reduced, lam, d, [0] * n), d[n])
     frac = abs(s_n - nearest_int(s_n))
     if frac == 0:
         return None
-    c1_sq = _dot(reduced[0], reduced[0])
-    return frac * frac * Fraction(c1_sq, 2 ** (n - 1)), frac
+    return frac * frac * Fraction(d[1], 2 ** (n - 1)), frac
 
 
 # ---------------------------------------------------------------------------
 # from field data to lattices
+
+
+def _log_rows(conj: ConjugateData):
+    """_GammaLogs' lam1, lam_units, mid1 and mid_units: no gamma enters."""
+    eta1, _, units = conj.etas
+    d = conj.d
+    js = range(d // 2)
+    lam1 = [[conj.log_abs(e, j) for j in js] for e in eta1]
+    lam_units = [[conj.log_abs(u, j) * -d for j in js] for u in units]
+    mids = [[[b.dyadic_mid() for b in row] for row in rows] for rows in (lam1, lam_units)]
+    return lam1, lam_units, *mids
 
 
 class _GammaLogs:
@@ -194,22 +211,13 @@ class _GammaLogs:
     mid2 and mid_units hold their midpoints as Ball.dyadic_mid pairs.
     """
 
-    def __init__(self, conj: ConjugateData, gamma_index: int):
-        eta1, eta2, units = conj.etas
-        d = conj.d
-        half = d // 2
-        self.lam1 = [[conj.log_abs(e, j) for j in range(half)] for e in eta1]
-        self.lam2 = [conj.log_abs(eta2[gamma_index], j) for j in range(half)]
-        self.lam_units = [
-            [conj.log_abs(u, j) * (-d) for j in range(half)] for u in units
-        ]
-        everything = self.lam2 + [
-            b for row in self.lam1 + self.lam_units for b in row
-        ]
-        self.max_rad = max(b.rad for b in everything)
-        self.mid1 = [[b.dyadic_mid() for b in row] for row in self.lam1]
+    def __init__(self, conj: ConjugateData, gamma_index: int, rows=None):
+        self.lam1, self.lam_units, self.mid1, self.mid_units = rows or _log_rows(conj)
+        self.lam2 = [conj.log_abs(conj.etas[1][gamma_index], j) for j in range(conj.d // 2)]
         self.mid2 = [b.dyadic_mid() for b in self.lam2]
-        self.mid_units = [[b.dyadic_mid() for b in row] for row in self.lam_units]
+        self.max_rad = max_rad(
+            self.lam2 + [b for row in self.lam1 + self.lam_units for b in row]
+        )
 
 
 def _theta(mid: tuple[int, int], K: int) -> int:
@@ -232,20 +240,16 @@ class ReductionAttempt(namedtuple("ReductionAttempt", (
     __slots__ = ()
 
     def to_dict(self) -> dict:
-        out = {
-            "gamma_index": self.gamma_index,
-            "delta_index": self.delta_index,
-            "choice": list(self.choice),
-            "K": self.K,
-            "ok": self.ok,
-            "reason": self.reason,
-        }
+        # the first six fields, choice as a list
+        out = dict(zip(self._fields[:6], self), choice=list(self.choice))
         if self.ok:
-            out["c1_norm"] = math.sqrt(float(self.c1_norm_sq))
-            out["s_fractional"] = float(self.s_fractional)
-            out["distance"] = math.sqrt(float(self.distance_sq))
-            out["c_lower"] = float(self.c_lower)
-            out["new_bound"] = self.new_bound
+            out.update(
+                c1_norm=math.sqrt(float(self.c1_norm_sq)),
+                s_fractional=float(self.s_fractional),
+                distance=math.sqrt(float(self.distance_sq)),
+                c_lower=float(self.c_lower),
+                new_bound=self.new_bound,
+            )
         return out
 
 
@@ -265,21 +269,20 @@ def _c3_effective(cc: CaseConstants, prec: int) -> Ball:
 
 
 class _ReducedLattice:
-    """One lattice (gamma, choice, K) with its verified reduced basis."""
+    """One lattice (gamma, choice, K): its verified reduced basis and gram."""
 
     def __init__(self, logs: _GammaLogs, choice: tuple[int, ...], K: int):
         rows = [j - 1 for j in choice]
         self.choice = choice
         self.K = K
-        cols = [
-            [_theta(mid[j], K) for j in rows] + [0] for mid in logs.mid_units
-        ]
+        cols = [[_theta(mid[j], K) for j in rows] + [0] for mid in logs.mid_units]
         cols.append([_theta(logs.mid2[j], K) for j in rows] + [1])
         self.reduced, self.transform = lll_reduce(cols)
         problems = verify_lll_reduced(cols, self.reduced, self.transform)
         if problems:
             raise ArithmeticError("; ".join(problems))
         self.rows = rows
+        self.gram = _gram(self.reduced)
 
     def target(self, logs: _GammaLogs, delta_index: int):
         return [-_theta(logs.mid1[delta_index][j], self.K) for j in self.rows] + [0]
@@ -299,35 +302,29 @@ def _attempt(
     r = cc.rank
     K = lattice.K
     rho = K * logs.max_rad
-    base = dict(
-        gamma_index=gamma_index,
-        delta_index=delta_index,
-        choice=lattice.choice,
-        K=K,
-        rho=rho,
-    )
-    got = distance_lower_bound(lattice.reduced, lattice.target(logs, delta_index))
+    base = dict(gamma_index=gamma_index, delta_index=delta_index,
+                choice=lattice.choice, K=K, rho=rho)
+
+    def fail(reason):
+        return ReductionAttempt(ok=False, reason=reason, **base)
+
+    got = distance_lower_bound(lattice.reduced, lattice.target(logs, delta_index), lattice.gram)
     if got is None:
-        return ReductionAttempt(ok=False, reason="target lies on a lattice line", **base)
+        return fail("target lies on a lattice line")
     dist_sq, frac = got
     base.update(s_fractional=frac, distance_sq=dist_sq)
     gap = dist_sq - bound_n * bound_n
     if gap <= 0:
-        return ReductionAttempt(
-            ok=False, reason="distance bound does not clear the current bound", **base
-        )
+        return fail("distance bound does not clear the current bound")
 
     c10 = (Fraction(1, 2) + rho) * (1 + (r - 2) * cc.c7)
     c11 = (Fraction(1, 2) + rho) * (1 + (r - 2) * cc.c8)
     margin = Ball(Fraction(gap, r - 2), prec).sqrt() - (c10 * bound_n + c11)
     if not margin.lo > 0:
-        return ReductionAttempt(
-            ok=False, reason="rounding slack swallows the distance margin", **base
-        )
-    c_ball = Ball(bound_n, prec) ** Fraction(1, r - 2) / K * margin
-    c_lower = c_ball.lo
+        return fail("rounding slack swallows the distance margin")
+    c_lower = (Ball(bound_n, prec) ** Fraction(1, r - 2) / K * margin).lo
     if c_lower <= 0:
-        return ReductionAttempt(ok=False, reason="certified c is not positive", **base)
+        return fail("certified c is not positive")
 
     log_c = Ball(c_lower, prec).log()
     new_ball = d_log_p * (log_c3 - log_c + Ball(bound_n, prec).log() / (r - 2))
@@ -335,7 +332,7 @@ def _attempt(
     return ReductionAttempt(
         ok=True,
         reason="",
-        c1_norm_sq=_dot(lattice.reduced[0], lattice.reduced[0]),
+        c1_norm_sq=lattice.gram[1][1],  # d[1]
         c_lower=c_lower,
         new_bound=new_bound,
         **base,
@@ -392,8 +389,9 @@ def reduce_case_bound(
     attempts: list[ReductionAttempt] = []
     branch_bounds: list[int] = []
     all_ok = True
+    rows = _log_rows(conj)
     for gi in range(len(cfg.norm_p_gammas)):
-        logs = _GammaLogs(conj, gi)
+        logs = _GammaLogs(conj, gi, rows)
         rho = scale * logs.max_rad
         if rho > MAX_ROUNDING_SLACK:
             raise PrecisionError(
@@ -410,17 +408,9 @@ def reduce_case_bound(
                 try:
                     lattice = _ReducedLattice(logs, choice, K)
                 except (ValueError, ArithmeticError) as err:
-                    attempts.append(
-                        ReductionAttempt(
-                            gamma_index=gi,
-                            delta_index=-1,
-                            choice=choice,
-                            K=K,
-                            ok=False,
-                            reason=f"lattice rejected: {err}",
-                            rho=K * logs.max_rad,
-                        )
-                    )
+                    attempts.append(ReductionAttempt(
+                        gi, -1, choice, K, False, f"lattice rejected: {err}", K * logs.max_rad
+                    ))
                     continue
                 for di in sorted(pending):
                     att = _attempt(cc, logs, lattice, gi, di, bound_n, prec, log_c3, d_log_p)
@@ -437,13 +427,7 @@ def reduce_case_bound(
             all_ok = False
         branch_bounds.extend(a.new_bound for a in found.values())
     bound = max(branch_bounds) if (all_ok and branch_bounds) else None
-    return ReductionRound(
-        start_bound=bound_n,
-        scale=scale,
-        ok=bound is not None,
-        bound=bound,
-        attempts=tuple(attempts),
-    )
+    return ReductionRound(bound_n, scale, bound is not None, bound, tuple(attempts))
 
 
 def _next_scale(bound_n: int, rank: int) -> int:

@@ -33,6 +33,7 @@ from cyclobound.realalg import (
     compute_constants,
     log_height,
     matveev_a,
+    max_rad,
     nearest_int,
     regulator,
     round_div,
@@ -93,6 +94,36 @@ class TestBall:
         assert b.lo <= b.mid <= b.hi
         assert b.rad >= 0
         assert b.lo < Fraction(1, 3) < b.hi  # 1/3 is not a binary fraction
+
+    def test_rad_on_integers_is_the_fraction_rad(self):
+        # Ball.rad and max_rad compare half-widths as integers; each must
+        # be exactly (hi - lo) / 2, including endpoints whose exponents
+        # differ in either direction and zero widths
+        rng = random.Random(7237)
+        balls = []
+        for trial in range(400):
+            kind = trial % 4
+            if kind == 0:
+                b = Ball(Fraction(rng.randint(-10**40, 10**40), rng.randint(1, 10**30)), rng.choice((53, 256)))
+            elif kind == 1:
+                b = Ball(rng.randint(-2**300, 2**300), rng.choice((53, 64)))
+            elif kind == 2:
+                b = Ball(Fraction(rng.randint(1, 10**9), rng.randint(1, 10**9)), 256).log()
+            elif trial % 8 == 3:
+                # the high end written at a lower exponent than the low end
+                m, e = rng.randint(-2**60, 2**60), rng.randint(-300, 300)
+                b = Ball._make((m, e, (m << 40) + rng.randint(0, 2**50), e - 40), 64)
+            else:
+                # zero width, the two ends written at different exponents
+                m, e = rng.randint(-2**60, 2**60), rng.randint(-300, 300)
+                b = Ball._make((m << 3, e - 3, m, e), 64)
+            want = (b.hi - b.lo) / 2
+            assert b.rad == want and want >= 0
+            balls.append(b)
+        assert sum(b.rad == 0 for b in balls) >= 50
+        for i in range(0, len(balls), 8):
+            group = balls[i : i + 8]
+            assert max_rad(group) == max((b.hi - b.lo) / 2 for b in group)
 
     def test_from_endpoints(self):
         b = Ball.from_endpoints(Fraction(-2), Fraction(5))

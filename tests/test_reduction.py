@@ -2,8 +2,8 @@
 
 The LLL and distance-lemma properties are checked against independent
 oracles: a from-scratch postcondition verifier, an LLL that recomputes its
-Gram-Schmidt after every step, and an exact sphere enumeration that finds
-the true closest lattice point.  The case runs pin frozen first-run values
+Gram-Schmidt after every step (in Cohen's order and in the eager one), and
+an exact sphere enumeration that finds the true closest lattice point.  The case runs pin frozen first-run values
 that later runs must reproduce bit for bit.
 """
 
@@ -35,6 +35,7 @@ from cyclobound.reduction import (
     verify_lll_reduced,
     _GammaLogs,
     _gram,
+    _swap_det,
     _theta,
 )
 
@@ -94,17 +95,32 @@ def gram(cols):
     return lam, dets
 
 
-def reference_lll(columns, delta=Fraction(3, 4)):
+def reference_lll(columns, eager=False, ties=None, delta=Fraction(3, 4)):
     """Textbook LLL that recomputes all Gram-Schmidt data after every step.
 
-    Runs on the integral gram above.  Same loop order as lll_reduce
-    (size-reduce column k from k-1 down to 0, Lovasz test, step back after
-    a swap), so the two must return the same basis and transform.
+    Runs on the integral gram above.  Same loop order as lll_reduce,
+    Cohen's: size-reduce column k against k-1, Lovasz test, then either
+    size-reduce against k-2 down to 0 and advance or swap and step back,
+    so the two must return the same basis and transform.  eager=True
+    size-reduces against k-1 down to 0 before the test instead, the order
+    lll_reduce ran before; the two orders part only where a size
+    reduction meets an exact tie 2|lam_kj| = d_(j+1), and each such
+    reduction is appended to ties, when given, as (k, j).
     """
 
-    def round_half_away(x):
-        q = math.floor(abs(x) + Fraction(1, 2))
-        return q if x >= 0 else -q
+    def size_reduce(k, js):
+        nonlocal lam, dets
+        for j in js:
+            mu = Fraction(lam[k][j], dets[j + 1])
+            q = math.floor(abs(mu) + Fraction(1, 2))  # ties away from zero
+            if q == 0:
+                continue
+            if ties is not None and abs(mu) == Fraction(1, 2):
+                ties.append((k, j))
+            q = q if mu > 0 else -q
+            b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+            u[k] = [x - q * y for x, y in zip(u[k], u[j])]
+            lam, dets = gram(b)
 
     n = len(columns)
     b = [list(col) for col in columns]
@@ -112,15 +128,12 @@ def reference_lll(columns, delta=Fraction(3, 4)):
     lam, dets = gram(b)
     k = 1
     while k < n:
-        for j in range(k - 1, -1, -1):
-            q = round_half_away(Fraction(lam[k][j], dets[j + 1]))
-            if q:
-                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                u[k] = [x - q * y for x, y in zip(u[k], u[j])]
-                lam, dets = gram(b)
+        size_reduce(k, range(k - 1, -1, -1) if eager else (k - 1,))
         mu = Fraction(lam[k][k - 1], dets[k])
         norm_k = Fraction(dets[k + 1], dets[k])
         if norm_k >= (delta - mu**2) * Fraction(dets[k], dets[k - 1]):
+            if not eager:
+                size_reduce(k, range(k - 2, -1, -1))
             k += 1
         else:
             b[k - 1], b[k] = b[k], b[k - 1]
@@ -237,12 +250,95 @@ class TestLLL:
             assert b1_sq <= 2 ** (n - 1) * best
 
 
+    def test_orders_part_only_at_ties(self):
+        # Cohen's order and the eager one give the same basis and transform
+        # unless a size reduction meets an exact tie in one of the runs;
+        # entries up to 3 make ties common, so the orders do part
+        rng = random.Random(33119)
+        parted = 0
+        for trial in range(300):
+            cols = random_columns(rng, 3 + trial % 2, span=3)
+            ties, eager_ties = [], []
+            if reference_lll(cols, ties=ties) != reference_lll(
+                cols, eager=True, ties=eager_ties
+            ):
+                assert ties or eager_ties
+                parted += 1
+        assert parted >= 20
+
+    def test_orders_part_on_a_tie(self):
+        # mu_10 = -1/2 exactly at the first size reduction: lll_reduce
+        # follows Cohen's order, and the eager order ends elsewhere
+        cols = [[0, -1, -1], [1, -1, 0], [1, 1, 1]]
+        cohen = ([[0, 0, -1], [0, -1, 0], [1, 0, 0]], [[2, -1, 1], [-1, 1, -1], [1, 0, 1]])
+        eager = ([[0, 1, 0], [0, 0, -1], [1, 0, 0]], [[1, -1, 1], [2, -1, 1], [1, 0, 1]])
+        ties = []
+        assert lll_reduce(cols) == reference_lll(cols, ties=ties) == cohen
+        assert ties == [(1, 0), (1, 0)]
+        assert reference_lll(cols, eager=True) == eager
+
     def test_ties_round_away_from_zero(self):
         # mu = +-1/2 exactly: nearest_int rounds away from zero, so both
         # bases are size-reduced once more; half-up rounding would leave
         # the first one alone
         assert lll_reduce([[2, 0], [1, 5]]) == ([[2, 0], [-1, 5]], [[1, 0], [-1, 1]])
         assert lll_reduce([[2, 0], [-1, 5]]) == ([[2, 0], [1, 5]], [[1, 0], [1, 1]])
+
+
+class TestLovaszDecision:
+    """_swap_det against the exact Lovasz inequality it decides."""
+
+    @staticmethod
+    def exact(dm, dk, dp, m):
+        s = dp * dm + m * m
+        return 0 if 4 * s >= 3 * dk * dk else s // dk
+
+    def test_bit_lengths_agree_with_the_exact_products(self):
+        # Gram triples with 4 (dp dm + m^2) and 3 dk^2 within a factor 2^4
+        # of each other, small and up to 700-bit dk, with |m| <= dk / 2 as
+        # after size reduction.  b = bl(dp) + bl(dm) - 2 bl(dk) settles the
+        # test at b >= 2 and b <= -3; the edges are the outcomes one bit
+        # inside either cut that the bit lengths would get wrong
+        rng = random.Random(35011)
+
+        def draw(bits):
+            # uniform among numbers of that bit length, or within 1/8 of either end
+            lo, hi = 2 ** (bits - 1), 2**bits - 1
+            return rng.choice((rng.randint(lo, hi), lo + rng.randint(0, lo // 8),
+                               hi - rng.randint(0, lo // 8)))
+
+        seen = dict.fromkeys(("swap", "stay", "b>=2", "b<=-3", "swap at 1", "stay at -2"), 0)
+        while seen["swap"] + seen["stay"] < 6000:
+            bk = rng.randint(1, 12 if rng.random() < 0.5 else 700)
+            bm = rng.randint(1, bk)
+            bp = 2 * bk - bm + rng.randint(-4, 3)
+            if bp < 1:
+                continue
+            dk, dm, dp = draw(bk), draw(bm), draw(bp)
+            m = rng.randint(-(dk // 2), dk // 2) >> rng.choice((0, 0, bk // 2, bk))
+            left, right = 4 * (dp * dm + m * m), 3 * dk * dk
+            if not (right < 16 * left and left < 16 * right):
+                continue
+            got = _swap_det(dm, dk, dp, m)
+            assert got == self.exact(dm, dk, dp, m), (dm, dk, dp, m)
+            b = bp + bm - 2 * bk
+            seen["swap" if got else "stay"] += 1
+            seen["b>=2"] += b >= 2
+            seen["b<=-3"] += b <= -3
+            seen["swap at 1"] += bool(got) and b == 1
+            seen["stay at -2"] += not got and b == -2
+        assert min(seen.values()) >= 30, seen
+
+    def test_zero_margin_does_not_swap(self):
+        # once column 1 is size-reduced, 4 (d_2 d_0 + lam_10^2) = 3 d_1^2
+        # exactly: the Lovasz condition holds with equality, so no swap
+        reduced = [[2, 0, 0], [-1, 1, 1]]
+        lam, d = _gram(reduced)
+        assert (d, lam[1][0]) == ([1, 4, 8], -2)
+        assert 4 * (d[2] * d[0] + lam[1][0] ** 2) == 3 * d[1] ** 2
+        assert _swap_det(d[0], d[1], d[2], lam[1][0]) == 0
+        cols = [[2, 0, 0], [1, 1, 1]]
+        assert lll_reduce(cols) == reference_lll(cols) == (reduced, [[1, 0], [-1, 1]])
 
 
 class TestVerifier:
@@ -461,7 +557,8 @@ ESCALATE_K = {"15-41": 3162 * 10**31, "15-5581": 3162 * 10**31, "10-271": 10**36
 
 def test_case_lattices_match_reference(chains, monkeypatch):
     # every lattice the proofs build, at the default K and at a lower K
-    # that forces escalation, reduces exactly as the recomputing oracle
+    # that forces escalation, reduces exactly as the recomputing oracle in
+    # either order: no size reduction there meets a tie
     built = []
 
     def recording_lll(cols):
@@ -477,7 +574,9 @@ def test_case_lattices_match_reference(chains, monkeypatch):
     # default K: 1 + 2 + 3 lattices; escalation windows: 9 + 18 + 7
     assert len(built) == 40
     for cols, out in built:
-        assert out == reference_lll(cols)
+        ties = []
+        assert out == reference_lll(cols, ties=ties) == reference_lll(cols, eager=True, ties=ties)
+        assert ties == []
 
 
 # the `escalate` benchmark's first-round K grid per case (perfbench's
@@ -655,6 +754,49 @@ def test_one_case_etas_per_proof(monkeypatch, scale):
     assert calls == ["15-5581"]
     cfg = get_case("15-5581")
     assert len(inverted) == len(cfg.deltas) + len(cfg.norm_p_gammas)
+
+
+def test_log_rows_built_once_per_round(chains, monkeypatch):
+    # 15-5581's two gammas share one build of the delta and unit rows per
+    # round, and hold exactly what a gamma's own build gives
+    ch = chains["15-5581"]
+    built = []
+
+    def counting_log_rows(conj):
+        built.append(conj)
+        return log_rows(conj)
+
+    log_rows = reduction._log_rows
+    monkeypatch.setattr(reduction, "_log_rows", counting_log_rows)
+    for _ in range(2):
+        assert reduce_case_bound(ch.conj, ch.constants, ch.abs_bound, ch.scale).bound == 23
+    assert built == [ch.conj, ch.conj]
+    rows = log_rows(ch.conj)
+
+    def ends(balls):
+        return [b._iv for b in balls]
+
+    for gi in range(2):
+        shared, alone = _GammaLogs(ch.conj, gi, rows), _GammaLogs(ch.conj, gi)
+        assert ends(shared.lam2) == ends(alone.lam2)
+        for name in ("lam1", "lam_units"):
+            got, want = getattr(shared, name), getattr(alone, name)
+            assert [ends(r) for r in got] == [ends(r) for r in want]
+        for name in ("mid1", "mid2", "mid_units", "max_rad"):
+            assert getattr(shared, name) == getattr(alone, name)
+
+
+def test_distance_reads_the_given_gram(chains):
+    # a lattice's Gram data comes from its reduced basis once, and the
+    # lemma gives the same pair with it as with a fresh _gram
+    ch = chains["10-271"]
+    logs = _GammaLogs(ch.conj, 0)
+    lattice = reduction._ReducedLattice(logs, (2,), 10**41)
+    assert lattice.gram == _gram(lattice.reduced)
+    for di in range(len(ch.cfg.deltas)):
+        y = lattice.target(logs, di)
+        got = distance_lower_bound(lattice.reduced, y, lattice.gram)
+        assert got is not None and got == distance_lower_bound(lattice.reduced, y)
 
 
 class TestRobustness:
