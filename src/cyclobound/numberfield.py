@@ -99,22 +99,24 @@ def nf_mul(a: FieldElement, b: FieldElement, f: IntPoly) -> FieldElement:
 
 
 def nf_inverse(a: FieldElement, f: IntPoly) -> FieldElement:
-    """Inverse in Q[x]/(f) by Cayley-Hamilton on charpoly(a, f).
+    """Inverse in Q[x]/(f) by Cayley-Hamilton on the integral numerator.
 
-    With chi = c_d x^d + ... + c_0, chi(a) = 0 gives
-    a^-1 = -(c_d a^(d-1) + ... + c_1) / c_0, evaluated by Horner's rule.
-    c_0 = 0 exactly when a is a zero divisor, which a nonzero a cannot be
-    when f is irreducible.
+    For monic f.  A = den * a has the monic integer characteristic
+    polynomial chi = x^d + c_(d-1) x^(d-1) + ... + c_0 (charpoly_mod), and
+    chi(A) = 0 gives A^-1 = -(A^(d-1) + c_(d-1) A^(d-2) + ... + c_1) / c_0,
+    evaluated by Horner's rule on integer polynomials mod f; then a^-1 =
+    den * A^-1, normalised once.  c_0 = 0 exactly when a is a zero
+    divisor, which a nonzero a cannot be when f is irreducible.
     """
     if a.is_zero():
         raise ZeroDivisionError("inverse of zero field element")
-    chi = charpoly(a, f)
+    chi = charpoly_mod(a.num, f).coeffs
     if chi[0] == 0:
         raise ValueError("element not invertible modulo f")
-    acc = FieldElement(chi.lc())
-    for k in range(chi.degree() - 1, 0, -1):
-        acc = nf_add(nf_mul(acc, a, f), FieldElement(chi[k]))
-    return FieldElement(-acc.num, acc.den * chi[0])
+    acc = IntPoly(1)
+    for c in reversed(chi[1:-1]):
+        acc = mulmod(acc, a.num, f) + c
+    return FieldElement(acc * -a.den, chi[0])
 
 
 def nf_pow(a: FieldElement, k: int, f: IntPoly) -> FieldElement:

@@ -408,14 +408,21 @@ def _sqrt(x, prec):
 # v + err round apart (Ziv's loop), always ends.
 
 
-def _ziv(f, a, b, prec):
+def _ziv(f, a, b, prec, step=None):
     """[f(*a) rounded down, f(*b) rounded up] at prec bits, for a point
-    function f taken at w = prec + guard bits, once when a == b."""
+    function f taken at w = prec + guard bits, once when a == b.  For
+    a != b, step(a, b, v, e, err) may derive f(*b)'s (v, e, err) from
+    f(*a)'s, or return None to have f run at b too: the rounding test
+    decides either end the same way, and a correctly rounded end is
+    unique, so the endpoints do not depend on which way b was taken."""
     guard = 32
     while True:
         w = prec + guard
         v1, e1, r1 = f(*a, w)
-        v2, e2, r2 = (v1, e1, r1) if a == b else f(*b, w)
+        if a == b:
+            v2, e2, r2 = v1, e1, r1
+        else:
+            v2, e2, r2 = step and step(a, b, v1, e1, r1) or f(*b, w)
         lo = _round(v1 - r1, e1, prec, False)
         hi = _round(v2 + r2, e2, prec, True)
         if lo == _round(v1 + r1, e1, prec, False) and hi == _round(v2 - r2, e2, prec, True):
@@ -556,14 +563,56 @@ def _atan2_at(ym, ye, xm, xe, w):
     return (-s if ym < 0 else s), -w, (j + 5 << h) + 4
 
 
+def _log_step(a, b, v, e, err):
+    """log b from log a = (v, e, err), for 0 < a < b, or None.
+
+    With delta = b/a - 1, log b = log a + log(1 + delta), and log(1 +
+    delta) lies in [delta - delta**2/2, delta]: delta floored to units of
+    2**e moves v, and the bracket adds less than sq to err.  None where a
+    or b is 1, since log 1 = 0 is exact and a bracket around it never
+    rounds, and where sq would exceed err, that is for delta above about
+    2**(e/2): b's own series then decides it sooner.
+    """
+    (am, ae), (bm, be) = a, b
+    if not err or (be <= 0 and bm == 1 << -be):
+        return None
+    w = -e
+    sh = be - ae + w
+    dq = ((bm << sh) // am if sh >= 0 else bm // (am << -sh)) - (1 << w)
+    sq = ((dq + 1) ** 2 >> w + 1) + 1
+    return None if sq > err else (v + dq, e, err + sq)
+
+
+def _exp_step(a, b, v, e, err):
+    """exp b from exp a = (v, e, err), for a < b, or None.
+
+    With delta = b - a = n * 2**-s, exp b = exp a * e**delta, and
+    e**delta - 1 lies in [delta, delta + delta**2] for delta < 1: v * delta
+    floored moves v, and err grows by the ceiling of (v + err) * (delta +
+    delta**2) less that move, which also covers err * delta below.  None
+    where a or b is 0, since exp 0 = 1 is exact and a bracket around it
+    never rounds, and where the growth would exceed err.
+    """
+    (am, ae), (bm, be) = a, b
+    if not err or not bm:
+        return None
+    k = min(ae, be)
+    n, s = (bm << be - k) - (am << ae - k), -k
+    if s <= 0 or n >> s:
+        return None
+    t = v * n >> s
+    extra = -(-((v + err) * n * ((1 << s) + n)) >> 2 * s) - t
+    return None if extra > err else (v + t, e, err + extra)
+
+
 def _log(x, prec):
     """libmpi's mpi_log for x > 0."""
-    return _ziv(_log_at, x[:2], x[2:], prec)
+    return _ziv(_log_at, x[:2], x[2:], prec, _log_step)
 
 
 def _exp(x, prec):
     """libmpi's mpi_exp."""
-    return _ziv(_exp_at, x[:2], x[2:], prec)
+    return _ziv(_exp_at, x[:2], x[2:], prec, _exp_step)
 
 
 def _atan2(y, x, prec):
@@ -636,41 +685,37 @@ def nearest_int(x: Fraction) -> int:
     return round_div(x.numerator, x.denominator)
 
 
-def _dec_exp(a: Fraction) -> int:
-    """The e with 10**(e-1) <= a < 10**e, for a > 0."""
-    e = len(str(a.numerator)) - len(str(a.denominator)) + 1
-    while Fraction(10) ** (e - 1) > a:
-        e -= 1
-    while Fraction(10) ** e <= a:
-        e += 1
-    return e
-
-
 def round_sig(x, sig: int = 4, mode: str = "nearest") -> Fraction:
     """Round to sig significant decimal digits in a fixed direction.
 
     mode is "up" (toward +inf), "down" (toward -inf), "trunc" (toward
-    zero) or "nearest" (ties away from zero).  Exact rational in and out.
+    zero) or "nearest" (ties away from zero).  Exact rational in and out,
+    on the integers n/d of |x|: its decimal exponent e, with 10**(e-1) <=
+    |x| < 10**e, is the difference of their digit counts or one more, and
+    one divmod gives the digits kept and the remainder that rounds them.
     """
-    x = Fraction(x)
-    if x == 0:
-        return x
-    neg = x < 0
-    a = -x if neg else x
-    scale = Fraction(10) ** (sig - _dec_exp(a))
-    m = a * scale
-    if mode == "nearest":
-        mi = nearest_int(m)
-    elif mode == "trunc":
-        mi = math.floor(m)
-    elif mode == "up":
-        mi = math.floor(m) if neg else math.ceil(m)
-    elif mode == "down":
-        mi = math.ceil(m) if neg else math.floor(m)
+    n, d = x.as_integer_ratio()
+    if not n:
+        return Fraction(0)
+    neg = n < 0
+    n = abs(n)
+    e = len(str(n)) - len(str(d))
+    if (n >= d * 10 ** e) if e >= 0 else (n * 10 ** -e >= d):
+        e += 1
+    shift = sig - e
+    if shift >= 0:
+        n *= 10 ** shift
     else:
+        d *= 10 ** -shift
+    q, r = divmod(n, d)
+    if mode == "nearest":
+        q += 2 * r >= d
+    elif mode in ("up", "down"):
+        q += r > 0 and (mode == "up") != neg
+    elif mode != "trunc":
         raise ValueError(f"unknown rounding mode {mode!r}")
-    r = Fraction(mi) / scale
-    return -r if neg else r
+    q = -q if neg else q
+    return Fraction(q, 10 ** shift) if shift >= 0 else Fraction(q * 10 ** -shift)
 
 
 # ---------------------------------------------------------------------------

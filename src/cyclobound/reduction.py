@@ -16,6 +16,7 @@ check.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import namedtuple
@@ -27,7 +28,6 @@ from .realalg import (
     CaseConstants,
     ConjugateData,
     max_rad,
-    nearest_int,
     round_div,
 )
 
@@ -101,11 +101,17 @@ def lll_reduce(columns):
     reduced column j in the input columns (unimodular by construction) and
     reduced[j] their image.  Callers should still confirm the outcome
     through verify_lll_reduced; the two share no state.
+
+    D = d_1 * ... * d_(n-1) is a positive integer, and each swap
+    multiplies it by less than 3/4, so a correct run makes fewer than
+    bitlen(D) / log2(4/3) swaps; one more raises ArithmeticError rather
+    than looping on a wrong Lovasz decision.
     """
     n = len(columns)
     b = [[int(x) for x in col] for col in columns]
     u = [[int(i == j) for i in range(n)] for j in range(n)]
     lam, d = _gram(b)
+    swaps_left = math.ceil(math.prod(d[1:n]).bit_length() / math.log2(4 / 3))
     k = 1
     while k < n:
         lk = lam[k]
@@ -122,6 +128,9 @@ def lll_reduce(columns):
             m, dk, dk1 = lk[j], d[k], d[k + 1]
             new_d = _swap_det(d[j], dk, dk1, m)
             if new_d:
+                if not swaps_left:
+                    raise ArithmeticError("LLL exceeded its swap bound")
+                swaps_left -= 1
                 u[j], u[k] = u[k], u[j]
                 lam[j][:j], lk[:j] = lk[:j], lam[j][:j]
                 for li in lam[k + 1 :]:
@@ -136,13 +145,14 @@ def lll_reduce(columns):
     return [[_dot(uj, row) for row in zip(*b)] for uj in u], u
 
 
-def verify_lll_reduced(columns, reduced, transform) -> list[str]:
+def verify_lll_reduced(columns, reduced, transform, gram=None) -> list[str]:
     """Re-derive every LLL postcondition (delta = 3/4) from scratch.
 
     Returns the list of violations; an empty list means the reduced basis
     is size-reduced, satisfies the exchange condition (both as integer
     inequalities on a fresh _gram), and is the image of the input under a
-    determinant +-1 transform.
+    determinant +-1 transform.  gram, when given, is _gram(reduced),
+    computed by the caller from the reduced columns alone.
     """
     problems = []
     n = len(reduced)
@@ -153,7 +163,7 @@ def verify_lll_reduced(columns, reduced, transform) -> list[str]:
     if det(transform) not in (1, -1):
         problems.append("transform is not unimodular")
     try:
-        lam, d = _gram(reduced)
+        lam, d = gram or _gram(reduced)
     except ValueError:
         problems.append("reduced columns are dependent")
         return problems
@@ -179,11 +189,14 @@ def distance_lower_bound(reduced, y, gram=None):
     """
     lam, d = gram or _gram(reduced)
     n = len(reduced)
-    s_n = Fraction(_gram_row(y, reduced, lam, d, [0] * n), d[n])
-    frac = abs(s_n - nearest_int(s_n))
-    if frac == 0:
+    # s_n = u / d_n, and ||s_n|| = t / d_n
+    u, dn = _gram_row(y, reduced, lam, d, [0] * n), d[n]
+    t = abs(u - round_div(u, dn) * dn)
+    if not t:
         return None
-    return frac * frac * Fraction(d[1], 2 ** (n - 1)), frac
+    frac = Fraction(t, dn)
+    a, b = frac.numerator, frac.denominator
+    return Fraction(a * a * d[1], b * b << n - 1), frac
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +291,36 @@ class _ReducedLattice:
         cols = [[_theta(mid[j], K) for j in rows] + [0] for mid in logs.mid_units]
         cols.append([_theta(logs.mid2[j], K) for j in rows] + [1])
         self.reduced, self.transform = lll_reduce(cols)
-        problems = verify_lll_reduced(cols, self.reduced, self.transform)
+        # from the reduced columns, not LLL's state; verify and the
+        # distance lemma both read it
+        self.gram = _gram(self.reduced)
+        problems = verify_lll_reduced(cols, self.reduced, self.transform, self.gram)
         if problems:
             raise ArithmeticError("; ".join(problems))
         self.rows = rows
-        self.gram = _gram(self.reduced)
 
     def target(self, logs: _GammaLogs, delta_index: int):
         return [-_theta(logs.mid1[delta_index][j], self.K) for j in self.rows] + [0]
+
+
+class _RoundTerms:
+    """The invariants of _attempt's bound step in one round: log c3 and
+    d / log p at once, and bound_n ** (1/(r-2)) and log bound_n on first
+    use, so a round whose attempts all fail before them never takes them."""
+
+    def __init__(self, cc: CaseConstants, bound_n: int, prec: int):
+        self.log_c3 = _c3_effective(cc, prec).log()
+        self.d_log_p = Ball(cc.d, prec) / Ball(cc.p, prec).log()
+        self._bound = Ball(bound_n, prec)
+        self._rank = cc.rank
+
+    @functools.cached_property
+    def root(self) -> Ball:
+        return self._bound ** Fraction(1, self._rank - 2)
+
+    @functools.cached_property
+    def log(self) -> Ball:
+        return self._bound.log()
 
 
 def _attempt(
@@ -296,8 +331,7 @@ def _attempt(
     delta_index: int,
     bound_n: int,
     prec: int,
-    log_c3: Ball,
-    d_log_p: Ball,
+    terms: _RoundTerms,
 ) -> ReductionAttempt:
     r = cc.rank
     K = lattice.K
@@ -322,12 +356,12 @@ def _attempt(
     margin = Ball(Fraction(gap, r - 2), prec).sqrt() - (c10 * bound_n + c11)
     if not margin.lo > 0:
         return fail("rounding slack swallows the distance margin")
-    c_lower = (Ball(bound_n, prec) ** Fraction(1, r - 2) / K * margin).lo
+    c_lower = (terms.root / K * margin).lo
     if c_lower <= 0:
         return fail("certified c is not positive")
 
     log_c = Ball(c_lower, prec).log()
-    new_ball = d_log_p * (log_c3 - log_c + Ball(bound_n, prec).log() / (r - 2))
+    new_ball = terms.d_log_p * (terms.log_c3 - log_c + terms.log / (r - 2))
     new_bound = math.floor(new_ball.hi)
     return ReductionAttempt(
         ok=True,
@@ -383,9 +417,7 @@ def reduce_case_bound(
     rather than inheriting a neighbour's.
     """
     cfg, prec = conj.cfg, conj.prec
-    # invariants of _attempt's bound step
-    log_c3 = _c3_effective(cc, prec).log()
-    d_log_p = Ball(cc.d, prec) / Ball(cc.p, prec).log()
+    terms = _RoundTerms(cc, bound_n, prec)
     attempts: list[ReductionAttempt] = []
     branch_bounds: list[int] = []
     all_ok = True
@@ -413,7 +445,7 @@ def reduce_case_bound(
                     ))
                     continue
                 for di in sorted(pending):
-                    att = _attempt(cc, logs, lattice, gi, di, bound_n, prec, log_c3, d_log_p)
+                    att = _attempt(cc, logs, lattice, gi, di, bound_n, prec, terms)
                     attempts.append(att)
                     if att.ok:
                         found[di] = att

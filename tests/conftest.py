@@ -5,6 +5,9 @@ pipeline.ProofChain is built once per pytest run and the test modules read
 its cached stages.
 """
 
+import contextlib
+import signal
+
 import pytest
 
 from cyclobound.pipeline import ProofChain
@@ -21,3 +24,30 @@ def chains() -> dict:
 def reductions(chains) -> dict:
     """case id -> ReductionReport for the absolute bound."""
     return {cid: ch.reduction for cid, ch in chains.items()}
+
+
+@pytest.fixture
+def deadline():
+    """deadline(seconds) is a context manager that fails its block with
+    TimeoutError once it has run that long, so a kernel loop that never
+    ends fails the test instead of hanging the run (pytest-timeout is not
+    a dependency).  Where SIGALRM is missing it imposes no limit."""
+
+    @contextlib.contextmanager
+    def limit(seconds: int):
+        if not hasattr(signal, "SIGALRM"):
+            yield
+            return
+
+        def expire(signum, frame):
+            raise TimeoutError(f"still running after {seconds} s")
+
+        old = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(seconds)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+
+    return limit

@@ -14,11 +14,11 @@ from cyclobound.numberfield import get_case, nf_mul, nf_norm, verify_case_data
 from cyclobound.padic import scan_case
 from cyclobound.pipeline import SEARCH_FLOOR, direct_search, solve_case
 from cyclobound.polyarith import IntPoly, discriminant, poly_eval
-from cyclobound.realalg import _dec_exp
 from cyclobound.reduction import distance_lower_bound, lll_reduce, verify_lll_reduced
 
 import test_numberfield
 import test_padic
+import test_realalg
 import test_reduction
 
 
@@ -34,7 +34,7 @@ def check(failures: list, ok: bool, what: str):
 
 def within_sig(x, pin: str, sig: int) -> bool:
     pin = Fraction(pin)
-    unit = Fraction(10) ** (_dec_exp(abs(pin)) - sig)
+    unit = Fraction(10) ** (test_realalg.reference_dec_exp(abs(pin)) - sig)
     return abs(Fraction(x) - pin) <= unit
 
 

@@ -1091,6 +1091,32 @@ def test_point_functions_keep_their_error_bounds(w):
             assert abs(exact - realalg._fraction(v, e)) <= realalg._fraction(err, e), (kernel_f, args, w)
 
 
+@pytest.mark.parametrize("w", [4, 9, 16, 40, 96, 300])
+def test_one_series_steps_keep_their_error_bounds(w):
+    # the upper end derived from the lower end's (v, e, err) holds the
+    # exact value within its own err, at guard bits as few as the point
+    # functions are checked with
+    rng = random.Random(7450 + w)
+    taken = {realalg._log_step: 0, realalg._exp_step: 0}
+    for _ in range(60):
+        for step, point, mp_f, ball in (
+            (realalg._log_step, realalg._log_at, libmp.mpf_log, positive_ball),
+            (realalg._exp_step, realalg._exp_at, libmp.mpf_exp, exponent_ball),
+        ):
+            am, ae = ball(rng, 64)._iv[:2]
+            shift = rng.randint(w // 2, 2 * w + 64)
+            a = (am << shift, ae - shift)
+            b = (a[0] + rng.randint(1, 2 ** rng.randint(1, 40)), a[1])
+            got = step(a, b, *point(*a, w))
+            if got is None:
+                continue
+            taken[step] += 1
+            v, e, err = got
+            exact = true_value(mp_f, b, 4 * w + 600)
+            assert abs(exact - realalg._fraction(v, e)) <= realalg._fraction(err, e), (step, a, b, w)
+    assert min(taken.values()) >= 10, taken
+
+
 def test_ends_enclose_where_libmpi_does_not():
     # libmpi's upper ends of log(1 + 2**-52) at 53 bits and exp(593 *
     # 2**-56) at 64 bits lie below the true values: mpf_log and mpf_exp
@@ -1110,6 +1136,112 @@ def test_constants_within_three_halves(w):
     for fixed, exact in ((realalg._ln2, libmp.mpf_ln2(wp, libmp.round_nearest)),
                          (realalg._pi, libmp.mpf_pi(wp, libmp.round_nearest))):
         assert abs(fixed(w) - endpoint_fraction(exact) * 2 ** w) < Fraction(3, 2)
+
+
+# The upper end of a log or exp interval is derived from the lower end's
+# series (_log_step, _exp_step) unless the interval is wide or an end is
+# exact.  Either way it must be the end two series give.
+
+
+def two_series_log(iv, prec):
+    return realalg._ziv(realalg._log_at, iv[:2], iv[2:], prec)
+
+
+def two_series_exp(iv, prec):
+    return realalg._ziv(realalg._exp_at, iv[:2], iv[2:], prec)
+
+
+def first_step(step, point, iv, prec):
+    """step's result at the first guard of _ziv, or None for the fallback."""
+    return step(iv[:2], iv[2:], *point(*iv[:2], prec + 32))
+
+
+@pytest.mark.parametrize("prec", PRECS)
+class TestOneSeriesEnds:
+    def test_log_narrow_balls(self, prec, deadline):
+        rng = random.Random(7500 + prec)
+        checked = 0
+        with deadline(60):
+            for _ in range(60):
+                lo = abs(Fraction(random_operand(rng))) or Fraction(1, 3)
+                width = Fraction(rng.randint(1, 999), 2 ** rng.randint(prec, 3 * prec))
+                iv = Ball.from_endpoints(lo, lo * (1 + width), prec)._iv
+                if iv[:2] == iv[2:] or 1 in (realalg._fraction(*iv[:2]), realalg._fraction(*iv[2:])):
+                    continue
+                assert first_step(realalg._log_step, realalg._log_at, iv, prec) is not None, iv
+                assert realalg._log(iv, prec) == two_series_log(iv, prec), iv
+                checked += 1
+        assert checked >= 30, checked
+
+    def test_log_wide_balls_take_the_fallback(self, prec, deadline):
+        rng = random.Random(7600 + prec)
+        with deadline(60):
+            for _ in range(60):
+                lo = abs(Fraction(random_operand(rng))) or Fraction(1, 3)
+                width = Fraction(rng.randint(1, 999), 2 ** rng.randint(0, prec // 4))
+                iv = Ball.from_endpoints(lo, lo * (1 + width), prec)._iv
+                assert first_step(realalg._log_step, realalg._log_at, iv, prec) is None, iv
+                assert realalg._log(iv, prec) == two_series_log(iv, prec), iv
+
+    def test_log_balls_with_an_end_at_one(self, prec, deadline):
+        # endpoints kept from a finer ball can lie much nearer 1 than prec
+        # bits, where the lower end's series is narrow enough to step from
+        rng = random.Random(7700 + prec)
+        with deadline(60):
+            for _ in range(40):
+                near = Fraction(rng.randint(1, 999), 2 ** rng.randint(10, 3 * prec))
+                for lo, hi in ((1, 1 + near), (1 - near, 1)):
+                    iv = Ball(Ball.from_endpoints(lo, hi, rng.choice((prec, 4 * prec))), prec)._iv
+                    assert first_step(realalg._log_step, realalg._log_at, iv, prec) is None
+                    got = realalg._log(iv, prec)
+                    assert got == two_series_log(iv, prec), iv
+                    assert 0 in (realalg._fraction(*got[:2]), realalg._fraction(*got[2:]))
+
+    def test_exp_narrow_balls(self, prec, deadline):
+        rng = random.Random(7800 + prec)
+        checked = 0
+        with deadline(60):
+            for _ in range(60):
+                x = Fraction(rng.randint(-3000, 3000), rng.randint(1, 60))
+                tiny = rng.random() < 0.3
+                if tiny:
+                    # exp x is 1 + x, taken far below 2**-w, and so finely
+                    # that the bracket may exceed it: either way is allowed
+                    x = Fraction(rng.choice((-1, 1)) * (2 * rng.randint(0, 500) + 1),
+                                 2 ** rng.randint(1, 3 * prec))
+                width = Fraction(rng.randint(1, 999), 2 ** rng.randint(prec, 3 * prec))
+                iv = Ball.from_endpoints(x, x + width, prec)._iv
+                if iv[:2] == iv[2:] or not iv[0] or not iv[2]:
+                    continue
+                if not tiny:
+                    assert first_step(realalg._exp_step, realalg._exp_at, iv, prec) is not None, iv
+                assert realalg._exp(iv, prec) == two_series_exp(iv, prec), iv
+                checked += 1
+        assert checked >= 30, checked
+
+    def test_exp_wide_balls_take_the_fallback(self, prec, deadline):
+        rng = random.Random(7900 + prec)
+        with deadline(60):
+            for _ in range(60):
+                x = Fraction(rng.randint(-3000, 3000), rng.randint(1, 60))
+                width = Fraction(rng.randint(1, 999), 2 ** rng.randint(0, prec // 4))
+                iv = Ball.from_endpoints(x, x + width, prec)._iv
+                if not iv[0] or not iv[2]:
+                    continue
+                assert first_step(realalg._exp_step, realalg._exp_at, iv, prec) is None, iv
+                assert realalg._exp(iv, prec) == two_series_exp(iv, prec), iv
+
+    def test_exp_balls_with_an_end_at_zero(self, prec, deadline):
+        rng = random.Random(8000 + prec)
+        with deadline(60):
+            for _ in range(40):
+                near = Fraction(rng.randint(1, 999), 2 ** rng.randint(1, 3 * prec))
+                for lo, hi in ((0, near), (-near, 0)):
+                    iv = Ball.from_endpoints(lo, hi, prec)._iv
+                    assert first_step(realalg._exp_step, realalg._exp_at, iv, prec) is None
+                    got = realalg._exp(iv, prec)
+                    assert got == two_series_exp(iv, prec), iv
+                    assert 1 in (realalg._fraction(*got[:2]), realalg._fraction(*got[2:]))
 
 
 def seeded_ball(rng: random.Random) -> Ball:
@@ -1368,7 +1500,64 @@ class TestRoundDiv:
                 assert reference_nearest_int(Fraction(n, 2 * k)) == want
 
 
+def reference_dec_exp(a: Fraction) -> int:
+    """The e with 10**(e-1) <= a < 10**e, for a > 0, on Fractions."""
+    e = len(str(a.numerator)) - len(str(a.denominator)) + 1
+    while Fraction(10) ** (e - 1) > a:
+        e -= 1
+    while Fraction(10) ** e <= a:
+        e += 1
+    return e
+
+
+def reference_round_sig(x: Fraction, sig: int) -> dict:
+    """round_sig as it stood on Fraction powers of ten, for every mode."""
+    if x == 0:
+        return dict.fromkeys(("nearest", "up", "down", "trunc"), x)
+    neg = x < 0
+    a = -x if neg else x
+    scale = Fraction(10) ** (sig - reference_dec_exp(a))
+    m = a * scale
+    floor, ceil = math.floor(m), math.ceil(m)
+    ints = {"nearest": nearest_int(m), "trunc": floor,
+            "up": floor if neg else ceil, "down": ceil if neg else floor}
+    return {mode: -Fraction(mi) / scale if neg else Fraction(mi) / scale
+            for mode, mi in ints.items()}
+
+
+def round_sig_operand(rng: random.Random) -> Fraction:
+    """A dyadic with a denominator up to 2**400, a decimal tie at the
+    fourth or fifth digit, a power of ten, a value just off one, or a
+    ratio of two random ints; of either sign, or 0."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        x = Fraction(rng.getrandbits(rng.randint(1, 400)), 1 << rng.randint(0, 400))
+    elif kind == 1:
+        digits = rng.choice((4, 5))
+        tie = 10 * rng.randrange(10 ** (digits - 1), 10 ** digits) + 5
+        x = tie * Fraction(10) ** rng.randint(-30, 30)
+    elif kind == 2:
+        x = Fraction(10) ** rng.randint(-40, 40)
+    elif kind == 3:
+        x = Fraction(10) ** rng.randint(-40, 40) * (1 + Fraction(rng.choice((-1, 1)), 2 ** rng.randint(1, 200)))
+    elif kind == 4:
+        x = Fraction(rng.getrandbits(rng.randint(1, 300)), rng.getrandbits(rng.randint(1, 300)) or 1)
+    else:
+        x = Fraction(rng.choice((0, 99995, 9999, 10 ** 5 - 1)), 10 ** rng.randint(0, 6))
+    return -x if rng.random() < 0.5 else x
+
+
 class TestRounding:
+    def test_round_sig_matches_the_fraction_version(self):
+        rng = random.Random(9107)
+        values = [Fraction(0), Fraction(99995, 10), Fraction(-99995, 10)]
+        values += [round_sig_operand(rng) for _ in range(10_000)]
+        for x in values:
+            for sig in (4, 5):
+                for mode, want in reference_round_sig(x, sig).items():
+                    got = round_sig(x, sig, mode)
+                    assert got == want and type(got) is Fraction, (x, sig, mode)
+
     def test_nearest_int_ties_away_from_zero(self):
         assert nearest_int(Fraction(1, 2)) == 1
         assert nearest_int(Fraction(-1, 2)) == -1

@@ -373,6 +373,12 @@ class TestVerifier:
         assert self.check([[2, 0], [1, 5]]) == []
         assert self.check([[2, 0, 0, 0], [0, 1, 1, 1]]) == []
 
+    def test_given_gram_reads_the_same(self):
+        # the caller's _gram of the reduced columns stands in for a fresh one
+        for reduced in ([[2, 0], [2, 5]], [[0, 5], [2, 0]], [[2, 0], [1, 5]]):
+            got = verify_lll_reduced(reduced, reduced, self.IDENTITY, _gram(reduced))
+            assert got == self.check(reduced)
+
 
 class TestDistanceLemma:
     def test_lower_bounds_true_distance(self):
@@ -797,6 +803,59 @@ def test_distance_reads_the_given_gram(chains):
         y = lattice.target(logs, di)
         got = distance_lower_bound(lattice.reduced, y, lattice.gram)
         assert got is not None and got == distance_lower_bound(lattice.reduced, y)
+
+
+def test_bound_terms_once_per_round(chains, monkeypatch):
+    # bound_n ** (1/(r-2)) and log bound_n are taken once per round, by
+    # the first attempt that reaches them, however many attempts do
+    ch = chains["15-41"]
+    point = Ball(ch.abs_bound, ch.conj.prec)._iv
+    taken, in_power = [], []
+    power, log = Ball.__pow__, Ball.log
+
+    def counting_pow(self, e):
+        if self._iv == point:
+            taken.append("root")
+        in_power.append(e)
+        try:
+            return power(self, e)
+        finally:
+            in_power.pop()
+
+    def counting_log(self):
+        if self._iv == point and not in_power:  # not the power's own log
+            taken.append("log")
+        return log(self)
+
+    monkeypatch.setattr(Ball, "__pow__", counting_pow)
+    monkeypatch.setattr(Ball, "log", counting_log)
+    rnd = reduce_case_bound(ch.conj, ch.constants, ch.abs_bound, ch.scale)
+    assert sum(a.ok for a in rnd.attempts) >= 2
+    assert sorted(taken) == ["log", "root"]
+
+
+def swap_always(dm, dk, dp, m):
+    """A wrong Lovasz decision that swaps at every test: d_k after the swap."""
+    return (dp * dm + m * m) // dk
+
+
+class TestSwapBound:
+    """Each swap multiplies the product of d_1 .. d_(n-1) by less than 3/4,
+    so lll_reduce stops with an error where a wrong decision would loop."""
+
+    def test_endless_swaps_raise(self, monkeypatch, deadline):
+        monkeypatch.setattr(reduction, "_swap_det", swap_always)
+        with deadline(60), pytest.raises(ArithmeticError, match="swap bound"):
+            lll_reduce([[2, 0, 0], [1, 1, 1]])
+
+    def test_the_proof_ends_inconclusive_instead_of_hanging(self, monkeypatch, deadline):
+        monkeypatch.setattr(reduction, "_swap_det", swap_always)
+        with deadline(60):
+            report = solve_case("10-271")
+        assert (report.verdict, report.reason) == (
+            "inconclusive", "reduction produced no certified bound")
+        reasons = {a.reason for rnd in report.reduction.rounds for a in rnd.attempts}
+        assert reasons == {"lattice rejected: LLL exceeded its swap bound"}
 
 
 class TestRobustness:
