@@ -97,7 +97,7 @@ def _collision_guess(cc: CaseConstants, c9: Fraction, sides, start: int) -> int:
         return start
 
 
-def absolute_bound(cc: CaseConstants, prec: int = DEFAULT_PREC) -> int:
+def absolute_bound(cc: CaseConstants, c9: Fraction, prec: int = DEFAULT_PREC) -> int:
     """Certified N with no solutions at exponent n >= N.
 
     The gap between the two sides is increasing past its stationary point
@@ -107,12 +107,12 @@ def absolute_bound(cc: CaseConstants, prec: int = DEFAULT_PREC) -> int:
     the crossing gives the first N tried; certified collides calls then
     step out from it by 1, 2, 4, ... until they bracket a change from no
     collision (or lo) to collision, and bisect that bracket, so N - 1 does
-    not collide unless N = lo.  Requires d*c7 >= 1 so the unit-exponent
-    part of B dominates the n term.
+    not collide unless N = lo.  c9 is matveev_c9(cc, prec), computed once
+    by the caller, which reports it too.  Requires d*c7 >= 1 so the
+    unit-exponent part of B dominates the n term.
     """
     if cc.d * cc.c7 < 1:
         raise ValueError("bound on B needs d*c7 >= 1")
-    c9 = matveev_c9(cc, prec)
 
     # gap is increasing past n_star = (c9*c7*d/log p - c8)/c7
     log_p = Ball(cc.p, prec).log()

@@ -49,19 +49,18 @@ from .polyarith import (
 
 
 class FieldElement:
-    """num(alpha)/den with deg num < deg f, den > 0, gcd(content, den) = 1."""
+    """num(alpha)/den with deg num < deg f, den > 0, gcd(content, den) = 1;
+    callers pass num already reduced mod f (nf_mul and nf_inverse do)."""
 
     __slots__ = ("num", "den")
     num: IntPoly
     den: int
 
-    def __init__(self, num, den: int = 1, f: IntPoly | None = None):
+    def __init__(self, num, den: int = 1):
         if isinstance(num, int):
             num = IntPoly(num)
         if den == 0:
             raise ZeroDivisionError("zero denominator")
-        if f is not None and num.degree() >= f.degree():
-            num = num % f
         if den < 0:
             num, den = -num, -den
         g = math.gcd(num.content(), den)
@@ -88,10 +87,6 @@ class FieldElement:
     def __str__(self) -> str:
         s = str(self.num).replace("x", "a")
         return s if self.den == 1 else f"({s})/{self.den}"
-
-
-def nf_add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return FieldElement(a.num * b.den + b.num * a.den, a.den * b.den)
 
 
 def nf_mul(a: FieldElement, b: FieldElement, f: IntPoly) -> FieldElement:

@@ -197,7 +197,7 @@ class ProofChain:
     @cached_property
     def abs_bound(self) -> int:
         with _stage("absolute bound"):
-            return absolute_bound(self.constants, self.conj.prec)
+            return absolute_bound(self.constants, self.c9, self.conj.prec)
 
     @cached_property
     def coefficients(self) -> dict:

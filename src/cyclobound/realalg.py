@@ -685,7 +685,7 @@ def nearest_int(x: Fraction) -> int:
     return round_div(x.numerator, x.denominator)
 
 
-def round_sig(x, sig: int = 4, mode: str = "nearest") -> Fraction:
+def round_sig(x, sig: int, mode: str) -> Fraction:
     """Round to sig significant decimal digits in a fixed direction.
 
     mode is "up" (toward +inf), "down" (toward -inf), "trunc" (toward
@@ -1079,20 +1079,16 @@ def log_height(elem: FieldElement, conj: ConjugateData) -> Ball:
     return total / conj.d
 
 
-def regulator(conj: ConjugateData, idxs=None) -> Ball:
+def regulator(conj: ConjugateData) -> Ball:
     """Unit-lattice determinant in the single-log convention.
 
-    Rows are log|unit| at one embedding per conjugate pair.  Any choice of
-    len(units) distinct pairs gives the same absolute value because the
-    rows summed over all pairs vanish; the standard convention with
-    doubled logs is 2**len(units) times this.
+    Rows are log|unit| at the first len(units) conjugate pairs.  Any
+    choice of len(units) distinct pairs gives the same absolute value
+    because the rows summed over all pairs vanish; the standard convention
+    with doubled logs is 2**len(units) times this.
     """
     units = conj.cfg.units
-    if idxs is None:
-        idxs = tuple(range(len(units)))
-    if len(idxs) != len(units) or len(set(idxs)) != len(units):
-        raise ValueError("need as many distinct embeddings as units")
-    rows = [[conj.log_abs(u, i) for u in units] for i in idxs]
+    rows = [[conj.log_abs(u, i) for u in units] for i in range(len(units))]
     return abs(det(rows))
 
 

@@ -203,36 +203,6 @@ def distance_lower_bound(reduced, y, gram=None):
 # from field data to lattices
 
 
-def _log_rows(conj: ConjugateData):
-    """_GammaLogs' lam1, lam_units, mid1 and mid_units: no gamma enters."""
-    eta1, _, units = conj.etas
-    d = conj.d
-    js = range(d // 2)
-    lam1 = [[conj.log_abs(e, j) for j in js] for e in eta1]
-    lam_units = [[conj.log_abs(u, j) * -d for j in js] for u in units]
-    mids = [[[b.dyadic_mid() for b in row] for row in rows] for rows in (lam1, lam_units)]
-    return lam1, lam_units, *mids
-
-
-class _GammaLogs:
-    """Log enclosures of the form's terms for one choice of gamma.
-
-    lam1[di][j] covers log|2/delta^d| at embedding j for delta di,
-    lam2[j] covers log|p/gamma^d|, and lam_units[t][j] covers
-    -d*log|unit_t| (the sign the exponent vector carries), for the etas
-    of conj (computed once per ConjugateData, as are the logs); mid1,
-    mid2 and mid_units hold their midpoints as Ball.dyadic_mid pairs.
-    """
-
-    def __init__(self, conj: ConjugateData, gamma_index: int, rows=None):
-        self.lam1, self.lam_units, self.mid1, self.mid_units = rows or _log_rows(conj)
-        self.lam2 = [conj.log_abs(conj.etas[1][gamma_index], j) for j in range(conj.d // 2)]
-        self.mid2 = [b.dyadic_mid() for b in self.lam2]
-        self.max_rad = max_rad(
-            self.lam2 + [b for row in self.lam1 + self.lam_units for b in row]
-        )
-
-
 def _theta(mid: tuple[int, int], K: int) -> int:
     """nearest_int(K * m * 2**e) for mid = (m, e), on integers only."""
     m, e = mid
@@ -281,15 +251,56 @@ def _c3_effective(cc: CaseConstants, prec: int) -> Ball:
     return Ball(cc.c3, prec) / (1 - eps)
 
 
+class _RoundInputs:
+    """What every lattice and attempt of one round reads, built once.
+
+    lam1[di][j] covers log|2/delta^d| at embedding j for delta di,
+    lam2[gi][j] covers log|p/gamma^d| for norm-p gamma gi, and
+    lam_units[t][j] covers -d*log|unit_t| (the sign the exponent vector
+    carries), for the etas of conj (computed once per ConjugateData, as
+    are the logs); mid1, mid2 and mid_units hold their midpoints as
+    Ball.dyadic_mid pairs, and max_rad[gi] is the widest radius in gamma
+    gi's form.  log_c3 and d_log_p = d / log p are taken at once,
+    bound_root = bound_n ** (1/(r-2)) and log_bound on first use, so a
+    round whose attempts all fail before them never takes them.
+    """
+
+    def __init__(self, conj: ConjugateData, cc: CaseConstants, bound_n: int):
+        prec = conj.prec
+        self.cc, self.bound_n, self.prec = cc, bound_n, prec
+        self.log_c3 = _c3_effective(cc, prec).log()
+        self.d_log_p = Ball(cc.d, prec) / Ball(cc.p, prec).log()
+        eta1, eta2, units = conj.etas
+        d = conj.d
+        js = range(d // 2)
+        self.lam1 = [[conj.log_abs(e, j) for j in js] for e in eta1]
+        self.lam_units = [[conj.log_abs(u, j) * -d for j in js] for u in units]
+        self.lam2 = [[conj.log_abs(g, j) for j in js] for g in eta2]
+        self.mid1, self.mid2, self.mid_units = (
+            [[b.dyadic_mid() for b in row] for row in rows]
+            for rows in (self.lam1, self.lam2, self.lam_units)
+        )
+        shared = [b for row in self.lam1 + self.lam_units for b in row]
+        self.max_rad = [max_rad(row + shared) for row in self.lam2]
+
+    @functools.cached_property
+    def bound_root(self) -> Ball:
+        return Ball(self.bound_n, self.prec) ** Fraction(1, self.cc.rank - 2)
+
+    @functools.cached_property
+    def log_bound(self) -> Ball:
+        return Ball(self.bound_n, self.prec).log()
+
+
 class _ReducedLattice:
     """One lattice (gamma, choice, K): its verified reduced basis and gram."""
 
-    def __init__(self, logs: _GammaLogs, choice: tuple[int, ...], K: int):
+    def __init__(self, rnd: _RoundInputs, gamma_index: int, choice: tuple[int, ...], K: int):
         rows = [j - 1 for j in choice]
         self.choice = choice
         self.K = K
-        cols = [[_theta(mid[j], K) for j in rows] + [0] for mid in logs.mid_units]
-        cols.append([_theta(logs.mid2[j], K) for j in rows] + [1])
+        cols = [[_theta(mid[j], K) for j in rows] + [0] for mid in rnd.mid_units]
+        cols.append([_theta(rnd.mid2[gamma_index][j], K) for j in rows] + [1])
         self.reduced, self.transform = lll_reduce(cols)
         # from the reduced columns, not LLL's state; verify and the
         # distance lemma both read it
@@ -299,50 +310,24 @@ class _ReducedLattice:
             raise ArithmeticError("; ".join(problems))
         self.rows = rows
 
-    def target(self, logs: _GammaLogs, delta_index: int):
-        return [-_theta(logs.mid1[delta_index][j], self.K) for j in self.rows] + [0]
-
-
-class _RoundTerms:
-    """The invariants of _attempt's bound step in one round: log c3 and
-    d / log p at once, and bound_n ** (1/(r-2)) and log bound_n on first
-    use, so a round whose attempts all fail before them never takes them."""
-
-    def __init__(self, cc: CaseConstants, bound_n: int, prec: int):
-        self.log_c3 = _c3_effective(cc, prec).log()
-        self.d_log_p = Ball(cc.d, prec) / Ball(cc.p, prec).log()
-        self._bound = Ball(bound_n, prec)
-        self._rank = cc.rank
-
-    @functools.cached_property
-    def root(self) -> Ball:
-        return self._bound ** Fraction(1, self._rank - 2)
-
-    @functools.cached_property
-    def log(self) -> Ball:
-        return self._bound.log()
+    def target(self, rnd: _RoundInputs, delta_index: int):
+        return [-_theta(rnd.mid1[delta_index][j], self.K) for j in self.rows] + [0]
 
 
 def _attempt(
-    cc: CaseConstants,
-    logs: _GammaLogs,
-    lattice: _ReducedLattice,
-    gamma_index: int,
-    delta_index: int,
-    bound_n: int,
-    prec: int,
-    terms: _RoundTerms,
+    rnd: _RoundInputs, lattice: _ReducedLattice, gamma_index: int, delta_index: int
 ) -> ReductionAttempt:
+    cc, bound_n, prec = rnd.cc, rnd.bound_n, rnd.prec
     r = cc.rank
     K = lattice.K
-    rho = K * logs.max_rad
+    rho = K * rnd.max_rad[gamma_index]
     base = dict(gamma_index=gamma_index, delta_index=delta_index,
                 choice=lattice.choice, K=K, rho=rho)
 
     def fail(reason):
         return ReductionAttempt(ok=False, reason=reason, **base)
 
-    got = distance_lower_bound(lattice.reduced, lattice.target(logs, delta_index), lattice.gram)
+    got = distance_lower_bound(lattice.reduced, lattice.target(rnd, delta_index), lattice.gram)
     if got is None:
         return fail("target lies on a lattice line")
     dist_sq, frac = got
@@ -356,12 +341,12 @@ def _attempt(
     margin = Ball(Fraction(gap, r - 2), prec).sqrt() - (c10 * bound_n + c11)
     if not margin.lo > 0:
         return fail("rounding slack swallows the distance margin")
-    c_lower = (terms.root / K * margin).lo
+    c_lower = (rnd.bound_root / K * margin).lo
     if c_lower <= 0:
         return fail("certified c is not positive")
 
     log_c = Ball(c_lower, prec).log()
-    new_ball = terms.d_log_p * (terms.log_c3 - log_c + terms.log / (r - 2))
+    new_ball = rnd.d_log_p * (rnd.log_c3 - log_c + rnd.log_bound / (r - 2))
     new_bound = math.floor(new_ball.hi)
     return ReductionAttempt(
         ok=True,
@@ -416,15 +401,13 @@ def reduce_case_bound(
     accurate at that scale.  A branch left without a bound fails the round
     rather than inheriting a neighbour's.
     """
-    cfg, prec = conj.cfg, conj.prec
-    terms = _RoundTerms(cc, bound_n, prec)
+    cfg = conj.cfg
+    rnd = _RoundInputs(conj, cc, bound_n)
     attempts: list[ReductionAttempt] = []
     branch_bounds: list[int] = []
     all_ok = True
-    rows = _log_rows(conj)
-    for gi in range(len(cfg.norm_p_gammas)):
-        logs = _GammaLogs(conj, gi, rows)
-        rho = scale * logs.max_rad
+    for gi, radius in enumerate(rnd.max_rad):
+        rho = scale * radius
         if rho > MAX_ROUNDING_SLACK:
             raise PrecisionError(
                 f"K*radius = {float(rho):.2e} exceeds {float(MAX_ROUNDING_SLACK)}"
@@ -438,14 +421,14 @@ def reduce_case_bound(
         while pending:
             for choice in choices:
                 try:
-                    lattice = _ReducedLattice(logs, choice, K)
+                    lattice = _ReducedLattice(rnd, gi, choice, K)
                 except (ValueError, ArithmeticError) as err:
                     attempts.append(ReductionAttempt(
-                        gi, -1, choice, K, False, f"lattice rejected: {err}", K * logs.max_rad
+                        gi, -1, choice, K, False, f"lattice rejected: {err}", K * radius
                     ))
                     continue
                 for di in sorted(pending):
-                    att = _attempt(cc, logs, lattice, gi, di, bound_n, prec, terms)
+                    att = _attempt(rnd, lattice, gi, di)
                     attempts.append(att)
                     if att.ok:
                         found[di] = att
@@ -453,7 +436,7 @@ def reduce_case_bound(
                 if not pending:
                     break
             K *= 100
-            if K * logs.max_rad > MAX_ROUNDING_SLACK:
+            if K * radius > MAX_ROUNDING_SLACK:
                 break
         if pending:
             all_ok = False

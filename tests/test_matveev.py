@@ -139,13 +139,14 @@ class TestAbsoluteBound:
             c8=Fraction(1), a_values=(Fraction(1), Fraction(1), Fraction(1)),
         )
         with pytest.raises(ValueError, match="d\\*c7"):
-            absolute_bound(bad)
+            absolute_bound(bad, matveev_c9(bad))
 
     def test_matches_reference_bisection(self, chains):
         for ch in chains.values():
-            assert absolute_bound(ch.constants) == reference_absolute_bound(ch.constants)
+            cc = ch.constants
+            assert absolute_bound(cc, matveev_c9(cc)) == reference_absolute_bound(cc)
         for cc in perturbed_constants(chains, 54, 5323):
-            assert absolute_bound(cc) == reference_absolute_bound(cc), cc
+            assert absolute_bound(cc, matveev_c9(cc)) == reference_absolute_bound(cc), cc
 
     @pytest.mark.parametrize(
         "guess",
@@ -157,23 +158,27 @@ class TestAbsoluteBound:
         # the crossing, far above it, or past the runaway limit
         for cid, want in ABS_PINS.items():
             monkeypatch.setattr(matveev, "_collision_guess", lambda *args: guess(want))
-            assert absolute_bound(chains[cid].constants) == want
+            cc = chains[cid].constants
+            assert absolute_bound(cc, matveev_c9(cc)) == want
 
     def test_few_certified_calls(self, chains, monkeypatch):
         calls = count_collides(monkeypatch)
         for cid, want in ABS_PINS.items():
             calls.clear()
-            assert absolute_bound(chains[cid].constants) == want
+            cc = chains[cid].constants
+            assert absolute_bound(cc, matveev_c9(cc)) == want
             assert len(calls) <= 4, (cid, calls)
 
     def test_runaway_guard(self, chains, monkeypatch):
         monkeypatch.setattr(matveev, "_collision_test", lambda *args: lambda n: False)
         with pytest.raises(ArithmeticError, match="no collision found"):
-            absolute_bound(chains["10-271"].constants)
+            cc = chains["10-271"].constants
+            absolute_bound(cc, matveev_c9(cc))
 
     def test_determinism_across_precision(self, chains):
         cc = chains["10-271"].constants
-        assert absolute_bound(cc, 256) == absolute_bound(cc, 512)
+        c9_256, c9_512 = matveev_c9(cc, 256), matveev_c9(cc, 512)
+        assert absolute_bound(cc, c9_256, 256) == absolute_bound(cc, c9_512, 512)
 
 
 class TestInequalityCoefficients:

@@ -14,7 +14,6 @@ from cyclobound.numberfield import (
     get_case,
     list_case_ids,
     load_case_config,
-    nf_add,
     nf_inverse,
     nf_mul,
     nf_norm,
@@ -119,13 +118,12 @@ def reference_inverse(a: FieldElement, f: IntPoly) -> FieldElement:
     inv = [c / r1[0] for c in s1]
     den = math.lcm(*(c.denominator for c in inv))
     num = IntPoly(*(int(c * den) for c in inv))
-    return FieldElement(num * a.den, den, f)
+    return FieldElement(num * a.den, den)
 
 
 class TestFieldElement:
     def test_normalization(self):
-        f = get_case("10-271").f
-        a = FieldElement(IntPoly(2, 4), 6, f)
+        a = FieldElement(IntPoly(2, 4), 6)
         assert a.num == IntPoly(1, 2) and a.den == 3
         b = FieldElement(IntPoly(1), -2)
         assert b.num == IntPoly(-1) and b.den == 2
@@ -133,8 +131,8 @@ class TestFieldElement:
     def test_reduction_modulo_f(self):
         f = get_case("10-271").f
         # x^4 = x^3 - x^2 + x - 2 in this field
-        a = FieldElement(IntPoly(0, 0, 0, 0, 1), 1, f)
-        assert a.num == IntPoly(-2, 1, -1, 1)
+        x2 = FieldElement(IntPoly(0, 0, 1))
+        assert nf_mul(x2, x2, f).num == IntPoly(-2, 1, -1, 1)
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
@@ -241,12 +239,12 @@ class TestCharpoly:
             for _ in range(10):
                 a = random_element(rng, f.degree())
                 cp = charpoly(a, f)
-                acc = FieldElement(0)
-                power = FieldElement(1)
+                terms, power = [], FieldElement(1)
                 for c in cp.coeffs:
-                    acc = nf_add(acc, nf_mul(FieldElement(c), power, f))
+                    terms.append(nf_mul(FieldElement(c), power, f))
                     power = nf_mul(power, a, f)
-                assert acc.is_zero()
+                den = math.lcm(*(t.den for t in terms))
+                assert sum((t.num * (den // t.den) for t in terms), IntPoly(0)).is_zero()
 
     def test_matches_reference_on_case_elements(self):
         rng = random.Random(7013)

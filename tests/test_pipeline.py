@@ -13,9 +13,9 @@ from pathlib import Path
 import pytest
 
 import cyclobound
-from cyclobound import numberfield, padic, pipeline, polyarith
+from cyclobound import matveev, numberfield, padic, pipeline, polyarith
 from cyclobound.cli import main
-from cyclobound.matveev import absolute_bound
+from cyclobound.matveev import absolute_bound, matveev_c9
 from cyclobound.realalg import ConjugateData
 from cyclobound.numberfield import (
     _config_from_dict, case_to_dict, get_case, nf_inverse, nf_pow, verify_case_data,
@@ -288,8 +288,24 @@ class TestSolveCase:
         monkeypatch.setattr(pipeline, "ConjugateData", lambda cfg: ConjugateData(cfg, 64))
         rep = solve_case("10-271")
         assert rep.precision_bits == 64
-        assert rep.abs_bound == absolute_bound(rep.constants, 64)
+        c9 = matveev_c9(rep.constants, 64)
+        assert rep.c9 == c9
+        assert rep.abs_bound == absolute_bound(rep.constants, c9, 64)
         assert rep.abs_bound == at_256.abs_bound + 16
+
+    def test_one_c9_per_proof(self, monkeypatch):
+        # the reported c9 is the one the absolute bound uses, computed once
+        calls = []
+
+        def counting_c9(cc, prec):
+            calls.append(prec)
+            return matveev_c9(cc, prec)
+
+        monkeypatch.setattr(pipeline, "matveev_c9", counting_c9)
+        monkeypatch.setattr(matveev, "matveev_c9", counting_c9)
+        rep = solve_case("10-271")
+        assert rep.verdict == "no_solutions"
+        assert calls == [256]
 
 
 def proof_record(cid: str) -> dict:

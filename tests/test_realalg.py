@@ -20,7 +20,7 @@ from mpmath import libmp
 from cyclobound import realalg
 from cyclobound.numberfield import FieldElement, charpoly, get_case, nf_inverse, nf_mul, nf_pow
 from cyclobound.pipeline import solve_case
-from cyclobound.polyarith import IntPoly, poly_eval
+from cyclobound.polyarith import IntPoly, det, poly_eval
 from cyclobound.realalg import (
     Ball,
     ComplexBall,
@@ -39,7 +39,7 @@ from cyclobound.realalg import (
     round_div,
     round_sig,
 )
-from cyclobound.reduction import _GammaLogs
+from cyclobound.reduction import _RoundInputs
 
 F15_ROOTS = ((Fraction("1.0757"), Fraction("0.4498")),
              (Fraction("0.6243"), Fraction("0.8958")),
@@ -1413,17 +1413,18 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _gamma_logs_digest(cfg, conj) -> str:
+def _gamma_logs_digest(rnd: _RoundInputs) -> str:
+    # per gamma: its own row, then the delta and unit rows, then its radius
     out = []
-    for gi in range(len(cfg.norm_p_gammas)):
-        logs = _GammaLogs(conj, gi)
-        for b in logs.lam2 + [b for row in logs.lam1 + logs.lam_units for b in row]:
+    for lam2, rad in zip(rnd.lam2, rnd.max_rad):
+        for b in lam2 + [b for row in rnd.lam1 + rnd.lam_units for b in row]:
             out.append(f"{b.lo}:{b.hi}")
-        out.append(str(logs.max_rad))
+        out.append(str(rad))
     return _digest("|".join(out))
 
 
-# SHA-256 of the exact endpoints of every _GammaLogs enclosure, and of
+# SHA-256 of the exact endpoints of every log enclosure in a round's
+# _RoundInputs, read per gamma as _gamma_logs_digest does, and of
 # repr(constants), recorded when Ball still ran on mpmath's interval context
 PINNED_DIGESTS = {
     ("15-41", 256): (
@@ -1454,7 +1455,8 @@ def test_enclosures_match_pinned_digests(chains):
         if prec != conj.prec:
             conj = ConjugateData(ch.cfg, prec)
             constants = compute_constants(conj, ch.n_lower)
-        assert _gamma_logs_digest(ch.cfg, conj) == logs_digest, (cid, prec)
+        rnd = _RoundInputs(conj, constants, ch.abs_bound)
+        assert _gamma_logs_digest(rnd) == logs_digest, (cid, prec)
         assert _digest(repr(constants)) == constants_digest, (cid, prec)
 
 
@@ -1592,7 +1594,7 @@ class TestRounding:
                 assert round_sig(x, 4, mode) == x
 
     def test_round_sig_zero_and_mode_guard(self):
-        assert round_sig(Fraction(0)) == 0
+        assert round_sig(Fraction(0), 4, "nearest") == 0
         with pytest.raises(ValueError):
             round_sig(Fraction(1), 4, "sideways")
 
@@ -2113,8 +2115,8 @@ class TestBakerHeights:
             terms = [(conj.log_abs(elem, i) ** 2 + conj.embed(elem, i).arg() ** 2).sqrt()
                      for i in range(cfg.d // 2)]
             top = ball_max(*terms)
-            assert round_sig(dh.mid, 3) == Fraction(dh_pin)
-            assert round_sig(top.mid, 3) == Fraction(term_pin)
+            assert round_sig(dh.mid, 3, "nearest") == Fraction(dh_pin)
+            assert round_sig(top.mid, 3, "nearest") == Fraction(term_pin)
             assert top.gt(dh)
             assert matveev_a(elem, conj).hi == top.hi
 
@@ -2137,21 +2139,17 @@ class TestBakerHeights:
 
 class TestRegulator:
     def test_independent_of_embedding_choice(self, chains):
+        # any three of 15-41's four embedding pairs give the same |det|
         ch = chains["15-41"]
-        vals = []
+        units = ch.cfg.units
+        want = regulator(ch.conj)
         for idxs in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
-            vals.append(regulator(ch.conj, idxs))
-        for v in vals[1:]:
-            assert abs(v.mid - vals[0].mid) < Fraction(1, 10**40)
+            v = abs(det([[ch.conj.log_abs(u, i) for u in units] for i in idxs]))
+            assert abs(v.mid - want.mid) < Fraction(1, 10**40)
 
     def test_certified_nonzero(self, chains):
         for ch in chains.values():
             assert regulator(ch.conj).lo > 0
-
-    def test_rejects_repeated_embeddings(self, chains):
-        ch = chains["15-41"]
-        with pytest.raises(ValueError):
-            regulator(ch.conj, (0, 0, 1))
 
 
 class TestConstantChain:

@@ -33,7 +33,7 @@ from cyclobound.reduction import (
     reduce_case_bound,
     reduction_loop,
     verify_lll_reduced,
-    _GammaLogs,
+    _RoundInputs,
     _gram,
     _swap_det,
     _theta,
@@ -631,11 +631,11 @@ class TestIntegerTheta:
         scales = [m * 10 ** (e - 3) for e in range(30, 46) for m in (1000, 1778, 3162, 5623)]
         checked = 0
         for ch in chains.values():
+            rnd = _RoundInputs(ch.conj, ch.constants, ch.abs_bound)
             for gi in range(len(ch.cfg.norm_p_gammas)):
-                logs = _GammaLogs(ch.conj, gi)
-                rows = [(logs.lam2, logs.mid2)]
-                rows += zip(logs.lam1, logs.mid1)
-                rows += zip(logs.lam_units, logs.mid_units)
+                rows = [(rnd.lam2[gi], rnd.mid2[gi])]
+                rows += zip(rnd.lam1, rnd.mid1)
+                rows += zip(rnd.lam_units, rnd.mid_units)
                 for balls, mids in rows:
                     for ball, mid in zip(balls, mids):
                         assert mid == ball.dyadic_mid()
@@ -762,45 +762,32 @@ def test_one_case_etas_per_proof(monkeypatch, scale):
     assert len(inverted) == len(cfg.deltas) + len(cfg.norm_p_gammas)
 
 
-def test_log_rows_built_once_per_round(chains, monkeypatch):
-    # 15-5581's two gammas share one build of the delta and unit rows per
-    # round, and hold exactly what a gamma's own build gives
+def test_one_record_per_round(chains, monkeypatch):
+    # 15-5581's two gammas, their lattices and every attempt read one
+    # _RoundInputs per round
     ch = chains["15-5581"]
     built = []
 
-    def counting_log_rows(conj):
-        built.append(conj)
-        return log_rows(conj)
+    class CountingInputs(_RoundInputs):
+        def __init__(self, conj, cc, bound_n):
+            built.append(bound_n)
+            super().__init__(conj, cc, bound_n)
 
-    log_rows = reduction._log_rows
-    monkeypatch.setattr(reduction, "_log_rows", counting_log_rows)
+    monkeypatch.setattr(reduction, "_RoundInputs", CountingInputs)
     for _ in range(2):
         assert reduce_case_bound(ch.conj, ch.constants, ch.abs_bound, ch.scale).bound == 23
-    assert built == [ch.conj, ch.conj]
-    rows = log_rows(ch.conj)
-
-    def ends(balls):
-        return [b._iv for b in balls]
-
-    for gi in range(2):
-        shared, alone = _GammaLogs(ch.conj, gi, rows), _GammaLogs(ch.conj, gi)
-        assert ends(shared.lam2) == ends(alone.lam2)
-        for name in ("lam1", "lam_units"):
-            got, want = getattr(shared, name), getattr(alone, name)
-            assert [ends(r) for r in got] == [ends(r) for r in want]
-        for name in ("mid1", "mid2", "mid_units", "max_rad"):
-            assert getattr(shared, name) == getattr(alone, name)
+    assert built == [ch.abs_bound, ch.abs_bound]
 
 
 def test_distance_reads_the_given_gram(chains):
     # a lattice's Gram data comes from its reduced basis once, and the
     # lemma gives the same pair with it as with a fresh _gram
     ch = chains["10-271"]
-    logs = _GammaLogs(ch.conj, 0)
-    lattice = reduction._ReducedLattice(logs, (2,), 10**41)
+    rnd = _RoundInputs(ch.conj, ch.constants, ch.abs_bound)
+    lattice = reduction._ReducedLattice(rnd, 0, (2,), 10**41)
     assert lattice.gram == _gram(lattice.reduced)
     for di in range(len(ch.cfg.deltas)):
-        y = lattice.target(logs, di)
+        y = lattice.target(rnd, di)
         got = distance_lower_bound(lattice.reduced, y, lattice.gram)
         assert got is not None and got == distance_lower_bound(lattice.reduced, y)
 
@@ -896,6 +883,16 @@ class TestRobustness:
         monkeypatch.setattr(reduction, "lll_reduce", lambda cols: built.append(cols))
         ch = chains["10-271"]
         with pytest.raises(PrecisionError, match=r"K\*radius = 2\.00e\+25 exceeds 0\.001"):
+            reduce_case_bound(ch.conj, ch.constants, ch.abs_bound, scale=10**100)
+        assert built == []
+
+    def test_oversized_scale_raises_precision_error_15_5581(self, chains, monkeypatch):
+        # the same check on a case with two norm-p gammas: the first one
+        # already fails, and no lattice of either is built
+        built = []
+        monkeypatch.setattr(reduction, "lll_reduce", lambda cols: built.append(cols))
+        ch = chains["15-5581"]
+        with pytest.raises(PrecisionError, match=r"K\*radius = 1\.59e\+31 exceeds 0\.001"):
             reduce_case_bound(ch.conj, ch.constants, ch.abs_bound, scale=10**100)
         assert built == []
 
