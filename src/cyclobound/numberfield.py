@@ -122,8 +122,9 @@ def nf_pow(a: FieldElement, k: int, f: IntPoly) -> FieldElement:
     while k:
         if k & 1:
             out = nf_mul(out, base, f)
-        base = nf_mul(base, base, f)
         k >>= 1
+        if k:
+            base = nf_mul(base, base, f)
     return out
 
 
@@ -428,15 +429,19 @@ def _envelope_certificate(f: IntPoly) -> bool:
 
     Substituting x = +-(t+2) turns each side into a polynomial in t that
     must be positive for t >= 0; nonnegative coefficients with a positive
-    constant term prove that.
+    constant term prove that.  f(+-(t+2)) is f(+-x) Taylor-shifted by 2
+    in place, and the coefficients of t^k in (1+t)^d and (3+t)^d are
+    C(d, k) and C(d, k) * 3^(d-k).
     """
     d = f.degree()
-    low_ref = IntPoly(1, 1) ** d
-    high_ref = IntPoly(3, 1) ** d
-    for shifted in (poly_eval(f, IntPoly(2, 1)), poly_eval(f, IntPoly(-2, -1))):
-        for q in (shifted - low_ref, high_ref - shifted):
-            if q[0] <= 0 or any(c < 0 for c in q.coeffs):
-                return False
+    refs = [(math.comb(d, k), math.comb(d, k) * 3 ** (d - k)) for k in range(d + 1)]
+    for sign in (1, -1):
+        c = [a * sign ** i for i, a in enumerate(f.coeffs)]
+        for i in range(d):
+            for j in range(d - 1, i - 1, -1):
+                c[j] += 2 * c[j + 1]
+        if not (1 < c[0] < 3 ** d and all(lo <= x <= hi for x, (lo, hi) in zip(c, refs))):
+            return False
     return True
 
 
@@ -544,9 +549,17 @@ def verify_case_data(cfg: CaseConfig, roots_p=None) -> VerificationReport:
     deltas = {f"delta {i}": dd for i, dd in enumerate(cfg.deltas, 1)}
     check("each root of f mod 2 has its own delta", *_root_match(cfg.f, 2, deltas))
 
-    prod = FieldElement(cfg.two_sign)
+    # sign * prod_(e>0) fa^e = 2 * prod_(e<0) fa^-e, with each fa^-e invertible
+    # (nonzero norm), holds exactly when the signed product, formed only for
+    # a failure's detail, is 2
+    sides = [FieldElement(cfg.two_sign), FieldElement(2)]
     for fa, e in cfg.two_factors:
-        prod = nf_mul(prod, nf_pow(fa, e, cfg.f), cfg.f)
+        sides[e < 0] = nf_mul(sides[e < 0], nf_pow(fa, abs(e), cfg.f), cfg.f)
+    prod = FieldElement(2)
+    if sides[0] != sides[1] or not all(nf_norm(fa, cfg.f) for fa, e in cfg.two_factors if e < 0):
+        prod = FieldElement(cfg.two_sign)
+        for fa, e in cfg.two_factors:
+            prod = nf_mul(prod, nf_pow(fa, e, cfg.f), cfg.f)
     check(
         "decomposition of 2 multiplies out",
         prod == FieldElement(2),

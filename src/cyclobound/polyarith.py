@@ -2,7 +2,8 @@
 
 Coefficient vectors are stored lowest degree first.  Everything here is
 plain ``int`` arithmetic, so results are exact.  Norms and discriminants
-come from one characteristic polynomial, computed by Newton's identities.
+come from one characteristic polynomial: Newton's identities on the powers
+of an element, each the last times its multiplication matrix.
 Arithmetic mod q (F_q[x], roots mod p, residue tables and the primality
 proof) runs on the same division and product kernels as ZZ[x].
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 
 class IntPoly:
@@ -240,7 +242,12 @@ def charpoly_mod(a: IntPoly, f: IntPoly) -> IntPoly:
 
 @functools.lru_cache(maxsize=256)
 def _charpoly(a: tuple, f: tuple) -> tuple:
-    """The coefficients of charpoly_mod, highest degree last."""
+    """The coefficients of charpoly_mod, highest degree last.
+
+    Column j of the multiplication matrix of a is x^j * a mod f, each the
+    previous one times x and reduced once by the monic f, so each next
+    power a^(k+1) = a * a^k is one matrix-vector product.
+    """
     d = len(f) - 1
     sums = [d]  # P_j, sums of j-th powers of the roots of f
     for k in range(1, d):
@@ -249,12 +256,18 @@ def _charpoly(a: tuple, f: tuple) -> tuple:
     traces = []  # Tr(a^k) = sum_j coeff_j(a^k) * P_j
     a = list(a)
     _reduce(a, f)
-    power = a = a[:d]
+    cols = [(a + [0] * d)[:d]]
+    for _ in range(1, d):
+        col = [0] + cols[-1]
+        top = col.pop()
+        cols.append([c - top * b for c, b in zip(col, f)] if top else col)
+    rows = list(zip(*cols))
+    power = cols[0]
     for k in range(1, d + 1):
-        traces.append(sum(c * s for c, s in zip(power, sums)))
+        traces.append(sum(map(operator.mul, power, sums)))
         cs.append(-sum(cs[k - i] * traces[i - 1] for i in range(1, k + 1)) // k)
         if k < d:
-            power = _mul_reduce(power, a, f)
+            power = [sum(map(operator.mul, row, power)) for row in rows]
     return tuple(reversed(cs))
 
 

@@ -15,7 +15,6 @@ result.
 """
 from __future__ import annotations
 
-import cmath
 import decimal
 import functools
 import itertools
@@ -605,11 +604,15 @@ def _exp_step(a, b, v, e, err):
     return None if extra > err else (v + t, e, err + extra)
 
 
+# a correctly rounded end is unique, so a log or exp is memoised on its
+# interval and precision: a proof takes some of them more than once
+@functools.lru_cache(maxsize=256)
 def _log(x, prec):
     """libmpi's mpi_log for x > 0."""
     return _ziv(_log_at, x[:2], x[2:], prec, _log_step)
 
 
+@functools.lru_cache(maxsize=256)
 def _exp(x, prec):
     """libmpi's mpi_exp."""
     return _ziv(_exp_at, x[:2], x[2:], prec, _exp_step)
@@ -818,7 +821,7 @@ def _polish(coeffs_desc, z: complex, scale: int, bits: int):
     its size, doubling the precision per step: (x, y, shift), the root
     being (x + iy) / 2^shift.  None if Newton does not settle within 64
     steps, or the start is not finite."""
-    if not cmath.isfinite(z):
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         return None
     size = math.frexp(abs(z))[1] + scale
     prec = min(106, bits)
@@ -1265,18 +1268,21 @@ def compute_constants(conj: ConjugateData, n_lower: int) -> CaseConstants:
     # determinant; the embeddings with the smallest largest minor are used
     units = cfg.units
     u = len(units)
+    logs = [[conj.log_abs(unit, i) for unit in units] for i in range(d // 2)]
+    # each minor deletes one row and one column of a triple's rows, so it
+    # depends on the u - 1 rows kept and the column deleted alone
+    minors = {
+        (kept, cj): abs(det([logs[i][:cj] + logs[i][cj + 1 :] for i in kept], one))
+        for kept in itertools.combinations(range(d // 2), u - 1)
+        for cj in range(u)
+    }
     best = None
     for triple in itertools.combinations(range(d // 2), u):
-        rows = [[conj.log_abs(unit, i) for unit in units] for i in triple]
-        vol = abs(det(rows))
+        vol = abs(det([logs[i] for i in triple]))
         if vol.lo <= 0:
             continue
-        minors = [
-            abs(det([r[:cj] + r[cj + 1 :] for r in rows[:ri] + rows[ri + 1 :]], one))
-            for ri in range(u)
-            for cj in range(u)
-        ]
-        r2 = ball_max(*minors)
+        r2 = ball_max(*(minors[triple[:ri] + triple[ri + 1 :], cj]
+                        for ri in range(u) for cj in range(u)))
         if best is None or r2.hi < best[0]:
             best = (r2.hi, triple, r2, vol)
     if best is None:

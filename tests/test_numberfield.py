@@ -23,7 +23,7 @@ from cyclobound.numberfield import (
     _envelope_certificate,
     _root_match,
 )
-from cyclobound.polyarith import IntPoly, cyclotomic
+from cyclobound.polyarith import IntPoly, cyclotomic, poly_eval
 from cyclobound.realalg import case_etas
 from test_polyarith import PSP_37, PSP_41, sylvester_det
 
@@ -411,3 +411,82 @@ class TestEnvelope:
     def test_negative_control(self):
         # x^2 - 9 vanishes at x = 3, inside the claimed envelope
         assert not _envelope_certificate(IntPoly(-9, 0, 1))
+
+    def test_matches_intpoly_composition(self):
+        rng = random.Random(2802)
+        certified = 0
+        for _ in range(3000):
+            d = rng.randint(1, 9)
+            span = rng.choice((1, 1, 2, 3 ** d))
+            f = IntPoly(*[rng.randint(-span, span) for _ in range(d)], 1)
+            got = _envelope_certificate(f)
+            assert got == composed_envelope(f), f
+            certified += got
+        assert 300 <= certified <= 2700, certified
+
+
+def composed_envelope(f: IntPoly) -> bool:
+    """_envelope_certificate by IntPoly composition and powers, as it was
+    computed before the Taylor shift."""
+    d = f.degree()
+    low_ref = IntPoly(1, 1) ** d
+    high_ref = IntPoly(3, 1) ** d
+    for shifted in (poly_eval(f, IntPoly(2, 1)), poly_eval(f, IntPoly(-2, -1))):
+        for q in (shifted - low_ref, high_ref - shifted):
+            if q[0] <= 0 or any(c < 0 for c in q.coeffs):
+                return False
+    return True
+
+
+def signed_product(cfg) -> tuple[bool, str]:
+    """(ok, detail) of the witness for 2 from the signed product, inverses
+    and all, as verify_case_data formed it before the two-sided check."""
+    prod = FieldElement(cfg.two_sign)
+    for fa, e in cfg.two_factors:
+        prod = nf_mul(prod, nf_pow(fa, e, cfg.f), cfg.f)
+    return prod == FieldElement(2), f"product = {prod}"
+
+
+def two_check(cfg):
+    return next(c for c in verify_case_data(cfg).checks
+                if c.name == "decomposition of 2 multiplies out")
+
+
+class TestTwoWitness:
+    def test_builtin_witnesses_print_product_2(self):
+        for cid in list_case_ids():
+            check = two_check(get_case(cid))
+            assert (check.ok, check.detail) == (True, "product = 2") == signed_product(get_case(cid))
+
+    def test_seeded_edits_fail_with_the_signed_product(self):
+        # one exponent changed, one factor dropped, the sign flipped
+        rng = random.Random(2803)
+        for cid in list_case_ids():
+            cfg = get_case(cid)
+            factors = list(cfg.two_factors)
+            for _ in range(4):
+                i = rng.randrange(len(factors))
+                fa, e = factors[i]
+                changed = (fa, e + rng.choice((-2, -1, 1, 2)))
+                for edited in (
+                    cfg._replace(two_factors=tuple(factors[:i] + [changed] + factors[i + 1:])),
+                    cfg._replace(two_factors=tuple(factors[:i] + factors[i + 1:])),
+                    cfg._replace(two_sign=-cfg.two_sign),
+                ):
+                    check = two_check(edited)
+                    assert not check.ok
+                    assert (check.ok, check.detail) == signed_product(edited)
+
+    def test_factor_without_inverse_is_refused(self):
+        # in Q[x]/((x^2+1)^2), x^2 + 1 has norm 0 and no inverse, so
+        # 2 * (x^2+1) * (x^2+1)^-1 is no product at all, though both sides
+        # of 2 * (x^2+1) = 2 * (x^2+1) agree
+        zero_divisor = FieldElement(IntPoly(1, 0, 1))
+        cfg = get_case("10-271")._replace(
+            f=IntPoly(1, 0, 2, 0, 1), two_sign=2,
+            two_factors=((zero_divisor, 1), (zero_divisor, -1)),
+        )
+        with pytest.raises(ValueError, match="not invertible"):
+            signed_product(cfg)
+        with pytest.raises(ValueError, match="not invertible"):
+            verify_case_data(cfg)

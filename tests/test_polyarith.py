@@ -6,9 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+from cyclobound import polyarith
 from cyclobound.numberfield import FieldElement, nf_norm
 from cyclobound.polyarith import (
     IntPoly,
+    _mul_reduce,
+    _reduce,
     cyclotomic,
     det,
     discriminant,
@@ -174,6 +177,59 @@ class TestResultant:
         assert self.res(f, IntPoly()) == 0
         with pytest.raises(ValueError, match="monic"):
             self.res(IntPoly(1, 2, 3), IntPoly(1, 1))
+
+
+def product_charpoly(a: tuple, f: tuple) -> tuple:
+    """polyarith._charpoly with each power a^(k+1) taken as the full
+    product a^k * a reduced mod f, as it was computed before the
+    multiplication matrix."""
+    d = len(f) - 1
+    sums = [d]
+    for k in range(1, d):
+        sums.append(-k * f[d - k] - sum(f[d - i] * sums[k - i] for i in range(1, k)))
+    cs = [1]
+    traces = []
+    a = list(a)
+    _reduce(a, f)
+    power = a = a[:d]
+    for k in range(1, d + 1):
+        traces.append(sum(c * s for c, s in zip(power, sums)))
+        cs.append(-sum(cs[k - i] * traces[i - 1] for i in range(1, k + 1)) // k)
+        if k < d:
+            power = _mul_reduce(power, a, f)
+    return tuple(reversed(cs))
+
+
+class TestCharpolyMatrix:
+    def test_matches_products_mod_f(self):
+        # monic f of degree 2-9 and both case fields, coefficients of 1-400
+        # bits with zeros among them; a zero, constant, of degree < d, or
+        # of degree >= d, which the first reduction brings below d
+        rng = random.Random(2801)
+        fields = [(cyclotomic(m) + 1).coeffs for m in (15, 10)]
+
+        def coeff(bits):
+            return rng.choice((0, rng.getrandbits(bits) * rng.choice((1, -1))))
+
+        reduced = 0
+        for _ in range(600):
+            bits = rng.choice((1, 2, 8, 30, 90, 400))
+            if rng.random() < 0.25:
+                f = rng.choice(fields)
+            else:
+                f = tuple(coeff(bits) for _ in range(rng.randint(2, 9))) + (1,)
+            d = len(f) - 1
+            size = rng.choice((0, 1, d - 1, d, d + 1, 2 * d + 1))
+            a = tuple(coeff(bits) for _ in range(size - 1)) + (rng.getrandbits(bits) + 1,) * (size > 0)
+            reduced += size > d
+            assert polyarith._charpoly.__wrapped__(a, f) == product_charpoly(a, f), (a, f)
+        assert reduced >= 100
+
+    def test_edge_elements(self):
+        for f in ((cyclotomic(15) + 1).coeffs, (cyclotomic(10) + 1).coeffs, (3, 0, 1)):
+            d = len(f) - 1
+            for a in ((), (0,), (7,), (0,) * d + (1,), (1,) * (2 * d + 1), (0, 1)):
+                assert polyarith._charpoly.__wrapped__(a, f) == product_charpoly(a, f), (a, f)
 
 
 class TestDet:

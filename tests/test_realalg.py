@@ -8,6 +8,7 @@ float-approximate equality.
 
 import functools
 import hashlib
+import itertools
 import math
 import operator
 import random
@@ -1244,6 +1245,36 @@ class TestOneSeriesEnds:
                     assert 1 in (realalg._fraction(*got[:2]), realalg._fraction(*got[2:]))
 
 
+# _log and _exp are memoised; a correctly rounded end is unique, so a
+# cached result is the one a fresh evaluation gives.
+
+
+@pytest.mark.parametrize("prec", PRECS)
+def test_memoised_log_and_exp_equal_fresh_evaluations(prec):
+    rng = random.Random(2804 + prec)
+    for _ in range(20):
+        for kernel, x in ((realalg._log, positive_ball(rng, prec)),
+                          (realalg._exp, exponent_ball(rng, prec))):
+            first = kernel(x._iv, prec)
+            hits = kernel.cache_info().hits
+            assert kernel(x._iv, prec) == first
+            assert kernel.cache_info().hits == hits + 1
+            kernel.cache_clear()
+            assert kernel(x._iv, prec) == first == kernel.__wrapped__(x._iv, prec)
+
+
+def test_a_proof_evaluates_each_log_and_exp_once():
+    # 15-41 asks for 60 interval logs and exps, and 11 of them repeat an
+    # earlier one (log 41 among them): 49 are evaluated
+    kernels = (realalg._log, realalg._exp)
+    for kernel in kernels:
+        kernel.cache_clear()
+    solve_case(get_case("15-41"))
+    infos = [kernel.cache_info() for kernel in kernels]
+    assert sum(info.misses for info in infos) == 49
+    assert sum(info.hits + info.misses for info in infos) == 60
+
+
 def seeded_ball(rng: random.Random) -> Ball:
     """A Ball at one of PRECS: an int or Fraction of either sign, an
     interval between two of them (often straddling zero), or one of those
@@ -2296,6 +2327,42 @@ class TestConstantChain:
         cc = compute_constants(ConjugateData(cfg), ch.n_lower)
         assert (cc.c7, cc.c8) == (Fraction("3.485"), Fraction("3.999"))
         assert cc.unit_minor_triple is not None
+
+    def test_each_unit_minor_formed_once(self, chains, monkeypatch):
+        # a minor keeps u - 1 rows of a conjugate triple and deletes one
+        # column, so 15-41's C(4, 2) row pairs and 3 columns give 18
+        # minors; forming them per triple took 4 * 9 = 36.  The choice and
+        # the constants built on it are the per-triple ones
+        ch = chains["15-41"]
+        want = ch.constants
+        units = ch.cfg.units
+        u = len(units)
+        sizes = []
+
+        def counting_det(rows, one=1):
+            sizes.append(len(rows))
+            return det(rows, one)
+
+        monkeypatch.setattr(realalg, "det", counting_det)
+        cc = compute_constants(ConjugateData(ch.cfg), ch.n_lower)
+        assert cc == want
+        assert sizes.count(u - 1) == 18
+        best = None
+        for triple in itertools.combinations(range(ch.cfg.d // 2), u):
+            rows = [[ch.conj.log_abs(unit, i) for unit in units] for i in triple]
+            vol = abs(det(rows))
+            minors = [
+                abs(det([r[:cj] + r[cj + 1:] for r in rows[:ri] + rows[ri + 1:]], Ball(1)))
+                for ri in range(u)
+                for cj in range(u)
+            ]
+            r2 = ball_max(*minors)
+            if vol.lo > 0 and (best is None or r2.hi < best[0]):
+                best = (r2.hi, triple, r2, vol)
+        _, triple, r2, vol = best
+        assert (cc.unit_minor_triple, cc.unit_minor_bound) == (triple, round_sig(r2.hi, 4, "up"))
+        assert cc.c7 == round_sig((r2 * u * cc.c5 / vol).hi, 4, "up")
+        assert cc.c8 == round_sig((r2 * u * cc.c6 / vol).hi, 4, "up")
 
     def test_small_lower_bound_rejected(self, chains):
         ch = chains["15-41"]
