@@ -13,7 +13,7 @@ import math
 from collections.abc import Callable
 from fractions import Fraction
 
-from .realalg import DEFAULT_PREC, Ball, CaseConstants, nearest_int, round_sig
+from .realalg import DEFAULT_PREC, Ball, CaseConstants, round_div, round_sig
 
 
 def matveev_c9(cc: CaseConstants, prec: int = DEFAULT_PREC) -> Fraction:
@@ -92,7 +92,8 @@ def _collision_guess(cc: CaseConstants, c9: Fraction, sides, start: int) -> int:
                 break
         guess = int(n)
         lhs, rhs = sides(guess)
-        return nearest_int(guess - (lhs - rhs).mid / Fraction(derivative(guess)))
+        n = guess - (lhs - rhs).mid / Fraction(derivative(guess))
+        return round_div(n.numerator, n.denominator)
     except (ArithmeticError, ValueError):  # overflow, a log of a negative, nan
         return start
 

@@ -155,13 +155,14 @@ def charpoly(a: FieldElement, f: IntPoly) -> IntPoly:
 
 
 class CaseConfig(namedtuple("CaseConfig", (
-    "case_id", "m", "p", "d", "f", "units", "gammas", "gamma_norm_exponents",
+    "case_id", "m", "p", "f", "units", "gammas", "gamma_norm_exponents",
     "deltas", "two_sign", "two_factors", "default_conjugate_choice",
     "default_K", "default_scan_depth",
 ))):
     """One case's data, immutable; _replace(**changes) copies it.
 
-    f is an IntPoly of degree d; units, gammas and deltas are tuples of
+    f is an IntPoly of degree d (derived from f, so a copy with another f
+    has that f's degree); units, gammas and deltas are tuples of
     FieldElements, gamma_norm_exponents the tuple of ints k with
     |N(gamma)| = p^k, two_factors the (FieldElement, exponent) pairs of the
     witness for 2, and default_conjugate_choice a dict from each norm-p
@@ -169,6 +170,11 @@ class CaseConfig(namedtuple("CaseConfig", (
     """
 
     __slots__ = ()
+
+    @property
+    def d(self) -> int:
+        """The degree of f."""
+        return self.f.degree()
 
     @property
     def rank(self) -> int:
@@ -314,7 +320,6 @@ def _config_from_dict(case_id: str, raw: dict) -> CaseConfig:
             case_id=case_id,
             m=_int(raw["m"], "m", 1),
             p=_int(raw["p"], "p", 2),
-            d=f.degree(),
             f=f,
             units=tuple(_fe(u, "unit") for u in raw["units"]),
             gammas=tuple(_fe(g["coeffs"], "gamma") for g in raw["gammas"]),
@@ -445,11 +450,10 @@ def _envelope_certificate(f: IntPoly) -> bool:
     return True
 
 
-def _root_match(f: IntPoly, q: int, named: dict[str, FieldElement], roots=None) -> tuple[bool, str]:
-    """Whether the roots of f mod the prime q (found here unless given) and
-    the named elements match one to one, each root a zero mod q of exactly
-    one element and each element of exactly one root; and the zeros found,
-    as text.
+def _root_match(f: IntPoly, q: int, named: dict[str, FieldElement]) -> tuple[bool, str]:
+    """Whether the roots of f mod the prime q and the named elements match
+    one to one, each root a zero mod q of exactly one element and each
+    element of exactly one root; and the zeros found, as text.
 
     An element of Z[alpha] lies in the prime (q, alpha - r) exactly when
     it vanishes at r mod q, so an element of norm +-q generates that prime
@@ -458,7 +462,7 @@ def _root_match(f: IntPoly, q: int, named: dict[str, FieldElement], roots=None) 
     """
     zeros = {
         r: [name for name, e in named.items() if poly_eval(e.num, r) % q == 0]
-        for r in (roots_mod_p(f, q) if roots is None else roots)
+        for r in roots_mod_p(f, q)
     }
     hits = [name for names in zeros.values() for name in names]
     ok = all(len(names) == 1 for names in zeros.values()) and sorted(hits) == sorted(named)
@@ -467,7 +471,7 @@ def _root_match(f: IntPoly, q: int, named: dict[str, FieldElement], roots=None) 
     return ok, "; ".join(parts)
 
 
-def verify_case_data(cfg: CaseConfig, roots_p=None) -> VerificationReport:
+def verify_case_data(cfg: CaseConfig) -> VerificationReport:
     """Exact re-verification of everything the pipeline consumes.
 
     All checks are integer/rational identities: unit norms and the unit
@@ -475,9 +479,9 @@ def verify_case_data(cfg: CaseConfig, roots_p=None) -> VerificationReport:
     one delta per root of f mod 2, the multiplicative witness for 2, p not
     dividing disc(f), and the growth envelope that the archimedean
     estimates rest on.  Items that cannot be checked without an independent
-    unit-group computation are listed under ``trusted``.  roots_p are the
-    roots of f mod p when the caller has found them, as ProofChain does
-    once for this check and the digit scan.
+    unit-group computation are listed under ``trusted``.  The roots of f
+    mod p come from polyarith.roots_mod_p, whose memo hands the same roots
+    to the digit scan.
     """
     checks: list[CheckResult] = []
 
@@ -488,8 +492,8 @@ def verify_case_data(cfg: CaseConfig, roots_p=None) -> VerificationReport:
     f_expect = cyclotomic(cfg.m) + IntPoly(1)
     check(
         "defining polynomial",
-        cfg.f == f_expect and cfg.f.degree() == cfg.d == phi and cfg.f.lc() == 1,
-        f"f = {cfg.f}, degree {cfg.f.degree()} = phi({cfg.m})",
+        cfg.f == f_expect and cfg.d == phi and cfg.f.lc() == 1,
+        f"f = {cfg.f}, degree {cfg.d} = phi({cfg.m})",
     )
     p_ok = cfg.p % 2 == 1 and is_prime(cfg.p)
     check("p is an odd prime", p_ok, f"p = {cfg.p}")
@@ -537,7 +541,7 @@ def verify_case_data(cfg: CaseConfig, roots_p=None) -> VerificationReport:
             if c == 1
         }
         check("each root of f mod p has its own norm-p gamma",
-              *_root_match(cfg.f, cfg.p, norm_p, roots_p))
+              *_root_match(cfg.f, cfg.p, norm_p))
 
     for i, dd in enumerate(cfg.deltas, 1):
         nd = nf_norm(dd, cfg.f)

@@ -17,10 +17,6 @@ from .numberfield import CaseConfig
 from .polyarith import IntPoly, poly_derivative, poly_eval, roots_mod_p
 
 
-class NoDigitScan(ValueError):
-    """f has no root mod p, or a repeated one, so no digit can be scanned."""
-
-
 class PAdicRoot(namedtuple("PAdicRoot", ("p", "digits"))):
     """A root of f modulo p^depth, as base-p digits, lowest first; immutable."""
 
@@ -102,7 +98,7 @@ def hensel_lift(f: IntPoly, p: int, r0: int, depth: int) -> PAdicRoot:
     fprime = poly_derivative(f)
     fprime_r0 = poly_eval(fprime, r0)
     if fprime_r0 % p == 0:
-        raise NoDigitScan(f"root {r0} of f mod {p} is not simple: p divides disc(f)")
+        raise ValueError(f"root {r0} of f mod {p} is not simple: p divides disc(f)")
     x, y = r0 % p, pow(fprime_r0, -1, p)
     precisions = _precisions(depth)
     for e, E in zip(precisions, precisions[1:]):
@@ -130,24 +126,21 @@ def digit_scan_bound(root: PAdicRoot, d: int) -> int:
     return d * (k0 - 1) - 1
 
 
-def case_roots(cfg: CaseConfig) -> tuple[int, ...]:
-    """The roots of f mod p, the residues the digit scan lifts."""
-    return tuple(roots_mod_p(cfg.f, cfg.p))
+def scan_case(cfg: CaseConfig, depth: int) -> list[PAdicRoot]:
+    """Lift every root of f mod p to depth+1 digits (digit indices 0..depth).
 
-
-def scan_case(cfg: CaseConfig, depth: int, roots=None) -> list[PAdicRoot]:
-    """Lift every root of f mod p to depth+1 digits (digit indices 0..depth);
-    roots are case_roots(cfg), found here unless the caller has them."""
+    f with no root mod p, or a repeated one, has no digit to scan and
+    raises ValueError.
+    """
     f, p = cfg.f, cfg.p
-    if roots is None:
-        roots = case_roots(cfg)
+    roots = roots_mod_p(f, p)
     if not roots:
-        raise NoDigitScan(f"f has no roots mod {p}: no solutions exist for n >= 1 at all")
+        raise ValueError(f"f has no roots mod {p}: no solutions exist for n >= 1 at all")
     return [hensel_lift(f, p, r, depth + 1) for r in roots]
 
 
-def combined_lower_bound(cfg: CaseConfig, depth: int, roots=None) -> tuple[list[PAdicRoot], int]:
+def combined_lower_bound(cfg: CaseConfig, depth: int) -> tuple[list[PAdicRoot], int]:
     """The lifted roots, and the min over them of the digit-scan bound,
-    scanning indices 1..depth; roots as for scan_case."""
-    lifts = scan_case(cfg, depth, roots)
+    scanning indices 1..depth."""
+    lifts = scan_case(cfg, depth)
     return lifts, min(digit_scan_bound(r, cfg.d) for r in lifts)

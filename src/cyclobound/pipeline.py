@@ -19,7 +19,7 @@ from functools import cached_property
 
 from .matveev import absolute_bound, inequality_coefficients, matveev_c9
 from .numberfield import CaseConfig, VerificationReport, get_case, verify_case_data
-from .padic import PAdicRoot, case_roots, combined_lower_bound
+from .padic import PAdicRoot, combined_lower_bound
 from .polyarith import IntPoly, poly_eval, values_mod
 from .realalg import DEFAULT_PREC, CaseConstants, ConjugateData, compute_constants
 from .reduction import ReductionReport, reduction_loop
@@ -128,15 +128,16 @@ def _stage(name: str):
 class ProofChain:
     """The proof stages of one case, each computed once on first read.
 
-    Reading a stage runs the stages it depends on: the roots of f mod p,
-    found once for the verification and the scan; the scan depth, the
+    Reading a stage runs the stages it depends on: the scan depth, the
     lifted roots and the digit-scan floor n_lower; the verification of the
     case data, the conjugate data and the rounded constants; c9, the
     absolute bound and the display form of its inequality; and the
     lattice reduction of that bound down to the floor, starting at lattice
     scale `scale` (default: the case's K).  A stage that cannot finish
     raises StageFailed (see _stage), and so does reading the constants of
-    case data that failed verification.
+    case data that failed verification.  The verification and the scan
+    both ask for the roots of f mod p; polyarith.roots_mod_p's memo finds
+    them once.
     """
 
     def __init__(
@@ -150,19 +151,10 @@ class ProofChain:
         self.scale = scale if scale is not None else self.cfg.default_K
 
     @cached_property
-    def _residues(self) -> tuple[int, ...] | None:
-        # None for a p that roots_mod_p refuses: the verification then
-        # reads no roots, and the scan fails on finding them itself
-        try:
-            return case_roots(self.cfg)
-        except ValueError:
-            return None
-
-    @cached_property
     def _scan(self) -> tuple[list[PAdicRoot], int]:
         # one lift per root, inside combined_lower_bound, the scan stage
         with _stage("digit scan"):
-            return combined_lower_bound(self.cfg, self.depth, self._residues)
+            return combined_lower_bound(self.cfg, self.depth)
 
     @property
     def roots(self) -> list[PAdicRoot]:
@@ -179,7 +171,7 @@ class ProofChain:
 
     @cached_property
     def verification(self) -> VerificationReport:
-        return verify_case_data(self.cfg, self._residues)
+        return verify_case_data(self.cfg)
 
     @cached_property
     def constants(self) -> CaseConstants:

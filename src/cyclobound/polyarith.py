@@ -89,17 +89,6 @@ class IntPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "IntPoly":
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        out, base = IntPoly(1), self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __divmod__(self, other) -> tuple["IntPoly", "IntPoly"]:
         """Exact-quotient division by a monic divisor.
 
@@ -424,20 +413,28 @@ def roots_mod_p(f: IntPoly, p: int) -> list[int]:
     g = x^p - x (f mod p is zero, or divisible by x^p - x) every residue
     is a root.  A p not proved prime is refused: if Z/p is no field,
     Hensel lifts need not be unique and a floor built on them is not
-    proved.
+    proved.  The roots are memoised on the coefficient tuple of f and p
+    (a proof's verification and its digit scan both ask), and every call
+    returns its own list.
 
     >>> roots_mod_p(IntPoly(2, -1, 1, -1, 1), 271)   # x^4 - x^3 + x^2 - x + 2
     [241]
     """
+    return list(_roots_mod_p(f.coeffs, p))
+
+
+@functools.lru_cache(maxsize=256)
+def _roots_mod_p(f: tuple, p: int) -> tuple:
+    """The roots of roots_mod_p, as a sorted tuple."""
     if not is_prime(p):
         raise ValueError(f"p = {p} is not a proven prime; roots mod p need a field")
-    fp = _fq(f.coeffs, p)
+    fp = _fq(f, p)
     if not fp:
-        return list(range(p))
+        return tuple(range(p))
     fp = _fq_monic(fp, p)
     h = _fq_powmod([0, 1], p, fp, p) + [0, 0]
     h[1] -= 1
     g = _fq_gcd(fp, _fq(h, p), p)
     if len(g) == p + 1:
-        return list(range(p))
-    return sorted(_split_linear(g, p))
+        return tuple(range(p))
+    return tuple(sorted(_split_linear(g, p)))

@@ -199,7 +199,7 @@ class ComplexBall:
     """Rectangular complex enclosure with Ball real and imaginary parts.
 
     Polynomial values come from _horner_at; a ComplexBall is otherwise
-    only conjugated and measured.
+    only measured.
     """
 
     __slots__ = ("re", "im")
@@ -207,9 +207,6 @@ class ComplexBall:
     def __init__(self, re: Ball, im: Ball):
         self.re = re
         self.im = im
-
-    def conj(self) -> "ComplexBall":
-        return ComplexBall(self.re, -self.im)
 
     def __abs__(self) -> Ball:
         return (self.re ** 2 + self.im ** 2).sqrt()
@@ -683,11 +680,6 @@ def round_div(n: int, d: int) -> int:
     return -((d - 2 * n) // (2 * d))
 
 
-def nearest_int(x: Fraction) -> int:
-    """Nearest integer, ties away from zero."""
-    return round_div(x.numerator, x.denominator)
-
-
 def round_sig(x, sig: int, mode: str) -> Fraction:
     """Round to sig significant decimal digits in a fixed direction.
 
@@ -725,18 +717,26 @@ def round_sig(x, sig: int, mode: str) -> Fraction:
 # certified root enclosures
 
 
+_NOT_CONVERGED = "root certification did not converge"
+_NOT_ORDERED = (
+    "root certification failed only at the order by real part: the"
+    " discs do not separate the real parts of two upper roots"
+)
+
+
 def certified_roots(f: IntPoly, prec: int = DEFAULT_PREC) -> list[ComplexBall]:
     """Certified enclosures of the roots of a monic IntPoly without real roots.
 
     Returns the d/2 roots with positive imaginary part ordered by
-    decreasing real part, followed by their conjugates in the same order.
+    decreasing real part; their conjugates are the other d/2 roots.
 
     Candidate centres come from _root_centres; the certificate is
     separate.  With w_i = f(z_i) / prod_{j != i} (z_i - z_j) computed
     exactly, the union of the discs |z - z_i| <= d*|w_i| contains every
     root of f, and when the discs are pairwise disjoint each disc contains
     exactly one.  The discs must also prove the order by real part, which
-    numbers the embeddings; an error names that test when only it failed.
+    numbers the embeddings; the error names that test when only it failed
+    on the last try.
     """
     d = f.degree()
     if d < 2 or d % 2 != 0 or f.lc() != 1:
@@ -746,23 +746,16 @@ def certified_roots(f: IntPoly, prec: int = DEFAULT_PREC) -> list[ComplexBall]:
     work = max(prec, 64)
     for _ in range(8):
         upper = _root_centres(coeffs_desc, starts, scale, work)
-        if upper is None:
-            work *= 2
-            continue
-        if len(upper) != d // 2:
-            raise ValueError("polynomial appears to have a real root")
-        upper.sort(key=lambda t: t[0], reverse=True)
-        enclosures = _certify_roots(f, upper, work)
-        if enclosures is not None:
-            return enclosures
+        got = _NOT_CONVERGED
+        if upper is not None:
+            if len(upper) != d // 2:
+                raise ValueError("polynomial appears to have a real root")
+            upper.sort(key=lambda t: t[0], reverse=True)
+            got = _certify_roots(f, upper, work)
+            if not isinstance(got, str):
+                return got
         work *= 2
-    # the last try ran at work // 2
-    if upper is not None and _certify_roots(f, upper, work // 2, ordered=False):
-        raise ArithmeticError(
-            "root certification failed only at the order by real part: the"
-            " discs do not separate the real parts of two upper roots"
-        )
-    raise ArithmeticError("root certification did not converge")
+    raise ArithmeticError(got)
 
 
 def _float_roots(coeffs_desc):
@@ -904,16 +897,17 @@ def _apart(s, ai, bi, aj, bj) -> bool:
     return s * bi * bj > 2 * (ai * bj + aj * bi)
 
 
-def _certify_roots(f, upper, work, ordered=True):
-    """Enclosures of the roots from candidate centres, or None.
+def _certify_roots(f, upper, work):
+    """Enclosures of the upper roots from candidate centres, or the reason
+    the discs refuse them: _NOT_CONVERGED when they do not isolate the
+    roots, _NOT_ORDERED when they do but fail only the test that they
+    order the centres by decreasing real part.
 
     The disc test of certified_roots, in exact integers: with L a common
     denominator of the centres, f(z_i) * L^d and the product of the
     (z_i - z_j)(z_i - conj z_j) times L^(d-1) are Gaussian integers, and
     each squared radius d^2 |w_i|^2, times L^2, is held as a fraction
     A_i / B_i, so that the tests compare the centres times L.
-    ordered=False skips the test that the discs order the centres by
-    decreasing real part.
     """
     d = f.degree()
     half = d // 2
@@ -946,21 +940,21 @@ def _certify_roots(f, upper, work, ordered=True):
     for i in range(half):
         xi, yi = pts[i]
         if yi <= 0:
-            return None
+            return _NOT_CONVERGED
         for j in range(i + 1, half):
             xj, yj = pts[j]
             if not separated(xi - xj, yi - yj, i, j):
-                return None
+                return _NOT_CONVERGED
         # for j = i, a disc apart from its conjugate lies above the real axis
         for j in range(half):
             xj, yj = pts[j]
             if not separated(xi - xj, yi + yj, i, j):
-                return None
-    for i in range(half - 1 if ordered else 0):
+                return _NOT_CONVERGED
+    for i in range(half - 1):
         xi, yi = pts[i]
         xj, yj = pts[i + 1]
         if xi <= xj or not separated(xi - xj, 0, i, i + 1):
-            return None
+            return _NOT_ORDERED
 
     out = []
     for i in range(half):
@@ -972,7 +966,6 @@ def _certify_roots(f, upper, work, ordered=True):
                 Ball.from_endpoints(y - r, y + r, prec),
             )
         )
-    out += [z.conj() for z in out[:half]]
     return out
 
 
@@ -983,14 +976,14 @@ def _certify_roots(f, upper, work, ordered=True):
 class ConjugateData:
     """Certified complex embeddings of one case's field.
 
-    Embedding i sends the generator to roots[i]; the first d/2 roots have
-    positive imaginary part and decreasing real part, and root d/2 + i is
-    the conjugate of root i, so embedding d/2 + i is the conjugate of
-    embedding i.  Embedding values, their magnitudes and the logs of those
-    are cached per element, and so is the leading coefficient of each
-    element's characteristic polynomial.  The stages after it read the
-    case data from conj.cfg, so one object fixes both the field and its
-    precision.
+    Embedding i, for 0 <= i < d/2, sends the generator to roots[i]: the
+    d/2 roots with positive imaginary part, by decreasing real part.  The
+    other d/2 embeddings are their conjugates, with the same magnitudes,
+    so no stage takes them.  Embedding values and their magnitudes are
+    cached per element, and so is the leading coefficient of each
+    element's characteristic polynomial; _log's memo takes each log of a
+    magnitude once.  The stages after it read the case data from
+    conj.cfg, so one object fixes both the field and its precision.
     """
 
     def __init__(self, cfg: CaseConfig, prec: int = DEFAULT_PREC):
@@ -999,7 +992,6 @@ class ConjugateData:
         self.roots = certified_roots(cfg.f, prec)
         self._embeds: dict = {}
         self._abs: dict = {}
-        self._logs: dict = {}
         self._leads: dict = {}
 
     @property
@@ -1012,20 +1004,10 @@ class ConjugateData:
         return case_etas(self.cfg)
 
     def embed(self, elem: FieldElement, i: int) -> ComplexBall:
-        """Enclosure of the image of elem under embedding i.
-
-        For i >= d/2 it is the conjugate of embedding i - d/2: Horner at the
-        conjugate root gives the same endpoints, because outward rounding
-        is symmetric under negation.
-        """
+        """Enclosure of the image of elem under embedding i < d/2."""
         got = self._embeds.get((elem, i))
         if got is None:
-            half = self.d // 2
-            if i >= half:
-                got = self.embed(elem, i - half).conj()
-            else:
-                got = _horner_at(elem.num, self.roots[i], elem.den)
-            self._embeds[elem, i] = got
+            got = self._embeds[elem, i] = _horner_at(elem.num, self.roots[i], elem.den)
         return got
 
     def embed_abs(self, elem: FieldElement, i: int) -> Ball:
@@ -1035,11 +1017,8 @@ class ConjugateData:
         return got
 
     def log_abs(self, elem: FieldElement, i: int) -> Ball:
-        """embed_abs(elem, i).log(), computed once per (elem, i)."""
-        got = self._logs.get((elem, i))
-        if got is None:
-            got = self._logs[elem, i] = self.embed_abs(elem, i).log()
-        return got
+        """embed_abs(elem, i).log(); _log's memo evaluates each once."""
+        return self.embed_abs(elem, i).log()
 
     def lead(self, elem: FieldElement) -> int:
         """Leading coefficient of charpoly(elem, f), computed once per elem.
@@ -1055,7 +1034,7 @@ class ConjugateData:
         return got
 
     def max_abs_root(self) -> Ball:
-        return ball_max(*[abs(z) for z in self.roots[: self.d // 2]])
+        return ball_max(*[abs(z) for z in self.roots])
 
 
 def log_height(elem: FieldElement, conj: ConjugateData) -> Ball:

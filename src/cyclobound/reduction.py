@@ -16,7 +16,6 @@ check.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import namedtuple
@@ -204,7 +203,8 @@ def distance_lower_bound(reduced, y, gram=None):
 
 
 def _theta(mid: tuple[int, int], K: int) -> int:
-    """nearest_int(K * m * 2**e) for mid = (m, e), on integers only."""
+    """K * m * 2**e rounded to nearest, ties away from zero, for mid = (m, e),
+    on integers only."""
     m, e = mid
     return K * m << e if e >= 0 else round_div(K * m, 1 << -e)
 
@@ -257,12 +257,11 @@ class _RoundInputs:
     lam1[di][j] covers log|2/delta^d| at embedding j for delta di,
     lam2[gi][j] covers log|p/gamma^d| for norm-p gamma gi, and
     lam_units[t][j] covers -d*log|unit_t| (the sign the exponent vector
-    carries), for the etas of conj (computed once per ConjugateData, as
-    are the logs); mid1, mid2 and mid_units hold their midpoints as
-    Ball.dyadic_mid pairs, and max_rad[gi] is the widest radius in gamma
-    gi's form.  log_c3 and d_log_p = d / log p are taken at once,
-    bound_root = bound_n ** (1/(r-2)) and log_bound on first use, so a
-    round whose attempts all fail before them never takes them.
+    carries), for the etas of conj (computed once per ConjugateData; the
+    logs once by _log's memo); mid1, mid2 and mid_units hold their
+    midpoints as Ball.dyadic_mid pairs, and max_rad[gi] is the widest
+    radius in gamma gi's form.  log_c3, d_log_p = d / log p, bound_root =
+    bound_n ** (1/(r-2)) and log_bound are taken at once.
     """
 
     def __init__(self, conj: ConjugateData, cc: CaseConstants, bound_n: int):
@@ -282,14 +281,8 @@ class _RoundInputs:
         )
         shared = [b for row in self.lam1 + self.lam_units for b in row]
         self.max_rad = [max_rad(row + shared) for row in self.lam2]
-
-    @functools.cached_property
-    def bound_root(self) -> Ball:
-        return Ball(self.bound_n, self.prec) ** Fraction(1, self.cc.rank - 2)
-
-    @functools.cached_property
-    def log_bound(self) -> Ball:
-        return Ball(self.bound_n, self.prec).log()
+        self.bound_root = Ball(bound_n, prec) ** Fraction(1, cc.rank - 2)
+        self.log_bound = Ball(bound_n, prec).log()
 
 
 class _ReducedLattice:

@@ -28,6 +28,14 @@ from cyclobound.realalg import case_etas
 from test_polyarith import PSP_37, PSP_41, sylvester_det
 
 
+def power(g: IntPoly, k: int) -> IntPoly:
+    """g**k by repeated multiplication."""
+    out = IntPoly(1)
+    for _ in range(k):
+        out = out * g
+    return out
+
+
 def random_element(rng: random.Random, d: int, span: int = 5) -> FieldElement:
     coeffs = [rng.randint(-span, span) for _ in range(d)]
     if not any(coeffs):
@@ -230,7 +238,7 @@ class TestCharpoly:
 
     def test_rational_element(self):
         f = get_case("10-271").f
-        assert charpoly(FieldElement(3), f) == IntPoly(-3, 1) ** 4
+        assert charpoly(FieldElement(3), f) == power(IntPoly(-3, 1), 4)
 
     def test_cayley_hamilton(self):
         rng = random.Random(6607)
@@ -295,6 +303,13 @@ class TestCaseData:
         assert get_case("15-41").f == cyclotomic(15) + IntPoly(1)
         assert get_case("15-5581").f == cyclotomic(15) + IntPoly(1)
         assert get_case("10-271").f == cyclotomic(10) + IntPoly(1)
+
+    def test_degree_follows_f(self):
+        # d is read from f, so a copy with another f has that f's degree
+        cfg = get_case("10-271")
+        assert cfg.d == 4
+        assert cfg._replace(f=IntPoly(1, 0, 1)).d == 2
+        assert cfg._replace(f=cyclotomic(15) + IntPoly(1)).d == 8
 
     def test_verification_passes_for_all_builtins(self):
         for cid in list_case_ids():
@@ -429,8 +444,8 @@ def composed_envelope(f: IntPoly) -> bool:
     """_envelope_certificate by IntPoly composition and powers, as it was
     computed before the Taylor shift."""
     d = f.degree()
-    low_ref = IntPoly(1, 1) ** d
-    high_ref = IntPoly(3, 1) ** d
+    low_ref = power(IntPoly(1, 1), d)
+    high_ref = power(IntPoly(3, 1), d)
     for shifted in (poly_eval(f, IntPoly(2, 1)), poly_eval(f, IntPoly(-2, -1))):
         for q in (shifted - low_ref, high_ref - shifted):
             if q[0] <= 0 or any(c < 0 for c in q.coeffs):

@@ -114,7 +114,7 @@ class TestRootsModP:
         "f",
         [
             IntPoly(4, -11, 7, 30),  # 30x^3 + 7x^2 - 11x + 4: lc 0 mod 2, 3, 5
-            IntPoly(-2, 1) ** 2 * IntPoly(3, 1, 1),  # (x - 2)^2 (x^2 + x + 3)
+            IntPoly(-2, 1) * IntPoly(-2, 1) * IntPoly(3, 1, 1),  # (x - 2)^2 (x^2 + x + 3)
         ],
     )
     def test_matches_reference_below_200(self, f):

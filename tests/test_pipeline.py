@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import cyclobound
-from cyclobound import matveev, numberfield, padic, pipeline, polyarith
+from cyclobound import matveev, padic, pipeline, polyarith
 from cyclobound.cli import main
 from cyclobound.matveev import absolute_bound, matveev_c9
 from cyclobound.realalg import ConjugateData
@@ -320,26 +320,23 @@ class TestExactAlgebraOnce:
     the digit scan, and computes each characteristic polynomial once."""
 
     def test_one_root_finding_per_proof(self, monkeypatch):
-        calls = []
-
-        def counting(real):
-            def wrapped(f, q):
-                calls.append((f, q))
-                return real(f, q)
-            return wrapped
-
-        # verify looks the name up in numberfield, the scan in padic
-        for module in (numberfield, padic):
-            monkeypatch.setattr(module, "roots_mod_p", counting(module.roots_mod_p))
+        # verify and the scan both ask for the roots of f mod p, verify
+        # also for those mod 2 (its deltas); the memo finds each once
+        real = polyarith._roots_mod_p
+        seen = []
+        monkeypatch.setattr(polyarith, "_roots_mod_p", lambda f, q: seen.append((f, q)) or real(f, q))
         for cid in ("15-41", "15-5581", "10-271"):
             cfg = get_case(cid)
-            calls.clear()
+            real.cache_clear()
+            seen.clear()
             assert solve_case(cid).verdict == "no_solutions"
-            assert calls.count((cfg.f, cfg.p)) == 1, cid
-            assert calls.count((cfg.f, 2)) == 1, cid  # verify's deltas
-            calls.clear()
+            assert sorted(seen) == sorted([(cfg.f.coeffs, cfg.p)] * 2 + [(cfg.f.coeffs, 2)]), cid
+            assert real.cache_info().misses == len(set(seen)) == 2, cid
+            real.cache_clear()
+            seen.clear()
             assert main(["scan", "--case", cid]) == 0
-            assert calls == [(cfg.f, cfg.p)]
+            assert seen == [(cfg.f.coeffs, cfg.p)]
+            assert real.cache_info().misses == 1
 
     def test_one_charpoly_per_distinct_numerator(self, monkeypatch):
         # verify norms the deltas and gammas that case_etas then inverts
@@ -362,22 +359,22 @@ class TestExactAlgebraOnce:
         roots = roots_mod_p(cfg.f, cfg.p)
         roots.append(0)
         roots.reverse()
-        assert padic.case_roots(cfg) == (257, 4477)
-        assert pipeline.ProofChain(cfg)._residues == (257, 4477)
+        assert roots_mod_p(cfg.f, cfg.p) == [257, 4477]
         assert [charpoly_mod(e.num, cfg.f) for e in elems] == [
             IntPoly(*polyarith._charpoly.__wrapped__(e.num.coeffs, cfg.f.coeffs)) for e in elems
         ]
         assert proof_record(cfg.case_id) == want
 
     def test_a_p_that_roots_mod_p_refuses_fails_only_the_scan(self):
-        # the chain finds no roots for a p it cannot prove prime: the
-        # verification then reads none, and the scan fails as it always did
+        # the verification asks for no roots mod a p it cannot prove
+        # prime, and the scan fails as it always did; the memo keeps no
+        # refusal, so a second read refuses the same way
         cfg = get_case("10-271")._replace(p=9)
         chain = pipeline.ProofChain(cfg)
-        assert chain._residues is None
         assert not chain.verification.passed
-        with pytest.raises(pipeline.StageFailed, match="digit scan failed: p = 9 is not a proven prime"):
-            chain.n_lower
+        for _ in range(2):
+            with pytest.raises(pipeline.StageFailed, match="digit scan failed: p = 9 is not a proven prime"):
+                pipeline.ProofChain(cfg).n_lower
 
 
 class TestRecords:

@@ -23,7 +23,6 @@ from cyclobound.realalg import (
     ConjugateData,
     case_etas,
     compute_constants,
-    nearest_int,
 )
 from cyclobound.reduction import (
     MAX_ROUNDING_SLACK,
@@ -38,6 +37,7 @@ from cyclobound.reduction import (
     _swap_det,
     _theta,
 )
+from test_realalg import reference_nearest_int
 
 
 def random_columns(rng: random.Random, n: int, span: int = 15) -> list:
@@ -164,7 +164,7 @@ def exact_min_distance_sq(reduced, y) -> Fraction:
             total += norms[j] * w * w
         return total
 
-    best = dist_sq([nearest_int(ti) for ti in t])
+    best = dist_sq([reference_nearest_int(ti) for ti in t])
 
     def descend(level: int, tail: dict, bound: Fraction, partial: Fraction):
         nonlocal best
@@ -174,7 +174,7 @@ def exact_min_distance_sq(reduced, y) -> Fraction:
         center = -t[level] + sum(
             mu[i][level] * tail[i] for i in range(level + 1, n)
         )
-        start = nearest_int(-center)
+        start = reference_nearest_int(-center)
         for direction in (0, 1):
             k = start + direction  # scan 0,-1,-2,... and +1,+2,...
             step = -1 if direction == 0 else 1
@@ -278,7 +278,7 @@ class TestLLL:
         assert reference_lll(cols, eager=True) == eager
 
     def test_ties_round_away_from_zero(self):
-        # mu = +-1/2 exactly: nearest_int rounds away from zero, so both
+        # mu = +-1/2 exactly: LLL rounds ties away from zero, so both
         # bases are size-reduced once more; half-up rounding would leave
         # the first one alone
         assert lll_reduce([[2, 0], [1, 5]]) == ([[2, 0], [-1, 5]], [[1, 0], [-1, 1]])
@@ -430,7 +430,7 @@ class TestDistanceLemma:
             else:
                 y = [rng.randint(-10**20, 10**20) for _ in range(n)]
             s_n = Fraction(det([*cols[:-1], y]), det(cols))
-            frac = abs(s_n - nearest_int(s_n))
+            frac = abs(s_n - reference_nearest_int(s_n))
             got = distance_lower_bound(cols, y)
             if frac == 0:
                 assert got is None
@@ -623,7 +623,8 @@ def midpoint(ball: Ball) -> Fraction:
 
 
 class TestIntegerTheta:
-    """_theta on a dyadic midpoint equals nearest_int(K * mid)."""
+    """_theta on a dyadic midpoint equals K * mid rounded to nearest, ties
+    away from zero."""
 
     def test_case_enclosures(self, chains):
         # every log enclosure of the three cases, on a quarter-decade K
@@ -640,7 +641,7 @@ class TestIntegerTheta:
                     for ball, mid in zip(balls, mids):
                         assert mid == ball.dyadic_mid()
                         for K in scales:
-                            assert _theta(mid, K) == nearest_int(K * midpoint(ball))
+                            assert _theta(mid, K) == reference_nearest_int(K * midpoint(ball))
                             checked += 1
         assert checked >= 64 * 20
 
@@ -672,7 +673,7 @@ class TestIntegerTheta:
                 ball = Ball._make(stripped(ball._iv), prec)
             mid = ball.dyadic_mid()
             want = K * midpoint(ball)
-            assert _theta(mid, K) == nearest_int(want)
+            assert _theta(mid, K) == reference_nearest_int(want)
             _, e1, _, e2 = ball._iv
             ties += want.denominator == 2
             negative += want < 0
@@ -718,28 +719,23 @@ def test_one_case_etas_per_round(chains, monkeypatch):
 
 def test_one_log_per_embedding(chains, monkeypatch):
     # the regulator, the unit minors and every reduction round read the
-    # same log|embedding| enclosures, so each (element, embedding) log is
-    # computed once per ConjugateData
+    # same log|embedding| enclosures; _log's memo computes each once
     ch = chains["15-5581"]
     conj = ConjugateData(ch.cfg, ch.conj.prec)
-    logged = []
-    log = Ball.log
-
-    def counting_log(self):
-        logged.append(self)
-        return log(self)
-
-    monkeypatch.setattr(Ball, "log", counting_log)
+    real = realalg._log
+    seen = []
+    monkeypatch.setattr(realalg, "_log", lambda x, prec: seen.append(x) or real(x, prec))
+    real.cache_clear()
     cc = compute_constants(conj, ch.n_lower)
     for _ in range(2):
         assert reduce_case_bound(conj, cc, ch.abs_bound, ch.scale).bound == 23
-    # logged keeps every ball alive, so no id is reused
-    key_of = {id(b): key for key, b in conj._abs.items()}
-    seen = [key_of[id(b)] for b in logged if id(b) in key_of]
-    assert len(seen) == len(set(seen))
+    assert real.cache_info().misses == len(set(seen)) < len(seen)
     eta1, eta2, units = conj.etas
     half = ch.cfg.d // 2
-    assert set(seen) == {(e, i) for e in (*eta1, *eta2, *units) for i in range(half)}
+    mags = [conj.embed_abs(e, i)._iv for e in (*eta1, *eta2, *units) for i in range(half)]
+    assert set(mags) <= set(seen)
+    # each round reads every log again, and the memo answers
+    assert all(seen.count(iv) >= 3 for iv in mags)
 
 
 @pytest.mark.parametrize("scale", [None, 3162 * 10**31])
