@@ -13,6 +13,15 @@ his order) updates an integral Gram-Schmidt in place, its output is
 re-verified from a fresh one, and the only real-number steps go through
 Ball enclosures.  Failures escalate the scale K instead of weakening a
 check.
+
+A lattice too small to clear the bound is settled before LLL runs.  A
+delta = 3/4 reduced basis of n columns has ||b_1||^(2n) <= 2^(n(n-1)/2) d_n
+(Lenstra-Lenstra-Lovasz 1982, Prop. 1.6; Cohen, GTM 138, Thm 2.6.2), and
+the lemma's ||s_n|| is at most 1/2, so its distance bound is at most
+||b_1||^2 / 2^(n+1).  When 0 < d_n <= 2^(n(n+3)/2) * bound^(2n) that is at
+most bound^2 for every reduced basis (_futile), and each attempt on the
+lattice fails with the reason the distance test would give, without LLL,
+its verification or the distance lemma.
 """
 from __future__ import annotations
 
@@ -202,6 +211,19 @@ def distance_lower_bound(reduced, y, gram=None):
 # from field data to lattices
 
 
+def _futile(d_n: int, n: int, bound_n: int) -> bool:
+    """True when no delta = 3/4 reduced basis of an n-column lattice with
+    Gram determinant d_n can certify a distance above bound_n: then
+    d_1^n <= 2^(n(n-1)/2) d_n <= 2^(n(n+1)) bound_n^(2n), and the distance
+    lemma gives at most d_1 / 2^(n+1) <= bound_n^2.  A zero d_n (dependent
+    columns) is left for LLL to reject.
+
+    >>> _futile(2**5 * 3**4, 2, 3), _futile(2**5 * 3**4 + 1, 2, 3), _futile(0, 2, 3)
+    (True, False, False)
+    """
+    return 0 < d_n <= bound_n ** (2 * n) << n * (n + 3) // 2
+
+
 def _theta(mid: tuple[int, int], K: int) -> int:
     """K * m * 2**e rounded to nearest, ties away from zero, for mid = (m, e),
     on integers only."""
@@ -217,7 +239,8 @@ class ReductionAttempt(namedtuple("ReductionAttempt", (
 
     rho, s_fractional, distance_sq and c_lower are Fractions; the last five
     fields default to None, and a failed attempt sets only those its tests
-    reached.
+    reached.  An attempt on a lattice that _futile settles reaches no
+    distance test: it fails with SHORT_DISTANCE and sets none of the five.
     """
 
     __slots__ = ()
@@ -284,16 +307,26 @@ class _RoundInputs:
         self.bound_root = Ball(bound_n, prec) ** Fraction(1, cc.rank - 2)
         self.log_bound = Ball(bound_n, prec).log()
 
+    def unit_block(self, choice: tuple[int, ...], K: int) -> list:
+        """Each unit's K-scaled log midpoints on the chosen embeddings."""
+        return [[_theta(mid[j - 1], K) for j in choice] for mid in self.mid_units]
+
+    def columns(self, gamma_index: int, choice: tuple[int, ...], K: int) -> list:
+        """The lattice (gamma, choice, K): the unit block's columns over a
+        last entry 0, then gamma's K-scaled log midpoints over a 1.  So its
+        determinant is +-det(unit_block), the same for every gamma."""
+        cols = [c + [0] for c in self.unit_block(choice, K)]
+        cols.append([_theta(self.mid2[gamma_index][j - 1], K) for j in choice] + [1])
+        return cols
+
 
 class _ReducedLattice:
     """One lattice (gamma, choice, K): its verified reduced basis and gram."""
 
     def __init__(self, rnd: _RoundInputs, gamma_index: int, choice: tuple[int, ...], K: int):
-        rows = [j - 1 for j in choice]
         self.choice = choice
         self.K = K
-        cols = [[_theta(mid[j], K) for j in rows] + [0] for mid in rnd.mid_units]
-        cols.append([_theta(rnd.mid2[gamma_index][j], K) for j in rows] + [1])
+        cols = rnd.columns(gamma_index, choice, K)
         self.reduced, self.transform = lll_reduce(cols)
         # from the reduced columns, not LLL's state; verify and the
         # distance lemma both read it
@@ -301,10 +334,12 @@ class _ReducedLattice:
         problems = verify_lll_reduced(cols, self.reduced, self.transform, self.gram)
         if problems:
             raise ArithmeticError("; ".join(problems))
-        self.rows = rows
 
     def target(self, rnd: _RoundInputs, delta_index: int):
-        return [-_theta(rnd.mid1[delta_index][j], self.K) for j in self.rows] + [0]
+        return [-_theta(rnd.mid1[delta_index][j - 1], self.K) for j in self.choice] + [0]
+
+
+SHORT_DISTANCE = "distance bound does not clear the current bound"
 
 
 def _attempt(
@@ -327,7 +362,7 @@ def _attempt(
     base.update(s_fractional=frac, distance_sq=dist_sq)
     gap = dist_sq - bound_n * bound_n
     if gap <= 0:
-        return fail("distance bound does not clear the current bound")
+        return fail(SHORT_DISTANCE)
 
     c10 = (Fraction(1, 2) + rho) * (1 + (r - 2) * cc.c7)
     c11 = (Fraction(1, 2) + rho) * (1 + (r - 2) * cc.c8)
@@ -387,12 +422,15 @@ def reduce_case_bound(
     Every (gamma, delta) branch must produce a positive certified c; the
     round bound is the worst branch bound.  Per gamma, the configured
     conjugate choice is tried first and the remaining choices serve as
-    fallbacks.  The first scale K is always tried, and an oversized one
-    raises PrecisionError before any lattice is built; while a branch is
-    left open, K is multiplied by 100 for as long as K * radius stays
-    within MAX_ROUNDING_SLACK, i.e. while the log enclosures are still
-    accurate at that scale.  A branch left without a bound fails the round
-    rather than inheriting a neighbour's.
+    fallbacks.  A lattice that _futile settles from its Gram determinant
+    det(unit_block)^2 is not reduced: each pending delta gets a failed
+    attempt with SHORT_DISTANCE, the reason its distance test would give,
+    and no distance test runs.  The first scale K is always tried, and an
+    oversized one raises PrecisionError before any lattice is built; while
+    a branch is left open, K is multiplied by 100 for as long as K * radius
+    stays within MAX_ROUNDING_SLACK, i.e. while the log enclosures are
+    still accurate at that scale.  A branch left without a bound fails the
+    round rather than inheriting a neighbour's.
     """
     cfg = conj.cfg
     rnd = _RoundInputs(conj, cc, bound_n)
@@ -413,6 +451,12 @@ def reduce_case_bound(
         K = scale
         while pending:
             for choice in choices:
+                if _futile(det(rnd.unit_block(choice, K)) ** 2, cc.rank - 1, bound_n):
+                    attempts.extend(
+                        ReductionAttempt(gi, di, choice, K, False, SHORT_DISTANCE, K * radius)
+                        for di in sorted(pending)
+                    )
+                    continue
                 try:
                     lattice = _ReducedLattice(rnd, gi, choice, K)
                 except (ValueError, ArithmeticError) as err:

@@ -27,12 +27,14 @@ from cyclobound.realalg import (
 from cyclobound.reduction import (
     MAX_ROUNDING_SLACK,
     PrecisionError,
+    SHORT_DISTANCE,
     distance_lower_bound,
     lll_reduce,
     reduce_case_bound,
     reduction_loop,
     verify_lll_reduced,
     _RoundInputs,
+    _futile,
     _gram,
     _swap_det,
     _theta,
@@ -561,27 +563,35 @@ class TestCaseReduction271:
 ESCALATE_K = {"15-41": 3162 * 10**31, "15-5581": 3162 * 10**31, "10-271": 10**36}
 
 
-def test_case_lattices_match_reference(chains, monkeypatch):
-    # every lattice the proofs build, at the default K and at a lower K
+def round_lattices(ch, report):
+    """The columns of every lattice each round of report tried, in order:
+    one per distinct (gamma, choice, K) of its attempts, whether it was
+    reduced, rejected or settled by _futile without LLL."""
+    out = []
+    for rnd in report.rounds:
+        inputs = _RoundInputs(ch.conj, ch.constants, rnd.start_bound)
+        keys = dict.fromkeys((a.gamma_index, a.choice, a.K) for a in rnd.attempts)
+        out += [inputs.columns(*key) for key in keys]
+    return out
+
+
+def test_case_lattices_match_reference(chains):
+    # every lattice the proofs consider, at the default K and at a lower K
     # that forces escalation, reduces exactly as the recomputing oracle in
-    # either order: no size reduction there meets a tie
-    built = []
-
-    def recording_lll(cols):
-        out = lll_reduce(cols)
-        built.append((cols, out))
-        return out
-
-    monkeypatch.setattr(reduction, "lll_reduce", recording_lll)
+    # either order: no size reduction there meets a tie.  The columns are
+    # rebuilt from the attempts, so the lattices that _futile settles
+    # without LLL are checked as well
+    lattices = []
     for cid, ch in chains.items():
         for K in (ch.cfg.default_K, ESCALATE_K[cid]):
-            reduction_loop(ch.conj, ch.constants, ch.abs_bound,
-                           stop_below=ch.n_lower, scale=K)
+            report = reduction_loop(ch.conj, ch.constants, ch.abs_bound,
+                                    stop_below=ch.n_lower, scale=K)
+            lattices += round_lattices(ch, report)
     # default K: 1 + 2 + 3 lattices; escalation windows: 9 + 18 + 7
-    assert len(built) == 40
-    for cols, out in built:
+    assert len(lattices) == 40
+    for cols in lattices:
         ties = []
-        assert out == reference_lll(cols, ties=ties) == reference_lll(cols, eager=True, ties=ties)
+        assert lll_reduce(cols) == reference_lll(cols, ties=ties) == reference_lll(cols, eager=True, ties=ties)
         assert ties == []
 
 
@@ -615,6 +625,144 @@ def test_escalate_grid_reports_reproduce_bit_for_bit(cid):
         del report["timings"]
         digest.update(repr(report).encode())
     assert digest.hexdigest() == pin
+
+
+def proof_shaped_columns(rng: random.Random, n: int) -> list:
+    """n columns like a case lattice's: random K-scale entries over a last
+    row (0, ..., 0, 1)."""
+    span = 10 ** rng.randint(3, 30)
+    cols = [[rng.randint(-span, span) for _ in range(n - 1)] + [0] for _ in range(n)]
+    cols[-1][-1] = 1
+    return cols
+
+
+def threshold(n: int, bound_n: int) -> int:
+    """The largest d_n with (2^(n(n-1)/2) d_n)^(1/n) / 2^(n+1) <= bound_n^2,
+    i.e. the largest Gram determinant whose LLL-bounded distance bound
+    cannot exceed bound_n^2."""
+    return (2 ** (n + 1) * bound_n**2) ** n // 2 ** (n * (n - 1) // 2)
+
+
+def smallest_futile_bound(d_n: int, n: int) -> int:
+    """The least bound the rule fires for at d_n, by bisection."""
+    lo, hi = 0, 1
+    while not _futile(d_n, n, hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _futile(d_n, n, mid) else (mid, hi)
+    return hi
+
+
+class TestFutileLattices:
+    """_futile settles a lattice from its Gram determinant d_n alone, when
+    no reduced basis can certify a distance above the bound."""
+
+    def test_threshold_is_inclusive(self):
+        for n in range(2, 6):
+            for bound_n in (1, 2, 3, 59, 10**27 + 7):
+                t = threshold(n, bound_n)
+                assert t == bound_n ** (2 * n) * 2 ** (n * (n + 3) // 2)
+                assert _futile(t, n, bound_n)
+                assert not _futile(t + 1, n, bound_n)
+                assert _futile(1, n, bound_n)
+
+    def test_zero_determinant_is_never_futile(self):
+        for n in range(2, 6):
+            for bound_n in (1, 59, 10**27):
+                assert not _futile(0, n, bound_n)
+
+    def test_dependent_units_still_rejected(self, chains, monkeypatch):
+        # two equal unit rows make every lattice's d_n zero: LLL must still
+        # see each one and reject it, rather than the rule settling it
+        class DependentUnits(_RoundInputs):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.mid_units[1] = self.mid_units[0]
+
+        monkeypatch.setattr(reduction, "_RoundInputs", DependentUnits)
+        ch = chains["15-41"]
+        got = reduce_case_bound(ch.conj, ch.constants, ch.abs_bound, ch.scale)
+        assert not got.ok and got.attempts
+        assert {a.reason for a in got.attempts} == {
+            "lattice rejected: columns are linearly dependent"}
+
+    def test_reduced_bases_obey_the_rule(self):
+        # every LLL output has d_1^n <= 2^(n(n-1)/2) d_n, and at the
+        # smallest bound the rule fires for, no target's certified distance
+        # exceeds the bound; the largest ratio shows the check has teeth
+        rng = random.Random(36011)
+        fired, worst = 0, Fraction(0)
+        for trial in range(160):
+            n = 2 + trial % 4
+            if trial % 2:
+                cols = proof_shaped_columns(rng, n)
+            else:
+                cols = random_columns(rng, n, span=99)
+            d_n = gram(cols)[1][-1]
+            reduced, _ = lll_reduce(cols)
+            d_1 = sum(x * x for x in reduced[0])
+            assert d_1**n <= 2 ** (n * (n - 1) // 2) * d_n
+            bound_n = smallest_futile_bound(d_n, n)
+            assert not _futile(d_n, n, bound_n - 1)
+            span = 3 * max(abs(x) for col in cols for x in col)
+            for _ in range(12):
+                y = [rng.randint(-span, span) for _ in range(n)]
+                got = distance_lower_bound(reduced, y)
+                if got is None:
+                    continue
+                fired += 1
+                assert got[0] <= bound_n**2
+                worst = max(worst, got[0] / bound_n**2)
+        assert fired >= 1500
+        assert worst > Fraction(1, 2)
+
+    def test_gram_determinant_reaches_the_rule(self, chains, monkeypatch):
+        # the d_n the rule reads is the Gram determinant of the lattice's
+        # own columns, for every lattice of an escalating proof
+        seen = []
+
+        def recording(d_n, n, bound_n):
+            seen.append((d_n, n))
+            return _futile(d_n, n, bound_n)
+
+        monkeypatch.setattr(reduction, "_futile", recording)
+        ch = chains["15-5581"]
+        report = reduction_loop(ch.conj, ch.constants, ch.abs_bound,
+                                stop_below=ch.n_lower, scale=ESCALATE_K["15-5581"])
+        lattices = round_lattices(ch, report)
+        assert len(seen) == len(lattices) == 18
+        assert seen == [(gram(cols)[1][-1], len(cols)) for cols in lattices]
+
+    @pytest.mark.parametrize("cid", list(ESCALATE_GRID_DIGESTS))
+    def test_settled_attempts_match_the_full_path(self, cid, chains, monkeypatch):
+        # with the rule switched off, every lattice is reduced: each attempt
+        # the rule settled fails there with the same reason, and the rest
+        # of the report is the same
+        ch = chains[cid]
+        grid, _ = ESCALATE_GRID_DIGESTS[cid]
+
+        def run(K):
+            return reduction_loop(ch.conj, ch.constants, ch.abs_bound,
+                                  stop_below=ch.n_lower, scale=K)
+
+        settled = 0
+        for K in grid:
+            pruned = run(K)
+            with monkeypatch.context() as m:
+                m.setattr(reduction, "_futile", lambda d_n, n, bound_n: False)
+                full = run(K)
+            assert pruned.to_dict() == full.to_dict()
+            for rp, rf in zip(pruned.rounds, full.rounds):
+                for a, b in zip(rp.attempts, rf.attempts):
+                    if a.s_fractional is None and b.s_fractional is not None:
+                        assert a.reason == b.reason == SHORT_DISTANCE
+                        assert a == b._replace(s_fractional=None, distance_sq=None)
+                        settled += 1
+                    else:
+                        assert a == b
+        # the grid's 125 lattices hold 60 that the rule settles, 2 attempts each
+        assert settled == {"15-41": 32, "15-5581": 48, "10-271": 40}[cid]
 
 
 def midpoint(ball: Ball) -> Fraction:
