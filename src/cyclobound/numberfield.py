@@ -6,9 +6,9 @@ operations are exact.
 
 A "case" bundles the data needed to analyse Phi_m(x) + 1 = 2*p^n for one
 pair (m, p): the defining polynomial f = Phi_m + 1, fundamental units,
-generators of the prime ideals above p (gammas, with their norm exponents),
-generators of the prime ideals above 2 (deltas), and a witness writing 2 as
-a unit-times-deltas product.  Three cases ship built in; others can be
+generators of the degree-1 prime ideals above p (gammas, of norm +-p) and
+above 2 (deltas, of norm +-2), and a witness writing 2 as a
+unit-times-deltas product.  Three cases ship built in; others can be
 loaded from a JSON file with the same fields (polynomials as coefficient
 lists, lowest degree first):
 
@@ -16,7 +16,7 @@ lists, lowest degree first):
       "case_id": "15-41", "m": 15, "p": 41,
       "f": [2, -1, 0, 1, -1, 1, 0, -1, 1],
       "units": [[-1, 1, 1, 0, 1, 0, 0, 1], ...],
-      "gammas": [{"coeffs": [...], "norm_exponent": 1}, ...],
+      "gammas": [[1, -1, 1, 1, -2, 1, 1, -1]],
       "deltas": [[0, 1], [1, 1]],
       "two_decomposition": {"sign": 1,
                             "factors": [{"coeffs": [0, 1], "exponent": 1}, ...]},
@@ -25,11 +25,16 @@ lists, lowest degree first):
       "default_scan_depth": 60
     }
 
-``default_conjugate_choice`` maps the index of each norm-exponent-1 gamma
-(keys 0..k-1, all k present) to the tuple of embedding indices (1-based,
-among the distinct conjugate pairs) used by the lattice reduction stage.
+``default_conjugate_choice`` maps the index of each gamma (keys 0..k-1,
+all k present) to the tuple of embedding indices (1-based, among the
+distinct conjugate pairs) used by the lattice reduction stage.
 ``default_scan_depth`` is the digit index up to which the p-adic scan runs
 when no depth is given explicitly.
+
+Only primes of residue degree 1 can divide x - alpha, so only they carry a
+generator.  verify_case_data checks the data exactly and lists under
+``trusted`` the one assumption it cannot check, that the units are a
+fundamental system; ``cyclobound verify`` prints it as an ``[ext ]`` line.
 """
 from __future__ import annotations
 
@@ -155,18 +160,16 @@ def charpoly(a: FieldElement, f: IntPoly) -> IntPoly:
 
 
 class CaseConfig(namedtuple("CaseConfig", (
-    "case_id", "m", "p", "f", "units", "gammas", "gamma_norm_exponents",
-    "deltas", "two_sign", "two_factors", "default_conjugate_choice",
-    "default_K", "default_scan_depth",
+    "case_id", "m", "p", "f", "units", "gammas", "deltas", "two_sign",
+    "two_factors", "default_conjugate_choice", "default_K", "default_scan_depth",
 ))):
     """One case's data, immutable; _replace(**changes) copies it.
 
     f is an IntPoly of degree d (derived from f, so a copy with another f
     has that f's degree); units, gammas and deltas are tuples of
-    FieldElements, gamma_norm_exponents the tuple of ints k with
-    |N(gamma)| = p^k, two_factors the (FieldElement, exponent) pairs of the
-    witness for 2, and default_conjugate_choice a dict from each norm-p
-    gamma's index to its tuple of embedding indices.
+    FieldElements, two_factors the (FieldElement, exponent) pairs of the
+    witness for 2, and default_conjugate_choice a dict from each gamma's
+    index to its tuple of embedding indices.
     """
 
     __slots__ = ()
@@ -180,13 +183,6 @@ class CaseConfig(namedtuple("CaseConfig", (
     def rank(self) -> int:
         """Number of Baker-stage logarithms: 2 + number of units."""
         return 2 + len(self.units)
-
-    @property
-    def norm_p_gammas(self) -> tuple[FieldElement, ...]:
-        """The gammas of norm +-p (norm exponent 1), in listed order."""
-        return tuple(
-            g for g, c in zip(self.gammas, self.gamma_norm_exponents) if c == 1
-        )
 
 
 class CheckResult(namedtuple("CheckResult", ("name", "ok", "detail"))):
@@ -261,10 +257,7 @@ _BUILTIN_RAW = {
     "15-41": {
         **_OCTIC,
         "p": 41,
-        "gammas": [
-            {"coeffs": [1, -1, 1, 1, -2, 1, 1, -1], "norm_exponent": 1},
-            {"coeffs": [1, 15, 7, -14, 8, -19, 13, -4], "norm_exponent": 7},
-        ],
+        "gammas": [[1, -1, 1, 1, -2, 1, 1, -1]],
         "default_conjugate_choice": {"0": [1, 3, 4]},
         "default_K": 10**39,
         "default_scan_depth": 60,
@@ -272,12 +265,7 @@ _BUILTIN_RAW = {
     "15-5581": {
         **_OCTIC,
         "p": 5581,
-        "gammas": [
-            {"coeffs": [1, -2, 0, 0, 0, -1, 1], "norm_exponent": 1},
-            {"coeffs": [1, 1, 1, 0, 0, 2], "norm_exponent": 1},
-            {"coeffs": [1, 1, 7, -5, -4, 7, -1, -3], "norm_exponent": 2},
-            {"coeffs": [-135, 92, 134, -21, 55, -112, -41, 85], "norm_exponent": 4},
-        ],
+        "gammas": [[1, -2, 0, 0, 0, -1, 1], [1, 1, 1, 0, 0, 2]],
         "default_conjugate_choice": {"0": [2, 3, 4], "1": [1, 3, 4]},
         "default_K": 10**39,
         "default_scan_depth": 502,
@@ -287,10 +275,7 @@ _BUILTIN_RAW = {
         "p": 271,
         "f": [2, -1, 1, -1, 1],
         "units": [[1, 0, -1, 1]],
-        "gammas": [
-            {"coeffs": [3, -4, 4, -2], "norm_exponent": 1},
-            {"coeffs": [53, 44, 16, -18], "norm_exponent": 3},
-        ],
+        "gammas": [[3, -4, 4, -2]],
         "deltas": [[0, 1], [-1, 1]],
         "two_decomposition": {
             "sign": -1,
@@ -322,10 +307,7 @@ def _config_from_dict(case_id: str, raw: dict) -> CaseConfig:
             p=_int(raw["p"], "p", 2),
             f=f,
             units=tuple(_fe(u, "unit") for u in raw["units"]),
-            gammas=tuple(_fe(g["coeffs"], "gamma") for g in raw["gammas"]),
-            gamma_norm_exponents=tuple(
-                _int(g["norm_exponent"], "norm exponent") for g in raw["gammas"]
-            ),
+            gammas=tuple(_fe(g, "gamma") for g in raw["gammas"]),
             deltas=tuple(_fe(dd, "delta") for dd in raw["deltas"]),
             two_sign=_int(two["sign"], "sign of 2"),
             two_factors=tuple(
@@ -347,11 +329,11 @@ def _config_from_dict(case_id: str, raw: dict) -> CaseConfig:
         raise ValueError(f"case {case_id}: f has degree {cfg.d}, not phi({cfg.m})")
     if cfg.f.lc() != 1:
         raise ValueError(f"case {case_id}: f must be monic")
-    keys = list(range(len(cfg.norm_p_gammas)))
+    keys = list(range(len(cfg.gammas)))
     if sorted(choice) != keys:
         raise ValueError(
             f"case {case_id}: default_conjugate_choice needs the keys {keys}, "
-            f"one per gamma of norm exponent 1"
+            f"one per gamma"
         )
     pairs = set(range(1, cfg.d // 2 + 1))
     # set(c) & pairs keeps all of c only when its indices are distinct pairs
@@ -399,10 +381,7 @@ def case_to_dict(cfg: CaseConfig) -> dict:
         "p": cfg.p,
         "f": list(cfg.f.coeffs),
         "units": [list(u.num.coeffs) for u in cfg.units],
-        "gammas": [
-            {"coeffs": list(g.num.coeffs), "norm_exponent": c}
-            for g, c in zip(cfg.gammas, cfg.gamma_norm_exponents)
-        ],
+        "gammas": [list(g.num.coeffs) for g in cfg.gammas],
         "deltas": [list(dd.num.coeffs) for dd in cfg.deltas],
         "two_decomposition": {
             "sign": cfg.two_sign,
@@ -425,7 +404,6 @@ def case_to_dict(cfg: CaseConfig) -> dict:
 
 _TRUSTED = [
     "the listed units are a fundamental system (not merely independent units)",
-    "the class number of the field is 1, so norm-p^k elements generate the primes above p",
 ]
 
 
@@ -482,6 +460,15 @@ def verify_case_data(cfg: CaseConfig) -> VerificationReport:
     unit-group computation are listed under ``trusted``.  The roots of f
     mod p come from polyarith.roots_mod_p, whose memo hands the same roots
     to the digit scan.
+
+    The checks make (x - alpha) = (delta)(gamma)^n for every solution of
+    f(x) = 2p^n, with no class number assumed.  N(x - alpha) = f(x), so
+    each prime P dividing (x - alpha) lies above some q in {2, p}.  P
+    contains q and x - alpha, hence alpha - r for the root r = x mod q.
+    The delta or gamma that the root match pairs with r vanishes at r mod
+    q, so it lies in (q, alpha - r), inside P; its norm +-q makes the
+    ideal it generates maximal, so that ideal is P.  One root r per q
+    leaves one prime above 2, of norm 2, and one above p, of norm p.
     """
     checks: list[CheckResult] = []
 
@@ -525,23 +512,19 @@ def verify_case_data(cfg: CaseConfig) -> VerificationReport:
             f"{len(cfg.units)} listed, so they are no fundamental system",
         )
 
-    for i, (g, c) in enumerate(zip(cfg.gammas, cfg.gamma_norm_exponents), 1):
+    for i, g in enumerate(cfg.gammas, 1):
         ng = nf_norm(g, cfg.f)
         check(
-            f"gamma {i} has norm +-p^{c}",
-            abs(ng) == Fraction(cfg.p) ** c,
+            f"gamma {i} has norm +-p",
+            abs(ng) == cfg.p,
             f"N({g}) = {ng}",
         )
 
     # roots_mod_p refuses a p it cannot prove prime
     if p_ok:
-        norm_p = {
-            f"gamma {i}": g
-            for i, (g, c) in enumerate(zip(cfg.gammas, cfg.gamma_norm_exponents), 1)
-            if c == 1
-        }
+        gammas = {f"gamma {i}": g for i, g in enumerate(cfg.gammas, 1)}
         check("each root of f mod p has its own norm-p gamma",
-              *_root_match(cfg.f, cfg.p, norm_p))
+              *_root_match(cfg.f, cfg.p, gammas))
 
     for i, dd in enumerate(cfg.deltas, 1):
         nd = nf_norm(dd, cfg.f)

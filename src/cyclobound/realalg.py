@@ -1140,7 +1140,7 @@ class CaseConstants(namedtuple("CaseConstants", (
 
 def case_etas(cfg: CaseConfig):
     """The multiplicands of the unit inequality: 2/delta^d per delta and
-    p/gamma^d per norm-exponent-1 gamma, followed by the units.
+    p/gamma^d per gamma, followed by the units.
 
     1/delta^d is taken as (1/delta)^d: delta has small coefficients where
     delta^d's reach 18 bits, so its characteristic polynomial is cheaper,
@@ -1153,7 +1153,7 @@ def case_etas(cfg: CaseConfig):
     ]
     eta2 = [
         nf_mul(FieldElement(cfg.p), nf_pow(nf_inverse(g, f), d, f), f)
-        for g in cfg.norm_p_gammas
+        for g in cfg.gammas
     ]
     return eta1, eta2, list(cfg.units)
 
@@ -1214,12 +1214,12 @@ def compute_constants(conj: ConjugateData, n_lower: int) -> CaseConstants:
     if c3 < c2_exact_hi / (root_2d - tail).lo:
         raise ArithmeticError("truncated ratio fell below the certified one")
 
-    # embedding magnitude ranges for the deltas and the relevant gammas
+    # embedding magnitude ranges for the deltas and the gammas
     delta_abs = [
         conj.embed_abs(dl, i) for dl in cfg.deltas for i in range(d // 2)
     ]
     gamma_abs = [
-        conj.embed_abs(g, i) for g in cfg.norm_p_gammas for i in range(d // 2)
+        conj.embed_abs(g, i) for g in cfg.gammas for i in range(d // 2)
     ]
     dmin, dmax = ball_min(*delta_abs), ball_max(*delta_abs)
     gmin, gmax = ball_min(*gamma_abs), ball_max(*gamma_abs)

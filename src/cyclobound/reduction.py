@@ -425,12 +425,16 @@ def reduce_case_bound(
     fallbacks.  A lattice that _futile settles from its Gram determinant
     det(unit_block)^2 is not reduced: each pending delta gets a failed
     attempt with SHORT_DISTANCE, the reason its distance test would give,
-    and no distance test runs.  The first scale K is always tried, and an
-    oversized one raises PrecisionError before any lattice is built; while
-    a branch is left open, K is multiplied by 100 for as long as K * radius
-    stays within MAX_ROUNDING_SLACK, i.e. while the log enclosures are
-    still accurate at that scale.  A branch left without a bound fails the
-    round rather than inheriting a neighbour's.
+    and no distance test runs.  One case differs: where the target's last
+    coordinate s_n is an exact integer, the full path ends "target lies on
+    a lattice line" instead.  Both reasons are true there, and no lattice
+    at the default K or on the escalate benchmark's K grid meets it.  The
+    first scale K is always tried, and an oversized one raises
+    PrecisionError before any lattice is built; while a branch is left
+    open, K is multiplied by 100 for as long as K * radius stays within
+    MAX_ROUNDING_SLACK, i.e. while the log enclosures are still accurate
+    at that scale.  A branch left without a bound fails the round rather
+    than inheriting a neighbour's.
     """
     cfg = conj.cfg
     rnd = _RoundInputs(conj, cc, bound_n)

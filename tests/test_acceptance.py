@@ -49,9 +49,9 @@ def test_criterion_1_exact_field_data_and_regulators(chains):
     check(failures, discriminant(get_case("10-271").f) == 1396, "disc m=10")
     for cid, ch in chains.items():
         cfg = ch.cfg
-        for i, (g, c) in enumerate(zip(cfg.gammas, cfg.gamma_norm_exponents)):
+        for i, g in enumerate(cfg.gammas):
             got = abs(nf_norm(g, cfg.f))
-            check(failures, got == Fraction(cfg.p) ** c, f"{cid} gamma {i} norm")
+            check(failures, got == cfg.p, f"{cid} gamma {i} norm")
         rep = verify_case_data(cfg)
         two = [c for c in rep.checks if c.name == "decomposition of 2 multiplies out"]
         check(failures, len(two) == 1 and two[0].ok, f"{cid} decomposition of 2")
@@ -280,9 +280,9 @@ def test_criterion_8_property_suites():
 # SHA-256 of repr(solve_case(cid).to_dict()) without its timings: every
 # verdict, floor, bound, rounded constant and attempt value of the report
 REPORT_DIGESTS = {
-    "15-41": "386064a38a64fb864716cf6f8977656e959d0f4746e020d5ff9b6c746f821fe0",
-    "15-5581": "cb3d2315f7f6f452ddb9e8df7e51f65da6e0cbc422f3cb47f853a53fd228e5fb",
-    "10-271": "2d4866164b6e8d2177a177d802649bff140461949eb498e43965b9c20e5619e0",
+    "15-41": "f0e99ef999dc7f740d63118a6d0f614131acfab57052204d783e7ec712bc42a9",
+    "15-5581": "0a4146e927b3f000ff17bf089d42d4535b53d2747c3532de27c5dc7a5eed8dac",
+    "10-271": "0860fff4f9fbc42c471b83b3e00a6bf9a4e4c2fa0e1d2093360bf97413234461",
 }
 
 
@@ -294,3 +294,38 @@ def test_criterion_9_reports_reproduce_bit_for_bit():
         got = hashlib.sha256(repr(report).encode()).hexdigest()
         check(failures, got == pin, f"{cid} report digest {got}")
     finish("criterion 9: every solve report reproduces bit for bit", failures)
+
+
+# SHA-256 of repr(solve_case(cid, scale=K).to_dict()) without its timings
+# and its verification block, at the default K (None) and at every K of
+# test_reduction.ESCALATE_GRID_DIGESTS: the proof alone, so a change to the
+# data checks moves REPORT_DIGESTS and ESCALATE_GRID_DIGESTS but not these
+PROOF_DIGESTS = {
+    ("15-41", None): "bea593f71279e6d5e6a95609b7f2dbd12f333bea6fc872b60938503a5a4b1e05",
+    ("15-41", 3162 * 10**31): "d75e1ad127137f035d03efbd924fea3cdc894e8219ab567dbc50b9a9e839826c",
+    ("15-41", 5623 * 10**31): "7fd335e9c6cf6fe4afb71a040d0911b22090592aa290c22e2dbd68aeaf736cf0",
+    ("15-41", 10**35): "ec352763ac4d552bcfbd2473c181eac500594920ff7d68ba1cf5685cc194d4b2",
+    ("15-41", 1778 * 10**32): "b7d5e9e36d1a7bf09bdc86b86d9952c659931cc7646c16b649bdc8d0956ba053",
+    ("15-5581", None): "444afec599fa740e245444c23a59a342cc6c07d2771e815119f619091cba282b",
+    ("15-5581", 3162 * 10**31): "49491ba62633c5c684df484c2b0e030aba89cb8d6905b7b25642d1570f0dfac2",
+    ("15-5581", 5623 * 10**31): "cd87333bd89c85f49d29d03f9fc2bdf4bc55ff847efb849c58e3e8bed82e750a",
+    ("15-5581", 10**35): "ebc1eb849d1e958da99f69c5bae7fca8c56292876a5f1ad14ebd4f411c15879d",
+    ("10-271", None): "4daab330e8c1e01e18d539587475df266f30dd5030d7a208b43e193a3c5613a3",
+    ("10-271", 10**36): "2a6909e42f81b77a20a20e7ee1a917b257b8f86067f608b2302fdb7e5efc6172",
+    ("10-271", 1778 * 10**33): "e3a5ff4477df6281c562bc03073c1b625ecf898bee08fd965685a715806f7d22",
+    ("10-271", 3162 * 10**33): "021a51b468fd1ef4c3498a9ea0835134157dad5b89b4714d4f6a1b06fab3916a",
+    ("10-271", 5623 * 10**33): "899b9226bad71e0910371c221a5a3605e993514818d15296c891f58a960ddc11",
+    ("10-271", 10**37): "e6fe29ddd13ffe8efb0b5bd736e26609f4096b77d5bc545a4543612eb940274c",
+}
+
+
+def test_proofs_reproduce_without_the_verification_block():
+    failures = []
+    for (cid, K), pin in PROOF_DIGESTS.items():
+        report = solve_case(cid, scale=K).to_dict()
+        del report["timings"], report["verification"]
+        got = hashlib.sha256(repr(report).encode()).hexdigest()
+        check(failures, got == pin, f"{cid} at K = {K}: proof digest {got}")
+    grids = test_reduction.ESCALATE_GRID_DIGESTS
+    assert set(PROOF_DIGESTS) == {(cid, K) for cid, (grid, _) in grids.items() for K in (None, *grid)}
+    finish("every proof reproduces bit for bit outside the verification block", failures)

@@ -9,7 +9,8 @@ BUDGET_S.  There are three kinds of edit:
   lengths, anywhere in the case data, run through verify, and through
   scan too when the scan depth keeps its size;
 - algebraic but valid: a unit replaced by its power 2, 3 or -2, run
-  through bound, and two gammas swapped, run through verify;
+  through bound, and a gamma times a unit, which generates the same
+  prime, run through verify;
 - control: the lattice scale K from 1 to 10**200, run through verify and
   on 10-271 through reduce, and the scan depth from 1, run through scan.
 
@@ -29,7 +30,7 @@ import time
 import pytest
 
 from cyclobound import cli
-from cyclobound.numberfield import FieldElement, _BUILTIN_RAW, nf_pow
+from cyclobound.numberfield import FieldElement, _BUILTIN_RAW, nf_mul, nf_pow
 from cyclobound.polyarith import IntPoly
 
 SEED = 24
@@ -85,8 +86,8 @@ def _syntactic(rng, raw):
 
 
 def _coeffs(elem):
-    """elem's numerator as a case file's coefficient list; a unit's powers
-    are integral, so the denominator is 1."""
+    """elem's numerator as a case file's coefficient list; a unit's powers,
+    and its products with a gamma, are integral, so the denominator is 1."""
     assert elem.den == 1
     return list(elem.num.coeffs)
 
@@ -109,9 +110,11 @@ def _edits():
             raw["units"][t] = _coeffs(unit)
             out.append((cid, f"unit {t + 1} to the power {power}", raw, ("bound",)))
         raw = copy.deepcopy(spec)
-        i, j = rng.sample(range(len(raw["gammas"])), 2)
-        raw["gammas"][i], raw["gammas"][j] = raw["gammas"][j], raw["gammas"][i]
-        out.append((cid, f"gammas {i + 1} and {j + 1} swapped", raw, ("verify",)))
+        i, t = rng.randrange(len(raw["gammas"])), rng.randrange(len(raw["units"]))
+        gamma = FieldElement(IntPoly(*raw["gammas"][i]))
+        unit = FieldElement(IntPoly(*raw["units"][t]))
+        raw["gammas"][i] = _coeffs(nf_mul(gamma, unit, f))
+        out.append((cid, f"gamma {i + 1} times unit {t + 1}", raw, ("verify",)))
     for K in (1, 10, 10**20, 10**39, 10**100, 10**200):
         raw = copy.deepcopy(_BUILTIN_RAW["10-271"])
         raw["default_K"] = K
@@ -129,7 +132,7 @@ EDITS = _edits()
 
 def test_edits_cover_every_kind():
     kinds = {what.split()[0] for _, what, _, _ in EDITS}
-    assert {"type", "sign", "range", "length", "unit", "gammas", "K", "depth"} <= kinds
+    assert {"type", "sign", "range", "length", "unit", "gamma", "K", "depth"} <= kinds
     assert sum("scan" in commands for *_, commands in EDITS) >= SYNTACTIC_EDITS // 2
 
 

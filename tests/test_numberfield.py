@@ -23,6 +23,7 @@ from cyclobound.numberfield import (
     _envelope_certificate,
     _root_match,
 )
+from cyclobound.pipeline import solve_case
 from cyclobound.polyarith import IntPoly, cyclotomic, poly_eval
 from cyclobound.realalg import case_etas
 from test_polyarith import PSP_37, PSP_41, sylvester_det
@@ -224,8 +225,8 @@ class TestNorm:
             cfg = ch.cfg
             for u in cfg.units:
                 assert abs(nf_norm(u, cfg.f)) == 1
-            for g, c in zip(cfg.gammas, cfg.gamma_norm_exponents):
-                assert abs(nf_norm(g, cfg.f)) == Fraction(cfg.p) ** c
+            for g in cfg.gammas:
+                assert abs(nf_norm(g, cfg.f)) == cfg.p
             for dd in cfg.deltas:
                 assert abs(nf_norm(dd, cfg.f)) == 2
 
@@ -316,7 +317,7 @@ class TestCaseData:
             report = verify_case_data(get_case(cid))
             assert report.passed, [c for c in report.checks if not c.ok]
             assert all(c.ok for c in report.checks)
-            assert len(report.trusted) == 2
+            assert len(report.trusted) == 1
 
     def test_builtin_primes_have_their_own_generators(self):
         # (p, alpha - r) <-> gamma and (2, alpha - r) <-> delta, one to one
@@ -331,6 +332,24 @@ class TestCaseData:
             two_side = checks["each root of f mod 2 has its own delta"]
             assert (p_side.ok, p_side.detail) == (True, detail)
             assert (two_side.ok, two_side.detail) == (True, "root 0: delta 1; root 1: delta 2")
+
+    def test_generator_of_a_higher_degree_prime_fails_verification(self):
+        # 15-41's former second gamma generates the prime of norm 41^7 (f
+        # mod 41 is a linear factor times an irreducible septic): it has no
+        # root mod 41, so it is neither a norm-p gamma nor root-matched, and
+        # the proof stops at verification
+        extra = FieldElement(IntPoly(1, 15, 7, -14, 8, -19, 13, -4))
+        cfg = get_case("15-41")
+        cfg = cfg._replace(gammas=cfg.gammas + (extra,))
+        assert abs(nf_norm(extra, cfg.f)) == 41 ** 7
+        report = verify_case_data(cfg)
+        failed = {c.name: c.detail for c in report.checks if not c.ok}
+        assert failed == {
+            "gamma 2 has norm +-p": f"N({extra}) = {41 ** 7}",
+            "each root of f mod p has its own norm-p gamma": "root 8: gamma 1; gamma 2: no root",
+        }
+        solved = solve_case(cfg)
+        assert (solved.verdict, solved.reason) == ("inconclusive", "case data failed verification")
 
     def test_root_match_needs_one_generator_per_root(self):
         # x^2 + 1 mod 5 has the roots 2 and 3; a - 2 and a + 2 vanish at one
@@ -372,7 +391,7 @@ class TestCaseData:
             load_case_config(str(path))
 
     def test_conjugate_choice_keys_name_every_norm_p_gamma(self, tmp_path):
-        # one key per norm-exponent-1 gamma, 0..k-1, or the loader refuses
+        # one key per gamma, 0..k-1, or the loader refuses
         for choice in ({}, {"1": [2]}, {"0": [2], "1": [1]}):
             raw = case_to_dict(get_case("10-271"))
             raw["default_conjugate_choice"] = choice

@@ -501,7 +501,7 @@ class TestCLI:
     @pytest.mark.parametrize(
         "path, field",
         [
-            (("gammas", 0), "norm_exponent"),
+            (("two_decomposition",), "sign"),
             (("two_decomposition", "factors", 1), "exponent"),
         ],
     )
@@ -515,6 +515,19 @@ class TestCLI:
         config.write_text(json.dumps(raw))
         assert main(["verify", "--config", str(config)]) == 2
         assert f"missing field '{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "solve"])
+    def test_old_schema_gamma_is_usage_error(self, tmp_path, capsys, command):
+        # a gamma is a coefficient list; the old {"coeffs", "norm_exponent"}
+        # form is refused at load, exit 2, with no traceback
+        raw = case_to_dict(get_case("10-271"))
+        raw["gammas"] = [{"coeffs": g, "norm_exponent": 1} for g in raw["gammas"]]
+        config = tmp_path / "old_schema.json"
+        config.write_text(json.dumps(raw))
+        assert main([command, "--config", str(config)]) == 2
+        out = capsys.readouterr()
+        assert "gamma must be a non-empty list of integers" in out.err
+        assert "Traceback" not in out.out + out.err
 
     def test_config_file_roundtrip(self, tmp_path, capsys):
         path = tmp_path / "case.json"

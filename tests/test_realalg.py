@@ -2269,9 +2269,7 @@ class TestConstantChain:
                     v = ch.conj.embed_abs(dd, i)
                     assert lo <= v.lo and v.hi <= hi
             glo, ghi = cc.gamma_abs_range
-            for g, c in zip(cfg.gammas, cfg.gamma_norm_exponents):
-                if c != 1:
-                    continue
+            for g in cfg.gammas:
                 for i in range(cfg.d // 2):
                     v = ch.conj.embed_abs(g, i)
                     assert glo <= v.lo and v.hi <= ghi
@@ -2319,7 +2317,7 @@ class TestConstantChain:
             assert eta1 == [nf_mul(FieldElement(2), nf_inverse(nf_pow(dl, d, f), f), f)
                             for dl in cfg.deltas]
             assert eta2 == [nf_mul(FieldElement(cfg.p), nf_inverse(nf_pow(g, d, f), f), f)
-                            for g in cfg.norm_p_gammas]
+                            for g in cfg.gammas]
             assert units == list(cfg.units)
 
     def test_unit_bounds_scale_with_the_unit_count(self, chains):

@@ -601,15 +601,15 @@ def test_case_lattices_match_reference(chains):
 ESCALATE_GRID_DIGESTS = {
     "15-41": (
         (3162 * 10**31, 5623 * 10**31, 10**35, 1778 * 10**32),
-        "306fafeca107c2d427b84bdd66a64b43f218048f4953f38c82702f324f96d5cc",
+        "985883b7c774064769150127304a94dabc9a914106d86796e4e6d87e5870d478",
     ),
     "15-5581": (
         (3162 * 10**31, 5623 * 10**31, 10**35),
-        "e898a27425d38d6c40c17beedbbbf23d8321614aede71b28c39b750fd1e92845",
+        "7e025643e43b93204f0614c8fdcd959ee5d9935b902cb9c8660bc629c474cf28",
     ),
     "10-271": (
         (10**36, 1778 * 10**33, 3162 * 10**33, 5623 * 10**33, 10**37),
-        "15fdec457d6bd3896a20ee321087e6db4c36ad0c71e109cf809586fdac813bd0",
+        "4cbe9e9ff33b51de9b8a3b0f088147381e3f8bff42a8e7b271559a8a7021bc1d",
     ),
 }
 
@@ -781,7 +781,7 @@ class TestIntegerTheta:
         checked = 0
         for ch in chains.values():
             rnd = _RoundInputs(ch.conj, ch.constants, ch.abs_bound)
-            for gi in range(len(ch.cfg.norm_p_gammas)):
+            for gi in range(len(ch.cfg.gammas)):
                 rows = [(rnd.lam2[gi], rnd.mid2[gi])]
                 rows += zip(rnd.lam1, rnd.mid1)
                 rows += zip(rnd.lam_units, rnd.mid_units)
@@ -903,7 +903,7 @@ def test_one_case_etas_per_proof(monkeypatch, scale):
     assert report.verdict == "no_solutions"
     assert calls == ["15-5581"]
     cfg = get_case("15-5581")
-    assert len(inverted) == len(cfg.deltas) + len(cfg.norm_p_gammas)
+    assert len(inverted) == len(cfg.deltas) + len(cfg.gammas)
 
 
 def test_one_record_per_round(chains, monkeypatch):
