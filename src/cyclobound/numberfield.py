@@ -320,6 +320,8 @@ def _config_from_dict(case_id: str, raw: dict) -> CaseConfig:
         )
     except KeyError as err:
         raise ValueError(f"case {case_id}: missing field {err.args[0]!r}") from None
+    except ValueError as err:
+        raise ValueError(f"case {case_id}: {err}") from None
     except (TypeError, AttributeError) as err:
         raise ValueError(f"case {case_id}: malformed case data ({err})") from err
     if not (cfg.units and cfg.gammas and cfg.deltas):

@@ -38,11 +38,14 @@ class PAdicRoot(namedtuple("PAdicRoot", ("p", "digits"))):
 
     def first_extreme_index(self) -> int | None:
         """Least k >= 1 with digit in {0, p-1}, or None if no computed digit hits."""
-        digits, top = self.digits, self.p - 1
-        for k in range(1, len(digits)):
-            if digits[k] in (0, top):
-                return k
-        return None
+        digits = self.digits
+        end = len(digits)
+        for extreme in (0, self.p - 1):
+            try:
+                end = digits.index(extreme, 1, end)
+            except ValueError:
+                pass
+        return end if end < len(digits) else None
 
 
 def _digits(x: int, p: int, n: int) -> list[int]:
@@ -75,6 +78,48 @@ def _precisions(depth: int) -> list[int]:
     return out[::-1]
 
 
+# Newton steps whose modulus p^E has at least this many bits reduce with
+# _Barrett, smaller ones with %; hensel_lift gives the measured crossover
+BARRETT_MIN_BITS = 8000
+
+
+class _Barrett:
+    """Reduction modulo m of the integers a with |a| < 2^h * m (P. Barrett,
+    CRYPTO '86), with a reciprocal only as wide as the quotient.
+
+    With n = m.bit_length() and recip = 2^(n+h) // m, taken once, the
+    quotient of a >= 0 by m is estimated as q = ((a >> (n-1)) * recip) >> (h+1).
+    Each floor only lowers it, so q <= a // m.  The first two take less
+    than 1 from a factor each, which takes less than 2^(n-1) / m <= 1 and
+    a / 2^(n+h) < 1 (as a < 2^h * m < 2^(n+h)) from a/m, and the last
+    less than 1 more, so a // m <= q + 2: a - q*m needs at most two
+    subtractions of m.  A third would mean an operand past the bound, and
+    raises ArithmeticError.
+    """
+
+    __slots__ = ("m", "n", "h", "recip")
+
+    def __init__(self, m: int, h: int):
+        self.m, self.n, self.h = m, m.bit_length(), h
+        self.recip = (1 << (self.n + h)) // m
+
+    def quotient(self, a: int) -> int:
+        """The estimate q of a // m, for 0 <= a < 2^h * m."""
+        return (a >> (self.n - 1)) * self.recip >> (self.h + 1)
+
+    def __call__(self, a: int) -> int:
+        """a % m: |a| is reduced, and its sign folded back in as % does."""
+        m = self.m
+        r = abs(a)
+        r -= self.quotient(r) * m
+        for _ in range(2):
+            if r >= m:
+                r -= m
+        if r >= m:
+            raise ArithmeticError("Barrett quotient estimate off by more than 2")
+        return m - r if a < 0 and r else r
+
+
 def hensel_lift(f: IntPoly, p: int, r0: int, depth: int) -> PAdicRoot:
     """Lift a simple root of f mod p to a root mod p^depth.
 
@@ -90,6 +135,20 @@ def hensel_lift(f: IntPoly, p: int, r0: int, depth: int) -> PAdicRoot:
     f'(x) mod p^e from it as sums with the small coefficients.  A simple
     root mod p has exactly one lift mod p^depth, so the digits equal those
     of any other correct lift.
+
+    A step whose modulus p^E has BARRETT_MIN_BITS bits or more reduces
+    its d - 1 table products and the x update with one _Barrett(p^E, h),
+    h = bitlen(w * p^e) for w the sum of the |coefficients| of f: each
+    product is below p^E * p^e and |x - f(x)*y| < (w * p^e + 1) * p^E, so
+    every quotient is below 2^h, and each reduction takes at most the two
+    corrections _Barrett proves.  Its reciprocal costs one division with an
+    h-bit quotient, about what one of the d reductions it replaces costs.
+    Per step, on CPython 3.11 on a 2-core Xeon, against %: deg f = 8 gains
+    from about 5,000 bits (-7%; -11% at 8,000, -20% at 12,000); deg f = 4
+    breaks even near 9,000 (-5 to -7% at 10,000-12,000).  The cutoff,
+    8,000 bits, sits between the two and keeps every lift of the paper's
+    proofs at their default depths (at most 6,261 bits) on %, which also
+    reduces y mod p^e and splits _digits at every size.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -100,16 +159,21 @@ def hensel_lift(f: IntPoly, p: int, r0: int, depth: int) -> PAdicRoot:
     if fprime_r0 % p == 0:
         raise ValueError(f"root {r0} of f mod {p} is not simple: p divides disc(f)")
     x, y = r0 % p, pow(fprime_r0, -1, p)
+    weight = sum(abs(c) for c in f.coeffs)
     precisions = _precisions(depth)
     for e, E in zip(precisions, precisions[1:]):
         mod, mod_e = p**E, p**e
+        if mod.bit_length() < BARRETT_MIN_BITS:
+            reduce = mod.__rmod__  # a -> a % mod
+        else:
+            reduce = _Barrett(mod, (weight * mod_e).bit_length())
         powers = [1, x]
         for _ in range(f.degree() - 1):
-            powers.append(powers[-1] * x % mod)
+            powers.append(reduce(powers[-1] * x))
         fpx = sum(c * w for c, w in zip(fprime.coeffs, powers))
         y = y * (2 - fpx % mod_e * y) % mod_e
         fx = sum(c * w for c, w in zip(f.coeffs, powers))
-        x = (x - fx * y) % mod
+        x = reduce(x - fx * y)
     return PAdicRoot(p, tuple(_digits(x, p, depth)))
 
 

@@ -331,15 +331,27 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def values_mod(f: IntPoly, q: int) -> set[int]:
-    """The values of f mod q at every residue, by Horner's rule mod q."""
+def values_mod(f: IntPoly, q: int) -> frozenset[int]:
+    """The values of f mod q at every residue, by Horner's rule mod q.
+
+    Memoised on the coefficient tuple of f and q, so a field's sieve sets
+    are built once for all the primes p it is searched at.
+
+    >>> sorted(values_mod(IntPoly(2, -1, 1, -1, 1), 5))
+    [1, 2]
+    """
+    return _values_mod(f.coeffs, q)
+
+
+@functools.lru_cache(maxsize=256)
+def _values_mod(f: tuple, q: int) -> frozenset:
     values = set()
     for x in range(q):
         acc = 0
-        for c in reversed(f.coeffs):
+        for c in reversed(f):
             acc = (acc * x + c) % q
         values.add(acc)
-    return values
+    return frozenset(values)
 
 
 def _fq(coeffs, q: int) -> list[int]:

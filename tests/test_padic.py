@@ -9,9 +9,12 @@ import random
 
 import pytest
 
+from cyclobound import padic
 from cyclobound.numberfield import get_case
 from cyclobound.padic import (
+    BARRETT_MIN_BITS,
     PAdicRoot,
+    _Barrett,
     _precisions,
     combined_lower_bound,
     digit_scan_bound,
@@ -20,6 +23,7 @@ from cyclobound.padic import (
 )
 from cyclobound.polyarith import (
     IntPoly,
+    cyclotomic,
     discriminant,
     poly_derivative,
     poly_eval,
@@ -53,6 +57,11 @@ def reference_hensel_lift(f, p, r0, depth):
         x, a = divmod(x, p)
         digits.append(a)
     return PAdicRoot(p, tuple(digits))
+
+
+def barrett_depth(p):
+    """The least depth whose modulus p^depth reaches BARRETT_MIN_BITS bits."""
+    return next(D for D in range(1, 10**5) if (p**D).bit_length() >= BARRETT_MIN_BITS)
 
 
 def reference_roots_mod_p(f, p):
@@ -182,11 +191,80 @@ class TestHenselLift:
                         got = hensel_lift(f, p, r, depth)
                         assert got == reference_hensel_lift(f, p, r, depth), (f, p, r, depth)
 
+    @pytest.mark.parametrize("p", [3, 31, 41, 271, 2111, 5581, 15173, 17093])
+    def test_matches_reference_around_barrett_cutoff(self, p, monkeypatch):
+        # p^depth one digit below the cutoff, at it and one digit above:
+        # only the last Newton step crosses it, and only from the second
+        # depth on does that step reduce with _Barrett
+        built = []
+
+        class Counted(_Barrett):
+            def __init__(self, m, h):
+                built.append(m)
+                super().__init__(m, h)
+
+        monkeypatch.setattr(padic, "_Barrett", Counted)
+        at = barrett_depth(p)
+        lifted = 0
+        for m in (10, 15):
+            f = cyclotomic(m) + IntPoly(1)
+            for r in roots_mod_p(f, p):
+                for depth in (at - 1, at, at + 1):
+                    built.clear()
+                    got = hensel_lift(f, p, r, depth)
+                    assert got == reference_hensel_lift(f, p, r, depth), (m, p, r, depth)
+                    assert built == ([] if depth < at else [p**depth]), (m, p, depth)
+                    lifted += 1
+        assert lifted >= 3
+
     def test_value_digit_roundtrip(self):
         root = hensel_lift(get_case("10-271").f, 271, 241, 12)
         assert root.depth == 12
         rebuilt = PAdicRoot(271, root.digits)
         assert rebuilt.value() == root.value() < 271**12
+
+
+class TestBarrett:
+    @staticmethod
+    def operands(m, h, rng):
+        """0, multiples of m, the largest |a| < 2^h * m, and seeded draws,
+        each with both signs."""
+        top = (m << h) - 1
+        base = [0, m, 2 * m, (top // m) * m, top, top - m, m - 1, m + 1]
+        base += [rng.randrange(top) for _ in range(40)]
+        base += [rng.randrange(m) * rng.randrange(1 << h) for _ in range(10)]
+        return base + [-a for a in base]
+
+    def moduli(self, rng):
+        # Newton-step moduli on both sides of the cutoff, with the h that
+        # hensel_lift gives them (w = 8 for Phi_15 + 1), and the extremes
+        # 2^(n-1) and 2^n - 1 of a bit length
+        out = []
+        for p in (3, 41, 5581, 17093):
+            for E in (1, 2, 7, barrett_depth(p), 2001):
+                e = -(-E // 2)
+                out.append((p**E, (8 * p**e).bit_length()))
+        for n in (1, 2, 64, 8000, 8001):
+            out += [(1 << (n - 1), rng.randrange(1, n + 2)), ((1 << n) - 1, n // 2 + 4)]
+        return out
+
+    def test_matches_mod_within_the_correction_bound(self):
+        rng = random.Random(90521)
+        corrections = set()
+        for m, h in self.moduli(rng):
+            reduce = _Barrett(m, h)
+            for a in self.operands(m, h, rng):
+                assert reduce(a) == a % m, (m, h, a)
+                count = abs(a) // m - reduce.quotient(abs(a))
+                assert 0 <= count <= 2, (m, h, a)
+                corrections.add(count)
+        assert corrections == {0, 1, 2}
+
+    def test_operand_past_the_bound_raises(self):
+        m = 3**5000
+        reduce = _Barrett(m, 16)
+        with pytest.raises(ArithmeticError, match="off by more than 2"):
+            reduce(m << 64)
 
 
 class TestPrecisions:
@@ -221,6 +299,19 @@ class TestDigitPrefixes:
         (root,) = chains["10-271"].roots
         assert root.digits[: len(PREFIX_271)] == PREFIX_271
 
+    def test_prefixes_hold_above_barrett_cutoff(self, chains):
+        # the default depths lift on %; deeper lifts whose last two steps
+        # reduce with _Barrett extend the same digits, frozen prefixes first
+        prefixes = {"15-41": [PREFIX_41], "15-5581": [PREFIX_5581_A, PREFIX_5581_B],
+                    "10-271": [PREFIX_271]}
+        for cid, ch in chains.items():
+            p = ch.cfg.p
+            depth = 2 * barrett_depth(p)
+            for root, prefix in zip(ch.roots, prefixes[cid]):
+                deep = hensel_lift(ch.cfg.f, p, root.r0, depth)
+                assert deep.digits[: root.depth] == root.digits, cid
+                assert deep.digits[: len(prefix)] == prefix, cid
+
 
 class TestScanBounds:
     def test_first_extreme_indices(self, chains):
@@ -240,6 +331,34 @@ class TestScanBounds:
         assert chains["15-41"].n_lower == 415
         assert chains["15-5581"].n_lower == 4015
         assert chains["10-271"].n_lower == 239
+
+    def test_first_extreme_index_matches_loop(self):
+        def loop(root):
+            for k in range(1, root.depth):
+                if root.digits[k] in (0, root.p - 1):
+                    return k
+            return None
+
+        rng = random.Random(41017)
+        roots = [
+            PAdicRoot(41, (0, 5, 3, 7)),  # no hit: index 0 does not count
+            PAdicRoot(41, (8, 40, 0, 7)),  # a hit at index 1
+            PAdicRoot(41, (8, 5, 3, 0)),  # a hit only at the last index
+            PAdicRoot(41, (8,)),
+            PAdicRoot(2, (1, 0, 1)),  # p = 2: every digit is extreme
+        ]
+        for _ in range(300):
+            p = rng.choice((3, 5, 41, 271))
+            depth = rng.randrange(1, 60)
+            digits = [rng.randrange(1, p - 1) for _ in range(depth)]
+            for _ in range(rng.randrange(3)):
+                digits[rng.randrange(depth)] = rng.choice((0, p - 1))
+            roots.append(PAdicRoot(p, tuple(digits)))
+        for root in roots:
+            assert root.first_extreme_index() == loop(root), root
+        hits = [loop(r) for r in roots]
+        assert None in hits and 1 in hits
+        assert any(k == r.depth - 1 for k, r in zip(hits, roots))
 
     def test_bound_formula(self):
         # d*(k0 - 1) - 1, with k0 falling back to the scan depth

@@ -519,14 +519,14 @@ class TestCLI:
     @pytest.mark.parametrize("command", ["verify", "solve"])
     def test_old_schema_gamma_is_usage_error(self, tmp_path, capsys, command):
         # a gamma is a coefficient list; the old {"coeffs", "norm_exponent"}
-        # form is refused at load, exit 2, with no traceback
+        # form is refused at load, naming the case, exit 2, with no traceback
         raw = case_to_dict(get_case("10-271"))
         raw["gammas"] = [{"coeffs": g, "norm_exponent": 1} for g in raw["gammas"]]
         config = tmp_path / "old_schema.json"
         config.write_text(json.dumps(raw))
         assert main([command, "--config", str(config)]) == 2
         out = capsys.readouterr()
-        assert "gamma must be a non-empty list of integers" in out.err
+        assert "case 10-271: gamma must be a non-empty list of integers" in out.err
         assert "Traceback" not in out.out + out.err
 
     def test_config_file_roundtrip(self, tmp_path, capsys):
@@ -734,7 +734,8 @@ class TestCLI:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(raw))
         assert main(["solve", "--config", str(path)]) == 2
-        assert "error" in capsys.readouterr().err
+        # every refusal names the case, a malformed element or number too
+        assert f"error: case {raw['case_id']}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["verify", "scan", "bound", "reduce", "solve"])
     def test_composite_p_is_usage_error(self, tmp_path, capsys, command):

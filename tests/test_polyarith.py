@@ -19,6 +19,7 @@ from cyclobound.polyarith import (
     mulmod,
     poly_derivative,
     poly_eval,
+    values_mod,
 )
 
 
@@ -353,3 +354,17 @@ class TestIsPrime:
         # 2^89 - 1 is a Mersenne prime, but above the deterministic range
         assert 2**89 - 1 > PSP_41
         assert not is_prime(2**89 - 1)
+
+
+class TestValuesMod:
+    def test_matches_evaluation_and_is_shared(self):
+        # the set of f(x) mod q over every residue x, built once per
+        # (coefficients, q) and handed out frozen to every equal f
+        rng = random.Random(7793)
+        for _ in range(40):
+            f = random_poly(rng)
+            q = rng.choice((2, 3, 5, 7, 11, 13, 59))
+            got = values_mod(f, q)
+            assert got == {poly_eval(f, x) % q for x in range(q)}, (f, q)
+            assert isinstance(got, frozenset)
+            assert values_mod(IntPoly(*f.coeffs), q) is got
