@@ -85,6 +85,14 @@ def _sieve(f: IntPoly, p: int, n_max: int) -> list[int]:
     return [n for n in range(1, n_max + 1) if alive[n]]
 
 
+def _vanishes_mod(f: IntPoly, x: int, q: int) -> bool:
+    """Whether f(x) = 0 mod q, by Horner on residues below q."""
+    r, acc = x % q, 0
+    for c in reversed(f.coeffs):
+        acc = (acc * r + c) % q
+    return acc == 0
+
+
 def direct_search(f: IntPoly, p: int, n_max: int) -> list[tuple[int, int]]:
     """All integer solutions of f(x) = 2*p^n with 1 <= n <= n_max.
 
@@ -92,20 +100,22 @@ def direct_search(f: IntPoly, p: int, n_max: int) -> list[tuple[int, int]]:
     exponent whose 2*p^n mod q is no value of f mod q has no solution at
     all; _sieve drops those, which is exact.  For each surviving exponent
     and |x| >= 2 the growth envelope pins |x| within 1 of (2*p^n)^(1/d),
-    so only a handful of candidates need testing, each in full; |x| <= 2
-    is tested unconditionally.
+    so only a handful of candidates need testing.  p divides 2*p^n for
+    every n >= 1, prime p or not, so such a candidate is evaluated in full
+    only if f(x) = 0 mod p, a Horner pass on residues below p.  f is
+    evaluated once at each |x| <= 2, and each value is compared with
+    every surviving exponent.
     """
     d = f.degree()
+    exponents = _sieve(f, p, n_max)
+    small = [(x, poly_eval(f, x)) for x in range(-2, 3)] if exponents else []
     out = []
-    for n in _sieve(f, p, n_max):
+    for n in exponents:
         target = 2 * p**n
+        out += [(n, x) for x, v in small if v == target]
         x0 = _iroot(target, d)
-        candidates = {-2, -1, 0, 1, 2}
-        for base in (x0 - 1, x0, x0 + 1):
-            candidates.add(base)
-            candidates.add(-base)
-        for x in candidates:
-            if poly_eval(f, x) == target:
+        for x in (x0 - 1, x0, x0 + 1, 1 - x0, -x0, -1 - x0):
+            if abs(x) > 2 and _vanishes_mod(f, x, p) and poly_eval(f, x) == target:
                 out.append((n, x))
     return sorted(out)
 

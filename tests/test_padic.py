@@ -15,7 +15,9 @@ from cyclobound.padic import (
     BARRETT_MIN_BITS,
     PAdicRoot,
     _Barrett,
+    _digits,
     _precisions,
+    _reciprocal,
     combined_lower_bound,
     digit_scan_bound,
     hensel_lift,
@@ -57,6 +59,19 @@ def reference_hensel_lift(f, p, r0, depth):
         x, a = divmod(x, p)
         digits.append(a)
     return PAdicRoot(p, tuple(digits))
+
+
+def reference_digits(x, p, n):
+    """The n base-p digits of x, split at p^(n//2) with p**h taken afresh."""
+    if n <= 32:
+        out = []
+        for _ in range(n):
+            x, a = divmod(x, p)
+            out.append(a)
+        return out
+    h = n // 2
+    hi, lo = divmod(x, p**h)
+    return reference_digits(lo, p, h) + reference_digits(hi, p, n - h)
 
 
 def barrett_depth(p):
@@ -191,6 +206,19 @@ class TestHenselLift:
                         got = hensel_lift(f, p, r, depth)
                         assert got == reference_hensel_lift(f, p, r, depth), (f, p, r, depth)
 
+    def test_matches_reference_across_depths(self):
+        # every depth up to 40, then seeded depths up to 3000: each ends on
+        # its own chain of carried moduli, inverse refinements and digit
+        # splits, and the deep ones cross the Barrett cutoff
+        rng = random.Random(30011)
+        depths = [*range(1, 41), *sorted(rng.sample(range(41, 3000), 8)), 3000]
+        for m, p in ((10, 3), (15, 41), (10, 271)):
+            f = cyclotomic(m) + IntPoly(1)
+            (r,) = roots_mod_p(f, p)
+            for depth in depths:
+                got = hensel_lift(f, p, r, depth)
+                assert got == reference_hensel_lift(f, p, r, depth), (m, p, depth)
+
     @pytest.mark.parametrize("p", [3, 31, 41, 271, 2111, 5581, 15173, 17093])
     def test_matches_reference_around_barrett_cutoff(self, p, monkeypatch):
         # p^depth one digit below the cutoff, at it and one digit above:
@@ -267,6 +295,38 @@ class TestBarrett:
             reduce(m << 64)
 
 
+class TestReciprocal:
+    def test_equals_the_division(self):
+        # m = p^E from 64 bits to 50 kbit and h from 1 to n, past the
+        # 1,000-bit switch to Newton's iteration, then 2^(n-1), 2^(n-1) + 1
+        # and 2^n - 1: 2^(n-1) and 2^(n-1) + 1 make the remainder of the
+        # truncated division 0, so the whole of m decides
+        rng = random.Random(77031)
+        moduli = []
+        for p in (3, 41, 271, 5581, 17093):
+            for bits in (64, 100, 1000, 2500, 8000, 20000, 50000):
+                moduli.append(p ** max(1, bits // p.bit_length()))
+        for n in (64, 3000, 20000):
+            moduli += [1 << (n - 1), (1 << (n - 1)) + 1, (1 << n) - 1]
+        for m in moduli:
+            n = m.bit_length()
+            hs = {1, 2, 3, 1000, 1001, n // 2, n - 1, n}
+            hs.update(rng.randrange(1, n + 1) for _ in range(3))
+            for h in sorted(h for h in hs if 1 <= h <= n):
+                assert _reciprocal(m, h) == (1 << (n + h)) // m, (m.bit_length(), h)
+
+
+class TestDigits:
+    def test_matches_the_floor_split(self):
+        # n <= 32 (no split), odd and even n, x = 0 and x = p^n - 1
+        rng = random.Random(52213)
+        for p in (2, 3, 41, 5581, 17093):
+            for n in (1, 2, 31, 32, 33, 34, 65, 97, 128, 1001, 2999, 3000):
+                powers = {e: p**e for e in _precisions(n)}
+                for x in (0, p**n - 1, rng.randrange(p**n), rng.randrange(p ** (n // 2 + 1))):
+                    assert _digits(x, p, n, dict(powers)) == reference_digits(x, p, n), (p, n)
+
+
 class TestPrecisions:
     def test_pinned_schedules(self):
         assert _precisions(1) == [1]
@@ -300,8 +360,8 @@ class TestDigitPrefixes:
         assert root.digits[: len(PREFIX_271)] == PREFIX_271
 
     def test_prefixes_hold_above_barrett_cutoff(self, chains):
-        # the default depths lift on %; deeper lifts whose last two steps
-        # reduce with _Barrett extend the same digits, frozen prefixes first
+        # deeper lifts whose last two steps reduce with _Barrett extend the
+        # default-depth digits, frozen prefixes first
         prefixes = {"15-41": [PREFIX_41], "15-5581": [PREFIX_5581_A, PREFIX_5581_B],
                     "10-271": [PREFIX_271]}
         for cid, ch in chains.items():

@@ -159,6 +159,42 @@ class TestDirectSearch:
             for p in seeded_primes(3, rng):
                 assert direct_search(f, p, 300) == reference_direct_search(f, p, 300), p
 
+    def test_candidate_filter_matches_reference_on_composite_p(self):
+        # p | 2*p^n for composite p too, so the filter f(x) = 0 mod p is
+        # exact there; x^2 + 2 = 2*3^n has its solutions (1, +-2) at
+        # |x| <= 2, which skip the filter and are evaluated once per call
+        f10, f15 = get_case("10-271").f, get_case("15-41").f
+        toys = (IntPoly(2, 0, 1), IntPoly(6, -1, 0, 1), IntPoly(2, 1, 1))
+        for p in (9, 15, 25):
+            for f in (f10, f15, *toys):
+                assert direct_search(f, p, 60) == reference_direct_search(f, p, 60), (f, p)
+        got = direct_search(IntPoly(2, 0, 1), 3, 60)
+        assert got == reference_direct_search(IntPoly(2, 0, 1), 3, 60)
+        assert (1, -2) in got and (1, 2) in got
+
+    def test_full_evaluation_only_past_the_filter(self, monkeypatch):
+        # poly_eval never sees a candidate with |x| > 2 and f(x) != 0 mod p,
+        # and sees each |x| <= 2 once per call
+        seen = []
+        real = pipeline.poly_eval
+
+        def recording(f, x):
+            seen.append(x)
+            return real(f, x)
+
+        monkeypatch.setattr(pipeline, "poly_eval", recording)
+        rng = random.Random(80233)
+        cases = [(get_case(cid).f, get_case(cid).p) for cid in ("15-41", "10-271")]
+        cases += [(get_case("10-271").f, p) for p in (3, 31, 9, 15, *seeded_primes(4, rng))]
+        cases += [(IntPoly(2, 0, 1), 3), (IntPoly(2, 0, 1), 25)]
+        for f, p in cases:
+            seen.clear()
+            direct_search(f, p, 200)
+            small = [x for x in seen if abs(x) <= 2]
+            assert small in ([], [-2, -1, 0, 1, 2]), (f, p)
+            for x in seen:
+                assert abs(x) <= 2 or poly_eval(f, x) % p == 0, (f, p, x)
+
     def test_sieve_leaves_few_roots_to_take(self, monkeypatch):
         # every exponent up to SEARCH_FLOOR of 15-5581 fails a congruence,
         # so no root is taken; 15-41 keeps 2 exponents and 10-271 keeps 4
