@@ -360,11 +360,15 @@ def get_case(case_id: str) -> CaseConfig:
 def load_case_config(path: str) -> CaseConfig:
     """Load a case definition from a JSON file (schema in the module docstring).
 
-    Malformed data (a non-monic f among it), or a p that is_prime cannot
-    prove prime, raises ValueError.
+    Malformed data (a non-monic f among it), JSON nested past the parser's
+    recursion limit, or a p that is_prime cannot prove prime, raises
+    ValueError.
     """
     with open(path) as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except RecursionError:
+            raise ValueError("case file is nested too deeply to parse") from None
     if not isinstance(raw, dict):
         raise ValueError("case file must hold a JSON object")
     if "case_id" not in raw:

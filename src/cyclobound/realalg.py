@@ -198,7 +198,8 @@ def ball_atan2(y: Ball, x: Ball) -> Ball:
 class ComplexBall:
     """Rectangular complex enclosure with Ball real and imaginary parts.
 
-    Polynomial values come from _horner_at; a ComplexBall is otherwise
+    Polynomial values come from a root's _power_table by _dot_at, as exact
+    integer dot products rounded once per end; a ComplexBall is otherwise
     only measured.
     """
 
@@ -226,7 +227,10 @@ class ComplexBall:
 # is decided (_ziv).  The endpoints match libmpi's wherever libmpi rounds
 # correctly, which its add, mul, div and sqrt always do.  _round is the one
 # rounding step, _outward the same step on both ends of an interval, and
-# _const and _div bring exact numbers in.
+# _const and _div bring exact numbers in.  A polynomial's value at a
+# complex ball has no libmpi counterpart: _dot_at takes it from a table of
+# powers as one exact sum per end.  It encloses the value Horner's rule
+# on libmpi encloses, with fewer roundings but a wider box at the roots.
 
 
 def _round(m: int, e: int, prec: int, up: bool):
@@ -632,33 +636,64 @@ def _atan2(y, x, prec):
     return _ziv(_atan2_at, lo, hi, prec)
 
 
-def _horner_at(f: IntPoly, z: ComplexBall, den: int = 1) -> ComplexBall:
-    """Enclosure of f(z) / den for a ComplexBall z whose parts share one
-    precision and an int den > 0.
+def _aligned(ivs):
+    """(los, his, e): the ends of the kernel intervals ivs as exact ints on
+    one exponent e, the least of theirs."""
+    e = min(min(iv[1], iv[3]) for iv in ivs)
+    return (tuple(iv[0] << iv[1] - e for iv in ivs),
+            tuple(iv[2] << iv[3] - e for iv in ivs), e)
 
-    The endpoints are those of libmpi's Horner's rule on z's endpoint
-    pairs, followed by mpi_div of each part by den's int interval, every
-    call at z's precision.  Each step is the four-product complex
-    multiplication (acc.re*xr - acc.im*xi, acc.re*xi + acc.im*xr) followed
-    by adding the coefficient.  Adding the exact 0 of a coefficient's
-    imaginary part, or a zero coefficient, is left out: at prec it returns
-    the other operand unchanged.
+
+def _power_table(z: ComplexBall, n: int):
+    """z**0 ... z**(n-1) for a ComplexBall z whose parts share one
+    precision, as (prec, re, im) with each part _aligned.
+
+    z**0 is the exact 1, z**1 is z, and each later power is the last one
+    times z at z's precision, n - 2 products for n >= 2, each the kernel's
+    four-product complex multiplication: the real part's difference and
+    the imaginary part's sum of the four _mul products, rounded outward.
     """
     prec = z.re.prec
     xr, xi = z.re._iv, z.im._iv
-    coeffs = f.coeffs
-    ar = ai = _const(0, prec)
-    if coeffs:
-        ar = _const(coeffs[-1], prec)
-    for c in reversed(coeffs[:-1]):
-        # _sub and _add of the four products, inlined as their _sum calls
+    re, im = [_const(1, prec), xr], [_const(0, prec), xi]
+    for _ in range(2, n):
+        ar, ai = re[-1], im[-1]
         rr, ii, ri, ir = _mul(ar, xr, prec), _mul(ai, xi, prec), _mul(ar, xi, prec), _mul(ai, xr, prec)
-        ar = (*_sum(rr[0], rr[1], -ii[2], ii[3], prec, False),
-              *_sum(rr[2], rr[3], -ii[0], ii[1], prec, True))
-        ai = (*_sum(ri[0], ri[1], ir[0], ir[1], prec, False),
-              *_sum(ri[2], ri[3], ir[2], ir[3], prec, True))
-        if c:
-            ar = _add(ar, _const(c, prec), prec)
+        re.append((*_sum(rr[0], rr[1], -ii[2], ii[3], prec, False),
+                   *_sum(rr[2], rr[3], -ii[0], ii[1], prec, True)))
+        im.append((*_sum(ri[0], ri[1], ir[0], ir[1], prec, False),
+                   *_sum(ri[2], ri[3], ir[2], ir[3], prec, True)))
+    return prec, _aligned(re[:n]), _aligned(im[:n])
+
+
+def _dot(coeffs, part, prec):
+    """The kernel interval of sum c_k * w_k over a table part of enclosures
+    w_k, for int coefficients: the lower sum takes each positive c_k
+    against w_k's lower end and each negative one against its upper end,
+    the upper sum the reverse; both are exact ints, rounded outward once."""
+    los, his, e = part
+    lo = hi = 0
+    for c, l, h in zip(coeffs, los, his):
+        if c > 0:
+            lo += c * l
+            hi += c * h
+        elif c:
+            lo += c * h
+            hi += c * l
+    return _outward(lo, e, hi, e, prec)
+
+
+def _dot_at(f: IntPoly, table, den: int = 1) -> ComplexBall:
+    """Enclosure of f(z) / den from z's _power_table and an int den > 0.
+
+    Each part of f(z) is one _dot, and each is then divided by den's int
+    interval by _div, at the table's precision.  f must have no more
+    coefficients than the table has powers.
+    """
+    prec, re, im = table
+    if len(f.coeffs) > len(re[0]):
+        raise ValueError("polynomial degree exceeds the power table")
+    ar, ai = _dot(f.coeffs, re, prec), _dot(f.coeffs, im, prec)
     if den != 1:
         den = _const(den, prec)
         ar, ai = _div(ar, den, prec), _div(ai, den, prec)
@@ -979,17 +1014,21 @@ class ConjugateData:
     Embedding i, for 0 <= i < d/2, sends the generator to roots[i]: the
     d/2 roots with positive imaginary part, by decreasing real part.  The
     other d/2 embeddings are their conjugates, with the same magnitudes,
-    so no stage takes them.  Embedding values and their magnitudes are
-    cached per element, and so is the leading coefficient of each
-    element's characteristic polynomial; _log's memo takes each log of a
-    magnitude once.  The stages after it read the case data from
-    conj.cfg, so one object fixes both the field and its precision.
+    so no stage takes them.  tables[i] holds roots[i]**0 ... roots[i]**(d-1),
+    built once (d - 2 complex products per root), and an element's image is
+    the dot product of its coefficients with it (_dot_at).  Embedding
+    values and their magnitudes are cached per element, and so is the
+    leading coefficient of each element's characteristic polynomial;
+    _log's memo takes each log of a magnitude once.  The stages after it
+    read the case data from conj.cfg, so one object fixes both the field
+    and its precision.
     """
 
     def __init__(self, cfg: CaseConfig, prec: int = DEFAULT_PREC):
         self.cfg = cfg
         self.prec = prec
         self.roots = certified_roots(cfg.f, prec)
+        self.tables = [_power_table(z, cfg.d) for z in self.roots]
         self._embeds: dict = {}
         self._abs: dict = {}
         self._leads: dict = {}
@@ -1007,7 +1046,7 @@ class ConjugateData:
         """Enclosure of the image of elem under embedding i < d/2."""
         got = self._embeds.get((elem, i))
         if got is None:
-            got = self._embeds[elem, i] = _horner_at(elem.num, self.roots[i], elem.den)
+            got = self._embeds[elem, i] = _dot_at(elem.num, self.tables[i], elem.den)
         return got
 
     def embed_abs(self, elem: FieldElement, i: int) -> Ball:
@@ -1074,6 +1113,18 @@ def regulator(conj: ConjugateData) -> Ball:
     return abs(det(rows))
 
 
+def _sqrt_within(v: Ball, b: Ball) -> bool:
+    """v.sqrt().hi <= b.hi for a v >= 0, on the kernel's ints.
+
+    With P = v.prec, v.sqrt().hi is sqrt(v.hi) ceiled to P bits; a P-bit
+    number is at most b.hi exactly when it is at most b.hi floored to P
+    bits, and at most that floor exactly when sqrt(v.hi) is, so the test
+    is v.hi <= floor_P(b.hi)**2, decided without the root.
+    """
+    bm, be = _round(*b._iv[2:], v.prec, False)
+    return bm >= 0 and not _below(bm * bm, 2 * be, *v._iv[2:])
+
+
 def matveev_a(elem: FieldElement, conj: ConjugateData) -> Ball:
     """Enclosure of the Baker height max(d*h(elem), |log sigma_i(elem)|
     for every embedding i, 0.16) with the upper end of the maximum over
@@ -1090,7 +1141,7 @@ def matveev_a(elem: FieldElement, conj: ConjugateData) -> Ball:
     best = ball_max(log_height(elem, conj) * d, Ball(Fraction(4, 25), conj.prec))
     for i in range(d // 2):
         log_sq = conj.log_abs(elem, i) ** 2
-        if (log_sq + pi_sq).sqrt().hi <= best.hi:
+        if _sqrt_within(log_sq + pi_sq, best):
             continue
         arg = conj.embed(elem, i).arg()
         best = ball_max(best, (log_sq + arg ** 2).sqrt())
@@ -1158,17 +1209,32 @@ def case_etas(cfg: CaseConfig):
     return eta1, eta2, list(cfg.units)
 
 
+def _power_exceeds(p: int, n: int, y: int) -> bool:
+    """p**n > y for ints p >= 2, n >= 0 and y >= 1, from bit lengths where
+    they decide: p**n lies in [2**(n*(b-1)), 2**(n*b)) for p of b bits,
+    and y in [2**(c-1), 2**c) for y of c bits.  Only where those ranges
+    overlap is p**n built."""
+    b, c = p.bit_length(), y.bit_length()
+    if n * (b - 1) >= c:
+        return True
+    if n * b <= c - 1:
+        return False
+    return p ** n > y
+
+
 def compute_constants(conj: ConjugateData, n_lower: int) -> CaseConstants:
     """Run the full rounded-constant chain for the case of conj.
 
     n_lower must be a proved lower bound on the exponent; several tail
     estimates need p**n_lower > (2*10**10)**d and the call refuses to
-    continue otherwise.
+    continue otherwise (_power_exceeds decides it, mostly from bit
+    lengths).  The derivative bounds take each f^(i) at every root as a
+    dot product with the root's power table, as embeddings are taken.
     """
     cfg = conj.cfg
     d, p, f, prec = cfg.d, cfg.p, cfg.f, conj.prec
     y_floor = 2 * 10 ** 10
-    if p ** n_lower <= y_floor ** d:
+    if not _power_exceeds(p, n_lower, y_floor ** d):
         raise ValueError("lower bound on the exponent is too small for the tails")
 
     one = Ball(1, prec)
@@ -1192,7 +1258,7 @@ def compute_constants(conj: ConjugateData, n_lower: int) -> CaseConstants:
     for i in range(1, d):
         g = poly_derivative(g)
         fact *= i
-        vals = [abs(_horner_at(g, conj.roots[j])) / fact for j in range(d // 2)]
+        vals = [abs(_dot_at(g, table)) / fact for table in conj.tables]
         deriv_exact.append(ball_max(*vals))
     deriv_bounds = tuple(round_sig(b.hi, 4, "up") for b in deriv_exact)
 

@@ -25,6 +25,7 @@ its verification or the distance lemma.
 """
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 from collections import namedtuple
@@ -37,6 +38,7 @@ from .realalg import (
     ConjugateData,
     max_rad,
     round_div,
+    round_sig,
 )
 
 # largest tolerated K * radius of any log enclosure
@@ -445,7 +447,7 @@ def reduce_case_bound(
         rho = scale * radius
         if rho > MAX_ROUNDING_SLACK:
             raise PrecisionError(
-                f"K*radius = {float(rho):.2e} exceeds {float(MAX_ROUNDING_SLACK)}"
+                f"K*radius = {_sci(rho)} exceeds {float(MAX_ROUNDING_SLACK)}"
             )
         default = cfg.default_conjugate_choice[gi]
         others = itertools.combinations(range(1, cfg.d // 2 + 1), cc.rank - 2)
@@ -484,6 +486,19 @@ def reduce_case_bound(
         branch_bounds.extend(a.new_bound for a in found.values())
     bound = max(branch_bounds) if (all_ok and branch_bounds) else None
     return ReductionRound(bound_n, scale, bound is not None, bound, tuple(attempts))
+
+
+def _sci(x: Fraction) -> str:
+    """x > 0 in the form of f"{x:.2e}": three significant digits, rounded
+    to nearest (ties away from zero) on x's integers, so a K*radius of any
+    size prints.
+
+    >>> _sci(Fraction(10**400, 3)), _sci(Fraction(2, 10**9))
+    ('3.33e+399', '2.00e-09')
+    """
+    r = round_sig(x, 3, "nearest")
+    digits, exp = format(decimal.Decimal(r.numerator) / r.denominator, ".2e").split("e")
+    return f"{digits}e{int(exp):+03d}"
 
 
 def _next_scale(bound_n: int, rank: int) -> int:

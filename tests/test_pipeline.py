@@ -773,6 +773,22 @@ class TestCLI:
         # every refusal names the case, a malformed element or number too
         assert f"error: case {raw['case_id']}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["verify", "solve"])
+    def test_deeply_nested_config_is_usage_error(self, tmp_path, capsys, command):
+        # past the JSON parser's recursion limit: a usage error, not a
+        # RecursionError traceback
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        assert main([command, "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert err == "error: case file is nested too deeply to parse\n"
+        assert "Traceback" not in out
+
+    def test_reason_at_a_scale_past_float_range(self, capsys):
+        assert main(["solve", "--case", "10-271", "--K", "1e400"]) == 1
+        reason = capsys.readouterr().out.splitlines()[1].strip()
+        assert reason == "reduction failed: K*radius = 3.90e+325 exceeds 0.001"
+
     @pytest.mark.parametrize("command", ["verify", "scan", "bound", "reduce", "solve"])
     def test_composite_p_is_usage_error(self, tmp_path, capsys, command):
         # Hensel uniqueness needs a field, so no floor is proved mod 9; the

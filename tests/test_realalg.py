@@ -21,7 +21,7 @@ from mpmath import libmp
 from cyclobound import realalg
 from cyclobound.numberfield import FieldElement, charpoly, get_case, nf_inverse, nf_mul, nf_pow
 from cyclobound.pipeline import solve_case
-from cyclobound.polyarith import IntPoly, det, poly_eval
+from cyclobound.polyarith import IntPoly, det, poly_derivative, poly_eval
 from cyclobound.realalg import (
     Ball,
     ComplexBall,
@@ -235,12 +235,12 @@ def int_interval(n: int, prec: int):
 
 
 class OracleComplex:
-    """ComplexBall's arithmetic as it stood before realalg._horner_at, on
+    """ComplexBall's arithmetic as it stood before the integer kernel, on
     libmpi: addition and the four-product multiplication on mpf endpoint
     pairs, every call at the first factor's precision, a plain number taken
     as its int interval with an exact zero imaginary part.  Kept as an
-    oracle: poly_eval over it is the Horner the kernel must reproduce
-    endpoint for endpoint."""
+    oracle: poly_eval over it is a Horner enclosure that the kernel's
+    power-table value must meet."""
 
     __slots__ = ("re", "im", "prec")
 
@@ -306,8 +306,8 @@ def endpoint_fraction(raw) -> Fraction:
 
 
 def reference_horner_at(f: IntPoly, z: ComplexBall) -> ComplexBall:
-    """realalg._horner_at as it stood on libmpi: Horner's rule on the
-    endpoint pairs, each step the four-product complex multiplication
+    """Horner's rule as realalg once took polynomial values, on libmpi:
+    Horner's rule on the endpoint pairs, each step the four-product complex multiplication
     followed by adding the coefficient as an int interval, every call at
     z's precision, the exact additions of 0 left out."""
     prec = z.re.prec
@@ -353,35 +353,77 @@ def _same(a: ComplexBall, b: ComplexBall) -> bool:
     return same_ball(a.re, b.re) and same_ball(a.im, b.im)
 
 
-class TestComplexBall:
-    def exact_horner(self, coeffs, z):
-        acc = (Fraction(0), Fraction(0))
-        for c in reversed(coeffs):
-            acc = (acc[0] * z[0] - acc[1] * z[1] + c, acc[0] * z[1] + acc[1] * z[0])
-        return acc
+def kernel_at(f: IntPoly, z: ComplexBall, den: int = 1) -> ComplexBall:
+    """f(z) / den by the kernel: z's power table, then one dot per part."""
+    return realalg._dot_at(f, realalg._power_table(z, max(1, len(f.coeffs))), den)
 
+
+def exact_value(coeffs, z):
+    """f(z) for f's coefficients and a point z = (re, im) of Fractions."""
+    acc = (Fraction(0), Fraction(0))
+    for c in reversed(coeffs):
+        acc = (acc[0] * z[0] - acc[1] * z[1] + c, acc[0] * z[1] + acc[1] * z[0])
+    return acc
+
+
+def holds(z: ComplexBall, value) -> bool:
+    """The point value = (re, im) lies in the box z."""
+    return z.re.lo <= value[0] <= z.re.hi and z.im.lo <= value[1] <= z.im.hi
+
+
+def meets(a: ComplexBall, b: ComplexBall) -> bool:
+    """The boxes a and b intersect, as two enclosures of one value must."""
+    return all(x.lo <= y.hi and y.lo <= x.hi for x, y in ((a.re, b.re), (a.im, b.im)))
+
+
+def box_points(z: ComplexBall):
+    """The four corners and the centre of the box z."""
+    corners = [(x, y) for x in (z.re.lo, z.re.hi) for y in (z.im.lo, z.im.hi)]
+    return corners + [(z.re.mid, z.im.mid)]
+
+
+class TestComplexBall:
     def test_contains_exact_complex_arithmetic(self):
-        # the Horner kernel at rational points: its enclosure contains the
-        # exact value, a sum c0 + c1*z and products of z with itself among
-        # them
+        # the kernel at rational points: its enclosure contains the exact
+        # value, a sum c0 + c1*z and products of z with itself among them
         rng = random.Random(8011)
         for _ in range(60):
             a = (random_fraction(rng), random_fraction(rng))
             f = IntPoly(*(rng.randint(-40, 40) for _ in range(rng.randint(0, 6))))
             za = ComplexBall(Ball(a[0]), Ball(a[1]))
-            got = realalg._horner_at(f, za)
-            wre, wim = self.exact_horner(f.coeffs, a)
-            assert got.re.lo <= wre <= got.re.hi
-            assert got.im.lo <= wim <= got.im.hi
+            assert holds(kernel_at(f, za), exact_value(f.coeffs, a))
             c0 = rng.randint(-40, 40)
-            s = realalg._horner_at(IntPoly(c0, 1), za)
+            s = kernel_at(IntPoly(c0, 1), za)
             assert s.re.lo <= a[0] + c0 <= s.re.hi
+
+    @pytest.mark.parametrize("prec", [53, 64, 256])
+    def test_exact_at_dyadic_points(self, prec):
+        # z = (a + bi) / 2**s with |a|, |b| < 2**5 and at most 8 powers:
+        # every power is exact at prec bits, so each end of f(z) is the
+        # exact value floored or ceiled to prec bits, bit for bit, and the
+        # quotient by den is libmpi's mpi_div of that point
+        rng = random.Random(8100 + prec)
+        for _ in range(80):
+            s = rng.randint(0, 12)
+            a = (Fraction(rng.randint(-31, 31), 2**s), Fraction(rng.randint(-31, 31), 2**s))
+            z = ComplexBall(Ball(a[0], prec), Ball(a[1], prec))
+            size = 10 ** rng.choice((1, 12, 30, 90))
+            f = IntPoly(*(rng.choice((0, rng.randint(-size, size))) for _ in range(rng.randint(0, 8))))
+            got = kernel_at(f, z)
+            for part, value in zip((got.re, got.im), exact_value(f.coeffs, a)):
+                n, d = value.numerator, value.denominator
+                lo = libmp.from_rational(n, d, prec, libmp.round_floor)
+                hi = libmp.from_rational(n, d, prec, libmp.round_ceiling)
+                assert (part.lo, part.hi) == (endpoint_fraction(lo), endpoint_fraction(hi)), (f, a)
+            den = rng.choice((3, 2**prec + 1))
+            assert _same(kernel_at(f, z, den), oracle_div(got, den)), (f, a, den)
 
     @pytest.mark.parametrize("prec", [64, 256, 512])
     def test_horner_kernel_matches_four_product_horner(self, prec):
-        # same endpoints as poly_eval on the four-product arithmetic, for
-        # degrees 0-9 and the zero polynomial, coefficients up to 10^30
-        # with zeros among them, at every certified root of both fields
+        # both enclose f over the root's box, for degrees 0-9 and the zero
+        # polynomial, coefficients up to 10^30 with zeros among them, at
+        # every certified root of both fields: they intersect, and each
+        # holds f at the box's centre
         rng = random.Random(7717 + prec)
         polys = [IntPoly()]
         for _ in range(40):
@@ -392,20 +434,47 @@ class TestComplexBall:
         assert {g.degree() for g in polys} == set(range(-1, 10))
         for cid in ("15-41", "10-271"):
             for z in certified_roots(get_case(cid).f, prec):
+                centre = (z.re.mid, z.im.mid)
                 for g in polys:
-                    assert _same(realalg._horner_at(g, z), oracle_horner(g, z)), (cid, g)
+                    got, want = kernel_at(g, z), oracle_horner(g, z)
+                    assert meets(got, want), (cid, g)
+                    assert holds(got, exact_value(g.coeffs, centre)), (cid, g)
+
+    def test_corners_of_a_box_lie_inside(self):
+        # boxes a quarter wide, where each power's ends lie far apart: a
+        # dot that took a negative coefficient against the wrong end
+        # would leave out the value at some corner
+        rng = random.Random(8200)
+        for _ in range(60):
+            x, y = random_fraction(rng, 8), random_fraction(rng, 8)
+            z = ComplexBall(Ball.from_endpoints(x, x + Fraction(1, 4), 64),
+                            Ball.from_endpoints(y, y + Fraction(1, 4), 64))
+            f = IntPoly(*(rng.randint(-9, 9) for _ in range(rng.randint(1, 7))))
+            got = kernel_at(f, z)
+            for point in box_points(z):
+                assert holds(got, exact_value(f.coeffs, point)), (f, x, y, point)
+        z = ComplexBall(Ball.from_endpoints(1, 2, 64), Ball.from_endpoints(-1, 1, 64))
+        got = kernel_at(IntPoly(0, -1), z)
+        assert (got.re.lo, got.re.hi) == (-2, -1)
 
     def test_division_by_a_real(self):
-        # _horner_at divides f(z) by an int den: the endpoints of libmpi's
+        # _dot_at divides f(z) by an int den: the endpoints of libmpi's
         # Ball division of each part, up to dens wider than the precision,
         # whose int interval is not a point
         z = ComplexBall(Ball(3, 64), Ball(-2, 64))
         gen = IntPoly(0, 1)
         for den in (1, 7, 3**40, 2**64 - 1, 2**64 + 1, 3**400):
-            got = realalg._horner_at(gen, z, den)
+            got = kernel_at(gen, z, den)
             assert _same(got, oracle_div(z, den)), den
             assert got.re.lo <= Fraction(3, den) <= got.re.hi
             assert got.im.lo <= Fraction(-2, den) <= got.im.hi
+
+    def test_refuses_a_polynomial_past_the_table(self):
+        # 1 + i: three powers hold 1 + 2z + 3z**2 = 3 + 8i, not a cubic
+        table = realalg._power_table(ComplexBall(Ball(1, 64), Ball(1, 64)), 3)
+        assert holds(realalg._dot_at(IntPoly(1, 2, 3), table), (3, 8))
+        with pytest.raises(ValueError, match="exceeds the power table"):
+            realalg._dot_at(IntPoly(1, 2, 3, 4), table)
 
     def test_abs_and_log_abs(self):
         z = ComplexBall(Ball(3), Ball(4))
@@ -750,9 +819,9 @@ class TestAgainstReference:
 # the integer kernel against the libmpi calls it replaces: every step must
 # return, bit for bit, the endpoints of its libmpi call (mpi_mul in all
 # nine sign cases, mpi_add and mpi_sub with the perturbation branch,
-# mpi_div by an int of any width, mpi_square, mpi_sqrt), and Horner, |z|
-# and the division by a denominator those of reference_horner_at, on every
-# finite input
+# mpi_div by an int of any width, mpi_square, mpi_sqrt), on every finite
+# input; polynomial values, which libmpi takes by Horner's rule
+# (reference_horner_at), must meet its enclosure
 
 
 def endpoint(rng: random.Random, prec: int, sign: int):
@@ -1383,10 +1452,18 @@ def random_poly(rng: random.Random) -> IntPoly:
     return IntPoly(*(rng.choice((0, rng.randint(-size, size))) for _ in range(rng.randint(0, 9))))
 
 
+def holds_abs(a: Ball, value) -> bool:
+    """|value| lies in a, for a point value = (re, im), on squares."""
+    sq = value[0] ** 2 + value[1] ** 2
+    return max(a.lo, 0) ** 2 <= sq <= a.hi ** 2
+
+
 @pytest.mark.parametrize("prec", PRECS)
 def test_horner_abs_and_division_match_libmpi(prec):
     # random boxes, some straddling zero (so mixed x mixed products),
-    # point parts, and denominators of 1 to past prec bits
+    # point parts, and denominators of 1 to past prec bits: the kernel
+    # meets libmpi's Horner, and holds f / den at the box's corners and
+    # centre, as its magnitude holds theirs
     rng = random.Random(5700 + prec)
     for _ in range(40):
         z = random_box(rng, prec)
@@ -1395,21 +1472,30 @@ def test_horner_abs_and_division_match_libmpi(prec):
         want = reference_horner_at(f, z)
         if den != 1:
             want = oracle_div(want, den)
-        got = realalg._horner_at(f, z, den)
-        assert _same(got, want), (f, den)
-        assert same_ball(abs(got), oracle_abs(want))
+        got = kernel_at(f, z, den)
+        assert meets(got, want), (f, den)
+        mag = abs(got)
+        assert mag.lo <= oracle_abs(want).hi and oracle_abs(want).lo <= mag.hi
+        for point in box_points(z):
+            value = tuple(v / den for v in exact_value(f.coeffs, point))
+            assert holds(got, value), (f, den, point)
+            assert holds_abs(mag, value), (f, den, point)
 
 
 def test_horner_at_certified_roots_matches_libmpi():
     rng = random.Random(5800)
     for cid in ("15-41", "10-271"):
         for z in certified_roots(get_case(cid).f, 64):
+            centre = (z.re.mid, z.im.mid)
             for _ in range(15):
                 f, den = random_poly(rng), rng.choice((1, 2, 17, 2**200 + 1))
                 want = reference_horner_at(f, z)
                 if den != 1:
                     want = oracle_div(want, den)
-                assert _same(realalg._horner_at(f, z, den), want), (cid, f, den)
+                got = kernel_at(f, z, den)
+                assert meets(got, want), (cid, f, den)
+                value = tuple(v / den for v in exact_value(f.coeffs, centre))
+                assert holds(got, value), (cid, f, den)
 
 
 @pytest.mark.parametrize("ends", [(-1, 1), (0, 1), (-1, 0)])
@@ -1452,24 +1538,27 @@ def _gamma_logs_digest(rnd: _RoundInputs) -> str:
 
 # SHA-256 of the exact endpoints of every log enclosure in a round's
 # _RoundInputs, read per gamma as _gamma_logs_digest does, and of
-# repr(constants), recorded when Ball still ran on mpmath's interval context
+# repr(constants), recorded when Ball still ran on mpmath's interval
+# context; the log enclosures re-pinned when embeddings moved from Horner's
+# rule to power tables, which widened them (15-41's largest radius 3.1e-69
+# to 9.8e-69) and left every rounded constant as it was
 PINNED_DIGESTS = {
     ("15-41", 256): (
-        "e922a1c9e11895a4a63bd47428e5e4f0966c6489cc158d73cbc980bfe63d5e4e",
+        "f3cfbda8926998339deee976267db4594c8fed962d1a37d49346062947d84e12",
         "888b29af850f7464511642047f7242c300910cceb1a021ff9800e9ed8780a50b",
     ),
     ("15-5581", 256): (
-        "ed2c907bf2ad44ba69d4ae2e0fe79f94ea20c31cd8b1e478afc87d31adbb2b57",
+        "2ed80f452de6a60b8beefcfe8f35c6b0b3e7b21aef7b0be0ab83dc8f0321965e",
         "33d94c3f2e685ef9df45bef58b557ab42ca9c9ed6595b83e563cbcb7653a68f6",
     ),
     ("10-271", 256): (
-        "9cd758802b909d23f4f2c878080427295bdc372214519516031de24d6a2573aa",
+        "e6c9c15bad93d59c2eddc4b824a9677f4852aaeef0743288d79fae8b586c364d",
         "e89aef0bbb41cea8393311774ad39465038a83be0c1344ff43a675d4a0bfb47a",
     ),
     # 64 bits: the roots are 96-bit balls, and the embeddings built from
     # them run at that precision too
     ("10-271", 64): (
-        "da068e06d38730f43dd5c78a8b7470b2ab065818d55c3f6fa55fa182d78ae861",
+        "7077c81ef0d58f64b7ac1b7666e73ed9332c1112c8d38a6b73641187b26dd697",
         "e89aef0bbb41cea8393311774ad39465038a83be0c1344ff43a675d4a0bfb47a",
     ),
 }
@@ -1667,7 +1756,7 @@ class TestCertifiedRoots:
     def test_roots_satisfy_polynomial(self):
         f = get_case("10-271").f
         for z in certified_roots(f):
-            val = realalg._horner_at(f, z)
+            val = kernel_at(f, z)
             assert val.re.lo <= 0 <= val.re.hi
             assert val.im.lo <= 0 <= val.im.hi
 
@@ -1850,7 +1939,7 @@ class TestRootCentres:
             assert len(roots) == half
             for z in roots:
                 assert z.im.lo > 0
-                val = realalg._horner_at(f, z)
+                val = kernel_at(f, z)
                 assert val.re.lo <= 0 <= val.re.hi
                 assert val.im.lo <= 0 <= val.im.hi
             for i in range(half - 1):
@@ -1947,6 +2036,13 @@ class TestDiscDecision:
                 assert realalg._apart(4 * y * y, a, b, a, b) == (y * y * b > a), (y, a, b)
 
 
+# the widest ratio of an embedding's radius to the four-product Horner's
+# over every case element and derivative of f at 64 and 256 bits is 5.5
+# (15-41): the dot product's radius adds up |c_k| times each power's,
+# while Horner's grows with its partial sums, which cancel
+RADIUS_FACTOR = 6
+
+
 class TestConjugateData:
     def test_generator_embeds_to_roots(self, chains):
         ch = chains["15-41"]
@@ -1972,19 +2068,46 @@ class TestConjugateData:
 
     @pytest.mark.parametrize("prec", [realalg.DEFAULT_PREC, 64])
     def test_embeddings_are_horner_at_the_roots(self, chains, prec):
-        # embedding i comes from the integer kernel; it must have the
-        # endpoints of the four-product Horner at its root divided by the
-        # denominator on Balls, also at 64 bits, where the Horner constants
-        # are coerced at the roots' precision; so must its magnitude
+        # embedding i comes from root i's power table; for every case
+        # element and every derivative of f, at every upper root, it must
+        # meet the four-product Horner at the root divided by the
+        # denominator on Balls, also at 64 bits, where the roots run at
+        # 96, and stay within RADIUS_FACTOR of its radius; so must its
+        # magnitude meet Horner's
         for ch in chains.values():
             cfg = ch.cfg
             conj = ConjugateData(cfg, prec)
             eta1, eta2, _ = conj.etas
-            for e in (*cfg.units, *cfg.gammas, *cfg.deltas, *eta1, *eta2):
+            g, derivatives = cfg.f, []
+            for _ in range(1, cfg.d):
+                g = poly_derivative(g)
+                derivatives.append(FieldElement(g))
+            for e in (*cfg.units, *cfg.gammas, *cfg.deltas, *eta1, *eta2, *derivatives):
                 for i in range(cfg.d // 2):
                     want = oracle_div(oracle_horner(e.num, conj.roots[i]), e.den)
-                    assert _same(conj.embed(e, i), want), (e, i)
-                    assert same_ball(conj.embed_abs(e, i), oracle_abs(want)), (e, i)
+                    got = conj.embed(e, i)
+                    assert meets(got, want), (e, i)
+                    for part, other in ((got.re, want.re), (got.im, want.im)):
+                        assert part.rad <= RADIUS_FACTOR * other.rad, (e, i)
+                    mag, oracle = conj.embed_abs(e, i), oracle_abs(want)
+                    assert mag.lo <= oracle.hi and oracle.lo <= mag.hi, (e, i)
+
+    def test_one_power_table_per_root(self, monkeypatch):
+        # a whole proof builds d/2 tables of d powers each, in the
+        # ConjugateData, and no other
+        built = []
+        table = realalg._power_table
+
+        def counted(z, n):
+            built.append(n)
+            return table(z, n)
+
+        monkeypatch.setattr(realalg, "_power_table", counted)
+        for cid in ("15-41", "15-5581", "10-271"):
+            built.clear()
+            solve_case(cid)
+            d = get_case(cid).d
+            assert built == [d] * (d // 2), cid
 
     @pytest.mark.parametrize("prec", [8, 64, 512])
     def test_embeddings_run_at_the_roots_precision(self, chains, prec):
@@ -2137,6 +2260,43 @@ class TestBakerHeights:
             calls.clear()
             solve_case(cid)
             assert len(calls) == 4, cid
+
+    # angles taken per Baker height, in the order eta1, eta2, units: the
+    # skip decisions of the square-root form of the test, at every precision
+    ANGLES = {"15-41": [0, 0, 0, 0, 0, 4], "15-5581": [0, 0, 0, 0, 0, 0, 4], "10-271": [2, 0, 0, 2]}
+
+    @pytest.mark.parametrize("prec", [64, 256, 512])
+    def test_angles_taken_per_element(self, chains, monkeypatch, prec):
+        calls = []
+        angle = realalg.ball_atan2
+        monkeypatch.setattr(realalg, "ball_atan2", lambda y, x: calls.append(1) or angle(y, x))
+        for cid, pin in self.ANGLES.items():
+            conj = ConjugateData(chains[cid].cfg, prec)
+            eta1, eta2, units = conj.etas
+            got = []
+            for e in (*eta1, *eta2, *units):
+                calls.clear()
+                matveev_a(e, conj)
+                got.append(len(calls))
+            assert got == pin, (cid, prec)
+
+    def test_skip_test_is_the_root_test(self):
+        # _sqrt_within(v, b) == (v.sqrt().hi <= b.hi): at b on either side
+        # of the rounded root, exact squares, and b of fewer and more bits
+        # than v
+        rng = random.Random(6500)
+        seen = set()
+        for _ in range(400):
+            prec = rng.choice((53, 64, 256, 288))
+            x = Fraction(rng.randint(0, 10**12), rng.randint(1, 10**6))
+            v = rng.choice((Ball(x, prec), Ball(x * x, prec), Ball.from_endpoints(x / 2, x, prec)))
+            root = v.sqrt().hi
+            for t in (root, root * (1 + Fraction(1, 2**rng.randint(40, 400))),
+                      root * (1 - Fraction(1, 2**rng.randint(40, 400))), x, x / 3, 0):
+                b = Ball(t, rng.choice((53, prec, 2 * prec)))
+                assert realalg._sqrt_within(v, b) == (root <= b.hi), (v, t)
+                seen.add((root < b.hi) - (root > b.hi))
+        assert seen == {-1, 0, 1}
 
     def test_exact_angle_decides_for_10_271(self, chains):
         # 10-271's first eta1 and its unit: the largest exact |log sigma_i|
@@ -2369,6 +2529,26 @@ class TestConstantChain:
         ch = chains["15-41"]
         with pytest.raises(ValueError, match="too small"):
             compute_constants(ch.conj, 10)
+
+    def test_tail_check_is_the_power_comparison(self, chains):
+        # _power_exceeds(p, n, y) == p**n > y around each boundary, where
+        # bit lengths cannot decide, and far from it, where they do
+        rng = random.Random(6600)
+        for _ in range(600):
+            p = rng.choice((2, 3, 4, 41, 271, 5581, rng.randint(2, 10**30)))
+            n = rng.randint(0, 300)
+            y = max(1, p**n + rng.choice((-1, 0, 1, rng.randint(-p**n, p**n))))
+            if rng.random() < 0.3:
+                y = rng.randint(1, 2**rng.randint(1, 3000))
+            assert realalg._power_exceeds(p, n, y) == (p**n > y), (p, n, y)
+        # the three proofs' floors clear (2*10**10)**d by bit lengths alone,
+        # so 15-5581's check builds no 49,972-bit power
+        for ch in chains.values():
+            cfg = ch.cfg
+            y_bits = ((2 * 10**10) ** cfg.d).bit_length()
+            assert ch.n_lower * (cfg.p.bit_length() - 1) >= y_bits, cfg.case_id
+            assert realalg._power_exceeds(cfg.p, ch.n_lower, (2 * 10**10) ** cfg.d)
+            assert not realalg._power_exceeds(cfg.p, 10, (2 * 10**10) ** cfg.d)
 
     def test_to_dict_is_json_friendly(self, chains):
         d = chains["15-41"].constants.to_dict()

@@ -1026,9 +1026,15 @@ class TestRobustness:
         built = []
         monkeypatch.setattr(reduction, "lll_reduce", lambda cols: built.append(cols))
         ch = chains["10-271"]
-        with pytest.raises(PrecisionError, match=r"K\*radius = 2\.00e\+25 exceeds 0\.001"):
+        with pytest.raises(PrecisionError, match=r"K\*radius = 3\.90e\+25 exceeds 0\.001"):
             reduce_case_bound(ch.conj, ch.constants, ch.abs_bound, scale=10**100)
         assert built == []
+
+    def test_precision_error_names_any_scale(self, chains):
+        # K*radius past float range is still written out, from its integers
+        ch = chains["10-271"]
+        with pytest.raises(PrecisionError, match=r"^K\*radius = 3\.90e\+325 exceeds 0\.001$"):
+            reduce_case_bound(ch.conj, ch.constants, ch.abs_bound, scale=10**400)
 
     def test_oversized_scale_raises_precision_error_15_5581(self, chains, monkeypatch):
         # the same check on a case with two norm-p gammas: the first one
@@ -1036,7 +1042,7 @@ class TestRobustness:
         built = []
         monkeypatch.setattr(reduction, "lll_reduce", lambda cols: built.append(cols))
         ch = chains["15-5581"]
-        with pytest.raises(PrecisionError, match=r"K\*radius = 1\.59e\+31 exceeds 0\.001"):
+        with pytest.raises(PrecisionError, match=r"K\*radius = 8\.01e\+31 exceeds 0\.001"):
             reduce_case_bound(ch.conj, ch.constants, ch.abs_bound, scale=10**100)
         assert built == []
 
