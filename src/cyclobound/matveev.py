@@ -13,7 +13,7 @@ import math
 from collections.abc import Callable
 from fractions import Fraction
 
-from .realalg import DEFAULT_PREC, Ball, CaseConstants, round_div, round_sig
+from .realalg import DEFAULT_PREC, Ball, CaseConstants, int_root, round_div, round_sig
 
 
 def matveev_c9(cc: CaseConstants, prec: int = DEFAULT_PREC) -> Fraction:
@@ -27,7 +27,7 @@ def matveev_c9(cc: CaseConstants, prec: int = DEFAULT_PREC) -> Fraction:
     if len(cc.a_values) != r:
         raise ValueError("need exactly one height bound per multiplicand")
     chain = Ball(3 * 30 ** (r + 4), prec)
-    chain = chain * Ball(r + 1, prec) ** Fraction(11, 2)
+    chain = chain * int_root((r + 1) ** 11, 2, prec)
     chain = chain * d ** 2 * (1 + Ball(d, prec).log())
     for a in cc.a_values:
         chain = chain * a

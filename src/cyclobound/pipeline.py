@@ -10,7 +10,6 @@ anything less is reported as inconclusive rather than patched over.
 """
 from __future__ import annotations
 
-import math
 import time
 from collections import namedtuple
 from contextlib import contextmanager
@@ -20,7 +19,7 @@ from functools import cached_property
 from .matveev import absolute_bound, inequality_coefficients, matveev_c9
 from .numberfield import CaseConfig, VerificationReport, get_case, verify_case_data
 from .padic import PAdicRoot, combined_lower_bound
-from .polyarith import IntPoly, poly_eval, values_mod
+from .polyarith import IntPoly, iroot, poly_eval, values_mod
 from .realalg import DEFAULT_PREC, CaseConstants, ConjugateData, compute_constants
 from .reduction import ReductionReport, reduction_loop
 
@@ -33,56 +32,32 @@ SEARCH_FLOOR = 500
 SIEVE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
 
 
-def _iroot(t: int, d: int) -> int:
-    """Floor of the d-th root of a nonnegative integer.
-
-    Each factor 2 of d is one exact math.isqrt, because nested floors
-    compose: floor(floor(t^(1/a))^(1/b)) = floor(t^(1/(a*b))).  Only the
-    odd part of d left after that runs Newton's iteration.
-    """
-    if t < 0:
-        raise ValueError("negative radicand")
-    if d < 1:
-        raise ValueError("root index must be positive")
-    while d % 2 == 0:
-        t = math.isqrt(t)
-        d //= 2
-    if d == 1 or t == 0:
-        return t
-    x = 1 << -(-t.bit_length() // d)
-    while True:
-        y = ((d - 1) * x + t // x ** (d - 1)) // d
-        if y >= x:
-            break
-        x = y
-    while x ** d > t:
-        x -= 1
-    while (x + 1) ** d <= t:
-        x += 1
-    return x
-
-
 def _sieve(f: IntPoly, p: int, n_max: int) -> list[int]:
     """The exponents 1 <= n <= n_max that pass the test mod every q in
     SIEVE_PRIMES: 2*p^n mod q is a value of f mod q.
 
     n -> 2*p^n mod q is periodic with period ord_q(p) when q does not
-    divide p, so one period of it marks every excluded class of n.
+    divide p, so one period of it marks every excluded class of n.  Bit n
+    of alive is exponent n, and each q ANDs in its period's bits repeated.
     """
-    alive = bytearray([0]) + bytearray([1]) * n_max
+    if n_max < 1:
+        return []
+    alive = (1 << n_max + 1) - 2  # bits 1 .. n_max
     for q in SIEVE_PRIMES:
         if p % q == 0:
             continue
         values = values_mod(f, q)
-        residues, u = [], 1  # 2*p^n mod q for n = 1 .. ord_q(p)
-        while not residues or u != 1:
+        keep, u, step = 0, 1, 0  # bit n of keep: n = 1 .. ord_q(p) passes
+        while not step or u != 1:
             u = u * p % q
-            residues.append(2 * u % q)
-        step = len(residues)
-        for n, t in enumerate(residues, 1):
-            if t not in values:
-                alive[n::step] = bytes(len(alive[n::step]))
-    return [n for n in range(1, n_max + 1) if alive[n]]
+            step += 1
+            keep |= (2 * u % q in values) << step
+        alive &= keep * ((1 << step * (n_max // step + 1)) - 1) // ((1 << step) - 1)
+    out = []
+    while alive:  # the lowest bit set, then clear it
+        out.append((alive & -alive).bit_length() - 1)
+        alive &= alive - 1
+    return out
 
 
 def _vanishes_mod(f: IntPoly, x: int, q: int) -> bool:
@@ -113,7 +88,7 @@ def direct_search(f: IntPoly, p: int, n_max: int) -> list[tuple[int, int]]:
     for n in exponents:
         target = 2 * p**n
         out += [(n, x) for x, v in small if v == target]
-        x0 = _iroot(target, d)
+        x0 = iroot(target, d)
         for x in (x0 - 1, x0, x0 + 1, 1 - x0, -x0, -1 - x0):
             if abs(x) > 2 and _vanishes_mod(f, x, p) and poly_eval(f, x) == target:
                 out.append((n, x))

@@ -331,6 +331,35 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def iroot(t: int, d: int) -> int:
+    """Floor of the d-th root of a nonnegative integer.
+
+    Each factor 2 of d is one exact math.isqrt, because nested floors
+    compose: floor(floor(t^(1/a))^(1/b)) = floor(t^(1/(a*b))).  Only the
+    odd part of d left after that runs Newton's iteration.
+    """
+    if t < 0:
+        raise ValueError("negative radicand")
+    if d < 1:
+        raise ValueError("root index must be positive")
+    while d % 2 == 0:
+        t = math.isqrt(t)
+        d //= 2
+    if d == 1 or t == 0:
+        return t
+    x = 1 << -(-t.bit_length() // d)
+    while True:
+        y = ((d - 1) * x + t // x ** (d - 1)) // d
+        if y >= x:
+            break
+        x = y
+    while x ** d > t:
+        x -= 1
+    while (x + 1) ** d <= t:
+        x += 1
+    return x
+
+
 def values_mod(f: IntPoly, q: int) -> frozenset[int]:
     """The values of f mod q at every residue, by Horner's rule mod q.
 

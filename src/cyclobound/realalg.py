@@ -23,7 +23,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .numberfield import CaseConfig, FieldElement, charpoly, nf_inverse, nf_mul, nf_pow
-from .polyarith import IntPoly, det, poly_derivative
+from .polyarith import IntPoly, det, iroot, poly_derivative
 
 DEFAULT_PREC = 256
 
@@ -160,6 +160,18 @@ class Ball:
                                   decimal.MIN_EMIN, decimal.MAX_EMAX)
             ends.append(ctx.divide(m << max(e, 0), 1 << max(-e, 0)))
         return f"Ball([{ends[0]}, {ends[1]}], prec={self.prec})"
+
+
+def int_root(a: int, k: int, prec: int = DEFAULT_PREC, b: int = 1) -> Ball:
+    """(a/b)**(1/k) for ints a >= 0 and b, k >= 1, each end correctly
+    rounded to prec bits.  r = iroot(a * 2**(k*s) // b, k) is the floor of
+    the root times 2**s, and s makes r at least 2**prec, so the prec-bit
+    grid there is integral and r and r + 1 round as the root does."""
+    s = max(0, prec - (a.bit_length() - b.bit_length() - 1) // k)
+    u = a << k * s
+    r = iroot(u // b, k)
+    return Ball._make((*_round(r, -s, prec, False),
+                       *_round(r + (r ** k * b != u), -s, prec, True)), prec)
 
 
 def ball_max(first, *rest) -> Ball:
@@ -451,8 +463,16 @@ def _odd_series(z, w, alternate):
     return s, j
 
 
-@functools.lru_cache(maxsize=64)
 def _ln2(w):
+    """ln 2 * 2**w, within 3/2: the series at w + s bits, the next multiple
+    of 64, shifted down by s and rounded to nearest, so within 3/2^(s+1) +
+    1/2 <= 5/4 for s > 0.  A proof's w lie in 288 .. 320: one series."""
+    s = -w % 64
+    return _ln2_series(w + s) + (1 << s >> 1) >> s
+
+
+@functools.lru_cache(maxsize=64)
+def _ln2_series(w):
     """ln 2 * 2**w, within 3/2: 2 atanh(1/3) with enough extra bits to
     cover the error of its terms."""
     g = w.bit_length() + 8
@@ -765,13 +785,13 @@ def certified_roots(f: IntPoly, prec: int = DEFAULT_PREC) -> list[ComplexBall]:
     Returns the d/2 roots with positive imaginary part ordered by
     decreasing real part; their conjugates are the other d/2 roots.
 
-    Candidate centres come from _root_centres; the certificate is
-    separate.  With w_i = f(z_i) / prod_{j != i} (z_i - z_j) computed
-    exactly, the union of the discs |z - z_i| <= d*|w_i| contains every
-    root of f, and when the discs are pairwise disjoint each disc contains
-    exactly one.  The discs must also prove the order by real part, which
-    numbers the embeddings; the error names that test when only it failed
-    on the last try.
+    Candidate centres come from _root_centres, polished 40 bits past the
+    work bits they keep; the certificate is separate.  With
+    w_i = f(z_i) / prod_{j != i} (z_i - z_j) computed exactly, the union of
+    the discs |z - z_i| <= d*|w_i| contains every root of f, and when the
+    discs are pairwise disjoint each disc contains exactly one.  The discs
+    must also prove the order by real part, which numbers the embeddings;
+    the error names that test when only it failed on the last try.
     """
     d = f.degree()
     if d < 2 or d % 2 != 0 or f.lc() != 1:
@@ -848,7 +868,9 @@ def _polish(coeffs_desc, z: complex, scale: int, bits: int):
     """Newton from the start z * 2^scale to a root within about 2^-bits of
     its size, doubling the precision per step: (x, y, shift), the root
     being (x + iy) / 2^shift.  None if Newton does not settle within 64
-    steps, or the start is not finite."""
+    steps, or the start is not finite.  _root_centres keeps 40 bits less:
+    a centre rounded to nearest moves only for a root within 2^-40 units
+    of a rounding boundary, and the disc test is the certificate."""
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         return None
     size = math.frexp(abs(z))[1] + scale
@@ -879,7 +901,7 @@ def _root_centres(coeffs_desc, starts, scale: int, work: int):
     """Centres of the roots in the upper half plane, or None.
 
     Each start with positive imaginary part is polished by Newton to about
-    2*work + 20 bits and rounded to nearest at work bits, part by part; a
+    work + 40 bits and rounded to nearest at work bits, part by part; a
     part below 2^(1 - work) in size is taken as 0, so a root with such an
     imaginary part counts as real.  None if some start does not settle.
     """
@@ -887,7 +909,7 @@ def _root_centres(coeffs_desc, starts, scale: int, work: int):
     for z in starts:
         if z.imag <= 0:
             continue
-        got = _polish(coeffs_desc, z, scale, 2 * work + 20)
+        got = _polish(coeffs_desc, z, scale, work + 40)
         if got is None:
             return None
         x, y, shift = got
@@ -938,16 +960,21 @@ def _certify_roots(f, upper, work):
     roots, _NOT_ORDERED when they do but fail only the test that they
     order the centres by decreasing real part.
 
-    The disc test of certified_roots, in exact integers: with L a common
-    denominator of the centres, f(z_i) * L^d and the product of the
-    (z_i - z_j)(z_i - conj z_j) times L^(d-1) are Gaussian integers, and
-    each squared radius d^2 |w_i|^2, times L^2, is held as a fraction
-    A_i / B_i, so that the tests compare the centres times L.
+    The disc test of certified_roots, in exact integers: with L = 2^s the
+    common denominator of the dyadic centres, f(z_i) * L^d and the product
+    of the (z_i - z_j)(z_i - conj z_j) times L^(d-1) are Gaussian
+    integers, and each squared radius d^2 |w_i|^2, times L^2, is held as a
+    fraction A_i / B_i, so that the tests compare the centres times L.
+    The radii sqrt(A_i / B_i) / L and the ends of each enclosure are
+    rounded outward to prec bits on integers too.
     """
     d = f.degree()
     half = d // 2
     prec = work + 32
     scale = math.lcm(*(t.denominator for z in upper for t in z))
+    if scale & scale - 1:
+        raise ValueError("root centres must be dyadic")
+    s = scale.bit_length() - 1
     pts = [(int(x * scale), int(y * scale)) for x, y in upper]
 
     def cmul(a, b):
@@ -992,15 +1019,13 @@ def _certify_roots(f, upper, work):
             return _NOT_ORDERED
 
     out = []
-    for i in range(half):
-        x, y = upper[i]
-        r = Ball(Fraction(rad[i][0], rad[i][1] * scale * scale), prec).sqrt().hi
-        out.append(
-            ComplexBall(
-                Ball.from_endpoints(x - r, x + r, prec),
-                Ball.from_endpoints(y - r, y + r, prec),
-            )
-        )
+    for (a, b), centre in zip(rad, pts):
+        rm, re = int_root(a, 2, prec, b)._iv[2:]  # the radius times L
+        out.append(ComplexBall(*(
+            Ball._make((*_sum(c, -s, -rm, re - s, prec, False),
+                        *_sum(c, -s, rm, re - s, prec, True)), prec)
+            for c in centre
+        )))
     return out
 
 
@@ -1134,16 +1159,21 @@ def matveev_a(elem: FieldElement, conj: ConjugateData) -> Ball:
     [-pi_hi, pi_hi], so |log sigma_i(elem)| is at most sqrt(log|sigma_i|^2
     + pi_hi^2), computed with the same roundings; the angle is taken only
     where that bound could raise the upper end of the running maximum.
-    The lower end leaves out the terms skipped, so it may be lower.
+    Where sigma_i(elem) has a certified positive real part, each end of
+    the angle is a right half-plane angle rounded, so pi_hi/2 (halving
+    commutes with rounding) replaces pi_hi.  The lower end leaves out the
+    terms skipped, so it may be lower.
     """
     d = conj.d
-    pi_sq = _pi_hull(conj.roots[0].re.prec) ** 2
+    hull = _pi_hull(conj.roots[0].re.prec)
+    pi_sq, half_pi_sq = hull ** 2, (hull / 2) ** 2
     best = ball_max(log_height(elem, conj) * d, Ball(Fraction(4, 25), conj.prec))
     for i in range(d // 2):
+        z = conj.embed(elem, i)
         log_sq = conj.log_abs(elem, i) ** 2
-        if _sqrt_within(log_sq + pi_sq, best):
+        if _sqrt_within(log_sq + (half_pi_sq if z.re._iv[0] > 0 else pi_sq), best):
             continue
-        arg = conj.embed(elem, i).arg()
+        arg = z.arg()
         best = ball_max(best, (log_sq + arg ** 2).sqrt())
     return best
 
@@ -1222,14 +1252,25 @@ def _power_exceeds(p: int, n: int, y: int) -> bool:
     return p ** n > y
 
 
+def _derivative_bounds(conj: ConjugateData) -> list[Ball]:
+    """|f^(i)(alpha)| / i! over every embedding, i = 1 .. d-1: one square
+    root and one division by i! of the largest |f^(i)|^2 at the roots, both
+    monotone, so the same ball as the largest of the per-root bounds."""
+    out, g, fact = [], conj.cfg.f, 1
+    for i in range(1, conj.d):
+        g, fact = poly_derivative(g), fact * i
+        values = [_dot_at(g, table) for table in conj.tables]
+        out.append(ball_max(*(z.re ** 2 + z.im ** 2 for z in values)).sqrt() / fact)
+    return out
+
+
 def compute_constants(conj: ConjugateData, n_lower: int) -> CaseConstants:
     """Run the full rounded-constant chain for the case of conj.
 
     n_lower must be a proved lower bound on the exponent; several tail
     estimates need p**n_lower > (2*10**10)**d and the call refuses to
     continue otherwise (_power_exceeds decides it, mostly from bit
-    lengths).  The derivative bounds take each f^(i) at every root as a
-    dot product with the root's power table, as embeddings are taken.
+    lengths).
     """
     cfg = conj.cfg
     d, p, f, prec = cfg.d, cfg.p, cfg.f, conj.prec
@@ -1244,22 +1285,14 @@ def compute_constants(conj: ConjugateData, n_lower: int) -> CaseConstants:
     margin = max(Fraction("2.252"), round_sig((one + max_root).hi, 4, "up"))
 
     # |x - alpha^(i)| is squeezed between c1*p^(n/d) and c4*p^(n/d)
-    root_2d = Ball(2, prec) ** Fraction(1, d)
+    root_2d = int_root(2, d, prec)
     tail = Ball(margin, prec) / Ball(p, prec) ** Fraction(n_lower, d)
     c1 = round_sig((root_2d - tail).lo, 4, "down")
     c4 = round_sig((root_2d + tail).hi, 4, "up")
     if not 0 < c1 <= c4:
         raise ArithmeticError("degenerate bounds for |x - alpha|")
 
-    # upper bounds for |f^(i)(alpha)| / i! over all embeddings
-    deriv_exact: list[Ball] = []
-    g = f
-    fact = 1
-    for i in range(1, d):
-        g = poly_derivative(g)
-        fact *= i
-        vals = [abs(_dot_at(g, table)) / fact for table in conj.tables]
-        deriv_exact.append(ball_max(*vals))
+    deriv_exact = _derivative_bounds(conj)  # upper bounds for |f^(i)(alpha)| / i!
     deriv_bounds = tuple(round_sig(b.hi, 4, "up") for b in deriv_exact)
 
     # Taylor tail of the cofactor at |y| > y_floor, chained from the
@@ -1300,7 +1333,7 @@ def compute_constants(conj: ConjugateData, n_lower: int) -> CaseConstants:
         ratios = (Ball(top, prec) / low).log(), (Ball(high, prec) / bottom).log()
         return round_sig(ball_max(*ratios).hi, 4, "up")
 
-    p_root_d = Ball(p, prec) ** Fraction(1, d)
+    p_root_d = int_root(p, d, prec)
     c5 = log_ratio_bound(p_root_d, *gamma_abs_range, p_root_d)
     c6 = log_ratio_bound(c4, *delta_abs_range, c1)
 

@@ -36,6 +36,7 @@ from .realalg import (
     Ball,
     CaseConstants,
     ConjugateData,
+    int_root,
     max_rad,
     round_div,
     round_sig,
@@ -306,7 +307,7 @@ class _RoundInputs:
         )
         shared = [b for row in self.lam1 + self.lam_units for b in row]
         self.max_rad = [max_rad(row + shared) for row in self.lam2]
-        self.bound_root = Ball(bound_n, prec) ** Fraction(1, cc.rank - 2)
+        self.bound_root = int_root(bound_n, cc.rank - 2, prec)
         self.log_bound = Ball(bound_n, prec).log()
 
     def unit_block(self, choice: tuple[int, ...], K: int) -> list:

@@ -1,6 +1,7 @@
 """End-to-end solve runs, the direct search, and the command line."""
 
 import copy
+import importlib.util
 import json
 import math
 import os
@@ -22,12 +23,11 @@ from cyclobound.numberfield import (
 )
 from cyclobound.pipeline import (
     SEARCH_FLOOR,
-    _iroot,
     direct_search,
     emit_report,
     solve_case,
 )
-from cyclobound.polyarith import IntPoly, charpoly_mod, poly_eval, roots_mod_p
+from cyclobound.polyarith import IntPoly, charpoly_mod, iroot, poly_eval, roots_mod_p
 
 
 def brute_force_search(f, p, n_max, x_span=2000):
@@ -83,11 +83,11 @@ def reference_direct_search(f, p, n_max):
 
 class TestIRoot:
     def test_exact_powers(self):
-        assert _iroot(27, 3) == 3
-        assert _iroot(26, 3) == 2
-        assert _iroot(28, 3) == 3
-        assert _iroot(0, 5) == 0
-        assert _iroot(1, 7) == 1
+        assert iroot(27, 3) == 3
+        assert iroot(26, 3) == 2
+        assert iroot(28, 3) == 3
+        assert iroot(0, 5) == 0
+        assert iroot(1, 7) == 1
 
     def test_floor_property_on_random_inputs(self):
         import random
@@ -96,16 +96,16 @@ class TestIRoot:
         for _ in range(200):
             d = rng.randint(2, 9)
             t = rng.randint(0, 10**30)
-            r = _iroot(t, d)
+            r = iroot(t, d)
             assert r**d <= t < (r + 1) ** d
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            _iroot(-1, 2)
+            iroot(-1, 2)
 
     def test_rejects_zero_index(self):
         with pytest.raises(ValueError):
-            _iroot(16, 0)
+            iroot(16, 0)
 
     def test_matches_reference(self):
         # radicands up to 20,000 bits for every index 1..16, with the exact
@@ -116,7 +116,57 @@ class TestIRoot:
                 t = rng.getrandbits(bits)
                 r = rng.getrandbits(max(bits // d, 1)) + 1
                 for u in (t, r**d - 1, r**d, r**d + 1):
-                    assert _iroot(u, d) == reference_iroot(u, d), (u, d)
+                    assert iroot(u, d) == reference_iroot(u, d), (u, d)
+
+
+def reference_sieve(f, p, n_max):
+    """pipeline._sieve as it stood on a bytearray: one period of 2*p^n mod
+    q per q, each excluded class of n cleared by a slice assignment."""
+    alive = bytearray([0]) + bytearray([1]) * n_max
+    for q in pipeline.SIEVE_PRIMES:
+        if p % q == 0:
+            continue
+        values = {poly_eval(f, x) % q for x in range(q)}
+        residues, u = [], 1
+        while not residues or u != 1:
+            u = u * p % q
+            residues.append(2 * u % q)
+        step = len(residues)
+        for n, t in enumerate(residues, 1):
+            if t not in values:
+                alive[n::step] = bytes(len(alive[n::step]))
+    return [n for n in range(1, n_max + 1) if alive[n]]
+
+
+def screen_items(seeds):
+    """(m, p, n_max) of every item of the `screen` benchmark's first pass
+    at each seed, as perfbench/workloads.py deals them."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [(item["m"], item["p"], item["n_max"]) for seed in seeds
+            for job in workloads.pass_inputs("screen", seed, 0) for item in job["items"]]
+
+
+class TestSieve:
+    def test_matches_reference_on_seeded_inputs(self):
+        # both fields and a toy, every p below 400 (those sharing a factor
+        # with a sieve prime included) and seeded p up to 10^6, at n_max
+        # from below 1 to past a period of every q
+        rng = random.Random(7101)
+        fields = {10: get_case("10-271").f, 15: get_case("15-41").f}
+        for f in (*fields.values(), IntPoly(2, 1, 1)):
+            for p in [*range(-3, 400), *(rng.randrange(2, 10**6) for _ in range(200))]:
+                n_max = rng.choice((-2, 0, 1, 2, 7, 58, 60, 500, 1200))
+                assert pipeline._sieve(f, p, n_max) == reference_sieve(f, p, n_max), (f, p, n_max)
+
+    def test_matches_reference_on_screen_items(self):
+        fields = {10: get_case("10-271").f, 15: get_case("15-41").f}
+        items = screen_items(range(1, 4))
+        assert len(items) == 3 * 12
+        for m, p, n_max in items:
+            assert pipeline._sieve(fields[m], p, n_max) == reference_sieve(fields[m], p, n_max)
 
 
 class TestDirectSearch:
@@ -199,13 +249,12 @@ class TestDirectSearch:
         # every exponent up to SEARCH_FLOOR of 15-5581 fails a congruence,
         # so no root is taken; 15-41 keeps 2 exponents and 10-271 keeps 4
         calls = []
-        iroot = pipeline._iroot
 
         def counting_iroot(t, d):
             calls.append(d)
             return iroot(t, d)
 
-        monkeypatch.setattr(pipeline, "_iroot", counting_iroot)
+        monkeypatch.setattr(pipeline, "iroot", counting_iroot)
         for cid, expected in (("15-41", 2), ("15-5581", 0), ("10-271", 4)):
             cfg = get_case(cid)
             calls.clear()

@@ -32,6 +32,7 @@ from cyclobound.realalg import (
     case_etas,
     certified_roots,
     compute_constants,
+    int_root,
     log_height,
     matveev_a,
     max_rad,
@@ -1328,16 +1329,18 @@ def test_memoised_log_and_exp_equal_fresh_evaluations(prec):
 
 
 def test_a_proof_evaluates_each_log_and_exp_once():
-    # 15-41 asks for 129 interval logs and exps, and 80 of them repeat an
+    # 15-41 asks for 121 interval logs and exps, and 78 of them repeat an
     # earlier one (log 41, and every log|embedding| that a later stage
-    # reads again, among them): 49 are evaluated
+    # reads again, among them): 43 are evaluated.  The roots of integers
+    # (2^(1/d), p^(1/d), (r+1)^(11/2), bound^(1/(r-2))) are integer
+    # roots, not exp of a log
     kernels = (realalg._log, realalg._exp)
     for kernel in kernels:
         kernel.cache_clear()
     solve_case(get_case("15-41"))
     infos = [kernel.cache_info() for kernel in kernels]
-    assert sum(info.misses for info in infos) == 49
-    assert sum(info.hits + info.misses for info in infos) == 129
+    assert sum(info.misses for info in infos) == 43
+    assert sum(info.hits + info.misses for info in infos) == 121
 
 
 def seeded_ball(rng: random.Random) -> Ball:
@@ -1790,8 +1793,28 @@ def reference_root_centres(f, work: int):
     return sorted((t for t in upper if t[1] > 0), reverse=True)
 
 
+def reference_sqrt_up(q: Fraction, prec: int) -> Fraction:
+    """sqrt(q) ceiled to prec significant bits, for a Fraction q >= 0, by
+    Fraction comparisons alone: with 4^(e-1) <= q < 4^e, the least
+    multiple of 2^(e - prec) whose square is at least q."""
+    if not q:
+        return Fraction(0)
+    e = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
+    while Fraction(4) ** e <= q:
+        e += 1
+    while Fraction(4) ** (e - 1) > q:
+        e -= 1
+    unit = Fraction(2) ** (e - prec)
+    n = math.isqrt(math.floor(q / unit**2))
+    while (n * unit) ** 2 < q:
+        n += 1
+    return n * unit
+
+
 def reference_certify_roots(f, upper, work):
-    """realalg._certify_roots as it was, in Fraction arithmetic."""
+    """realalg._certify_roots in Fraction arithmetic: the enclosures, and
+    those of the radius it used to take, sqrt of the squared radius
+    rounded to prec bits as a Ball, then square-rooted and rounded up."""
     d = f.degree()
     half = d // 2
     prec = work + 32
@@ -1838,14 +1861,15 @@ def reference_certify_roots(f, upper, work):
         if xi <= xj or not separated(xi - xj, Fraction(0), i, i + 1):
             return None
 
-    out = []
+    out, old = [], []
     for i in range(half):
         x, y = upper[i]
-        r = Ball(rad_sq[i], prec).sqrt().hi
-        re = Ball.from_endpoints(x - r, x + r, prec)
-        im = Ball.from_endpoints(y - r, y + r, prec)
-        out.append((re.lo, re.hi, im.lo, im.hi))
-    return out
+        for r, ends in ((reference_sqrt_up(rad_sq[i], prec), out),
+                        (Ball(rad_sq[i], prec).sqrt().hi, old)):
+            re = Ball.from_endpoints(x - r, x + r, prec)
+            im = Ball.from_endpoints(y - r, y + r, prec)
+            ends.append((re.lo, re.hi, im.lo, im.hi))
+    return out, old
 
 
 def _endpoints(roots):
@@ -1879,7 +1903,9 @@ class TestRootCentres:
     def test_disc_test_matches_reference(self, cid):
         # the integer disc test against the Fraction one it replaced, on
         # centres moved by seeded amounts from 2^-work to about 32: large
-        # moves are refused by both, and what both accept must agree
+        # moves are refused by both, and what both accept must agree.  The
+        # radius is sqrt(A/B) ceiled to prec bits, exactly; each disc lies
+        # inside the one the radius rounded from A/B as a Ball gave
         f = get_case(cid).f
         rng = random.Random(cid)
         accepted = refused = 0
@@ -1898,7 +1924,10 @@ class TestRootCentres:
                     assert isinstance(got, str)
                     refused += 1
                 else:
-                    assert _endpoints(got) == ref
+                    new, old = ref
+                    assert _endpoints(got) == new
+                    for (a, b, c, e), (a0, b0, c0, e0) in zip(new, old):
+                        assert a0 <= a and b <= b0 and c0 <= c and e <= e0
                     accepted += 1
         assert accepted > 10 and refused > 10, (accepted, refused)
 
@@ -2246,8 +2275,9 @@ class TestBakerHeights:
             assert same_ball(got, want), (lo, hi)
 
     def test_angles_taken_per_proof(self, monkeypatch):
-        # the certified angle is taken only where the bound |arg| <= pi
-        # could raise a Baker height: 4 per built-in proof, not 24/28/8
+        # the certified angle is taken only where the bound |arg| <= pi,
+        # or |arg| <= pi/2 for a certified positive real part, could raise
+        # a Baker height: 1, 1 and 3 per built-in proof, not 24/28/8
         calls = []
         angle = realalg.ball_atan2
 
@@ -2256,14 +2286,14 @@ class TestBakerHeights:
             return angle(y, x)
 
         monkeypatch.setattr(realalg, "ball_atan2", counted)
-        for cid in ("15-41", "15-5581", "10-271"):
+        for cid, pin in (("15-41", 1), ("15-5581", 1), ("10-271", 3)):
             calls.clear()
             solve_case(cid)
-            assert len(calls) == 4, cid
+            assert len(calls) == pin, cid
 
     # angles taken per Baker height, in the order eta1, eta2, units: the
     # skip decisions of the square-root form of the test, at every precision
-    ANGLES = {"15-41": [0, 0, 0, 0, 0, 4], "15-5581": [0, 0, 0, 0, 0, 0, 4], "10-271": [2, 0, 0, 2]}
+    ANGLES = {"15-41": [0, 0, 0, 0, 0, 1], "15-5581": [0, 0, 0, 0, 0, 0, 1], "10-271": [2, 0, 0, 1]}
 
     @pytest.mark.parametrize("prec", [64, 256, 512])
     def test_angles_taken_per_element(self, chains, monkeypatch, prec):
@@ -2555,3 +2585,168 @@ class TestConstantChain:
         assert d["c7"] == 2.368
         assert d["case_id"] == "15-41"
         assert isinstance(d["a_values"], list)
+
+
+# ---------------------------------------------------------------------------
+# kernels that stop at the bits the proof keeps, each against the form it
+# replaced: the same centres, the same correctly rounded ends, the same
+# bounds, and integer roots inside the exp of a log they replaced
+
+
+def no_real_root_poly(rng: random.Random) -> IntPoly:
+    """A seeded monic product of 2 to 4 distinct quadratics x^2 + bx + c
+    with b^2 < 4c, so of degree 4 to 8 with no real root."""
+    quads = set()
+    while len(quads) < rng.randint(2, 4):
+        b = rng.randint(-30, 30)
+        quads.add((b * b // 4 + rng.randint(1, 10**rng.randint(1, 6)), b))
+    return _mul(*(IntPoly(c, b, 1) for c, b in quads))
+
+
+def centres_at_both_targets(f, work, monkeypatch):
+    """_root_centres as it stands (Newton polished to work + 40 bits) and
+    with the polish asked for the 2*work + 20 bits it used to reach."""
+    coeffs = [int(c) for c in reversed(f.coeffs)]
+    starts, scale = realalg._float_roots(coeffs)
+    new = realalg._root_centres(coeffs, starts, scale, work)
+    polish = realalg._polish
+
+    def old_target(c, z, sc, bits):
+        assert bits == work + 40
+        return polish(c, z, sc, 2 * work + 20)
+
+    with monkeypatch.context() as m:
+        m.setattr(realalg, "_polish", old_target)
+        old = realalg._root_centres(coeffs, starts, scale, work)
+    return new, old
+
+
+class TestLeanKernels:
+    @pytest.mark.parametrize("cid", ["15-41", "10-271"])
+    @pytest.mark.parametrize("work", [64, 128, 256, 512])
+    def test_polish_targets_give_the_same_centres(self, cid, work, monkeypatch):
+        new, old = centres_at_both_targets(get_case(cid).f, work, monkeypatch)
+        assert new is not None and new == old
+
+    def test_polish_targets_agree_on_seeded_polynomials(self, monkeypatch):
+        rng = random.Random(6900)
+        settled = 0
+        for _ in range(12):
+            f = no_real_root_poly(rng)
+            for work in (64, 128, 256, 512):
+                new, old = centres_at_both_targets(f, work, monkeypatch)
+                assert new == old, (f, work)
+                settled += new is not None
+        assert settled >= 40
+
+    def test_ln2_within_three_halves_of_the_direct_series(self):
+        # each w shifts the series of the next multiple of 64 bits; the
+        # direct series at w itself is the one _ln2 used to be
+        for w in range(33, 2101):
+            assert 2 * abs(realalg._ln2(w) - realalg._ln2_series.__wrapped__(w)) <= 3, w
+        # and within 5/4 of ln 2 itself, read from a series 80 bits wider
+        for w in (33, 64, 255, 288, 289, 301, 319, 320, 1000, 2100):
+            wide = realalg._ln2_series.__wrapped__(w + 80)
+            assert 4 * abs((realalg._ln2(w) << 80) - wide) <= 5 * 2**80 + 6, w
+
+    def test_log_and_exp_ends_equal_the_direct_series_kernel(self, monkeypatch):
+        # TestAgainstReference's seeded logs, exps and fractional powers,
+        # then seeded balls at every precision: each end with the shifted
+        # ln 2 is the end the direct series at each w gave
+        calls = []
+        rng = random.Random(6103)  # test_powers: bp ** e is exp(e log bp)
+        for _ in range(60):
+            x, prec, _ = random_operand(rng), rng.choice(PRECS), rng.randint(-6, 7)
+            e = Fraction(rng.randint(-30, 30), rng.randint(1, 30))
+            calls.append((operator.pow, Ball(abs(x) or 1, rng.choice(PRECS)), e))
+        rng = random.Random(6104)  # test_transcendental
+        for _ in range(40):
+            x = abs(random_operand(rng)) or 1
+            calls.append((Ball.log, Ball(x, rng.choice(PRECS))))
+            small = Fraction(rng.randint(-2000, 2000), rng.randint(1, 50))
+            calls.append((Ball.exp, Ball(small, rng.choice(PRECS))))
+        rng = random.Random(6901)
+        for prec in PRECS:
+            for _ in range(15):
+                calls.append((Ball.log, positive_ball(rng, prec)))
+                calls.append((Ball.exp, exponent_ball(rng, prec)))
+
+        def ends():
+            realalg._log.cache_clear()
+            realalg._exp.cache_clear()
+            return [fn(*args)._iv for fn, *args in calls]
+
+        new = ends()
+        asked = []
+        monkeypatch.setattr(realalg, "_ln2", lambda w: asked.append(w) or realalg._ln2_series(w))
+        old = ends()
+        realalg._log.cache_clear()
+        realalg._exp.cache_clear()
+        assert new == old
+        assert len({w % 64 for w in asked}) > 10
+
+    @pytest.mark.parametrize("prec", [64, 256, 512])
+    def test_baker_heights_equal_the_full_angle_form(self, chains, prec):
+        # every eta and unit: the upper end with the angles that the pi and
+        # pi/2 bounds skip left out is the one with every angle taken
+        for ch in chains.values():
+            conj = ConjugateData(ch.cfg, prec)
+            eta1, eta2, units = conj.etas
+            for e in (*eta1, *eta2, *units):
+                assert matveev_a(e, conj).hi == reference_matveev_a(e, conj).hi, (ch.cfg.case_id, e)
+
+    def test_baker_heights_equal_the_full_angle_form_at_seeded_points(self, chains):
+        # the element 1 with its embeddings replaced by seeded boxes, some
+        # of them wide, of either sign of real part or across 0, so that a
+        # skipped angle can decide the height: where the pi/2 bound, or pi,
+        # lets an angle be skipped, taking it would not have raised it
+        ch = chains["15-41"]
+        conj = ConjugateData(ch.cfg, ch.conj.prec)
+        one = FieldElement(1)
+        rng = random.Random(6903)
+        for _ in range(300):
+            conj._embeds.clear()
+            conj._abs.clear()
+            for i in range(conj.d // 2):
+                r, t = math.exp(rng.uniform(-0.9, 0.6)), rng.uniform(-math.pi, math.pi)
+                x, y, w = Fraction(r * math.cos(t)), Fraction(r * math.sin(t)), Fraction(rng.choice((0, 0, 1)), 4)
+                conj._embeds[one, i] = ComplexBall(Ball.from_endpoints(x - w, x + w, conj.prec),
+                                                   Ball.from_endpoints(y - w, y + w, conj.prec))
+            assert matveev_a(one, conj).hi == reference_matveev_a(one, conj).hi
+
+    @pytest.mark.parametrize("prec", [64, 256, 512])
+    def test_derivative_bounds_equal_the_per_root_form(self, chains, prec):
+        # one square root and one division by i! of the largest squared
+        # magnitude, against the largest of the per-root |f^(i)| / i!
+        for ch in chains.values():
+            conj = ConjugateData(ch.cfg, prec)
+            got = realalg._derivative_bounds(conj)
+            g, fact = ch.cfg.f, 1
+            for i in range(1, conj.d):
+                g = poly_derivative(g)
+                fact *= i
+                want = ball_max(*(abs(realalg._dot_at(g, t)) / fact for t in conj.tables))
+                assert same_ball(got[i - 1], want), (ch.cfg.case_id, i)
+
+    def test_integer_roots_lie_inside_exp_of_log(self, chains):
+        # the roots the proof takes, 2^(1/d), p^(1/d), (r+1)^(11/2) and
+        # bound^(1/(r-2)), then seeded ones: each end correctly rounded,
+        # so the ball lies inside the exp(log t / k) it replaced
+        roots = []
+        for ch in chains.values():
+            cc = ch.constants
+            roots += [(2, cc.d), (cc.p, cc.d), ((cc.rank + 1) ** 11, 2), (ch.abs_bound, cc.rank - 2)]
+        rng = random.Random(6902)
+        roots += [(rng.getrandbits(rng.randint(1, 900)) or 1, rng.randint(1, 12)) for _ in range(60)]
+        roots += [(r ** k, k) for r, k in ((3, 3), (2**70 + 1, 5), (7, 1))]
+        for t, k in roots:
+            for prec in PRECS:
+                got = int_root(t, k, prec)
+                old = Ball(t, prec) ** Fraction(1, k)
+                assert old.lo <= got.lo and got.hi <= old.hi, (t, k, prec)
+                if got.lo == got.hi:
+                    assert got.lo ** k == t
+                    continue
+                assert got.lo ** k < t < got.hi ** k, (t, k, prec)
+                m, e = got._iv[:2]
+                assert m.bit_length() == prec and got.hi - got.lo == Fraction(2) ** e

@@ -941,24 +941,20 @@ def test_bound_terms_once_per_round(chains, monkeypatch):
     # the first attempt that reaches them, however many attempts do
     ch = chains["15-41"]
     point = Ball(ch.abs_bound, ch.conj.prec)._iv
-    taken, in_power = [], []
-    power, log = Ball.__pow__, Ball.log
+    taken = []
+    root, log = reduction.int_root, Ball.log
 
-    def counting_pow(self, e):
-        if self._iv == point:
+    def counting_root(t, k, prec):
+        if t == ch.abs_bound:
             taken.append("root")
-        in_power.append(e)
-        try:
-            return power(self, e)
-        finally:
-            in_power.pop()
+        return root(t, k, prec)
 
     def counting_log(self):
-        if self._iv == point and not in_power:  # not the power's own log
+        if self._iv == point:
             taken.append("log")
         return log(self)
 
-    monkeypatch.setattr(Ball, "__pow__", counting_pow)
+    monkeypatch.setattr(reduction, "int_root", counting_root)
     monkeypatch.setattr(Ball, "log", counting_log)
     rnd = reduce_case_bound(ch.conj, ch.constants, ch.abs_bound, ch.scale)
     assert sum(a.ok for a in rnd.attempts) >= 2
