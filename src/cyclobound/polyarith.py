@@ -217,9 +217,9 @@ def charpoly_mod(a: IntPoly, f: IntPoly) -> IntPoly:
     and those traces give the coefficients.  Every value is an integer, so
     each division by k is exact.  The result is monic of degree deg f, and
     its constant term is (-1)^deg f times the norm of a, that is Res(f, a).
-    The coefficients are memoised on the coefficient tuples of a and f (a
-    proof norms and then inverts the same deltas and gammas), and every
-    call returns its own IntPoly.
+    The coefficients are memoised on the coefficient tuples of a and f
+    (verify norms one element twice, and the two octic cases of one run
+    share their units and deltas), and every call returns its own IntPoly.
 
     >>> charpoly_mod(IntPoly(0, 2), IntPoly(1, 0, 1))   # 2i: x^2 + 4
     IntPoly(coeffs=(4, 0, 1))

@@ -22,7 +22,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .numberfield import CaseConfig, FieldElement, charpoly, nf_inverse, nf_mul, nf_pow
+from .numberfield import CaseConfig, FieldElement, charpoly, nf_pow
 from .polyarith import IntPoly, det, iroot, poly_derivative
 
 DEFAULT_PREC = 256
@@ -60,14 +60,6 @@ class Ball:
         out._iv = iv
         out.prec = prec
         return out
-
-    @classmethod
-    def from_endpoints(cls, lo, hi, prec: int = DEFAULT_PREC) -> "Ball":
-        """Smallest representable interval containing [lo, hi]."""
-        if lo > hi:
-            raise ValueError("endpoints out of order")
-        a, b = cls(Fraction(lo), prec)._iv, cls(Fraction(hi), prec)._iv
-        return cls._make(a[:2] + b[2:], prec)
 
     @property
     def lo(self) -> Fraction:
@@ -189,9 +181,15 @@ def ball_min(*balls) -> Ball:
     return -ball_max(*(-b for b in balls))
 
 
+@functools.lru_cache(maxsize=16)
+def _pi_ball(prec: int) -> Ball:
+    """pi, each end correctly rounded to prec bits."""
+    return Ball._make(_ziv(lambda w: (_pi(w), -w, 2), (), (), prec), prec)
+
+
 def _pi_hull(prec: int) -> Ball:
     """[-pi_hi, pi_hi] for pi_hi = pi rounded up: it holds every angle."""
-    m, e = _ziv(lambda w: (_pi(w), -w, 2), (), (), prec)[2:]
+    m, e = _pi_ball(prec)._iv[2:]
     return Ball._make((-m, e, m, e), prec)
 
 
@@ -1033,6 +1031,26 @@ def _certify_roots(f, upper, work):
 # embeddings of field elements
 
 
+class Multiplicand(namedtuple("Multiplicand", ("a", "beta"))):
+    """A multiplicand eta = a / beta^d of the unit inequality, for an int
+    a > 0 and a nonzero FieldElement beta: 2/delta^d per delta and
+    p/gamma^d per gamma.  Immutable.
+
+    eta is never built in the field.  Its embeddings follow from beta's:
+    log|sigma_i(eta)| = log a - d*log|sigma_i(beta)|, and arg sigma_i(eta)
+    is -d*arg sigma_i(beta) modulo 2*pi.  Its leading coefficient too: for
+    chi = charpoly(beta^d) = sum c_k x^k, the polynomial x^d chi(a/x) =
+    sum c_k a^k x^(d-k) has the roots a/sigma_i(beta)^d, so the primitive
+    characteristic polynomial of eta leads with |c_0| / gcd_k(c_k a^k).
+    """
+
+    __slots__ = ()
+
+    def lead(self, f: IntPoly) -> int:
+        chi = charpoly(nf_pow(self.beta, f.degree(), f), f).coeffs
+        return abs(chi[0]) // math.gcd(*(c * self.a ** k for k, c in enumerate(chi)))
+
+
 class ConjugateData:
     """Certified complex embeddings of one case's field.
 
@@ -1042,11 +1060,12 @@ class ConjugateData:
     so no stage takes them.  tables[i] holds roots[i]**0 ... roots[i]**(d-1),
     built once (d - 2 complex products per root), and an element's image is
     the dot product of its coefficients with it (_dot_at).  Embedding
-    values and their magnitudes are cached per element, and so is the
-    leading coefficient of each element's characteristic polynomial;
-    _log's memo takes each log of a magnitude once.  The stages after it
-    read the case data from conj.cfg, so one object fixes both the field
-    and its precision.
+    values, their magnitudes and the logs of those are cached per element,
+    and so is the leading coefficient of each element's characteristic
+    polynomial.  A Multiplicand is not embedded: its log magnitudes,
+    angles and leading coefficient come from its beta's.  The stages after
+    it read the case data from conj.cfg, so one object fixes both the
+    field and its precision.
     """
 
     def __init__(self, cfg: CaseConfig, prec: int = DEFAULT_PREC):
@@ -1056,6 +1075,7 @@ class ConjugateData:
         self.tables = [_power_table(z, cfg.d) for z in self.roots]
         self._embeds: dict = {}
         self._abs: dict = {}
+        self._logs: dict = {}
         self._leads: dict = {}
 
     @property
@@ -1064,8 +1084,11 @@ class ConjugateData:
 
     @functools.cached_property
     def etas(self):
-        """case_etas(cfg), computed once for every stage that embeds them."""
-        return case_etas(self.cfg)
+        """(eta1, eta2, units): Multiplicand(2, delta) per delta,
+        Multiplicand(p, gamma) per gamma, and the units."""
+        cfg = self.cfg
+        return ([Multiplicand(2, dl) for dl in cfg.deltas],
+                [Multiplicand(cfg.p, g) for g in cfg.gammas], list(cfg.units))
 
     def embed(self, elem: FieldElement, i: int) -> ComplexBall:
         """Enclosure of the image of elem under embedding i < d/2."""
@@ -1080,44 +1103,70 @@ class ConjugateData:
             got = self._abs[elem, i] = abs(self.embed(elem, i))
         return got
 
-    def log_abs(self, elem: FieldElement, i: int) -> Ball:
-        """embed_abs(elem, i).log(); _log's memo evaluates each once."""
-        return self.embed_abs(elem, i).log()
+    def log_abs(self, elem, i: int) -> Ball:
+        """embed_abs(elem, i).log(), or log a - d*log|sigma_i(beta)| for a
+        Multiplicand, computed once per (elem, i)."""
+        got = self._logs.get((elem, i))
+        if got is None:
+            if isinstance(elem, Multiplicand):
+                x = self.log_abs(elem.beta, i)
+                got = Ball(elem.a, x.prec).log() - x * self.d
+            else:
+                got = self.embed_abs(elem, i).log()
+            self._logs[elem, i] = got
+        return got
 
-    def lead(self, elem: FieldElement) -> int:
-        """Leading coefficient of charpoly(elem, f), computed once per elem.
+    def arg(self, elem, i: int) -> Ball:
+        """Enclosure of the principal angle of sigma_i(elem).  A
+        Multiplicand's is -d*arg sigma_i(beta) less the multiple of 2*pi
+        that puts the whole enclosure inside (-pi, pi), or the hull
+        [-pi_hi, pi_hi] where no multiple does."""
+        if not isinstance(elem, Multiplicand):
+            return self.embed(elem, i).arg()
+        theta = self.embed(elem.beta, i).arg() * -self.d
+        pi = _pi_ball(theta.prec)
+        theta = theta - pi * (2 * round(theta.mid / (2 * pi.mid)))
+        return theta if theta.gt(-pi) and pi.gt(theta) else _pi_hull(theta.prec)
+
+    def lead(self, elem) -> int:
+        """Leading coefficient of elem's primitive characteristic
+        polynomial, computed once per elem: charpoly(elem, f).lc(), or
+        Multiplicand.lead's, with one charpoly of beta^d.
 
         An integral numerator over den 1 has a monic, hence primitive,
         characteristic polynomial, so its leading coefficient is 1.
         """
-        if elem.den == 1:
+        if isinstance(elem, FieldElement) and elem.den == 1:
             return 1
         got = self._leads.get(elem)
         if got is None:
-            got = self._leads[elem] = charpoly(elem, self.cfg.f).lc()
+            got = self._leads[elem] = (elem.lead(self.cfg.f) if isinstance(elem, Multiplicand)
+                                       else charpoly(elem, self.cfg.f).lc())
         return got
 
     def max_abs_root(self) -> Ball:
         return ball_max(*[abs(z) for z in self.roots])
 
 
-def log_height(elem: FieldElement, conj: ConjugateData) -> Ball:
-    """Enclosure of the absolute logarithmic height of a field element.
+def log_height(elem, conj: ConjugateData) -> Ball:
+    """Enclosure of the absolute logarithmic height of a field element or
+    a Multiplicand.
 
     Uses the degree-d characteristic polynomial; if that is a power of the
     minimal polynomial the formula is unchanged, since both the leading
-    coefficient and the conjugate list repeat by the same factor.
+    coefficient and the conjugate list repeat by the same factor.  Each
+    term log max(|sigma_i|, 1) is the cached log|sigma_i| with both ends
+    raised to 0 (libmpi logs each endpoint alone, and log 1 = 0 exactly),
+    so a Multiplicand's terms come from its log magnitudes alone.
     """
-    if elem.is_zero():
+    if isinstance(elem, FieldElement) and elem.is_zero():
         raise ValueError("height of zero is undefined")
     total = Ball(abs(conj.lead(elem)), conj.prec).log()
-    # log max(|x|, 1) is the cached log|x| with both ends raised to 0:
-    # libmpi logs each endpoint alone, and log 1 = 0 exactly.  An
-    # enclosure of |x| that reaches 0 has no log, and takes the max first
     one = Ball(1, conj.prec)
-    mags = [conj.embed_abs(elem, i) for i in range(conj.d // 2)]
-    terms = [ball_max(conj.log_abs(elem, i), 0) if x._iv[0] > 0 else ball_max(x, one).log()
-             for i, x in enumerate(mags)]
+    # an enclosure of |x| that reaches 0 has no log, and takes the max first
+    terms = [ball_max(conj.embed_abs(elem, i), one).log()
+             if isinstance(elem, FieldElement) and conj.embed_abs(elem, i)._iv[0] <= 0
+             else ball_max(conj.log_abs(elem, i), 0) for i in range(conj.d // 2)]
     # embedding d/2 + i has the magnitude of embedding i; the terms are
     # added in embedding order, so the sum rounds as it always has
     for term in terms + terms:
@@ -1150,31 +1199,31 @@ def _sqrt_within(v: Ball, b: Ball) -> bool:
     return bm >= 0 and not _below(bm * bm, 2 * be, *v._iv[2:])
 
 
-def matveev_a(elem: FieldElement, conj: ConjugateData) -> Ball:
+def matveev_a(elem, conj: ConjugateData) -> Ball:
     """Enclosure of the Baker height max(d*h(elem), |log sigma_i(elem)|
-    for every embedding i, 0.16) with the upper end of the maximum over
-    every term.
+    for every embedding i, 0.16) of a field element or a Multiplicand,
+    with the upper end of the maximum over every term.
 
-    Only the upper end is read.  Every angle ball_atan2 returns lies in
-    [-pi_hi, pi_hi], so |log sigma_i(elem)| is at most sqrt(log|sigma_i|^2
-    + pi_hi^2), computed with the same roundings; the angle is taken only
-    where that bound could raise the upper end of the running maximum.
-    Where sigma_i(elem) has a certified positive real part, each end of
-    the angle is a right half-plane angle rounded, so pi_hi/2 (halving
-    commutes with rounding) replaces pi_hi.  The lower end leaves out the
-    terms skipped, so it may be lower.
+    Only the upper end is read.  Every angle ConjugateData.arg returns
+    lies in [-pi_hi, pi_hi], so |log sigma_i(elem)| is at most
+    sqrt(log|sigma_i|^2 + pi_hi^2), computed with the same roundings; the
+    angle is taken only where that bound could raise the upper end of the
+    running maximum.  Where a field element's sigma_i has a certified
+    positive real part, each end of the angle is a right half-plane angle
+    rounded, so pi_hi/2 (halving commutes with rounding) replaces pi_hi; a
+    Multiplicand, never embedded, keeps pi_hi.  The lower end leaves out
+    the terms skipped, so it may be lower.
     """
     d = conj.d
     hull = _pi_hull(conj.roots[0].re.prec)
     pi_sq, half_pi_sq = hull ** 2, (hull / 2) ** 2
     best = ball_max(log_height(elem, conj) * d, Ball(Fraction(4, 25), conj.prec))
     for i in range(d // 2):
-        z = conj.embed(elem, i)
         log_sq = conj.log_abs(elem, i) ** 2
-        if _sqrt_within(log_sq + (half_pi_sq if z.re._iv[0] > 0 else pi_sq), best):
+        right = isinstance(elem, FieldElement) and conj.embed(elem, i).re._iv[0] > 0
+        if _sqrt_within(log_sq + (half_pi_sq if right else pi_sq), best):
             continue
-        arg = z.arg()
-        best = ball_max(best, (log_sq + arg ** 2).sqrt())
+        best = ball_max(best, (log_sq + conj.arg(elem, i) ** 2).sqrt())
     return best
 
 
@@ -1217,26 +1266,6 @@ class CaseConstants(namedtuple("CaseConstants", (
 
         return {k: [plain(x) for x in v] if isinstance(v, tuple) else plain(v)
                 for k, v in out.items()}
-
-
-def case_etas(cfg: CaseConfig):
-    """The multiplicands of the unit inequality: 2/delta^d per delta and
-    p/gamma^d per gamma, followed by the units.
-
-    1/delta^d is taken as (1/delta)^d: delta has small coefficients where
-    delta^d's reach 18 bits, so its characteristic polynomial is cheaper,
-    and a field element has one reduced form, so the value is the same.
-    """
-    f, d = cfg.f, cfg.d
-    eta1 = [
-        nf_mul(FieldElement(2), nf_pow(nf_inverse(dl, f), d, f), f)
-        for dl in cfg.deltas
-    ]
-    eta2 = [
-        nf_mul(FieldElement(cfg.p), nf_pow(nf_inverse(g, f), d, f), f)
-        for g in cfg.gammas
-    ]
-    return eta1, eta2, list(cfg.units)
 
 
 def _power_exceeds(p: int, n: int, y: int) -> bool:

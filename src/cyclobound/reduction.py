@@ -280,14 +280,15 @@ def _c3_effective(cc: CaseConstants, prec: int) -> Ball:
 class _RoundInputs:
     """What every lattice and attempt of one round reads, built once.
 
-    lam1[di][j] covers log|2/delta^d| at embedding j for delta di,
-    lam2[gi][j] covers log|p/gamma^d| for norm-p gamma gi, and
-    lam_units[t][j] covers -d*log|unit_t| (the sign the exponent vector
-    carries), for the etas of conj (computed once per ConjugateData; the
-    logs once by _log's memo); mid1, mid2 and mid_units hold their
-    midpoints as Ball.dyadic_mid pairs, and max_rad[gi] is the widest
-    radius in gamma gi's form.  log_c3, d_log_p = d / log p, bound_root =
-    bound_n ** (1/(r-2)) and log_bound are taken at once.
+    lam1[di][j] covers log|2/delta^d| = log 2 - d*log|delta| at embedding
+    j for delta di, lam2[gi][j] covers log p - d*log|gamma| for norm-p
+    gamma gi, and lam_units[t][j] covers -d*log|unit_t| (the sign the
+    exponent vector carries), for the Multiplicands of conj.etas, none of
+    them built in the field (each log once by _log's memo); mid1, mid2
+    and mid_units hold their midpoints as Ball.dyadic_mid pairs, and
+    max_rad[gi] is the widest radius in gamma gi's form.  log_c3, d_log_p
+    = d / log p, bound_root = bound_n ** (1/(r-2)) and log_bound are taken
+    at once.
     """
 
     def __init__(self, conj: ConjugateData, cc: CaseConstants, bound_n: int):

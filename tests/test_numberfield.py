@@ -25,7 +25,6 @@ from cyclobound.numberfield import (
 )
 from cyclobound.pipeline import solve_case
 from cyclobound.polyarith import IntPoly, cyclotomic, poly_eval
-from cyclobound.realalg import case_etas
 from test_polyarith import PSP_37, PSP_41, sylvester_det
 
 
@@ -35,6 +34,16 @@ def power(g: IntPoly, k: int) -> IntPoly:
     for _ in range(k):
         out = out * g
     return out
+
+
+def case_etas(cfg):
+    """The multiplicands of the unit inequality as field elements, the
+    reference for realalg's Multiplicand records: 2/delta^d per delta and
+    p/gamma^d per gamma, each by one inversion, followed by the units."""
+    f, d = cfg.f, cfg.d
+    return ([nf_mul(FieldElement(2), nf_pow(nf_inverse(dl, f), d, f), f) for dl in cfg.deltas],
+            [nf_mul(FieldElement(cfg.p), nf_pow(nf_inverse(g, f), d, f), f) for g in cfg.gammas],
+            list(cfg.units))
 
 
 def random_element(rng: random.Random, d: int, span: int = 5) -> FieldElement:

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import cyclobound
-from cyclobound import matveev, padic, pipeline, polyarith
+from cyclobound import matveev, numberfield, padic, pipeline, polyarith
 from cyclobound.cli import main
 from cyclobound.matveev import absolute_bound, matveev_c9
 from cyclobound.realalg import ConjugateData
@@ -424,7 +424,7 @@ class TestExactAlgebraOnce:
             assert real.cache_info().misses == 1
 
     def test_one_charpoly_per_distinct_numerator(self, monkeypatch):
-        # verify norms the deltas and gammas that case_etas then inverts
+        # verify asks for one norm twice, and the memo answers the second
         real = polyarith._charpoly
         seen = []
         monkeypatch.setattr(polyarith, "_charpoly", lambda a, f: seen.append((a, f)) or real(a, f))
@@ -460,6 +460,24 @@ class TestExactAlgebraOnce:
         for _ in range(2):
             with pytest.raises(pipeline.StageFailed, match="digit scan failed: p = 9 is not a proven prime"):
                 pipeline.ProofChain(cfg).n_lower
+
+
+# The open soundness defect (ROADMAP direction 1): verify cannot yet prove
+# that the units are a fundamental system, so a unit system of index 2 or 3
+# still passes it and still proves no_solutions.  Each edit replaces one
+# unit (numbered from 1) by a power of it; the certificate, once built,
+# makes these pass and the strict marker then fails until it is removed.
+@pytest.mark.xfail(strict=True, reason="ROADMAP direction 1: no certificate that the units"
+                   " are fundamental, so a unit system of index 2 or 3 still proves no_solutions")
+@pytest.mark.parametrize("cid, unit, power", [
+    ("15-41", 3, 2), ("15-41", 2, -2), ("15-41", 1, 3), ("15-5581", 3, 2),
+])
+def test_non_fundamental_units_prove_nothing(cid, unit, power):
+    cfg = get_case(cid)
+    raw = copy.deepcopy(numberfield._BUILTIN_RAW[cid])
+    raw["units"][unit - 1] = list(nf_pow(cfg.units[unit - 1], power, cfg.f).num.coeffs)
+    report = solve_case(_config_from_dict(cid, raw))
+    assert report.verdict != "no_solutions", report.reduced_bound
 
 
 class TestRecords:

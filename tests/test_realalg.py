@@ -26,10 +26,10 @@ from cyclobound.realalg import (
     Ball,
     ComplexBall,
     ConjugateData,
+    Multiplicand,
     ball_atan2,
     ball_max,
     ball_min,
-    case_etas,
     certified_roots,
     compute_constants,
     int_root,
@@ -41,6 +41,7 @@ from cyclobound.realalg import (
     round_sig,
 )
 from cyclobound.reduction import _RoundInputs
+from test_numberfield import case_etas
 
 F15_ROOTS = ((Fraction("1.0757"), Fraction("0.4498")),
              (Fraction("0.6243"), Fraction("0.8958")),
@@ -48,6 +49,15 @@ F15_ROOTS = ((Fraction("1.0757"), Fraction("0.4498")),
              (Fraction("-1.0299"), Fraction("0.2698")))
 F10_ROOTS = ((Fraction("0.9734"), Fraction("0.7873")),
              (Fraction("-0.4734"), Fraction("1.0256")))
+
+
+def from_endpoints(lo, hi, prec: int = realalg.DEFAULT_PREC) -> Ball:
+    """The smallest Ball at prec bits that contains [lo, hi]: lo's ball's
+    lower end and hi's ball's upper end."""
+    if lo > hi:
+        raise ValueError("endpoints out of order")
+    a, b = Ball(Fraction(lo), prec)._iv, Ball(Fraction(hi), prec)._iv
+    return Ball._make(a[:2] + b[2:], prec)
 
 
 def random_fraction(rng: random.Random, span: int = 40) -> Fraction:
@@ -79,7 +89,7 @@ class TestBall:
             got = Ball(a) ** k
             assert got.lo <= a**k <= got.hi
             assert got.rad < Fraction(1, 10**70)
-        for x in (Ball(-a), Ball(0), Ball.from_endpoints(-1, 2)):
+        for x in (Ball(-a), Ball(0), from_endpoints(-1, 2)):
             with pytest.raises(ValueError):
                 x ** 5
 
@@ -127,14 +137,14 @@ class TestBall:
             assert max_rad(group) == max((b.hi - b.lo) / 2 for b in group)
 
     def test_from_endpoints(self):
-        b = Ball.from_endpoints(Fraction(-2), Fraction(5))
+        b = from_endpoints(Fraction(-2), Fraction(5))
         assert b.lo <= -2 and b.hi >= 5
         with pytest.raises(ValueError):
-            Ball.from_endpoints(Fraction(1), Fraction(0))
+            from_endpoints(Fraction(1), Fraction(0))
 
     def test_abs(self):
         assert abs(Ball(-3)).lo == 3
-        straddle = abs(Ball.from_endpoints(Fraction(-2), Fraction(5)))
+        straddle = abs(from_endpoints(Fraction(-2), Fraction(5)))
         assert straddle.lo == 0 and straddle.hi >= 5
 
     def test_log_exp_roundtrip(self):
@@ -146,7 +156,7 @@ class TestBall:
         with pytest.raises(ValueError):
             Ball(0).log()
         with pytest.raises(ValueError):
-            Ball.from_endpoints(Fraction(-1), Fraction(2)).log()
+            from_endpoints(Fraction(-1), Fraction(2)).log()
 
     def test_sqrt(self):
         got = Ball(2).sqrt()
@@ -157,7 +167,7 @@ class TestBall:
     def test_certified_comparisons(self):
         assert Ball(2).gt(Ball(1))
         assert Ball(2).gt(1)
-        wide = Ball.from_endpoints(Fraction(0), Fraction(3))
+        wide = from_endpoints(Fraction(0), Fraction(3))
         # overlap certifies nothing in either direction
         assert not wide.gt(Ball(1))
         assert not Ball(1).gt(wide)
@@ -174,7 +184,7 @@ class TestBall:
         assert (a + b).prec == 256
 
     def test_repr_brackets_the_ball(self):
-        for b in (Ball(Fraction(1, 3), 64), Ball(-2**300, 53), Ball.from_endpoints(Fraction(-1, 10**40), 7)):
+        for b in (Ball(Fraction(1, 3), 64), Ball(-2**300, 53), from_endpoints(Fraction(-1, 10**40), 7)):
             lo, hi = repr(b).removeprefix("Ball([").partition("], prec=")[0].split(", ")
             assert Fraction(lo) <= b.lo and b.hi <= Fraction(hi)
             assert repr(b).endswith(f"prec={b.prec})")
@@ -196,7 +206,7 @@ class TestBallAtan2:
 
     def test_branch_cut_hull(self):
         # y straddling zero at negative x must cover both signs of pi
-        got = ball_atan2(Ball.from_endpoints(Fraction(-1), Fraction(1)), Ball(-2))
+        got = ball_atan2(from_endpoints(Fraction(-1), Fraction(1)), Ball(-2))
         assert got.lo < Fraction(-31, 10) and got.hi > Fraction(31, 10)
         assert float(got.lo) <= math.atan2(1, -2) <= float(got.hi)
         assert float(got.lo) <= math.atan2(-1, -2) <= float(got.hi)
@@ -448,13 +458,13 @@ class TestComplexBall:
         rng = random.Random(8200)
         for _ in range(60):
             x, y = random_fraction(rng, 8), random_fraction(rng, 8)
-            z = ComplexBall(Ball.from_endpoints(x, x + Fraction(1, 4), 64),
-                            Ball.from_endpoints(y, y + Fraction(1, 4), 64))
+            z = ComplexBall(from_endpoints(x, x + Fraction(1, 4), 64),
+                            from_endpoints(y, y + Fraction(1, 4), 64))
             f = IntPoly(*(rng.randint(-9, 9) for _ in range(rng.randint(1, 7))))
             got = kernel_at(f, z)
             for point in box_points(z):
                 assert holds(got, exact_value(f.coeffs, point)), (f, x, y, point)
-        z = ComplexBall(Ball.from_endpoints(1, 2, 64), Ball.from_endpoints(-1, 1, 64))
+        z = ComplexBall(from_endpoints(1, 2, 64), from_endpoints(-1, 1, 64))
         got = kernel_at(IntPoly(0, -1), z)
         assert (got.re.lo, got.re.hi) == (-2, -1)
 
@@ -634,7 +644,7 @@ def straddling(rng: random.Random, prec: int):
     """(Ball, ReferenceBall, lo, hi) for an interval [lo, hi] around zero."""
     lo = -abs(Fraction(random_operand(rng)))
     hi = abs(Fraction(random_operand(rng)))
-    return (Ball.from_endpoints(lo, hi, prec),
+    return (from_endpoints(lo, hi, prec),
             ReferenceBall.from_endpoints(lo, hi, prec), lo, hi)
 
 
@@ -788,7 +798,7 @@ class TestAgainstReference:
         for _ in range(40):
             lo, hi = sorted(Fraction(random_operand(rng)) for _ in range(2))
             prec = rng.choice(PRECS)
-            got = Ball.from_endpoints(lo, hi, prec)
+            got = from_endpoints(lo, hi, prec)
             assert_same(got, ReferenceBall.from_endpoints(lo, hi, prec), lo)
             assert got.hi >= hi
 
@@ -1035,12 +1045,12 @@ def positive_ball(rng: random.Random, prec: int) -> Ball:
         return Ball(v, prec)
     if kind == 1:
         u = abs(Fraction(random_operand(rng))) or Fraction(1)
-        return Ball.from_endpoints(min(u, v), max(u, v), prec)
+        return from_endpoints(min(u, v), max(u, v), prec)
     if kind == 2:
         near = 1 + Fraction(rng.choice((-1, 1)) * rng.randint(1, 99), 2 ** rng.randint(7, 3 * prec))
-        return Ball.from_endpoints(min(near, 1), max(near, 1), prec)
+        return from_endpoints(min(near, 1), max(near, 1), prec)
     if kind == 3:
-        return Ball.from_endpoints(v, v * (1 + Fraction(1, 2 ** (prec // 2))), prec)
+        return from_endpoints(v, v * (1 + Fraction(1, 2 ** (prec // 2))), prec)
     return Ball(Ball(v, 512), prec)
 
 
@@ -1055,7 +1065,7 @@ def exponent_ball(rng: random.Random, prec: int) -> Ball:
         return Ball(v, prec)
     if kind == 2:
         return Ball(Fraction(rng.randint(-3000, 3000), rng.randint(1, 60)), prec)
-    return Ball.from_endpoints(-Fraction(rng.randint(1, 900), 7), Fraction(1, rng.randint(1, 10**9)), prec)
+    return from_endpoints(-Fraction(rng.randint(1, 900), 7), Fraction(1, rng.randint(1, 10**9)), prec)
 
 
 def off_cut_box(rng: random.Random, prec: int):
@@ -1065,10 +1075,10 @@ def off_cut_box(rng: random.Random, prec: int):
     def part(sign, axis=True):
         a, b = sorted(abs(Fraction(random_operand(rng))) + 1 - axis for _ in range(2))
         if sign == 0:
-            return Ball.from_endpoints(-a, b, prec)
+            return from_endpoints(-a, b, prec)
         if axis and rng.random() < 0.2:
             a = 0  # an endpoint on the axis
-        return Ball.from_endpoints(a, b, prec) if sign > 0 else Ball.from_endpoints(-b, -a, prec)
+        return from_endpoints(a, b, prec) if sign > 0 else from_endpoints(-b, -a, prec)
 
     half = rng.randrange(3)
     if half == 0:
@@ -1118,16 +1128,16 @@ class TestTranscendentals:
     def test_exact_values(self, prec):
         # log 1 = 0, exp 0 = 1 and atan2(0, x > 0) = 0 stay exact: the
         # height clamps log|x| at 0, and the tables round up from there
-        for b in (Ball(1, prec), Ball.from_endpoints(Fraction(1, 3), 1, prec)):
+        for b in (Ball(1, prec), from_endpoints(Fraction(1, 3), 1, prec)):
             assert b.log().hi == 0
         assert Ball(1, prec).log().lo == 0
-        assert Ball.from_endpoints(1, 5, prec).log().lo == 0
+        assert from_endpoints(1, 5, prec).log().lo == 0
         assert (Ball(0, prec).exp().lo, Ball(0, prec).exp().hi) == (1, 1)
-        assert Ball.from_endpoints(-1, 0, prec).exp().hi == 1
-        assert Ball.from_endpoints(0, 1, prec).exp().lo == 1
+        assert from_endpoints(-1, 0, prec).exp().hi == 1
+        assert from_endpoints(0, 1, prec).exp().lo == 1
         angle = ball_atan2(Ball(0, prec), Ball(Fraction(5, 7), prec))
         assert (angle.lo, angle.hi) == (0, 0)
-        assert ball_atan2(Ball.from_endpoints(0, 1, prec), Ball(2, prec)).lo == 0
+        assert ball_atan2(from_endpoints(0, 1, prec), Ball(2, prec)).lo == 0
 
 
 def true_value(f, args, wp: int) -> Fraction:
@@ -1231,7 +1241,7 @@ class TestOneSeriesEnds:
             for _ in range(60):
                 lo = abs(Fraction(random_operand(rng))) or Fraction(1, 3)
                 width = Fraction(rng.randint(1, 999), 2 ** rng.randint(prec, 3 * prec))
-                iv = Ball.from_endpoints(lo, lo * (1 + width), prec)._iv
+                iv = from_endpoints(lo, lo * (1 + width), prec)._iv
                 if iv[:2] == iv[2:] or 1 in (realalg._fraction(*iv[:2]), realalg._fraction(*iv[2:])):
                     continue
                 assert first_step(realalg._log_step, realalg._log_at, iv, prec) is not None, iv
@@ -1245,7 +1255,7 @@ class TestOneSeriesEnds:
             for _ in range(60):
                 lo = abs(Fraction(random_operand(rng))) or Fraction(1, 3)
                 width = Fraction(rng.randint(1, 999), 2 ** rng.randint(0, prec // 4))
-                iv = Ball.from_endpoints(lo, lo * (1 + width), prec)._iv
+                iv = from_endpoints(lo, lo * (1 + width), prec)._iv
                 assert first_step(realalg._log_step, realalg._log_at, iv, prec) is None, iv
                 assert realalg._log(iv, prec) == two_series_log(iv, prec), iv
 
@@ -1257,7 +1267,7 @@ class TestOneSeriesEnds:
             for _ in range(40):
                 near = Fraction(rng.randint(1, 999), 2 ** rng.randint(10, 3 * prec))
                 for lo, hi in ((1, 1 + near), (1 - near, 1)):
-                    iv = Ball(Ball.from_endpoints(lo, hi, rng.choice((prec, 4 * prec))), prec)._iv
+                    iv = Ball(from_endpoints(lo, hi, rng.choice((prec, 4 * prec))), prec)._iv
                     assert first_step(realalg._log_step, realalg._log_at, iv, prec) is None
                     got = realalg._log(iv, prec)
                     assert got == two_series_log(iv, prec), iv
@@ -1276,7 +1286,7 @@ class TestOneSeriesEnds:
                     x = Fraction(rng.choice((-1, 1)) * (2 * rng.randint(0, 500) + 1),
                                  2 ** rng.randint(1, 3 * prec))
                 width = Fraction(rng.randint(1, 999), 2 ** rng.randint(prec, 3 * prec))
-                iv = Ball.from_endpoints(x, x + width, prec)._iv
+                iv = from_endpoints(x, x + width, prec)._iv
                 if iv[:2] == iv[2:] or not iv[0] or not iv[2]:
                     continue
                 if not tiny:
@@ -1291,7 +1301,7 @@ class TestOneSeriesEnds:
             for _ in range(60):
                 x = Fraction(rng.randint(-3000, 3000), rng.randint(1, 60))
                 width = Fraction(rng.randint(1, 999), 2 ** rng.randint(0, prec // 4))
-                iv = Ball.from_endpoints(x, x + width, prec)._iv
+                iv = from_endpoints(x, x + width, prec)._iv
                 if not iv[0] or not iv[2]:
                     continue
                 assert first_step(realalg._exp_step, realalg._exp_at, iv, prec) is None, iv
@@ -1303,7 +1313,7 @@ class TestOneSeriesEnds:
             for _ in range(40):
                 near = Fraction(rng.randint(1, 999), 2 ** rng.randint(1, 3 * prec))
                 for lo, hi in ((0, near), (-near, 0)):
-                    iv = Ball.from_endpoints(lo, hi, prec)._iv
+                    iv = from_endpoints(lo, hi, prec)._iv
                     assert first_step(realalg._exp_step, realalg._exp_at, iv, prec) is None
                     got = realalg._exp(iv, prec)
                     assert got == two_series_exp(iv, prec), iv
@@ -1329,18 +1339,20 @@ def test_memoised_log_and_exp_equal_fresh_evaluations(prec):
 
 
 def test_a_proof_evaluates_each_log_and_exp_once():
-    # 15-41 asks for 121 interval logs and exps, and 78 of them repeat an
-    # earlier one (log 41, and every log|embedding| that a later stage
-    # reads again, among them): 43 are evaluated.  The roots of integers
-    # (2^(1/d), p^(1/d), (r+1)^(11/2), bound^(1/(r-2))) are integer
-    # roots, not exp of a log
+    # 15-41 asks for 64 interval logs and exps, and 19 of them repeat an
+    # earlier one (log 41, and the log 2 and log 41 at the roots' precision
+    # that each eta's log a - d*log|sigma_i(beta)| asks for, among them):
+    # 45 are evaluated.  ConjugateData keeps each log|sigma_i| it takes, so
+    # a later stage that reads one again asks for nothing.  The roots of
+    # integers (2^(1/d), p^(1/d), (r+1)^(11/2), bound^(1/(r-2))) are
+    # integer roots, not exp of a log
     kernels = (realalg._log, realalg._exp)
     for kernel in kernels:
         kernel.cache_clear()
     solve_case(get_case("15-41"))
     infos = [kernel.cache_info() for kernel in kernels]
-    assert sum(info.misses for info in infos) == 43
-    assert sum(info.hits + info.misses for info in infos) == 121
+    assert sum(info.misses for info in infos) == 45
+    assert sum(info.hits + info.misses for info in infos) == 64
 
 
 def seeded_ball(rng: random.Random) -> Ball:
@@ -1353,7 +1365,7 @@ def seeded_ball(rng: random.Random) -> Ball:
     if kind == 3:
         return Ball(seeded_ball(rng), rng.choice(PRECS))
     lo, hi = sorted(Fraction(random_operand(rng)) for _ in range(2))
-    return Ball.from_endpoints(lo, hi, rng.choice(PRECS))
+    return from_endpoints(lo, hi, rng.choice(PRECS))
 
 
 def libmpi_max(*balls):
@@ -1443,9 +1455,9 @@ def random_box(rng: random.Random, prec: int) -> ComplexBall:
             parts.append(Ball(v, prec))
         elif kind == "narrow":
             v = Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**6))
-            parts.append(Ball.from_endpoints(v, v + Fraction(1, 10**rng.randint(3, 40)), prec))
+            parts.append(from_endpoints(v, v + Fraction(1, 10**rng.randint(3, 40)), prec))
         else:
-            parts.append(Ball.from_endpoints(Fraction(-rng.randint(1, 99), 100),
+            parts.append(from_endpoints(Fraction(-rng.randint(1, 99), 100),
                                              Fraction(rng.randint(1, 99), 100), prec))
     return ComplexBall(*parts)
 
@@ -1505,8 +1517,8 @@ def test_horner_at_certified_roots_matches_libmpi():
 def test_nonfinite_endpoints_are_refused(ends):
     # a Ball's endpoints are finite: a quotient by a divisor that reaches
     # zero, where libmpi returns an infinite endpoint, raises instead
-    divisor = Ball.from_endpoints(*ends, 64)
-    for x in (Ball(1, 64), Ball(0, 64), Ball.from_endpoints(-2, 3, 64)):
+    divisor = from_endpoints(*ends, 64)
+    for x in (Ball(1, 64), Ball(0, 64), from_endpoints(-2, 3, 64)):
         with pytest.raises(ValueError, match="nonfinite"):
             x / divisor
         with pytest.raises(ValueError, match="nonfinite"):
@@ -1544,24 +1556,26 @@ def _gamma_logs_digest(rnd: _RoundInputs) -> str:
 # repr(constants), recorded when Ball still ran on mpmath's interval
 # context; the log enclosures re-pinned when embeddings moved from Horner's
 # rule to power tables, which widened them (15-41's largest radius 3.1e-69
-# to 9.8e-69) and left every rounded constant as it was
+# to 9.8e-69) and left every rounded constant as it was, and again when the
+# etas' logs came from log a - d*log|sigma_i(beta)| (15-41's largest radius
+# 9.8e-69 to 4.5e-74, 15-5581's 8.0e-69 to 3.2e-74, 10-271's unchanged)
 PINNED_DIGESTS = {
     ("15-41", 256): (
-        "f3cfbda8926998339deee976267db4594c8fed962d1a37d49346062947d84e12",
+        "9048489a54baea77ce68515f0937c97167202879dd6af9d3ddaf79a4e8d60333",
         "888b29af850f7464511642047f7242c300910cceb1a021ff9800e9ed8780a50b",
     ),
     ("15-5581", 256): (
-        "2ed80f452de6a60b8beefcfe8f35c6b0b3e7b21aef7b0be0ab83dc8f0321965e",
+        "105b9013607178b97b1043f991419ce3ecb0f19be639a4d18e80edaf3163c029",
         "33d94c3f2e685ef9df45bef58b557ab42ca9c9ed6595b83e563cbcb7653a68f6",
     ),
     ("10-271", 256): (
-        "e6c9c15bad93d59c2eddc4b824a9677f4852aaeef0743288d79fae8b586c364d",
+        "4b3c40a02737dac5431d0aad6a49d810ddeacbce0f86834b61acc9e30d7fca80",
         "e89aef0bbb41cea8393311774ad39465038a83be0c1344ff43a675d4a0bfb47a",
     ),
     # 64 bits: the roots are 96-bit balls, and the embeddings built from
     # them run at that precision too
     ("10-271", 64): (
-        "7077c81ef0d58f64b7ac1b7666e73ed9332c1112c8d38a6b73641187b26dd697",
+        "e256b82f7f16ca11c19c98d683f9cf8d0f488f7bf19382d7798572e7ea0dc26f",
         "e89aef0bbb41cea8393311774ad39465038a83be0c1344ff43a675d4a0bfb47a",
     ),
 }
@@ -1866,8 +1880,8 @@ def reference_certify_roots(f, upper, work):
         x, y = upper[i]
         for r, ends in ((reference_sqrt_up(rad_sq[i], prec), out),
                         (Ball(rad_sq[i], prec).sqrt().hi, old)):
-            re = Ball.from_endpoints(x - r, x + r, prec)
-            im = Ball.from_endpoints(y - r, y + r, prec)
+            re = from_endpoints(x - r, x + r, prec)
+            im = from_endpoints(y - r, y + r, prec)
             ends.append((re.lo, re.hi, im.lo, im.hi))
     return out, old
 
@@ -2106,7 +2120,7 @@ class TestConjugateData:
         for ch in chains.values():
             cfg = ch.cfg
             conj = ConjugateData(cfg, prec)
-            eta1, eta2, _ = conj.etas
+            eta1, eta2, _ = case_etas(cfg)
             g, derivatives = cfg.f, []
             for _ in range(1, cfg.d):
                 g = poly_derivative(g)
@@ -2144,8 +2158,11 @@ class TestConjugateData:
         conj = ConjugateData(cfg, prec)
         work = conj.roots[0].re.prec  # the certified roots carry guard bits
         assert work == max(prec, 64) + 32
-        for elem in (cfg.units[0], *conj.etas[0]):
+        for elem in (cfg.units[0], *case_etas(cfg)[0]):
             assert conj.embed_abs(elem, 0).prec == work
+            assert conj.log_abs(elem, 1).prec == work
+        # a multiplicand's logs come from its beta's, at the same precision
+        for elem in conj.etas[0]:
             assert conj.log_abs(elem, 1).prec == work
 
     def test_embed_abs_cached(self, chains):
@@ -2202,21 +2219,34 @@ def reference_log_height(elem, conj) -> Ball:
     return total / conj.d
 
 
-def reference_matveev_a(elem, conj) -> Ball:
+def reference_matveev_a(elem, conj, height=None) -> Ball:
     """compute_constants' Baker height as it stood before the angle was
-    skipped: every angle is taken."""
+    skipped: every angle is taken.  height defaults to
+    reference_log_height's, which needs a field element."""
     d = conj.d
-    best_b = reference_log_height(elem, conj) * d
+    best_b = (height or reference_log_height(elem, conj)) * d
     for i in range(d // 2):
-        arg = conj.embed(elem, i).arg()
+        arg = conj.arg(elem, i)
         term = (conj.log_abs(elem, i) ** 2 + arg ** 2).sqrt()
         best_b = ball_max(best_b, term)
     return ball_max(best_b, Ball(Fraction(4, 25), conj.prec))
 
 
 def _case_elements(cfg, conj):
-    eta1, eta2, _ = conj.etas
+    # the etas as field elements; conj builds them as Multiplicands
+    eta1, eta2, _ = case_etas(cfg)
     return (*cfg.units, *cfg.gammas, *cfg.deltas, *eta1, *eta2)
+
+
+@functools.lru_cache(maxsize=None)
+def fine_conj(cid: str) -> ConjugateData:
+    """The case's embeddings at 1,024 bits, against which a coarser
+    enclosure must hold the value."""
+    return ConjugateData(get_case(cid), 1024)
+
+
+def contains(outer: Ball, inner: Ball) -> bool:
+    return outer.lo <= inner.lo and inner.hi <= outer.hi
 
 
 class TestBakerHeights:
@@ -2232,6 +2262,14 @@ class TestBakerHeights:
                 got = matveev_a(e, conj)
                 assert got.hi == reference_matveev_a(e, conj).hi, e
                 assert got.lo <= got.hi
+            # the Multiplicand records against the field-element etas at
+            # 1,024 bits: each log height holds theirs, and each Baker
+            # height's upper end bounds theirs
+            cid, fine = ch.cfg.case_id, fine_conj(ch.cfg.case_id)
+            eta1, eta2, _ = case_etas(ch.cfg)
+            for rec, e in zip(conj.etas[0] + conj.etas[1], eta1 + eta2):
+                assert contains(log_height(rec, conj), reference_log_height(e, fine)), (cid, rec)
+                assert matveev_a(rec, conj).hi >= reference_matveev_a(e, fine).hi, (cid, rec)
 
     @pytest.mark.parametrize("prec", [64, 256, 512])
     def test_match_reference_on_seeded_products(self, chains, prec):
@@ -2270,7 +2308,7 @@ class TestBakerHeights:
                        (Fraction(0), Fraction(1, 2)), (Fraction(1), Fraction(1))):
             conj = ConjugateData(ch.cfg, ch.conj.prec)
             e = FieldElement(IntPoly(3, 1))
-            conj._abs[(e, 0)] = Ball.from_endpoints(lo, hi, work)
+            conj._abs[(e, 0)] = from_endpoints(lo, hi, work)
             got, want = log_height(e, conj), reference_log_height(e, conj)
             assert same_ball(got, want), (lo, hi)
 
@@ -2319,7 +2357,7 @@ class TestBakerHeights:
         for _ in range(400):
             prec = rng.choice((53, 64, 256, 288))
             x = Fraction(rng.randint(0, 10**12), rng.randint(1, 10**6))
-            v = rng.choice((Ball(x, prec), Ball(x * x, prec), Ball.from_endpoints(x / 2, x, prec)))
+            v = rng.choice((Ball(x, prec), Ball(x * x, prec), from_endpoints(x / 2, x, prec)))
             root = v.sqrt().hi
             for t in (root, root * (1 + Fraction(1, 2**rng.randint(40, 400))),
                       root * (1 - Fraction(1, 2**rng.randint(40, 400))), x, x / 3, 0):
@@ -2336,13 +2374,22 @@ class TestBakerHeights:
         eta1, _, units = conj.etas
         for elem, dh_pin, term_pin in ((eta1[0], "2.49", "2.73"), (units[0], "2.37", "2.63")):
             dh = log_height(elem, conj) * cfg.d
-            terms = [(conj.log_abs(elem, i) ** 2 + conj.embed(elem, i).arg() ** 2).sqrt()
+            terms = [(conj.log_abs(elem, i) ** 2 + conj.arg(elem, i) ** 2).sqrt()
                      for i in range(cfg.d // 2)]
             top = ball_max(*terms)
             assert round_sig(dh.mid, 3, "nearest") == Fraction(dh_pin)
             assert round_sig(top.mid, 3, "nearest") == Fraction(term_pin)
             assert top.gt(dh)
             assert matveev_a(elem, conj).hi == top.hi
+
+    def test_pi_is_taken_once_per_proof(self):
+        # every Baker height's hull and every angle read one memoised pi
+        # ball at the roots' precision, where Ziv's loop ran for each before
+        for cid in ("15-41", "15-5581", "10-271"):
+            realalg._pi_ball.cache_clear()
+            solve_case(cid)
+            info = realalg._pi_ball.cache_info()
+            assert (info.misses, info.currsize) == (1, 1) and info.hits >= 5, (cid, info)
 
     def test_every_angle_lies_within_pi_hi(self):
         # the bound the skip rests on, on boxes in every quadrant and
@@ -2353,12 +2400,54 @@ class TestBakerHeights:
             for _ in range(60):
                 x = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**3))
                 y = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), 10 ** rng.randint(0, prec // 2))
-                for bx in (Ball(x, prec), Ball.from_endpoints(x - 1, x, prec)):
-                    for by in (Ball(y, prec), Ball.from_endpoints(min(y, 0), max(y, 0), prec)):
+                for bx in (Ball(x, prec), from_endpoints(x - 1, x, prec)):
+                    for by in (Ball(y, prec), from_endpoints(min(y, 0), max(y, 0), prec)):
                         arg = ball_atan2(by, bx)
                         lo, hi = mpi(arg)
                         assert libmp.mpf_le(libmp.mpf_neg(pi_hi), lo)
                         assert libmp.mpf_le(hi, pi_hi)
+
+
+class TestMultiplicands:
+    """The records Multiplicand(a, beta) for eta = a/beta^d against eta
+    built in the field, at seeded integral beta."""
+
+    @staticmethod
+    def seeded(rng, cfg, count):
+        for _ in range(count):
+            beta = FieldElement(IntPoly(*[rng.randint(-3, 3) for _ in range(cfg.d)]))
+            if not beta.is_zero():
+                yield rng.choice((2, 3, 41, 5581)), beta
+
+    def test_lead_equals_the_field_element_lead(self):
+        rng = random.Random(7301)
+        for cid in ("15-41", "10-271"):
+            cfg = get_case(cid)
+            conj = ConjugateData(cfg, 64)
+            for a, beta in self.seeded(rng, cfg, 40):
+                eta = nf_mul(FieldElement(a), nf_pow(beta, -cfg.d, cfg.f), cfg.f)
+                assert conj.lead(Multiplicand(a, beta)) == charpoly(eta, cfg.f).lc(), (a, beta)
+
+    def test_logs_and_angles_hold_the_fine_field_element_ones(self):
+        # at every embedding the 256-bit log holds eta's 1,024-bit one, and
+        # the angle holds eta's 1,024-bit atan2 or is the hull; most angles
+        # are -d*arg sigma_i(beta) shifted by a nonzero multiple of 2*pi
+        rng = random.Random(7302)
+        shifted = total = 0
+        for cid in ("15-41", "10-271"):
+            cfg = get_case(cid)
+            conj, fine = ConjugateData(cfg), fine_conj(cid)
+            for a, beta in self.seeded(rng, cfg, 8):
+                rec = Multiplicand(a, beta)
+                eta = nf_mul(FieldElement(a), nf_pow(beta, -cfg.d, cfg.f), cfg.f)
+                for i in range(cfg.d // 2):
+                    assert contains(conj.log_abs(rec, i), fine.log_abs(eta, i)), (cid, rec, i)
+                    got, hull = conj.arg(rec, i), realalg._pi_hull(conj.roots[0].re.prec)
+                    assert same_ball(got, hull) or contains(got, fine.embed(eta, i).arg()), (cid, rec, i)
+                    raw = conj.embed(beta, i).arg() * -cfg.d
+                    shifted += abs(raw.mid - got.mid) > 1
+                    total += 1
+        assert shifted > total // 2, (shifted, total)
 
 
 class TestRegulator:
@@ -2465,10 +2554,10 @@ class TestConstantChain:
                     assert glo <= v.lo and v.hi <= ghi
 
     def test_one_charpoly_per_element(self, chains, monkeypatch):
-        # every eta needs its characteristic polynomial once, for its
-        # height and its leading coefficient a0; a fresh ConjugateData has
-        # no leading coefficient cached yet.  A unit is integral, so its
-        # leading coefficient is 1 without one
+        # every eta a/beta^d needs the characteristic polynomial of beta^d
+        # once, for its height and its leading coefficient a0; a fresh
+        # ConjugateData has no leading coefficient cached yet.  A unit is
+        # integral, so its leading coefficient is 1 without one
         seen = []
 
         def recording_charpoly(elem, f):
@@ -2477,10 +2566,11 @@ class TestConstantChain:
 
         monkeypatch.setattr(realalg, "charpoly", recording_charpoly)
         ch = chains["15-41"]
-        eta1, eta2, units = case_etas(ch.cfg)
-        conj = ConjugateData(ch.cfg)
+        cfg = ch.cfg
+        conj = ConjugateData(cfg)
         assert compute_constants(conj, ch.n_lower) == ch.constants
-        assert seen == eta1 + eta2 and len(seen) == 3
+        assert seen == [nf_pow(b, cfg.d, cfg.f) for b in cfg.deltas + cfg.gammas]
+        assert len(seen) == 3
         # a second chain on the same ConjugateData reads the cached leads
         assert compute_constants(conj, ch.n_lower) == ch.constants
         assert len(seen) == 3
@@ -2496,6 +2586,9 @@ class TestConstantChain:
                 elements.append(FieldElement(num or IntPoly(1), den))
             for elem in elements:
                 assert conj.lead(elem) == charpoly(elem, cfg.f).lc(), elem
+            # the Multiplicand records lead as their field elements do
+            for rec, elem in zip(conj.etas[0] + conj.etas[1], eta1 + eta2):
+                assert conj.lead(rec) == charpoly(elem, cfg.f).lc(), rec
 
     def test_etas_match_inverse_of_the_power(self, chains):
         # case_etas inverts delta and gamma before raising them to the d-th
@@ -2688,12 +2781,14 @@ class TestLeanKernels:
     @pytest.mark.parametrize("prec", [64, 256, 512])
     def test_baker_heights_equal_the_full_angle_form(self, chains, prec):
         # every eta and unit: the upper end with the angles that the pi and
-        # pi/2 bounds skip left out is the one with every angle taken
+        # pi/2 bounds skip left out is the one with every angle taken, on
+        # the same log height
         for ch in chains.values():
             conj = ConjugateData(ch.cfg, prec)
             eta1, eta2, units = conj.etas
             for e in (*eta1, *eta2, *units):
-                assert matveev_a(e, conj).hi == reference_matveev_a(e, conj).hi, (ch.cfg.case_id, e)
+                want = reference_matveev_a(e, conj, log_height(e, conj))
+                assert matveev_a(e, conj).hi == want.hi, (ch.cfg.case_id, e)
 
     def test_baker_heights_equal_the_full_angle_form_at_seeded_points(self, chains):
         # the element 1 with its embeddings replaced by seeded boxes, some
@@ -2707,11 +2802,12 @@ class TestLeanKernels:
         for _ in range(300):
             conj._embeds.clear()
             conj._abs.clear()
+            conj._logs.clear()
             for i in range(conj.d // 2):
                 r, t = math.exp(rng.uniform(-0.9, 0.6)), rng.uniform(-math.pi, math.pi)
                 x, y, w = Fraction(r * math.cos(t)), Fraction(r * math.sin(t)), Fraction(rng.choice((0, 0, 1)), 4)
-                conj._embeds[one, i] = ComplexBall(Ball.from_endpoints(x - w, x + w, conj.prec),
-                                                   Ball.from_endpoints(y - w, y + w, conj.prec))
+                conj._embeds[one, i] = ComplexBall(from_endpoints(x - w, x + w, conj.prec),
+                                                   from_endpoints(y - w, y + w, conj.prec))
             assert matveev_a(one, conj).hi == reference_matveev_a(one, conj).hi
 
     @pytest.mark.parametrize("prec", [64, 256, 512])

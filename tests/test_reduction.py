@@ -14,14 +14,14 @@ from fractions import Fraction
 
 import pytest
 
-from cyclobound import realalg, reduction
-from cyclobound.numberfield import get_case, nf_inverse
+from cyclobound import numberfield, realalg, reduction
+from cyclobound.numberfield import get_case
 from cyclobound.pipeline import solve_case
 from cyclobound.polyarith import det
 from cyclobound.realalg import (
     Ball,
     ConjugateData,
-    case_etas,
+    Multiplicand,
     compute_constants,
 )
 from cyclobound.reduction import (
@@ -39,7 +39,7 @@ from cyclobound.reduction import (
     _swap_det,
     _theta,
 )
-from test_realalg import reference_nearest_int
+from test_realalg import from_endpoints, reference_nearest_int
 
 
 def random_columns(rng: random.Random, n: int, span: int = 15) -> list:
@@ -805,7 +805,7 @@ class TestIntegerTheta:
                 s = rng.randint(0, 90)
                 a = rng.randint(-2**40, 2**40)
                 b = a + 2 * rng.randint(0, 2**20) + 1
-                ball = Ball.from_endpoints(Fraction(a, 2**s), Fraction(b, 2**s), prec)
+                ball = from_endpoints(Fraction(a, 2**s), Fraction(b, 2**s), prec)
                 K = 2**s * (2 * rng.randint(0, 10**6) + 1)
             elif kind == 1:
                 value = Fraction(rng.randint(-10**40, 10**40), rng.randint(1, 10**30))
@@ -840,70 +840,91 @@ def stripped(iv):
     return out
 
 
-def _count_case_etas(monkeypatch):
+def _count_field_ops(monkeypatch, modules=(realalg,)):
+    """The names of every nf_pow and nf_inverse call made through the given
+    modules' globals, in order (realalg's nf_inverse is set even where
+    realalg no longer imports it)."""
     calls = []
+    for module in modules:
+        for name in ("nf_pow", "nf_inverse"):
+            def counted(*args, _name=name, _fn=getattr(numberfield, name)):
+                calls.append(_name)
+                return _fn(*args)
 
-    def counting_case_etas(cfg):
-        calls.append(cfg.case_id)
-        return case_etas(cfg)
-
-    monkeypatch.setattr(realalg, "case_etas", counting_case_etas)
+            monkeypatch.setattr(module, name, counted, raising=False)
     return calls
 
 
 def test_one_case_etas_per_round(chains, monkeypatch):
-    # 15-5581 has two norm-p gammas; their log enclosures share one
-    # inversion of the deltas and gammas, made once per ConjugateData and
-    # so shared by every later round as well
+    # 15-5581 has two norm-p gammas; every round reads the Multiplicand
+    # records that ConjugateData.etas builds once per ConjugateData, and
+    # no round raises, inverts or embeds a field element of its own
     ch = chains["15-5581"]
-    cc, bound_n = ch.constants, ch.abs_bound
-    calls = _count_case_etas(monkeypatch)
-    conj = ConjugateData(ch.cfg, ch.conj.prec)
+    cfg, cc, bound_n = ch.cfg, ch.constants, ch.abs_bound
+    calls = _count_field_ops(monkeypatch, (realalg, numberfield))
+    conj = ConjugateData(cfg, ch.conj.prec)
     for _ in range(2):
         rnd = reduce_case_bound(conj, cc, bound_n, ch.scale)
         assert rnd.bound == 23
-    assert calls == ["15-5581"]
+    assert calls == []
+    assert conj.etas[:2] == ([Multiplicand(2, dl) for dl in cfg.deltas],
+                             [Multiplicand(cfg.p, g) for g in cfg.gammas])
+    assert {elem for elem, _ in conj._embeds} == {*cfg.deltas, *cfg.gammas, *cfg.units}
 
 
 def test_one_log_per_embedding(chains, monkeypatch):
     # the regulator, the unit minors and every reduction round read the
-    # same log|embedding| enclosures; _log's memo computes each once
+    # same log|embedding| enclosures, those of the deltas and gammas for
+    # the etas; ConjugateData keeps each, so _log is asked for each once
     ch = chains["15-5581"]
-    conj = ConjugateData(ch.cfg, ch.conj.prec)
+    cfg = ch.cfg
+    conj = ConjugateData(cfg, ch.conj.prec)
     real = realalg._log
     seen = []
-    monkeypatch.setattr(realalg, "_log", lambda x, prec: seen.append(x) or real(x, prec))
+    monkeypatch.setattr(realalg, "_log", lambda x, prec: seen.append((x, prec)) or real(x, prec))
     real.cache_clear()
     cc = compute_constants(conj, ch.n_lower)
     for _ in range(2):
         assert reduce_case_bound(conj, cc, ch.abs_bound, ch.scale).bound == 23
     assert real.cache_info().misses == len(set(seen)) < len(seen)
-    eta1, eta2, units = conj.etas
-    half = ch.cfg.d // 2
-    mags = [conj.embed_abs(e, i)._iv for e in (*eta1, *eta2, *units) for i in range(half)]
-    assert set(mags) <= set(seen)
-    # each round reads every log again, and the memo answers
-    assert all(seen.count(iv) >= 3 for iv in mags)
+    half = cfg.d // 2
+    mags = [(conj.embed_abs(e, i)._iv, conj.embed_abs(e, i).prec)
+            for e in (*cfg.deltas, *cfg.gammas, *cfg.units) for i in range(half)]
+    assert all(seen.count(key) == 1 for key in mags)
 
 
 @pytest.mark.parametrize("scale", [None, 3162 * 10**31])
 def test_one_case_etas_per_proof(monkeypatch, scale):
     # the constant chain and every reduction round, including those of a
-    # first-round K below the default, share one case_etas call, so each
-    # delta^d and gamma^d is inverted once per proof
-    calls = _count_case_etas(monkeypatch)
-    inverted = []
-
-    def counting_nf_inverse(a, f):
-        inverted.append(a)
-        return nf_inverse(a, f)
-
-    monkeypatch.setattr(realalg, "nf_inverse", counting_nf_inverse)
+    # first-round K below the default, invert nothing: each delta^d and
+    # gamma^d is raised once per proof, for the characteristic polynomial
+    # that its eta's leading coefficient reads
+    calls = _count_field_ops(monkeypatch)
     report = solve_case("15-5581", scale=scale)
     assert report.verdict == "no_solutions"
-    assert calls == ["15-5581"]
     cfg = get_case("15-5581")
-    assert len(inverted) == len(cfg.deltas) + len(cfg.gammas)
+    assert calls == ["nf_pow"] * (len(cfg.deltas) + len(cfg.gammas))
+
+
+@pytest.mark.parametrize("cid", ["15-41", "15-5581", "10-271"])
+def test_constants_and_reduction_invert_nothing(chains, monkeypatch, cid):
+    # the etas a/beta^d are read from beta's embeddings, so the constant
+    # chain and the reduction call nf_inverse nowhere
+    ch = chains[cid]
+    calls = _count_field_ops(monkeypatch, (realalg, numberfield))
+    conj = ConjugateData(ch.cfg, ch.conj.prec)
+    cc = compute_constants(conj, ch.n_lower)
+    report = reduction_loop(conj, cc, ch.abs_bound, ch.n_lower, ch.scale)
+    assert (cc, report) == (ch.constants, ch.reduction)
+    assert "nf_inverse" not in calls
+
+
+@pytest.mark.parametrize("cid", ["15-41", "15-5581"])
+def test_degree_8_cases_prove_at_k_1e70(cid):
+    # the etas' log enclosures, at most 4.6e-74 wide on the octic field,
+    # keep K * radius below 0.001 at K = 1e70
+    report = solve_case(cid, scale=10**70)
+    assert report.verdict == "no_solutions", report.reason
 
 
 def test_one_record_per_round(chains, monkeypatch):
@@ -1038,7 +1059,7 @@ class TestRobustness:
         built = []
         monkeypatch.setattr(reduction, "lll_reduce", lambda cols: built.append(cols))
         ch = chains["15-5581"]
-        with pytest.raises(PrecisionError, match=r"K\*radius = 8\.01e\+31 exceeds 0\.001"):
+        with pytest.raises(PrecisionError, match=r"K\*radius = 3\.16e\+26 exceeds 0\.001"):
             reduce_case_bound(ch.conj, ch.constants, ch.abs_bound, scale=10**100)
         assert built == []
 
